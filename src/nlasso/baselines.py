@@ -3,10 +3,12 @@
 The Laplacian is applied matrix free (one pass over the edges), in either
 the unnormalized form L = D - A or the symmetric normalization
 D^{-1/2} L D^{-1/2}.  The Fiedler vector, the eigenvector for the smallest
-non-zero eigenvalue, is computed by power iteration on c*I - L with the
-known nullspace direction deflated out; c is a Gershgorin upper bound on
-the spectrum, so the smallest non-zero eigenvalue dominates after
-deflation.
+non-zero eigenvalue, is computed by Lanczos iteration with full
+reorthogonalization on the complement of the known nullspace direction.
+Every few steps the smallest Ritz pair of the Lanczos tridiagonal is
+taken; a vector is returned only after an explicit operator application
+confirms its eigen-residual.  The basis lives in a fixed memory budget:
+when it is full, the iteration restarts from the current Ritz vector.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ from .graph import Graph
 
 UNNORMALIZED = "unnormalized"
 NORMALIZED = "normalized"
+
+# memory budget of the Lanczos basis; a full basis restarts the iteration
+_BASIS_BYTES = 64 * 2**20
+# Ritz pairs are checked every _CHECK_EVERY Lanczos steps, and every
+# k // _CHECK_EVERY steps once the basis holds k > _CHECK_EVERY**2
+# vectors, so the dense tridiagonal eigensolves cost no more than the
+# reorthogonalization
+_CHECK_EVERY = 8
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -62,12 +73,6 @@ class LaplacianOperator:
             v = np.ones(self.graph.n)
         return v / np.linalg.norm(v)
 
-    def shift_bound(self) -> float:
-        """Gershgorin upper bound on the largest eigenvalue."""
-        if self.mode == NORMALIZED:
-            return 2.0
-        return 2.0 * float(np.max(self.graph.weighted_degree)) if self.graph.n else 0.0
-
 
 def laplacian(g: Graph, mode: str = UNNORMALIZED) -> LaplacianOperator:
     """Construct the matrix-free Laplacian operator of the chosen mode."""
@@ -88,11 +93,18 @@ def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10,
                    max_iters: int = 500_000) -> np.ndarray:
     """Eigenvector of the Laplacian for the smallest non-zero eigenvalue.
 
-    Runs deflated power iteration on the shifted operator until the
-    eigen-residual ||L v - mu v|| drops below tol * ||v||.  The result has
-    unit infinity norm and a non-negative entry at node 1.  Deterministic:
-    the starting vector is a fixed hash ramp with the nullspace projected
-    out.
+    Runs Lanczos with full reorthogonalization on the Laplacian, restricted
+    to the complement of the known nullspace direction, and returns the
+    Ritz vector of the smallest Ritz value once its eigen-residual
+    ||L v - mu v||, recomputed with one explicit operator application,
+    drops below tol * ||v||.  The basis holds at most
+    min(n - 1, max(2, _BASIS_BYTES // (8 n))) vectors; when it is full the
+    iteration restarts from the current Ritz vector.  The result has unit
+    infinity norm and a non-negative entry at node 1.  Deterministic: the
+    starting vector is a fixed hash ramp with the nullspace projected out.
+
+    max_iters bounds the number of Laplacian applications, Lanczos steps
+    and residual checks together.
 
     Raises
     ------
@@ -100,7 +112,7 @@ def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10,
         If the graph has more than one component (the target eigenvalue
         would be ambiguous), or fewer than 2 nodes.
     NoConvergence
-        If max_iters iterations do not reach the tolerance.
+        If max_iters operator applications do not reach the tolerance.
     """
     if g.n < 2:
         raise Disconnected("need at least 2 nodes for a Fiedler vector")
@@ -108,27 +120,55 @@ def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10,
         raise Disconnected("graph has more than one connected component")
     op = laplacian(g, mode)
     null = op.nullspace_direction()
-    c = op.shift_bound()
+    cap = min(g.n - 1, max(2, _BASIS_BYTES // (8 * g.n)))
+    applies = 0
+
+    def apply(x):
+        nonlocal applies
+        if applies >= max_iters:
+            raise NoConvergence(f"no eigenpair to tolerance {tol} in {max_iters} "
+                                "Laplacian applications")
+        applies += 1
+        return op.apply(x)
+
     v = _start_vector(g.n)
-    v = v - (null @ v) * null
-    v = v / np.linalg.norm(v)
-    for _ in range(int(max_iters)):
-        lv = op.apply(v)
-        mu = float(v @ lv)
-        if np.linalg.norm(lv - mu * v) <= tol:
-            break
-        w = c * v - lv
-        w = w - (null @ w) * null
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
+    while True:
+        v = v - (null @ v) * null
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
             raise NoConvergence("iteration collapsed onto the deflated nullspace")
-        v = w / nw
-    else:
-        raise NoConvergence(f"no eigenpair to tolerance {tol} in {max_iters} iterations")
-    v = v / np.max(np.abs(v))
-    if v[0] < 0.0:
-        v = -v
-    return v
+        basis = np.empty((min(cap, _CHECK_EVERY), g.n))
+        basis[0] = v / nv
+        alpha, beta = [], []
+        check_at = _CHECK_EVERY
+        for k in range(1, cap + 1):
+            q = basis[:k]
+            w = apply(q[-1])
+            alpha.append(float(q[-1] @ w))
+            for _ in range(2):
+                w -= q.T @ (q @ w)
+                w -= (null @ w) * null
+            b = float(np.linalg.norm(w))
+            # below this, w is rounding noise: the Krylov space is invariant
+            breakdown = b <= _EPS * (alpha[-1] + (beta[-1] if beta else 0.0))
+            restart = breakdown or k == cap
+            if restart or k >= check_at:
+                check_at = k + max(_CHECK_EVERY, k // _CHECK_EVERY)
+                t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+                _, s = np.linalg.eigh(t)
+                if restart or b * abs(s[-1, 0]) <= tol:
+                    v = s[:, 0] @ q
+                    lv = apply(v)
+                    mu = float(v @ lv) / float(v @ v)
+                    if np.linalg.norm(lv - mu * v) <= tol * np.linalg.norm(v):
+                        v = v / np.max(np.abs(v))
+                        return -v if v[0] < 0.0 else v
+                    if restart:
+                        break
+            if k == basis.shape[0]:
+                basis = np.vstack((basis, np.empty((min(k, cap - k), g.n))))
+            basis[k] = w / b
+            beta.append(b)
 
 
 def fiedler_value(g: Graph, v, mode: str = UNNORMALIZED) -> float:

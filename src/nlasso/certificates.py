@@ -92,9 +92,11 @@ def extract_cluster(x, threshold: float = 0.5, seeds=None) -> ClusterResult:
     """Threshold a node signal into a cluster.
 
     Strict inequality: nodes with x_i exactly equal to the threshold stay
-    out.  When `seeds` is given, contains_seeds reports whether all of them
-    made it in.
+    out.  The threshold must be finite.  When `seeds` is given,
+    contains_seeds reports whether all of them made it in.
     """
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     x = np.asarray(x, dtype=np.float64)
     ids = np.flatnonzero(x > threshold) + 1
     contains = None

@@ -31,22 +31,19 @@ from . import solver as slv
 from .errors import (
     CountTooLarge,
     DimensionMismatch,
-    Disconnected,
     DuplicateEdge,
     InvalidEdge,
     InvalidNode,
     InvalidOverride,
     InvalidWeight,
-    IsolatedNode,
     NLassoError,
-    NoConvergence,
     PgmError,
 )
 
 _INPUT_ERRORS = (InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight,
                  InvalidOverride, CountTooLarge, PgmError, DimensionMismatch,
                  FileNotFoundError, IsADirectoryError, PermissionError, ValueError)
-_RUNTIME_ERRORS = (IsolatedNode, Disconnected, NoConvergence, NLassoError, OSError)
+_RUNTIME_ERRORS = (NLassoError, OSError)
 
 CHAIN_N = 100
 CHAIN_DEFAULT_W = 5.0 / 4.0

@@ -18,7 +18,7 @@ class DuplicateEdge(NLassoError):
 
 
 class InvalidWeight(NLassoError):
-    """Edge weight that is not strictly positive."""
+    """Edge weight that is not strictly positive and finite."""
 
 
 class DimensionMismatch(NLassoError):

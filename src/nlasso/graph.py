@@ -162,7 +162,7 @@ def build_graph(n: int, edge_list) -> Graph:
     n : int
         Node count, at least 1.
     edge_list : iterable of (int, int, float)
-        1-based endpoints and a strictly positive weight per edge.
+        1-based endpoints and a strictly positive, finite weight per edge.
 
     Raises
     ------
@@ -182,11 +182,13 @@ def build_graph(n: int, edge_list) -> Graph:
             raise InvalidNode(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
         if i == j:
             raise InvalidEdge(f"self-loop at node {i}")
-        wk = float(wk)
-        if not wk > 0.0:
-            raise InvalidWeight(f"edge ({i}, {j}) has non-positive weight {wk}")
         src[k], dst[k] = (i - 1, j - 1) if i < j else (j - 1, i - 1)
-        w[k] = wk
+        w[k] = float(wk)
+    bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
+    if bad.size:
+        i, j, _ = triples[bad[0]]
+        raise InvalidWeight(f"edge ({int(i)}, {int(j)}) has non-positive or non-finite "
+                            f"weight {w[bad[0]]}")
     order = np.lexsort((dst, src))
     src, dst, w = src[order], dst[order], w[order]
     if m > 1:
@@ -258,27 +260,20 @@ def isolated_nodes(g: Graph) -> np.ndarray:
 
 def is_connected(g: Graph) -> bool:
     """True when the graph has a single connected component (n >= 1)."""
-    if g.n == 1:
-        return True
-    if g.num_edges == 0:
-        return False
-    # union-find over edges
+    # min-label propagation: hook each root onto the smallest root across
+    # its edges, then jump pointers until every node points at its root.
+    # parent[k] <= k throughout, so the pointers form a forest.
     parent = np.arange(g.n)
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    for a, b in zip(g.src, g.dst):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    root = find(0)
-    return all(find(k) == root for k in range(1, g.n))
+    while True:
+        rs, rd = parent[g.src], parent[g.dst]
+        if np.array_equal(rs, rd):
+            return bool(np.all(parent == 0))
+        np.minimum.at(parent, np.maximum(rs, rd), np.minimum(rs, rd))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,10 @@ class NLassoProblem:
     seeds : array-like of int
         Non-empty set of 1-based seed node ids.
     alpha : float
-        Fidelity weight at non-seed nodes; must be positive so the signal
-        decays to zero away from the seeds.
+        Fidelity weight at non-seed nodes; must be positive and finite so
+        the signal decays to zero away from the seeds.
     lam : float
-        Total-variation penalty; must be positive.
+        Total-variation penalty; must be positive and finite.
     """
 
     graph: Graph
@@ -51,10 +51,10 @@ class NLassoProblem:
         seeds = gc.as_node_ids(self.seeds, self.graph.n)
         if seeds.size == 0:
             raise ValueError("seed set must be non-empty")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         mask = np.zeros(self.graph.n, dtype=bool)
         mask[seeds - 1] = True
         mask.flags.writeable = False

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from nlasso import Disconnected, IsolatedNode, NoConvergence, build_graph
+from nlasso import Disconnected, IsolatedNode, NoConvergence, baselines, build_graph
 from nlasso.baselines import (
     NORMALIZED,
     UNNORMALIZED,
+    LaplacianOperator,
     fiedler_value,
     fiedler_vector,
     indicator_error,
     laplacian,
 )
+from nlasso.generators import chain_graph
 from oracle import random_connected_graph
 
 
@@ -29,6 +31,19 @@ def dense_laplacian(g, mode):
 
 def path(n, w=1.0):
     return build_graph(n, [(i, i + 1, w) for i in range(1, n)])
+
+
+def count_applies(monkeypatch):
+    """Record every LaplacianOperator.apply call from here on."""
+    calls = []
+    apply = LaplacianOperator.apply
+
+    def counted(self, x):
+        calls.append(1)
+        return apply(self, x)
+
+    monkeypatch.setattr(LaplacianOperator, "apply", counted)
+    return calls
 
 
 def test_apply_two_node():
@@ -126,6 +141,38 @@ def test_fiedler_deterministic():
     a = fiedler_vector(path(20), NORMALIZED, tol=1e-10)
     b = fiedler_vector(path(20), NORMALIZED, tol=1e-10)
     assert a.tobytes() == b.tobytes()
+
+
+def test_fiedler_apply_count_on_chain(monkeypatch):
+    # the Krylov space of an n-node path is exhausted after n - 1 steps
+    calls = count_applies(monkeypatch)
+    fiedler_vector(path(100), NORMALIZED, tol=1e-10)
+    assert len(calls) <= 100 + 16
+
+
+@pytest.mark.parametrize("make_graph", [
+    lambda: chain_graph(100, 5.0 / 4.0, [(4, 1.0)]),
+    lambda: path(300),
+], ids=["criterion-3-chain", "path-300"])
+def test_fiedler_matches_dense_on_long_chains(make_graph):
+    g = make_graph()
+    exact = float(np.linalg.eigvalsh(dense_laplacian(g, NORMALIZED))[1])
+    v = fiedler_vector(g, NORMALIZED, tol=1e-10)
+    assert abs(fiedler_value(g, v, NORMALIZED) - exact) <= 1e-8 * exact
+
+
+def test_fiedler_restarts_when_basis_is_full(monkeypatch):
+    g = path(30)
+    rows = 8
+    monkeypatch.setattr(baselines, "_BASIS_BYTES", 8 * g.n * rows)
+    calls = count_applies(monkeypatch)
+    v = fiedler_vector(g, NORMALIZED, tol=1e-10)
+    assert len(calls) > rows + 1  # more than one cycle and its residual check
+    exact = float(np.linalg.eigvalsh(dense_laplacian(g, NORMALIZED))[1])
+    mu = fiedler_value(g, v, NORMALIZED)
+    assert abs(mu - exact) <= 1e-8 * exact
+    resid = np.linalg.norm(laplacian(g, NORMALIZED).apply(v) - mu * v)
+    assert resid <= 1e-10 * np.linalg.norm(v)
 
 
 def test_fiedler_rejects_disconnected():

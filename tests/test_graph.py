@@ -49,7 +49,7 @@ def test_build_rejects_self_loop():
         build_graph(3, [(2, 2, 1.0)])
 
 
-@pytest.mark.parametrize("w", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("w", [0.0, -1.0, float("nan"), float("inf")])
 def test_build_rejects_nonpositive_weight(w):
     with pytest.raises(InvalidWeight):
         build_graph(2, [(1, 2, w)])
@@ -185,6 +185,28 @@ def test_isolated_and_connected():
     assert not is_connected(g)
     assert is_connected(build_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]))
     assert is_connected(build_graph(1, []))
+
+
+def test_is_connected_matches_scipy(rng):
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    outcomes = []
+    for n in [1, 1, *rng.integers(2, 40, size=200)]:
+        n = int(n)
+        pairs = rng.integers(1, n + 1, size=(int(rng.integers(0, 2 * n + 1)), 2))
+        pairs = {(min(i, j), max(i, j)) for i, j in pairs.tolist() if i != j}
+        g = build_graph(n, [(i, j, 1.0) for i, j in sorted(pairs)])
+        adj = coo_array((np.ones(g.num_edges), (g.src, g.dst)), shape=(n, n))
+        count, _ = connected_components(adj, directed=False)
+        assert is_connected(g) == (count == 1), (n, sorted(pairs))
+        outcomes.append(count == 1)
+    assert 20 <= sum(outcomes) <= len(outcomes) - 20  # both answers exercised
+    # a long path under a random relabelling needs many hooking rounds
+    perm = rng.permutation(2000) + 1
+    chain = [(int(a), int(b), 1.0) for a, b in zip(perm[:-1], perm[1:])]
+    assert is_connected(build_graph(2000, chain))
+    assert not is_connected(build_graph(2000, chain[:999] + chain[1000:]))
 
 
 def test_edge_list_round_trip(tmp_path, house_graph):

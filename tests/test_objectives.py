@@ -34,6 +34,10 @@ def test_problem_validation(weighted_chain):
         NLassoProblem(weighted_chain, [1], 0.0, 0.1)
     with pytest.raises(ValueError):
         NLassoProblem(weighted_chain, [1], 0.1, -0.2)
+    with pytest.raises(ValueError):
+        NLassoProblem(weighted_chain, [1], float("inf"), 0.1)
+    with pytest.raises(ValueError):
+        NLassoProblem(weighted_chain, [1], 0.1, float("inf"))
     p = NLassoProblem(weighted_chain, [3, 1], 0.1, 0.1)
     assert p.seeds.tolist() == [1, 3]
     assert p.seed_mask[0] and p.seed_mask[2] and not p.seed_mask[1]
