@@ -41,7 +41,6 @@ from .errors import (
     NoConvergence,
     NotAugmented,
     PgmError,
-    RepeatedAugmentation,
     SeedsOutsideCluster,
 )
 from .generators import (
@@ -55,9 +54,7 @@ from .generators import (
     write_pgm,
 )
 from .graph import (
-    AugmentedGraph,
     Graph,
-    augment,
     boundary,
     build_graph,
     divergence,

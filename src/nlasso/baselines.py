@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import generators as gen
 from . import graph as gc
 from .errors import Disconnected, IsolatedNode, NoConvergence
 from .graph import Graph
@@ -52,18 +53,12 @@ class LaplacianOperator:
     def apply(self, x) -> np.ndarray:
         """One operator application, linear in the edge count."""
         g = self.graph
-        x = gc._as_signal(g, x)
         if self.mode == NORMALIZED:
-            x = x / np.sqrt(g.weighted_degree)
-        t = g.weights * (x[g.src] - x[g.dst])
-        out = (np.bincount(g.src, weights=t, minlength=g.n)
-               - np.bincount(g.dst, weights=t, minlength=g.n))
+            x = gc._as_signal(g, x) / np.sqrt(g.weighted_degree)
+        out = gc.divergence(g, g.weights * gc.incidence_apply(g, x))
         if self.mode == NORMALIZED:
             out = out / np.sqrt(g.weighted_degree)
         return out
-
-    def __matmul__(self, x):
-        return self.apply(x)
 
     def nullspace_direction(self) -> np.ndarray:
         """Unit vector spanning the kernel on a connected graph."""
@@ -81,11 +76,7 @@ def laplacian(g: Graph, mode: str = UNNORMALIZED) -> LaplacianOperator:
 
 def _start_vector(n: int) -> np.ndarray:
     # fixed integer-hash ramp: deterministic and free of graph symmetries
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    z = idx * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
+    z = gen._mix64(np.arange(1, n + 1, dtype=np.uint64) * gen._M1)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 - 0.5
 
 

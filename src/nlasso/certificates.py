@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as gc
-from . import objectives as obj
 from .errors import SeedsOutsideCluster
 from .objectives import NLassoProblem
 
@@ -95,8 +94,7 @@ def extract_cluster(x, threshold: float = 0.5, seeds=None) -> ClusterResult:
     out.  The threshold must be finite.  When `seeds` is given,
     contains_seeds reports whether all of them made it in.
     """
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    _check_threshold(threshold)
     x = np.asarray(x, dtype=np.float64)
     ids = np.flatnonzero(x > threshold) + 1
     contains = None
@@ -105,6 +103,11 @@ def extract_cluster(x, threshold: float = 0.5, seeds=None) -> ClusterResult:
         contains = bool(np.all(np.isin(seeds, ids)))
     return ClusterResult(cluster=ids, threshold=float(threshold),
                          contains_seeds=contains)
+
+
+def _check_threshold(threshold) -> None:
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
 
 
 def kkt_residuals(p: NLassoProblem, x, y_base, eps_sat: float = 1e-6) -> KKTReport:
@@ -141,7 +144,7 @@ def boundary_conditions(p: NLassoProblem, c: ClusterResult, x) -> BoundaryCondit
         raise SeedsOutsideCluster(f"seed nodes {missing.tolist()} not in cluster")
     in_c = np.zeros(g.n, dtype=bool)
     in_c[cluster - 1] = True
-    bw = float(np.sum(g.weights[gc.boundary(g, cluster)]))
+    bw = _boundary_weight(g, cluster)
     lhs = p.lam * bw
     inner = in_c & ~p.seed_mask
     rhs_injecting = 1.0 - 0.5 * p.alpha * float(np.sum(x[inner]))
@@ -162,7 +165,9 @@ def reach_bound_check(p: NLassoProblem, c: ClusterResult, max_outside: int) -> b
     max_outside bounds how many nodes outside the cluster the updates can
     reach.  An empty boundary passes for any bound.
     """
-    g = p.graph
-    cluster = gc.as_node_ids(c.cluster, g.n)
-    bw = float(np.sum(g.weights[gc.boundary(g, cluster)]))
+    bw = _boundary_weight(p.graph, c.cluster)
     return bool(p.lam * bw <= max_outside * p.alpha / 2.0)
+
+
+def _boundary_weight(g, cluster) -> float:
+    return float(np.sum(g.weights[gc.boundary(g, cluster)]))

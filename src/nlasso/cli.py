@@ -78,13 +78,13 @@ def _signal_csv_lines(x, limit: int | None = None):
         yield f"{i + 1},{float(x[i])!r}"
 
 
-def _certificate_lines(problem, result, cluster, threshold, reach_bound=None):
+def _certificate_lines(problem, result, cluster, reach_bound=None):
     report = cert.kkt_residuals(problem, result.x, result.y)
     lines = [
         f"alpha = {problem.alpha!r}",
         f"lambda = {problem.lam!r}",
         f"iterations = {result.iters_run}",
-        f"threshold = {float(threshold)!r}",
+        f"threshold = {cluster.threshold!r}",
         f"cluster_size = {cluster.cluster.size}",
         f"duality_gap = {obj.duality_gap(problem, result.x, result.y)!r}",
     ]
@@ -120,7 +120,7 @@ def _solve_settings(args) -> dict:
     if args.manifest is not None:
         manifest = _parse_manifest(Path(args.manifest))
     known = {"graph", "seeds", "alpha", "lambda", "iters", "threshold",
-             "out", "rng_seed", "workers"}
+             "out", "workers"}
     unknown = set(manifest) - known
     if unknown:
         raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
@@ -136,7 +136,7 @@ def _solve_settings(args) -> dict:
         "graph": pick(args.graph, "graph", str),
         "seeds": pick(args.seeds, "seeds", str),
         "alpha": pick(args.alpha, "alpha", float),
-        "lam": pick(getattr(args, "lambda"), "lambda", float),
+        "lam": pick(args.lam, "lambda", float),
         "iters": pick(args.iters, "iters", int, 1000),
         "threshold": pick(args.threshold, "threshold", float, 0.5),
         "out": pick(args.out, "out", str),
@@ -144,13 +144,20 @@ def _solve_settings(args) -> dict:
     for key in ("graph", "seeds", "alpha", "lam", "out"):
         if settings[key] is None:
             raise ValueError(f"missing required setting `{key.replace('lam', 'lambda')}`")
-    if not settings["alpha"] > 0:
-        raise ValueError(f"alpha must be positive, got {settings['alpha']}")
-    if not settings["lam"] > 0:
-        raise ValueError(f"lambda must be positive, got {settings['lam']}")
-    if settings["iters"] < 1:
-        raise ValueError(f"iters must be >= 1, got {settings['iters']}")
     return settings
+
+
+def _solve(problem, iters: int, threshold: float, out: Path):
+    """Run the solver and threshold its signal at `threshold`.
+
+    Every setting is checked before `out` is created, so a rejected run
+    leaves no output directory behind.  Returns (SolverResult, ClusterResult).
+    """
+    cfg = slv.SolverConfig(max_iters=iters)
+    cert._check_threshold(threshold)
+    out.mkdir(parents=True, exist_ok=True)
+    result = slv.run(problem, cfg)
+    return result, cert.extract_cluster(result.x, threshold, seeds=problem.seeds)
 
 
 def _cmd_solve(args) -> int:
@@ -159,44 +166,37 @@ def _cmd_solve(args) -> int:
     seeds = gc.read_node_set(settings["seeds"], g.n)
     problem = obj.NLassoProblem(g, seeds, settings["alpha"], settings["lam"])
     out = Path(settings["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    result = slv.run(problem, slv.SolverConfig(max_iters=settings["iters"]))
-    cluster = cert.extract_cluster(result.x, settings["threshold"], seeds=seeds)
+    result, cluster = _solve(problem, settings["iters"], settings["threshold"], out)
     _write_lines(out / "signal.csv", _signal_csv_lines(result.x))
     _write_lines(out / "cluster.txt", (str(i) for i in cluster.cluster))
-    _write_lines(out / "certificates.txt",
-                 _certificate_lines(problem, result, cluster, settings["threshold"]))
+    _write_lines(out / "certificates.txt", _certificate_lines(problem, result, cluster))
     return 0
 
 
 def _cmd_chain_experiment(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     g = gen.chain_graph(CHAIN_N, CHAIN_DEFAULT_W,
                         [(CHAIN_SPECIAL_EDGE, CHAIN_SPECIAL_W)])
     problem = obj.NLassoProblem(g, [CHAIN_SEED_NODE], CHAIN_ALPHA, CHAIN_LAMBDA)
-    result = slv.run(problem, slv.SolverConfig(max_iters=CHAIN_ITERS))
-    cluster = cert.extract_cluster(result.x, 0.5, seeds=problem.seeds)
+    out = Path(args.out)
+    result, cluster = _solve(problem, CHAIN_ITERS, 0.5, out)
     fiedler = baselines.fiedler_vector(g, baselines.NORMALIZED, tol=1e-10)
     _write_lines(out / "nLassoChain.csv", _signal_csv_lines(result.x, CHAIN_CSV_NODES))
     _write_lines(out / "FiedlerChain.csv", _signal_csv_lines(fiedler, CHAIN_CSV_NODES))
     _write_lines(out / "cluster.txt", (str(i) for i in cluster.cluster))
     _write_lines(out / "certificates.txt",
-                 _certificate_lines(problem, result, cluster, 0.5,
+                 _certificate_lines(problem, result, cluster,
                                     reach_bound=CHAIN_REACH_BOUND))
     return 0
 
 
 def _cmd_sbm_experiment(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = gen.SbmSpec((SBM_BLOCK, SBM_BLOCK), SBM_P_IN, SBM_P_OUT,
                        rng_seed=args.rng_seed)
     g, blocks = gen.sbm_graph(spec)
     seeds = gen.sample_seeds(blocks[0], SBM_SEED_COUNT, rng_seed=args.rng_seed)
     problem = obj.NLassoProblem(g, seeds, SBM_ALPHA, SBM_LAMBDA)
-    result = slv.run(problem, slv.SolverConfig(max_iters=SBM_ITERS))
-    cluster = cert.extract_cluster(result.x, 0.5, seeds=seeds)
+    out = Path(args.out)
+    result, cluster = _solve(problem, SBM_ITERS, 0.5, out)
     in_cluster = np.zeros(g.n, dtype=bool)
     in_cluster[cluster.cluster - 1] = True
     in_block = np.zeros(g.n, dtype=bool)
@@ -216,20 +216,9 @@ def _cmd_segment(args) -> int:
     img = gen.read_pgm(args.image)
     g = gen.grid_from_image(img)
     seeds = gc.read_node_set(args.seeds, g.n)
-    alpha = args.alpha if args.alpha is not None else 1.0 / 200.0
-    lam = getattr(args, "lambda") if getattr(args, "lambda") is not None else 0.2
-    iters = args.iters if args.iters is not None else 1000
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    problem = obj.NLassoProblem(g, seeds, alpha, lam)
+    problem = obj.NLassoProblem(g, seeds, args.alpha, args.lam)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = slv.run(problem, slv.SolverConfig(max_iters=iters))
-    cluster = cert.extract_cluster(result.x, args.threshold, seeds=seeds)
+    result, cluster = _solve(problem, args.iters, args.threshold, out)
     mask = np.zeros(g.n, dtype=np.uint8)
     mask[cluster.cluster - 1] = 255
     gen.write_pgm(out / "mask.pgm",
@@ -249,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_params:
             p.add_argument("--alpha", type=float, default=None,
                            help="fidelity weight at non-seed nodes (> 0)")
-            p.add_argument("--lambda", type=float, default=None,
+            p.add_argument("--lambda", type=float, default=None, dest="lam",
                            help="total-variation penalty (> 0)")
             p.add_argument("--iters", type=int, default=None,
                            help="iteration count (default 1000)")
@@ -257,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="cluster extraction threshold (default 0.5)")
         p.add_argument("--workers", type=int, default=0,
                        help="worker count hint; results do not depend on it")
-        p.add_argument("--rng-seed", type=int, default=0, dest="rng_seed",
-                       help="seed for randomized constructions")
         p.add_argument("--out", type=str, required=False,
                        help="output directory")
 
@@ -280,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sbm = sub.add_parser("sbm-experiment",
                            help="two-block stochastic block model recovery")
     add_common(p_sbm, with_params=False)
+    p_sbm.add_argument("--rng-seed", type=int, default=0, dest="rng_seed",
+                       help="seed for randomized constructions")
     p_sbm.set_defaults(func=_cmd_sbm_experiment)
 
     p_seg = sub.add_parser("segment", help="segment a greyscale PGM image")
@@ -287,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--seeds", type=str, required=True,
                        help="seed file: one pixel node id per line")
     add_common(p_seg)
-    p_seg.set_defaults(func=_cmd_segment)
+    p_seg.set_defaults(func=_cmd_segment, alpha=1.0 / 200.0, lam=0.2, iters=1000)
 
     return parser
 

@@ -29,10 +29,6 @@ class NotAugmented(NLassoError):
     """Flow vector lacks the star-edge block required here."""
 
 
-class RepeatedAugmentation(NLassoError):
-    """augment() applied to a graph that is already augmented."""
-
-
 class IsolatedNode(NLassoError):
     """A node of degree zero where positive degree is required."""
 

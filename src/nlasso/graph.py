@@ -10,8 +10,6 @@ the indexing of every flow vector in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -20,7 +18,6 @@ from .errors import (
     InvalidEdge,
     InvalidNode,
     InvalidWeight,
-    RepeatedAugmentation,
 )
 
 
@@ -64,8 +61,7 @@ class Graph:
         Strictly positive edge weights, aligned with src/dst.
     """
 
-    __slots__ = ("n", "src", "dst", "weights", "degree", "weighted_degree",
-                 "_in_order", "_in_dst")
+    __slots__ = ("n", "src", "dst", "weights", "degree", "weighted_degree")
 
     def __init__(self, n, src, dst, weights):
         self.n = int(n)
@@ -76,11 +72,8 @@ class Graph:
                        + np.bincount(dst, minlength=n))
         self.weighted_degree = (np.bincount(src, weights=weights, minlength=n)
                                 + np.bincount(dst, weights=weights, minlength=n))
-        # edge positions sorted by (dst, src): in-neighbour ranges per node
-        self._in_order = np.lexsort((src, dst))
-        self._in_dst = dst[self._in_order]
         for arr in (self.src, self.dst, self.weights, self.degree,
-                    self.weighted_degree, self._in_order, self._in_dst):
+                    self.weighted_degree):
             arr.flags.writeable = False
 
     @property
@@ -101,8 +94,8 @@ class Graph:
     def in_neighbors(self, i: int) -> np.ndarray:
         """Sorted 1-based ids j with a stored edge (j, i)."""
         self._check_node(i)
-        lo, hi = np.searchsorted(self._in_dst, [i - 1, i])
-        return self.src[self._in_order[lo:hi]] + 1
+        # edges are sorted by (src, dst), so the matching sources ascend
+        return self.src[self.dst == i - 1] + 1
 
     def neighbors(self, i: int) -> np.ndarray:
         """All neighbours of i, sorted ascending."""
@@ -126,29 +119,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"
-
-
-@dataclass(frozen=True)
-class AugmentedGraph:
-    """A base graph plus one uncapacitated star edge (i, star) per node.
-
-    The star node has id n+1.  Augmented flow vectors have length
-    m + n: base edges first, then the star edge of node i at position
-    m + i - 1.
-    """
-
-    base: Graph
-
-    @property
-    def star_node(self) -> int:
-        return self.base.n + 1
-
-    @property
-    def num_edges(self) -> int:
-        return self.base.num_edges + self.base.n
-
-    def __repr__(self):
-        return f"AugmentedGraph(n={self.base.n}, m={self.num_edges})"
 
 
 def build_graph(n: int, edge_list) -> Graph:
@@ -177,7 +147,10 @@ def build_graph(n: int, edge_list) -> Graph:
     dst = np.empty(m, dtype=np.int64)
     w = np.empty(m, dtype=np.float64)
     for k, (i, j, wk) in enumerate(triples):
-        i, j = int(i), int(j)
+        ii, jj = int(i), int(j)
+        if ii != i or jj != j:
+            raise InvalidNode(f"edge ({i}, {j}) has a non-integer endpoint")
+        i, j = ii, jj
         if not (1 <= i <= n) or not (1 <= j <= n):
             raise InvalidNode(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
         if i == j:
@@ -242,15 +215,6 @@ def boundary(g: Graph, cluster) -> np.ndarray:
     mask = np.zeros(g.n, dtype=bool)
     mask[ids - 1] = True
     return np.flatnonzero(mask[g.src] != mask[g.dst])
-
-
-def augment(g: Graph) -> AugmentedGraph:
-    """Attach the star node n+1 with one uncapacitated edge per base node."""
-    if isinstance(g, AugmentedGraph):
-        raise RepeatedAugmentation("graph is already augmented")
-    if not isinstance(g, Graph):
-        raise TypeError(f"expected Graph, got {type(g).__name__}")
-    return AugmentedGraph(g)
 
 
 def isolated_nodes(g: Graph) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from . import certificates as cert
 from . import graph as gc
 from . import objectives as obj
-from .errors import DimensionMismatch, IsolatedNode
+from .errors import IsolatedNode
 from .objectives import NLassoProblem
 
 
@@ -84,9 +84,7 @@ class _Kernel:
 
     def __init__(self, p: NLassoProblem):
         g = p.graph
-        if np.any(g.degree == 0):
-            bad = int(gc.isolated_nodes(g)[0])
-            raise IsolatedNode(f"node {bad} has degree 0; every node needs a neighbour")
+        _require_neighbours(g)
         self.n = g.n
         self.src = g.src
         self.dst = g.dst
@@ -111,6 +109,12 @@ class _Kernel:
         return x_new, x, y
 
 
+def _require_neighbours(g: gc.Graph) -> None:
+    if np.any(g.degree == 0):
+        bad = int(gc.isolated_nodes(g)[0])
+        raise IsolatedNode(f"node {bad} has degree 0; every node needs a neighbour")
+
+
 def init_state(p: NLassoProblem) -> SolverState:
     """Deterministic starting point: x at all ones, flow at zero.
 
@@ -121,9 +125,7 @@ def init_state(p: NLassoProblem) -> SolverState:
     size 1/d_i is undefined there.
     """
     g = p.graph
-    if np.any(g.degree == 0):
-        bad = int(gc.isolated_nodes(g)[0])
-        raise IsolatedNode(f"node {bad} has degree 0; every node needs a neighbour")
+    _require_neighbours(g)
     return SolverState(
         x_curr=np.ones(g.n),
         x_prev=np.ones(g.n),

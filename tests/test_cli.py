@@ -68,22 +68,23 @@ def test_solve_invalid_alpha_exits_2(tmp_path, tiny_instance):
     (["--lambda", "inf"], "1 2 1.0\n2 3 1.0\n"),
     (["--threshold", "nan"], "1 2 1.0\n2 3 1.0\n"),
     ([], "1 2 1.0\n2 3 inf\n"),
-], ids=["alpha-inf", "lambda-inf", "threshold-nan", "weight-inf"])
+    (["--iters", "0"], "1 2 1.0\n2 3 1.0\n"),
+], ids=["alpha-inf", "lambda-inf", "threshold-nan", "weight-inf", "iters-zero"])
 def test_solve_non_finite_input_exits_2(tmp_path, capsys, flags, edges):
     graph = tmp_path / "edges.txt"
     graph.write_text(edges)
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("1\n")
-    settings = {"--alpha": "0.1", "--lambda": "0.5", "--threshold": "0.5"}
+    settings = {"--alpha": "0.1", "--lambda": "0.5", "--threshold": "0.5", "--iters": "10"}
     settings.update(zip(flags[::2], flags[1::2]))
     argv = ["solve", "--graph", str(graph), "--seeds", str(seeds),
-            "--iters", "10", "--out", str(tmp_path / "o")]
+            "--out", str(tmp_path / "o")]
     for flag, value in settings.items():
         argv += [flag, value]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("nlasso: ") and err.count("\n") == 1
-    assert not (tmp_path / "o" / "certificates.txt").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_solve_unknown_manifest_key_exits_2(tmp_path):

@@ -7,8 +7,6 @@ from nlasso import (
     InvalidEdge,
     InvalidNode,
     InvalidWeight,
-    RepeatedAugmentation,
-    augment,
     boundary,
     build_graph,
     divergence,
@@ -55,7 +53,7 @@ def test_build_rejects_nonpositive_weight(w):
         build_graph(2, [(1, 2, w)])
 
 
-@pytest.mark.parametrize("edge", [(0, 2), (1, 4), (-1, 2)])
+@pytest.mark.parametrize("edge", [(0, 2), (1, 4), (-1, 2), (1.5, 2)])
 def test_build_rejects_out_of_range_ids(edge):
     i, j = edge
     with pytest.raises(InvalidNode):
@@ -159,24 +157,6 @@ def test_boundary_complement_symmetry(rng):
 def test_boundary_rejects_bad_ids(house_graph):
     with pytest.raises(InvalidNode):
         boundary(house_graph, [0])
-
-
-def test_augment_counts():
-    g = build_graph(1, [])
-    a = augment(g)
-    assert a.num_edges == 1
-    assert a.star_node == 2
-
-
-def test_augment_chain(weighted_chain):
-    a = augment(weighted_chain)
-    assert a.num_edges == 99 + 100
-    assert a.star_node == 101
-
-
-def test_augment_twice_rejected(weighted_chain):
-    with pytest.raises(RepeatedAugmentation):
-        augment(augment(weighted_chain))
 
 
 def test_isolated_and_connected():
