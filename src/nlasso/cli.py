@@ -103,15 +103,11 @@ def _certificate_lines(problem, result, cluster, reach_bound=None):
 
 def _parse_manifest(path: Path) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in gc._text_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -119,8 +115,7 @@ def _solve_settings(args) -> dict:
     manifest = {}
     if args.manifest is not None:
         manifest = _parse_manifest(Path(args.manifest))
-    known = {"graph", "seeds", "alpha", "lambda", "iters", "threshold",
-             "out", "workers"}
+    known = {"graph", "seeds", "alpha", "lambda", "iters", "threshold", "out"}
     unknown = set(manifest) - known
     if unknown:
         raise ValueError(f"unknown manifest keys: {sorted(unknown)}")

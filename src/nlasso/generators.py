@@ -71,7 +71,8 @@ def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
         if not 1 <= idx <= n - 1:
             raise InvalidOverride(f"edge index {idx} outside 1..{n - 1}")
         w[idx - 1] = float(weight)
-    return build_graph(n, [(k, k + 1, w[k - 1]) for k in range(1, n)])
+    k = np.arange(1, n)
+    return build_graph(n, np.column_stack((k, k + 1, w)))
 
 
 def sbm_graph(spec: SbmSpec):
@@ -98,8 +99,8 @@ def sbm_graph(spec: SbmSpec):
     u = pair_uniform(spec.rng_seed, i1, j1)
     prob = np.where(block_of[iu] == block_of[ju], spec.p_in, spec.p_out)
     keep = u < prob
-    triples = [(int(a), int(b), 1.0) for a, b in zip(i1[keep], j1[keep])]
-    g = build_graph(total, triples)
+    ones = np.ones(np.count_nonzero(keep))
+    g = build_graph(total, np.column_stack((i1[keep], j1[keep], ones)))
     starts = np.concatenate(([0], stops[:-1]))
     blocks = [np.arange(lo + 1, hi + 1, dtype=np.int64) for lo, hi in zip(starts, stops)]
     return g, blocks
@@ -152,17 +153,15 @@ def grid_from_image(img: GreyImage, sigma: float = 20.0) -> Graph:
         raise ValueError("image must have at least 2 pixels")
     grey = img.pixels.astype(np.float64)
     inv = 1.0 / float(sigma) ** 2
-    triples = []
     ids = np.arange(w * h, dtype=np.int64).reshape(h, w) + 1
-    if w > 1:
-        wt = np.exp(-((grey[:, :-1] - grey[:, 1:]) ** 2) * inv)
-        for a, b, we in zip(ids[:, :-1].ravel(), ids[:, 1:].ravel(), wt.ravel()):
-            triples.append((int(a), int(b), float(we)))
-    if h > 1:
-        wt = np.exp(-((grey[:-1, :] - grey[1:, :]) ** 2) * inv)
-        for a, b, we in zip(ids[:-1, :].ravel(), ids[1:, :].ravel(), wt.ravel()):
-            triples.append((int(a), int(b), float(we)))
-    return build_graph(w * h, triples)
+    across = np.exp(-((grey[:, :-1] - grey[:, 1:]) ** 2) * inv)
+    down = np.exp(-((grey[:-1, :] - grey[1:, :]) ** 2) * inv)
+    edges = np.column_stack((
+        np.concatenate((ids[:, :-1].ravel(), ids[:-1, :].ravel())),
+        np.concatenate((ids[:, 1:].ravel(), ids[1:, :].ravel())),
+        np.concatenate((across.ravel(), down.ravel())),
+    ))
+    return build_graph(w * h, edges)
 
 
 # ---------------------------------------------------------------------------

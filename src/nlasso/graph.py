@@ -6,6 +6,9 @@ indexed by nodes or edges are plain numpy arrays in 0-based position order:
 position k of a node signal belongs to node k+1, and edge positions follow
 the lexicographic order of the stored (i, j) pairs.  That edge order fixes
 the indexing of every flow vector in the package.
+
+`build_graph` takes (i, j, w) triples or an (m, 3) array, and every node
+id anywhere in the package passes one check: finite, integral, in 1..n.
 """
 
 from __future__ import annotations
@@ -21,24 +24,27 @@ from .errors import (
 )
 
 
+def _node_ids(ids, n: int) -> np.ndarray:
+    """Return `ids` as int64; raise InvalidNode naming the first not an integer in 1..n."""
+    arr = np.asarray(ids)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidNode(f"node ids must be numbers, got dtype {arr.dtype}")
+    ok = (arr >= 1) & (arr <= n) & (arr == np.floor(arr))
+    if not ok.all():
+        bad = arr[~ok][0].item()
+        if isinstance(bad, float) and bad.is_integer():
+            bad = int(bad)
+        raise InvalidNode(f"node id {bad} is not an integer in 1..{n}")
+    return arr.astype(np.int64)
+
+
 def as_node_ids(ids, n: int) -> np.ndarray:
     """Validate an iterable of 1-based node ids against a graph of n nodes.
 
     Returns a sorted array of unique int64 ids.  Raises InvalidNode for
     non-integer, out-of-range or duplicate entries.
     """
-    arr = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids)
-    if arr.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.round(arr)):
-            arr = arr.astype(np.int64)
-        else:
-            raise InvalidNode(f"node ids must be integers, got dtype {arr.dtype}")
-    arr = np.sort(arr.astype(np.int64))
-    if arr[0] < 1 or arr[-1] > n:
-        bad = arr[(arr < 1) | (arr > n)][0]
-        raise InvalidNode(f"node id {bad} outside 1..{n}")
+    arr = np.sort(_node_ids(ids if isinstance(ids, np.ndarray) else list(ids), n))
     if arr.size > 1 and np.any(arr[1:] == arr[:-1]):
         dup = arr[1:][arr[1:] == arr[:-1]][0]
         raise InvalidNode(f"duplicate node id {dup}")
@@ -87,13 +93,13 @@ class Graph:
 
     def out_neighbors(self, i: int) -> np.ndarray:
         """Sorted 1-based ids j with a stored edge (i, j)."""
-        self._check_node(i)
+        i = self._check_node(i)
         lo, hi = np.searchsorted(self.src, [i - 1, i])
         return self.dst[lo:hi] + 1
 
     def in_neighbors(self, i: int) -> np.ndarray:
         """Sorted 1-based ids j with a stored edge (j, i)."""
-        self._check_node(i)
+        i = self._check_node(i)
         # edges are sorted by (src, dst), so the matching sources ascend
         return self.src[self.dst == i - 1] + 1
 
@@ -101,9 +107,8 @@ class Graph:
         """All neighbours of i, sorted ascending."""
         return np.sort(np.concatenate((self.in_neighbors(i), self.out_neighbors(i))))
 
-    def _check_node(self, i):
-        if not 1 <= int(i) <= self.n:
-            raise InvalidNode(f"node id {i} outside 1..{self.n}")
+    def _check_node(self, i) -> int:
+        return int(_node_ids(i, self.n))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -122,7 +127,7 @@ class Graph:
 
 
 def build_graph(n: int, edge_list) -> Graph:
-    """Build a Graph from (i, j, w) triples.
+    """Build a Graph from (i, j, w) triples or an (m, 3) array of them.
 
     Edges are canonicalized to (min(i, j), max(i, j)) and stored sorted
     lexicographically, so the result does not depend on the input order.
@@ -131,44 +136,45 @@ def build_graph(n: int, edge_list) -> Graph:
     ----------
     n : int
         Node count, at least 1.
-    edge_list : iterable of (int, int, float)
+    edge_list : iterable of (i, j, w) triples, or array of shape (m, 3)
         1-based endpoints and a strictly positive, finite weight per edge.
 
     Raises
     ------
     InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight
+        Each is one test over all edges, run in the order shape, ids,
+        self-loops, weights, duplicates; the first offending edge of the
+        first failing test is reported.
     """
     n = int(n)
     if n < 1:
         raise InvalidNode(f"node count must be positive, got {n}")
-    triples = list(edge_list)
-    m = len(triples)
-    src = np.empty(m, dtype=np.int64)
-    dst = np.empty(m, dtype=np.int64)
-    w = np.empty(m, dtype=np.float64)
-    for k, (i, j, wk) in enumerate(triples):
-        ii, jj = int(i), int(j)
-        if ii != i or jj != j:
-            raise InvalidNode(f"edge ({i}, {j}) has a non-integer endpoint")
-        i, j = ii, jj
-        if not (1 <= i <= n) or not (1 <= j <= n):
-            raise InvalidNode(f"edge ({i}, {j}) has an endpoint outside 1..{n}")
-        if i == j:
-            raise InvalidEdge(f"self-loop at node {i}")
-        src[k], dst[k] = (i - 1, j - 1) if i < j else (j - 1, i - 1)
-        w[k] = float(wk)
+    try:
+        arr = np.asarray(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list))
+    except ValueError:
+        raise InvalidEdge("edges must be (i, j, w) triples of equal length") from None
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise InvalidEdge(f"edges must be (i, j, w) triples, got shape {arr.shape}")
+    ij = _node_ids(arr[:, :2], n)
+    i, j = ij[:, 0], ij[:, 1]
+    loops = np.flatnonzero(i == j)
+    if loops.size:
+        raise InvalidEdge(f"self-loop at node {i[loops[0]]}")
+    w = arr[:, 2].astype(np.float64)
     bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
     if bad.size:
-        i, j, _ = triples[bad[0]]
-        raise InvalidWeight(f"edge ({int(i)}, {int(j)}) has non-positive or non-finite "
-                            f"weight {w[bad[0]]}")
+        k = bad[0]
+        raise InvalidWeight(f"edge ({i[k]}, {j[k]}) has non-positive or non-finite "
+                            f"weight {w[k]}")
+    src, dst = np.minimum(i, j) - 1, np.maximum(i, j) - 1
     order = np.lexsort((dst, src))
     src, dst, w = src[order], dst[order], w[order]
-    if m > 1:
-        same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if np.any(same):
-            k = int(np.flatnonzero(same)[0])
-            raise DuplicateEdge(f"edge ({src[k] + 1}, {dst[k] + 1}) listed twice")
+    same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if np.any(same):
+        k = int(np.flatnonzero(same)[0])
+        raise DuplicateEdge(f"edge ({src[k] + 1}, {dst[k] + 1}) listed twice")
     return Graph(n, src, dst, w)
 
 
@@ -244,6 +250,15 @@ def is_connected(g: Graph) -> bool:
 # file formats
 
 
+def _text_lines(path):
+    """Yield (lineno, stripped line) for each line that is neither blank nor a comment."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
 def read_edge_list(path, n: int | None = None) -> Graph:
     """Read an edge-list text file: one `i j w` triple per line.
 
@@ -252,23 +267,17 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     the largest id seen.
     """
     triples = []
-    max_id = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InvalidEdge(f"{path}:{lineno}: expected `i j w`, got {line!r}")
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise InvalidEdge(f"{path}:{lineno}: {exc}") from exc
-            triples.append((i, j, w))
-            max_id = max(max_id, i, j)
+    for lineno, line in _text_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise InvalidEdge(f"{path}:{lineno}: expected `i j w`, got {line!r}")
+        try:
+            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise InvalidEdge(f"{path}:{lineno}: {exc}") from exc
+        triples.append((i, j, w))
     if n is None:
-        n = max_id
+        n = max((max(i, j) for i, j, _ in triples), default=0)
     return build_graph(n, triples)
 
 
@@ -282,15 +291,11 @@ def write_edge_list(path, g: Graph) -> None:
 def read_node_set(path, n: int | None = None) -> np.ndarray:
     """Read a node-set file: one 1-based node id per line, `#` comments."""
     ids = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError as exc:
-                raise InvalidNode(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in _text_lines(path):
+        try:
+            ids.append(int(line))
+        except ValueError as exc:
+            raise InvalidNode(f"{path}:{lineno}: {exc}") from exc
     bound = n if n is not None else (max(ids) if ids else 0)
     return as_node_ids(ids, bound)
 

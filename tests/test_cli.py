@@ -93,6 +93,24 @@ def test_solve_unknown_manifest_key_exits_2(tmp_path):
     assert main(["solve", "--manifest", str(manifest)]) == 2
 
 
+def test_solve_manifest_workers_key_exits_2(tmp_path, tiny_instance, capsys):
+    # `workers` is a flag only: a manifest key would go unread and unchecked
+    graph, seeds = tiny_instance
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"graph = {graph}\nseeds = {seeds}\nalpha = 0.1\n"
+                        f"lambda = 0.5\nout = {tmp_path / 'o'}\nworkers = -1\n")
+    assert main(["solve", "--manifest", str(manifest)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_manifest_bad_line_names_path_and_line(tmp_path, capsys):
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("# run\n\ngraph = g.txt\nalpha 0.1\n")
+    assert main(["solve", "--manifest", str(manifest)]) == 2
+    assert f"{manifest}:4: " in capsys.readouterr().err
+
+
 def test_solve_isolated_node_exits_3(tmp_path):
     graph = tmp_path / "edges.txt"
     graph.write_text("1 3 1.0\n")  # node 2 has no incident edge

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlasso import CountTooLarge, InvalidOverride, PgmError
+from nlasso import CountTooLarge, InvalidOverride, PgmError, build_graph
 from nlasso.generators import (
     GreyImage,
     SbmSpec,
@@ -137,6 +137,24 @@ def test_grid_three_by_three():
     assert g.n == 9
     assert g.num_edges == 12  # 2wh - w - h
     assert np.all(g.weights > 0.0) and np.all(g.weights <= 1.0)
+
+
+@pytest.mark.parametrize("width, height", [(7, 5), (1, 6), (6, 1)])
+def test_grid_matches_triple_list(width, height):
+    rng = np.random.default_rng(width * 10 + height)
+    img = GreyImage(width, height, rng.integers(0, 256, size=width * height))
+    grey = img.pixels.astype(np.float64)
+    triples = []
+    for r in range(height):
+        for c in range(width):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):  # right and down neighbours
+                if r2 < height and c2 < width:
+                    diff = grey[r, c] - grey[r2, c2]
+                    weight = np.exp(-(diff ** 2) * (1.0 / 20.0 ** 2))
+                    triples.append((img.node_id(r, c), img.node_id(r2, c2), weight))
+    g = grid_from_image(img)
+    assert g == build_graph(width * height, triples)
+    assert g.num_edges == 2 * width * height - width - height
 
 
 def test_grid_node_layout():

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,11 +56,19 @@ def test_build_rejects_nonpositive_weight(w):
         build_graph(2, [(1, 2, w)])
 
 
-@pytest.mark.parametrize("edge", [(0, 2), (1, 4), (-1, 2), (1.5, 2)])
+@pytest.mark.parametrize("edge", [(0, 2), (1, 4), (-1, 2), (1.5, 2),
+                                  (float("inf"), 2), (float("nan"), 2)])
 def test_build_rejects_out_of_range_ids(edge):
     i, j = edge
     with pytest.raises(InvalidNode):
         build_graph(3, [(i, j, 1.0)])
+
+
+@pytest.mark.parametrize("edges", [[(1, 2)], [(1, 2, 1.0), (2, 3)], (1, 2, 1.0)],
+                         ids=["pair", "ragged", "bare-triple"])
+def test_build_rejects_malformed_triples(edges):
+    with pytest.raises(InvalidEdge):
+        build_graph(3, edges)
 
 
 def test_build_rejects_nonpositive_node_count():
@@ -72,6 +83,12 @@ def test_build_is_order_insensitive(rng):
         perm = rng.permutation(len(triples))
         g2 = build_graph(4, [triples[k] for k in perm])
         assert g1 == g2
+        assert build_graph(4, np.array(triples)[perm]) == g1
+    # the same edges as an (m, 3) array: float ids, integer ids, a generator
+    assert build_graph(4, np.array(triples)) == g1
+    assert build_graph(4, np.array([[1, 2, 1], [2, 3, 3]])) == build_graph(
+        4, [(1, 2, 1.0), (2, 3, 3.0)])
+    assert build_graph(4, (t for t in triples)) == g1
 
 
 def test_neighbor_lists_sorted(house_graph):
@@ -80,8 +97,12 @@ def test_neighbor_lists_sorted(house_graph):
     assert g.in_neighbors(3).tolist() == [1, 2]
     assert g.neighbors(3).tolist() == [1, 2, 5]
     assert g.degree.tolist() == [2, 3, 3, 2, 2]
-    with pytest.raises(InvalidNode):
-        g.out_neighbors(6)
+    for bad in (6, 0, 2.5, float("inf"), float("nan")):
+        with pytest.raises(InvalidNode):
+            g.out_neighbors(bad)
+        with pytest.raises(InvalidNode):
+            g.in_neighbors(bad)
+    assert g.out_neighbors(2.0).tolist() == [3, 4]
 
 
 def test_incidence_constant_is_zero(house_graph):
@@ -157,6 +178,13 @@ def test_boundary_complement_symmetry(rng):
 def test_boundary_rejects_bad_ids(house_graph):
     with pytest.raises(InvalidNode):
         boundary(house_graph, [0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidNode, match="node id inf "):
+            boundary(house_graph, [float("inf")])
+        for bad in (np.array([1.0, np.inf]), [2.5], [1, 1], ["1"]):
+            with pytest.raises(InvalidNode):
+                boundary(house_graph, bad)
 
 
 def test_isolated_and_connected():
@@ -209,6 +237,10 @@ def test_edge_list_bad_line(tmp_path):
     path.write_text("1 2\n")
     with pytest.raises(InvalidEdge):
         read_edge_list(path)
+    # diagnostics name the file line, counting comments and blank lines
+    path.write_text("# header\n\n  # indented comment\n1 2 x\n")
+    with pytest.raises(InvalidEdge, match=re.escape(f"{path}:4: ")):
+        read_edge_list(path)
 
 
 def test_node_set_round_trip(tmp_path):
@@ -218,3 +250,6 @@ def test_node_set_round_trip(tmp_path):
     assert read_node_set(path, n=10).tolist() == [1, 3, 4]
     with pytest.raises(InvalidNode):
         read_node_set(path, n=2)
+    path.write_text("# header\n1\n\n2.5\n")
+    with pytest.raises(InvalidNode, match=re.escape(f"{path}:4: ")):
+        read_node_set(path)
