@@ -8,6 +8,7 @@ order or worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,16 @@ _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
 _M3 = np.uint64(0x94D049BB133111EB)
 
+# Pairs per row block in sbm_graph: bounds its working memory.
+_BLOCK_PAIRS = 1 << 18
+
+
+def _whole(value, what: str) -> int:
+    """Return `value` as an int; raise ValueError unless it is a whole number."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _M2
@@ -26,18 +37,33 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def pair_uniform(rng_seed: int, i, j) -> np.ndarray:
-    """Deterministic uniform [0, 1) draw keyed by (rng_seed, i, j).
+def _keys(rng_seed: int, i, j):
+    """The per-row and per-column halves of the pair hash.
 
-    i and j are 1-based node id arrays.  The value depends only on the key,
-    so sampling a pair is independent of when or where it happens.
+    The row key of node i mixes the seed with i; the column key of node j
+    is j * _M2.  Each depends on one endpoint only, so a sampler that draws
+    many pairs computes them once per node.
     """
     i = np.asarray(i, dtype=np.uint64)
     j = np.asarray(j, dtype=np.uint64)
     mixed = (int(rng_seed) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    z = _mix64(np.uint64(mixed) + i * _M1)
-    z = _mix64(z ^ (j * _M2))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return _mix64(np.uint64(mixed) + i * _M1), j * _M2
+
+
+def _pair_bits(row_keys, col_keys) -> np.ndarray:
+    """53 uniform bits per pair, from the row key and column key of each."""
+    return _mix64(row_keys ^ col_keys) >> np.uint64(11)
+
+
+def pair_uniform(rng_seed: int, i, j) -> np.ndarray:
+    """Deterministic uniform [0, 1) draw keyed by (rng_seed, i, j).
+
+    i and j are 1-based node id arrays.  The value depends only on the key,
+    so sampling a pair is independent of when or where it happens.  It is
+    _mix64(row_key(i) ^ col_key(j)) >> 11, scaled by 2^-53, where the row
+    key depends on (rng_seed, i) and the column key on j only.
+    """
+    return _pair_bits(*_keys(rng_seed, i, j)).astype(np.float64) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -50,7 +76,7 @@ class SbmSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.block_sizes)
+        sizes = tuple(_whole(s, "block size") for s in self.block_sizes)
         if any(s < 1 for s in sizes):
             raise ValueError(f"block sizes must be positive, got {sizes}")
         if not 0.0 <= self.p_out <= self.p_in <= 1.0:
@@ -83,6 +109,12 @@ def sbm_graph(spec: SbmSpec):
     All edges have weight 1.  Isolated nodes are possible; build the solver
     input accordingly.
 
+    Time is O(n^2).  The upper triangle is drawn in blocks of whole rows of
+    about _BLOCK_PAIRS pairs, so memory is O(n + pairs per block + edges).
+    The row and column halves of the pair hash are computed once per node,
+    leaving one xor and one _mix64 per pair.  The edges come out in the
+    row-major order of np.triu_indices, as an all-pairs draw gives them.
+
     Returns
     -------
     (Graph, list of ndarray)
@@ -93,14 +125,31 @@ def sbm_graph(spec: SbmSpec):
     if total < 2:
         raise ValueError("need at least 2 nodes")
     stops = np.cumsum(sizes)
-    block_of = np.searchsorted(stops, np.arange(1, total + 1))
-    iu, ju = np.triu_indices(total, k=1)
-    i1, j1 = iu + 1, ju + 1
-    u = pair_uniform(spec.rng_seed, i1, j1)
-    prob = np.where(block_of[iu] == block_of[ju], spec.p_in, spec.p_out)
-    keep = u < prob
-    ones = np.ones(np.count_nonzero(keep))
-    g = build_graph(total, np.column_stack((i1[keep], j1[keep], ones)))
+    ids = np.arange(1, total + 1)
+    row_keys, col_keys = _keys(spec.rng_seed, ids, ids)
+    # pair (i, j), j > i, is inside a block iff j < block_stop[i] (0-based);
+    # u < p  <=>  bits < ceil(p * 2^53), since u = bits * 2^-53 exactly
+    block_stop = np.repeat(stops, sizes)
+    t_in, t_out = (np.uint64(math.ceil(p * 2.0 ** 53)) for p in (spec.p_in, spec.p_out))
+    # row i (0-based) holds the pairs (i, i+1..total-1); ends[i] counts the
+    # pairs of rows 0..i, and each row block starts where a multiple of
+    # _BLOCK_PAIRS falls
+    row_len = np.arange(total - 1, 0, -1)
+    ends = np.cumsum(row_len)
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1], _BLOCK_PAIRS), side="right")
+    bounds = np.unique(np.append(cuts, total - 1))
+    src, dst = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        lens = row_len[lo:hi]
+        first = ends[lo:hi] - lens
+        i = np.repeat(np.arange(lo, hi), lens)
+        j = np.arange(first[0], ends[hi - 1]) - np.repeat(first, lens) + i + 1
+        inside = j < np.repeat(block_stop[lo:hi], lens)
+        keep = _pair_bits(row_keys[i], col_keys[j]) < np.where(inside, t_in, t_out)
+        src.append(i[keep] + 1)
+        dst.append(j[keep] + 1)
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    g = build_graph(total, np.column_stack((src, dst, np.ones(src.size))))
     starts = np.concatenate(([0], stops[:-1]))
     blocks = [np.arange(lo + 1, hi + 1, dtype=np.int64) for lo, hi in zip(starts, stops)]
     return g, blocks
@@ -109,7 +158,7 @@ def sbm_graph(spec: SbmSpec):
 def sample_seeds(block, count: int, rng_seed: int = 0) -> np.ndarray:
     """Uniform sample without replacement from one block's node ids."""
     ids = np.sort(np.asarray(block, dtype=np.int64))
-    count = int(count)
+    count = _whole(count, "count")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if count > ids.size:
@@ -131,8 +180,9 @@ class GreyImage:
         if px.size != self.width * self.height:
             raise ValueError(
                 f"pixel count {px.size} != width*height {self.width * self.height}")
-        if px.size and (px.min() < 0 or px.max() > 255):
-            raise ValueError("grey values must lie in 0..255")
+        ok = (px >= 0) & (px <= 255) & (px == np.floor(px))
+        if not ok.all():
+            raise ValueError(f"grey value {px[~ok][0]} is not an integer in 0..255")
         px = px.reshape(self.height, self.width).astype(np.uint8)
         px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
@@ -151,8 +201,15 @@ def grid_from_image(img: GreyImage, sigma: float = 20.0) -> Graph:
     w, h = img.width, img.height
     if w * h < 2:
         raise ValueError("image must have at least 2 pixels")
+    sigma = float(sigma)
+    try:
+        inv = 1.0 / sigma ** 2
+    except (ZeroDivisionError, OverflowError):
+        inv = 0.0
+    if not (sigma > 0.0 and 0.0 < inv < math.inf):
+        raise ValueError(f"sigma must be positive with 1/sigma^2 finite and non-zero, "
+                         f"got {sigma!r}")
     grey = img.pixels.astype(np.float64)
-    inv = 1.0 / float(sigma) ** 2
     ids = np.arange(w * h, dtype=np.int64).reshape(h, w) + 1
     across = np.exp(-((grey[:, :-1] - grey[:, 1:]) ** 2) * inv)
     down = np.exp(-((grey[:-1, :] - grey[1:, :]) ** 2) * inv)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from nlasso import generators as gen
 from nlasso import CountTooLarge, InvalidOverride, PgmError, build_graph
 from nlasso.generators import (
     GreyImage,
@@ -37,6 +40,10 @@ def test_chain_override_out_of_range():
 def test_sbm_spec_validation():
     with pytest.raises(ValueError):
         SbmSpec((0, 5), 0.5, 0.1)
+    for sizes in [(2.5, 3.9), (3, float("nan")), (float("inf"), 3)]:
+        with pytest.raises(ValueError, match="block size must be a whole number"):
+            SbmSpec(sizes, 0.5, 0.1)
+    assert SbmSpec((2.0, np.float64(3.0)), 0.5, 0.1).block_sizes == (2, 3)
     with pytest.raises(ValueError):
         SbmSpec((5, 5), 0.1, 0.5)  # p_out > p_in
     with pytest.raises(ValueError):
@@ -79,6 +86,71 @@ def test_sbm_matches_pairwise_loop():
     assert sorted(edges) == [tuple(e) for e in g.edges.tolist()]
 
 
+def all_pairs_sbm(spec):
+    # reference sampler: every pair drawn at once, in np.triu_indices order
+    sizes = spec.block_sizes
+    total = sum(sizes)
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    iu, ju = np.triu_indices(total, k=1)
+    u = pair_uniform(spec.rng_seed, iu + 1, ju + 1)
+    keep = u < np.where(block_of[iu] == block_of[ju], spec.p_in, spec.p_out)
+    return iu[keep], ju[keep]
+
+
+SBM_SPECS = [
+    SbmSpec((1, 1), 1.0, 0.0, rng_seed=0),
+    SbmSpec((2,), 0.5, 0.5, rng_seed=1),
+    SbmSpec((1, 1), 1.0, 1.0, rng_seed=2),
+    SbmSpec((1, 7), 0.6, 0.2, rng_seed=3),
+    SbmSpec((7, 1), 0.6, 0.2, rng_seed=4),
+    SbmSpec((1, 1, 1), 1.0, 0.0, rng_seed=5),
+    SbmSpec((1, 5, 1, 9), 0.7, 0.3, rng_seed=6),
+    SbmSpec((40,), 0.1, 0.1, rng_seed=7),
+    SbmSpec((20, 20), 1.0, 0.0, rng_seed=8),
+    SbmSpec((20, 20), 1.0, 1.0, rng_seed=9),
+    SbmSpec((20, 20), 0.0, 0.0, rng_seed=10),
+    SbmSpec((13, 29), 0.3, 0.3, rng_seed=11),
+    SbmSpec((30, 2), 0.9, 0.05, rng_seed=12),
+    SbmSpec((3, 50, 8), 0.25, 0.0, rng_seed=13),
+    SbmSpec((17, 1, 33, 4), 0.5, 0.125, rng_seed=14),
+    SbmSpec((60, 60, 60, 60), 0.2, 0.01, rng_seed=15),
+    SbmSpec((100, 1), 0.05, 0.05, rng_seed=16),
+    SbmSpec((150, 150), 0.02, 0.002, rng_seed=2 ** 40 + 17),
+    SbmSpec((299, 1), 1.0, 0.5, rng_seed=18),
+    SbmSpec((11, 22, 33), 0.4, 0.4, rng_seed=19),
+] + [SbmSpec((5 + 7 * k, 3 + 11 * k), 0.5 / (k + 1), 0.1 / (k + 1), rng_seed=100 + k)
+     for k in range(10)]
+
+
+@pytest.mark.parametrize("block_pairs", [1, 3, 64, gen._BLOCK_PAIRS])
+def test_sbm_row_blocks_match_all_pairs(monkeypatch, block_pairs):
+    # sampling one row block at a time gives bitwise the same graph as
+    # drawing every pair at once, whatever the block size
+    monkeypatch.setattr(gen, "_BLOCK_PAIRS", block_pairs)
+    for spec in SBM_SPECS:
+        g, blocks = sbm_graph(spec)
+        iu, ju = all_pairs_sbm(spec)
+        ref = build_graph(sum(spec.block_sizes), np.column_stack(
+            (iu + 1, ju + 1, np.ones(iu.size))))
+        assert g.src.tobytes() == ref.src.tobytes()
+        assert g.dst.tobytes() == ref.dst.tobytes()
+        assert g.weights.tobytes() == ref.weights.tobytes()
+        stops = np.cumsum(spec.block_sizes)
+        assert [b.tolist() for b in blocks] == [
+            list(range(hi - size + 1, hi + 1)) for hi, size in zip(stops, spec.block_sizes)]
+
+
+def test_sbm_memory_bounded_by_row_block():
+    # 3000 nodes, 4.5M pairs: drawing them all at once takes ~300 MB
+    tracemalloc.start()
+    try:
+        sbm_graph(SbmSpec((1500, 1500), 0.01, 0.001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
 def test_sbm_intra_block_edge_moments():
     # pairs per block: C(100, 2) = 4950, expectation 990 at p_in = 1/5;
     # the mean over 100 block samples stays within 3 standard errors
@@ -116,6 +188,10 @@ def test_sample_seeds_errors():
         sample_seeds([1, 2, 3], 4)
     with pytest.raises(ValueError):
         sample_seeds([1, 2, 3], 0)
+    for count in (2.7, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="count must be a whole number"):
+            sample_seeds([1, 2, 3], count)
+    assert sample_seeds([1, 2, 3], 2.0).tolist() == sample_seeds([1, 2, 3], 2).tolist()
 
 
 def test_grid_uniform_weights():
@@ -172,6 +248,16 @@ def test_grey_image_validation():
         GreyImage(2, 2, [0, 0, 0])
     with pytest.raises(ValueError):
         GreyImage(2, 1, [0, 300])
+    for bad in (np.nan, np.inf, -np.inf, 2.5, -1, 255.5):
+        with pytest.raises(ValueError, match="is not an integer in 0..255"):
+            GreyImage(2, 1, [0, bad])
+    assert GreyImage(2, 1, [0.0, 255.0]).pixels.tolist() == [[0, 255]]
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, 1e-200, 1e200])
+def test_grid_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        grid_from_image(GreyImage(2, 1, [0, 10]), sigma=sigma)
 
 
 def test_pgm_binary_round_trip(tmp_path):
