@@ -31,6 +31,14 @@ def _whole(value, what: str) -> int:
     return int(value)
 
 
+def _rng_seed(value) -> int:
+    """Return `value` as an int; raise ValueError unless it is a whole number >= 0."""
+    seed = _whole(value, "rng_seed")
+    if seed < 0:
+        raise ValueError(f"rng_seed must be non-negative, got {value!r}")
+    return seed
+
+
 def _mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _M2
     z = (z ^ (z >> np.uint64(27))) * _M3
@@ -83,6 +91,7 @@ class SbmSpec:
             raise ValueError(
                 f"need 0 <= p_out <= p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}")
         object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "rng_seed", _rng_seed(self.rng_seed))
 
 
 def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
@@ -163,7 +172,7 @@ def sample_seeds(block, count: int, rng_seed: int = 0) -> np.ndarray:
         raise ValueError(f"count must be positive, got {count}")
     if count > ids.size:
         raise CountTooLarge(f"requested {count} seeds from a block of {ids.size}")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_rng_seed(rng_seed))
     return np.sort(rng.choice(ids, size=count, replace=False))
 
 
@@ -211,12 +220,21 @@ def grid_from_image(img: GreyImage, sigma: float = 20.0) -> Graph:
                          f"got {sigma!r}")
     grey = img.pixels.astype(np.float64)
     ids = np.arange(w * h, dtype=np.int64).reshape(h, w) + 1
-    across = np.exp(-((grey[:, :-1] - grey[:, 1:]) ** 2) * inv)
-    down = np.exp(-((grey[:-1, :] - grey[1:, :]) ** 2) * inv)
+    d2 = np.concatenate((((grey[:, :-1] - grey[:, 1:]) ** 2).ravel(),
+                         ((grey[:-1, :] - grey[1:, :]) ** 2).ravel()))
+    weights = np.exp(-d2 * inv)
+    if not weights.all():
+        # exp(-t) underflows to 0 for t above ~745.13 and is at least the
+        # smallest subnormal for t <= -log(5e-324) ~ 744.44
+        d = int(math.sqrt(d2.max()))
+        least = d / math.sqrt(-math.log(5e-324))
+        raise ValueError(f"sigma {sigma!r} is too small for this image: its largest grey "
+                         f"difference between neighbours is {d}, and sigma >= {least:.6g} "
+                         f"keeps every weight exp(-d^2 / sigma^2) positive")
     edges = np.column_stack((
         np.concatenate((ids[:, :-1].ravel(), ids[:-1, :].ravel())),
         np.concatenate((ids[:, 1:].ravel(), ids[1:, :].ravel())),
-        np.concatenate((across.ravel(), down.ravel())),
+        weights,
     ))
     return build_graph(w * h, edges)
 

@@ -13,6 +13,8 @@ id anywhere in the package passes one check: finite, integral, in 1..n.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .errors import (
@@ -259,13 +261,43 @@ def _text_lines(path):
                 yield lineno, line
 
 
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+
 def read_edge_list(path, n: int | None = None) -> Graph:
     """Read an edge-list text file: one `i j w` triple per line.
 
     Fields are whitespace separated, ids are 1-based, lines starting with
-    `#` and blank lines are skipped.  When `n` is omitted the node count is
-    the largest id seen.
+    `#` and blank lines are skipped; a `#` after a triple is an error.
+    When `n` is omitted the node count is the largest id seen.
+
+    A file without any `#` is parsed in C by one np.loadtxt call, with
+    int64 ids and float64 weights.  Every other file, and every file that
+    loadtxt declines (a ValueError, as for `1_0` or an id beyond int64, or
+    no data), goes through the line parser: it accepts what int() and
+    float() accept and names the offending `path:lineno`.  Both read UTF-8
+    text with universal newlines and give the same graph for the same
+    triples.
     """
+    with open(path, "rb") as fh:
+        plain = b"#" not in fh.read()
+    if plain:
+        try:
+            with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+                # loadtxt warns, and returns nothing, on a file with no data
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=_EDGE_ROW, ndmin=1)
+        except (ValueError, Warning):
+            pass
+        else:
+            if n is None:
+                n = max(rows["i"].max(), rows["j"].max())
+            return build_graph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
+    return _read_edge_lines(path, n)
+
+
+def _read_edge_lines(path, n: int | None) -> Graph:
+    """read_edge_list's line parser: one int(), int(), float() per line."""
     triples = []
     for lineno, line in _text_lines(path):
         parts = line.split()

@@ -11,10 +11,11 @@ the stage before it:
 6. other prox    x_i    = v_i / (alpha / d_i + 1)         otherwise
 
 Stage 3 is the radial projection y / max(1, |y| / cap), which coincides
-with clamping componentwise and keeps |y_e| <= lam W_e exactly.  The primal
-step size 1/d_i (inverse node degree) and the dual step size 1/2 make the
-iteration convergent without any tuning; one iteration costs one pass over
-the edges plus one over the nodes.
+with clamping componentwise and keeps |y_e| <= lam W_e exactly.  The clamp
+is computed as max(y, -cap) then min(., cap), bit for bit the same as
+np.clip.  The primal step size 1/d_i (inverse node degree) and the dual
+step size 1/2 make the iteration convergent without any tuning; one
+iteration costs one pass over the edges plus one over the nodes.
 """
 
 from __future__ import annotations
@@ -101,7 +102,9 @@ class _Kernel:
     def step(self, x, x_prev, y):
         xt = 2.0 * x - x_prev
         y = y + 0.5 * (xt[self.src] - xt[self.dst])
-        np.clip(y, self.neg_cap, self.cap, out=y)
+        # np.clip with array bounds takes a slower path than max then min
+        np.maximum(y, self.neg_cap, out=y)
+        np.minimum(y, self.cap, out=y)
         div = (np.bincount(self.src, weights=y, minlength=self.n)
                - np.bincount(self.dst, weights=y, minlength=self.n))
         v = x - self.gamma * div

@@ -194,6 +194,22 @@ def test_sample_seeds_errors():
     assert sample_seeds([1, 2, 3], 2.0).tolist() == sample_seeds([1, 2, 3], 2).tolist()
 
 
+def test_rng_seed_must_be_whole_and_non_negative():
+    block = list(range(1, 21))
+    for bad in (2.5, -1, -3.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rng_seed must be"):
+            SbmSpec((20, 20), 0.5, 0.1, rng_seed=bad)
+        with pytest.raises(ValueError, match="rng_seed must be"):
+            sample_seeds(block, 3, rng_seed=bad)
+    graph_2 = sbm_graph(SbmSpec((20, 20), 0.5, 0.1, rng_seed=2))[0]
+    assert sample_seeds(block, 3, rng_seed=2).tolist() == [3, 5, 16]
+    for seed in (2.0, np.int64(2), np.float64(2.0)):
+        spec = SbmSpec((20, 20), 0.5, 0.1, rng_seed=seed)
+        assert spec.rng_seed == 2 and type(spec.rng_seed) is int
+        assert sbm_graph(spec)[0] == graph_2
+        assert sample_seeds(block, 3, rng_seed=seed).tolist() == [3, 5, 16]
+
+
 def test_grid_uniform_weights():
     img = GreyImage(2, 1, [77, 77])
     g = grid_from_image(img)
@@ -297,3 +313,16 @@ def test_pgm_binary_truncated(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
     with pytest.raises(PgmError):
         read_pgm(path)
+
+
+def test_grid_rejects_sigma_that_underflows_a_weight():
+    img = GreyImage(2, 1, [0, 255])
+    with pytest.raises(ValueError, match=r"sigma 5\.0 is too small for this image: its largest "
+                                         r"grey difference between neighbours is 255, and "
+                                         r"sigma >= 9\.34599 keeps every weight"):
+        grid_from_image(img, sigma=5.0)
+    # the named sigma keeps the weight positive; just below the exact limit
+    # 255 / sqrt(1075 ln 2) ~ 9.3416 the weight underflows
+    assert grid_from_image(img, sigma=9.34599).weights[0] > 0.0
+    with pytest.raises(ValueError, match="too small for this image"):
+        grid_from_image(img, sigma=9.34)

@@ -253,3 +253,65 @@ def test_node_set_round_trip(tmp_path):
     path.write_text("# header\n1\n\n2.5\n")
     with pytest.raises(InvalidNode, match=re.escape(f"{path}:4: ")):
         read_node_set(path)
+
+
+# What read_edge_list accepts and rejects.  Files without `#` go through
+# np.loadtxt; whatever it declines falls back to the line parser, which
+# alone produces the `path:lineno` diagnostics.
+EDGE_FILES = {
+    "plus-sign": (b"+3 1 0.5\n", (3, [[1, 3]], [0.5])),
+    "underscores": (b"1_0 2 2_5\n", (10, [[2, 10]], [25.0])),
+    "non-ascii-digit": ("٣ 1 0.5\n".encode(), (3, [[1, 3]], [0.5])),
+    "tabs": (b"1\t2\t0.5\n2\t3\t1\n", (3, [[1, 2], [2, 3]], [0.5, 1.0])),
+    "crlf": (b"1 2 0.5\r\n2 3 1\r\n", (3, [[1, 2], [2, 3]], [0.5, 1.0])),
+    "weight-underflow": (b"1 2 1e-400\n", (InvalidWeight, "edge (1, 2) has non-positive "
+                                                          "or non-finite weight 0.0")),
+    "weight-inf": (b"1 2 inf\n", (InvalidWeight, "edge (1, 2) has non-positive "
+                                                 "or non-finite weight inf")),
+    "weight-nan": (b"1 2 nan\n", (InvalidWeight, "edge (1, 2) has non-positive "
+                                                 "or non-finite weight nan")),
+    "float-id": (b"1 2 0.5\n1.0 3 0.5\n",
+                 (InvalidEdge, "{path}:2: invalid literal for int() with base 10: '1.0'")),
+    "exponent-id": (b"1 2 0.5\n\n2 1e1 0.5\n",
+                    (InvalidEdge, "{path}:3: invalid literal for int() with base 10: '1e1'")),
+    "bad-weight": (b"1 2 0.5\n2 3 x\n",
+                   (InvalidEdge, "{path}:2: could not convert string to float: 'x'")),
+    "trailing-comment": (b"1 2 0.5 # c\n",
+                         (InvalidEdge, "{path}:1: expected `i j w`, got '1 2 0.5 # c'")),
+    "two-fields": (b"1 2 0.5\n2 3\n", (InvalidEdge, "{path}:2: expected `i j w`, got '2 3'")),
+    "four-fields": (b"1 2 0.5 7\n",
+                    (InvalidEdge, "{path}:1: expected `i j w`, got '1 2 0.5 7'")),
+    "not-utf8": (b"1 2 0.5\n2 3 \xff\n", (UnicodeDecodeError, "can't decode byte 0xff")),
+    "empty": (b"", (InvalidNode, "node count must be positive, got 0")),
+    "comments-only": (b"# header\n\n  # note\n", (InvalidNode, "node count must be positive, got 0")),
+    "id-beyond-int64": (b"1 99999999999999999999 0.5\n",
+                        (InvalidNode, "node ids must be numbers, got dtype object")),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_FILES)
+def test_edge_list_accepts_and_rejects(tmp_path, case):
+    data, want = EDGE_FILES[case]
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    if isinstance(want[0], int):
+        g = read_edge_list(path)
+        assert (g.n, g.edges.tolist(), g.weights.tolist()) == want
+        return
+    exc_type, message = want
+    with pytest.raises(exc_type) as info:
+        read_edge_list(path)
+    if exc_type is UnicodeDecodeError:
+        assert message in str(info.value)
+    else:
+        assert str(info.value) == message.format(path=path)
+
+
+def test_edge_list_with_and_without_header_agree(tmp_path, rng):
+    g = random_connected_graph(12, rng)
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    write_edge_list(plain, g)
+    commented.write_text("# i j w\n" + plain.read_text())
+    assert read_edge_list(plain) == read_edge_list(commented) == g
+    wide = read_edge_list(plain, n=g.n + 2)
+    assert wide.n == g.n + 2 and wide == read_edge_list(commented, n=g.n + 2)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from frozen_oracle import INSTANCES as FROZEN
 from nlasso import (
     IsolatedNode,
     NLassoProblem,
+    SbmSpec,
     SolverConfig,
     SolverState,
     build_graph,
@@ -14,9 +16,13 @@ from nlasso import (
     init_state,
     kkt_residuals,
     run,
+    sample_seeds,
+    sbm_graph,
     star_augmented_flow,
     step,
 )
+from nlasso.generators import GreyImage, grid_from_image
+from nlasso.solver import _Kernel
 from oracle import exact_tree_optimum, pair_prox_gradient, random_connected_graph
 
 
@@ -155,3 +161,71 @@ def test_long_run_kkt_consistency(rng):
     assert report.nonseed_demand_residual <= 1e-4
     assert report.capacity_ok
     assert report.nonsaturated_jump <= 1e-4
+
+
+def clip_step(k, x, x_prev, y):
+    """`_Kernel.step` with the projection written as np.clip: the reference
+    that the max-then-min clamp must match bit for bit."""
+    xt = 2.0 * x - x_prev
+    y = y + 0.5 * (xt[k.src] - xt[k.dst])
+    np.clip(y, k.neg_cap, k.cap, out=y)
+    div = (np.bincount(k.src, weights=y, minlength=k.n)
+           - np.bincount(k.dst, weights=y, minlength=k.n))
+    v = x - k.gamma * div
+    return (v + k.shift) * k.scale, x, y
+
+
+def same_bits(a, b):
+    return all(u.dtype == v.dtype and u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+def saturated_grid_problem():
+    """30 x 30 noisy two-region grid; lam is small enough that hundreds of
+    edges carry a flow of exactly their capacity."""
+    rng = np.random.default_rng(5)
+    rows, cols = np.mgrid[0:30, 0:30]
+    inside = (rows - 15) ** 2 + (cols - 15) ** 2 <= 81
+    grey = np.where(inside, 170, 80) + rng.integers(-15, 16, size=(30, 30))
+    g = grid_from_image(GreyImage(30, 30, grey.ravel()))
+    return NLassoProblem(g, np.flatnonzero(inside.ravel())[::7] + 1, 0.01, 1e-3)
+
+
+def test_projection_matches_clip_along_runs():
+    problems = [NLassoProblem(build_graph(inst["n"], inst["edges"]), [inst["seed"]],
+                              inst["alpha"], inst["lam"]) for inst in FROZEN]
+    g, blocks = sbm_graph(SbmSpec((200, 200), 0.1, 0.01, rng_seed=0))
+    problems.append(NLassoProblem(g, sample_seeds(blocks[0], 20, rng_seed=0), 1 / 40, 1 / 200))
+    problems.append(saturated_grid_problem())
+    for p in problems:
+        k = _Kernel(p)
+        s = init_state(p)
+        ours = ref = (s.x_curr, s.x_prev, s.y)
+        for _ in range(300):
+            ours, ref = k.step(*ours), clip_step(k, *ref)
+            assert same_bits(ours, ref)
+    # the grid, run last, ends with hundreds of flows exactly at capacity
+    at_cap = int(np.sum(np.abs(ours[2]) == k.cap))
+    assert at_cap >= 300, at_cap
+
+
+def test_projection_matches_clip_at_the_bound():
+    # a perfect matching, so each edge's flow is independent; xt is -0.0 at
+    # the first endpoint and +0.0 at the second, so the dual ascent adds -0.0
+    # and the projection sees y exactly as given
+    w = np.array([1.0, 0.5, 2.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1e-300, 5e-324, 5e-324])
+    m = w.size
+    g = build_graph(2 * m, np.column_stack((np.arange(1, 2 * m, 2),
+                                            np.arange(2, 2 * m + 1, 2), w)))
+    p = NLassoProblem(g, [1], 0.1, 0.25)
+    k = _Kernel(p)
+    cap = k.cap
+    assert cap[9] == cap[10] == 0.0  # 0.25 * 5e-324 underflows
+    y = np.array([cap[0], -cap[1], -0.0, 0.0, 1e300, -1e300, np.inf, -np.inf,
+                  -0.0, -0.0, 1e-300])
+    x = np.tile([-0.0, 0.0], m)
+    x_prev = np.zeros(2 * m)
+    ours, ref = k.step(x, x_prev, y.copy()), clip_step(k, x, x_prev, y.copy())
+    assert same_bits(ours, ref)
+    assert ours[2].tolist() == [cap[0], -cap[1], 0.0, 0.0, cap[4], -cap[5], cap[6],
+                                -cap[7], 0.0, 0.0, 0.0]
+    assert np.signbit(ours[2][[2, 8]]).all()  # -0.0 inside the bounds stays -0.0
