@@ -13,14 +13,13 @@ from nlasso import (
     NLassoProblem,
     SolverConfig,
     build_graph,
+    conjugate_f,
+    conjugate_g_feasible,
     divergence,
-    dual_feasibility,
-    dual_objective,
     duality_gap,
     kkt_residuals,
     primal_objective,
     run,
-    star_augmented_flow,
     total_variation,
 )
 
@@ -45,16 +44,16 @@ for e, (i, j) in enumerate(graph.edges):
     print(f"  edge ({i},{j}): flow {y[e]:+.4f} cap {problem.capacities[e]:.2f} "
           f"saturated={bool(saturated[e])} jump={jump:.4f}")
 
-# conservation: the star edge of each node drains its net surplus
-lifted = star_augmented_flow(graph, y)
-feas = dual_feasibility(problem, lifted, tol=1e-9)
-print("conserving completion feasible:", feas.feasible)
+# each node's demand is met by its net outflow divergence(y)_i, so the
+# flow conserves by construction; feasibility is the capacity bound alone
+out = divergence(graph, y)
+print("flow within capacities:", conjugate_g_feasible(problem, y))
 
 primal = primal_objective(problem, x)
 print(f"primal value {primal:.6f}  (fit + lam * TV, TV = "
       f"{total_variation(graph, x):.4f})")
-print(f"dual min-form value {dual_objective(problem, lifted):.6f} "
-      f"= |seeds| - 2 * primal at the optimum")
+print(f"dual value   {-conjugate_f(problem, -out):.6f}  (-f*(-div y), equal "
+      f"to the primal at the optimum)")
 print(f"duality gap {duality_gap(problem, x, y):.2e}")
 
 kkt = kkt_residuals(problem, x, y)
@@ -63,6 +62,5 @@ print(f"demand residuals: seed {kkt.seed_demand_residual:.2e}, "
       f"jump on slack edges {kkt.nonsaturated_jump:.2e}")
 
 # net outflow at the seed equals what the rest of the graph absorbs
-out = divergence(graph, y)
 print(f"seed outflow {out[0]:.4f} vs absorbed "
       f"{problem.alpha * float(np.sum(x[1:])):.4f}")

@@ -39,7 +39,6 @@ from .errors import (
     IsolatedNode,
     NLassoError,
     NoConvergence,
-    NotAugmented,
     PgmError,
     SeedsOutsideCluster,
 )
@@ -67,26 +66,18 @@ from .graph import (
     write_node_set,
 )
 from .objectives import (
-    DualFeasibilityReport,
     NLassoProblem,
     conjugate_f,
     conjugate_g_feasible,
-    dual_feasibility,
-    dual_objective,
     duality_gap,
-    laplacian_quadratic,
     primal_objective,
-    star_augmented_flow,
     total_variation,
 )
 from .solver import (
     HistoryRecord,
     SolverConfig,
     SolverResult,
-    SolverState,
-    init_state,
     run,
-    step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -163,7 +163,7 @@ def _cmd_solve(args) -> int:
     out = Path(settings["out"])
     result, cluster = _solve(problem, settings["iters"], settings["threshold"], out)
     _write_lines(out / "signal.csv", _signal_csv_lines(result.x))
-    _write_lines(out / "cluster.txt", (str(i) for i in cluster.cluster))
+    gc.write_node_set(out / "cluster.txt", cluster.cluster)
     _write_lines(out / "certificates.txt", _certificate_lines(problem, result, cluster))
     return 0
 
@@ -177,7 +177,7 @@ def _cmd_chain_experiment(args) -> int:
     fiedler = baselines.fiedler_vector(g, baselines.NORMALIZED, tol=1e-10)
     _write_lines(out / "nLassoChain.csv", _signal_csv_lines(result.x, CHAIN_CSV_NODES))
     _write_lines(out / "FiedlerChain.csv", _signal_csv_lines(fiedler, CHAIN_CSV_NODES))
-    _write_lines(out / "cluster.txt", (str(i) for i in cluster.cluster))
+    gc.write_node_set(out / "cluster.txt", cluster.cluster)
     _write_lines(out / "certificates.txt",
                  _certificate_lines(problem, result, cluster,
                                     reach_bound=CHAIN_REACH_BOUND))
@@ -198,7 +198,7 @@ def _cmd_sbm_experiment(args) -> int:
     in_block[blocks[0] - 1] = True
     accuracy = float(np.mean(in_cluster == in_block))
     _write_lines(out / "signal.csv", _signal_csv_lines(result.x))
-    _write_lines(out / "cluster.txt", (str(i) for i in cluster.cluster))
+    gc.write_node_set(out / "cluster.txt", cluster.cluster)
     _write_lines(out / "accuracy.txt", [
         f"rng_seed = {args.rng_seed}",
         f"accuracy = {accuracy!r}",

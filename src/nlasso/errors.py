@@ -25,10 +25,6 @@ class DimensionMismatch(NLassoError):
     """Vector length does not match the graph's node or edge count."""
 
 
-class NotAugmented(NLassoError):
-    """Flow vector lacks the star-edge block required here."""
-
-
 class IsolatedNode(NLassoError):
     """A node of degree zero where positive degree is required."""
 

@@ -93,25 +93,6 @@ class Graph:
         """(m, 2) array of 1-based (i, j) pairs in storage order."""
         return np.column_stack((self.src + 1, self.dst + 1))
 
-    def out_neighbors(self, i: int) -> np.ndarray:
-        """Sorted 1-based ids j with a stored edge (i, j)."""
-        i = self._check_node(i)
-        lo, hi = np.searchsorted(self.src, [i - 1, i])
-        return self.dst[lo:hi] + 1
-
-    def in_neighbors(self, i: int) -> np.ndarray:
-        """Sorted 1-based ids j with a stored edge (j, i)."""
-        i = self._check_node(i)
-        # edges are sorted by (src, dst), so the matching sources ascend
-        return self.src[self.dst == i - 1] + 1
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """All neighbours of i, sorted ascending."""
-        return np.sort(np.concatenate((self.in_neighbors(i), self.out_neighbors(i))))
-
-    def _check_node(self, i) -> int:
-        return int(_node_ids(i, self.n))
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -119,10 +100,6 @@ class Graph:
                 and np.array_equal(self.src, other.src)
                 and np.array_equal(self.dst, other.dst)
                 and np.array_equal(self.weights, other.weights))
-
-    def __hash__(self):
-        return hash((self.n, self.src.tobytes(), self.dst.tobytes(),
-                     self.weights.tobytes()))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"

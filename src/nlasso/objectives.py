@@ -2,16 +2,15 @@
 
 The primal objective over node signals x is
 
-    sum_{i in seeds} (x_i - 1)^2 / 2  +  sum_{i not in seeds} alpha x_i^2 / 2
-        + lam * TV(x),
+    f(x) + lam * TV(x),
+    f(x) = sum_{i in seeds} (x_i - 1)^2 / 2  +  sum_{i not in seeds} alpha x_i^2 / 2,
 
-with TV(x) = sum_e W_e |x_i - x_j|.  Its dual lives on edge flows: base
-edges carry capacities lam * W_e, and each node also owns an uncapacitated
-star edge draining its net surplus to the star node.  A base flow y is
-completed to a conserving augmented flow by setting the star component of
-node i to divergence(y)_i; with that completion the minimization form of
-the dual evaluates to |seeds| - 2 * (maximization form), so both layouts
-rank flows identically.
+with TV(x) = sum_e W_e |x_i - x_j|.  Its dual lives on edge flows y under
+the capacities |y_e| <= lam * W_e (`conjugate_g_feasible`).  Node i's net
+outflow is divergence(y)_i, and the dual value of y is
+-conjugate_f(-divergence(y)).  `duality_gap` is the primal value minus
+that dual value: non-negative for every capacity-feasible flow, and zero
+exactly at an optimal primal-dual pair.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph as gc
-from .errors import DimensionMismatch, DualInfeasible, NotAugmented
+from .errors import DualInfeasible
 from .graph import Graph
 
 
@@ -68,34 +67,10 @@ class NLassoProblem:
         return self.lam * self.graph.weights
 
 
-@dataclass(frozen=True)
-class DualFeasibilityReport:
-    """Flow feasibility diagnostics for an augmented flow."""
-
-    conservation_residual: np.ndarray  # length n+1; last entry is the star node
-    capacity_violation: np.ndarray     # length m, max(0, |y_e| - lam W_e)
-    feasible: bool
-
-
-def _as_augmented_flow(p: NLassoProblem, y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    g = p.graph
-    if y.shape != (g.num_edges + g.n,):
-        raise NotAugmented(
-            f"expected augmented flow of length {g.num_edges + g.n}, got shape {y.shape}")
-    return y
-
-
 def total_variation(g: Graph, x) -> float:
     """Weighted sum of absolute differences across the edges."""
     diffs = gc.incidence_apply(g, x)
     return float(np.sum(g.weights * np.abs(diffs)))
-
-
-def laplacian_quadratic(g: Graph, x) -> float:
-    """Weighted sum of squared differences across the edges."""
-    diffs = gc.incidence_apply(g, x)
-    return float(np.sum(g.weights * diffs * diffs))
 
 
 def primal_objective(p: NLassoProblem, x) -> float:
@@ -105,49 +80,6 @@ def primal_objective(p: NLassoProblem, x) -> float:
     fit = 0.5 * float(np.sum((x[s] - 1.0) ** 2)) \
         + 0.5 * p.alpha * float(np.sum(x[~s] ** 2))
     return fit + p.lam * total_variation(p.graph, x)
-
-
-def star_augmented_flow(g: Graph, y_base) -> np.ndarray:
-    """Complete a base flow to a conserving augmented flow.
-
-    The star edge of node i carries the node's net base outflow
-    divergence(y)_i, which balances every base node exactly and sums to
-    zero at the star node.
-    """
-    y_base = gc._as_base_flow(g, y_base)
-    return np.concatenate((y_base, gc.divergence(g, y_base)))
-
-
-def dual_objective(p: NLassoProblem, y_augmented) -> float:
-    """Minimization-form dual value of an augmented flow.
-
-    Evaluates sum_{i in seeds} (y_star_i - 1)^2 + (1/alpha) sum_{i not in
-    seeds} y_star_i^2 on the star components.  Feasibility is not required.
-    """
-    y = _as_augmented_flow(p, y_augmented)
-    star = y[p.graph.num_edges:]
-    s = p.seed_mask
-    return float(np.sum((star[s] - 1.0) ** 2)) \
-        + float(np.sum(star[~s] ** 2)) / p.alpha
-
-
-def dual_feasibility(p: NLassoProblem, y_augmented, tol: float = 0.0) -> DualFeasibilityReport:
-    """Check conservation at every node (star included) and base capacities.
-
-    Conservation at base node i means its star edge carries exactly the
-    net base outflow; at the star node the star flows must sum to zero.
-    Star edges are uncapacitated; capacity applies to base edges only.
-    """
-    y = _as_augmented_flow(p, y_augmented)
-    g = p.graph
-    y_base, star = y[:g.num_edges], y[g.num_edges:]
-    div = gc.divergence(g, y_base)
-    residual = np.empty(g.n + 1)
-    residual[:g.n] = np.abs(div - star)
-    residual[g.n] = abs(float(np.sum(star)))
-    violation = np.maximum(0.0, np.abs(y_base) - p.capacities)
-    feasible = bool(np.all(residual <= tol) and np.all(violation <= tol))
-    return DualFeasibilityReport(residual, violation, feasible)
 
 
 def conjugate_f(p: NLassoProblem, z) -> float:

@@ -29,6 +29,7 @@ from . import certificates as cert
 from . import graph as gc
 from . import objectives as obj
 from .errors import IsolatedNode
+from .generators import _whole
 from .objectives import NLassoProblem
 
 
@@ -38,7 +39,9 @@ class SolverConfig:
 
     max_iters is the fixed iteration count; the gap check is off by default
     (gap_check_interval 0 or gap_tolerance 0 disables it).  record_interval
-    controls how often a history row is taken; 0 records nothing.
+    controls how often a history row is taken; 0 records nothing.  The
+    iteration count and both intervals are whole numbers, stored as int;
+    gap_tolerance is finite and non-negative.
     """
 
     max_iters: int = 1000
@@ -47,22 +50,15 @@ class SolverConfig:
     record_interval: int = 0
 
     def __post_init__(self):
+        for name in ("max_iters", "gap_check_interval", "record_interval"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.gap_check_interval < 0 or self.record_interval < 0:
             raise ValueError("intervals must be non-negative")
-        if self.gap_tolerance < 0:
-            raise ValueError("gap_tolerance must be non-negative")
-
-
-@dataclass
-class SolverState:
-    """Iterate pair (current, previous) plus the base-edge flow."""
-
-    x_curr: np.ndarray
-    x_prev: np.ndarray
-    y: np.ndarray
-    r: int = 0
+        if not 0.0 <= self.gap_tolerance < np.inf:
+            raise ValueError(f"gap_tolerance must be finite and non-negative, "
+                             f"got {self.gap_tolerance!r}")
 
 
 class HistoryRecord(NamedTuple):
@@ -85,7 +81,9 @@ class _Kernel:
 
     def __init__(self, p: NLassoProblem):
         g = p.graph
-        _require_neighbours(g)
+        if np.any(g.degree == 0):
+            bad = int(gc.isolated_nodes(g)[0])
+            raise IsolatedNode(f"node {bad} has degree 0; every node needs a neighbour")
         self.n = g.n
         self.src = g.src
         self.dst = g.dst
@@ -112,52 +110,22 @@ class _Kernel:
         return x_new, x, y
 
 
-def _require_neighbours(g: gc.Graph) -> None:
-    if np.any(g.degree == 0):
-        bad = int(gc.isolated_nodes(g)[0])
-        raise IsolatedNode(f"node {bad} has degree 0; every node needs a neighbour")
-
-
-def init_state(p: NLassoProblem) -> SolverState:
-    """Deterministic starting point: x at all ones, flow at zero.
-
-    Starting from the indicator of the whole node set lets the fidelity
-    leak drain the signal outside the seeds' neighbourhood, so finite
-    iterates approach the limit from above; the zero flow is dual feasible.
-    Raises IsolatedNode when some node has degree 0, since the primal step
-    size 1/d_i is undefined there.
-    """
-    g = p.graph
-    _require_neighbours(g)
-    return SolverState(
-        x_curr=np.ones(g.n),
-        x_prev=np.ones(g.n),
-        y=np.zeros(g.num_edges),
-        r=0,
-    )
-
-
-def step(p: NLassoProblem, s: SolverState) -> SolverState:
-    """Run one full iteration and return the advanced state."""
-    g = p.graph
-    x = gc._as_signal(g, s.x_curr)
-    x_prev = gc._as_signal(g, s.x_prev)
-    y = gc._as_base_flow(g, s.y)
-    kernel = _Kernel(p)
-    x_new, x_old, y_new = kernel.step(x, x_prev, y.copy())
-    return SolverState(x_curr=x_new, x_prev=x_old, y=y_new, r=s.r + 1)
-
-
 def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     """Iterate from the all-ones state under the given config.
+
+    The start is x = x_prev = 1 with zero flow.  Starting from the
+    indicator of the whole node set lets the fidelity leak drain the signal
+    outside the seeds' neighbourhood, so finite iterates approach the limit
+    from above; the zero flow is dual feasible.  Raises IsolatedNode when
+    some node has degree 0, since the primal step size 1/d_i is undefined
+    there.
 
     Stops at max_iters, or earlier when the duality gap drops below
     gap_tolerance at a check interval (both must be positive to enable the
     check).  Identical inputs produce bitwise identical results.
     """
-    state = init_state(p)
     kernel = _Kernel(p)
-    x, x_prev, y = state.x_curr, state.x_prev, state.y
+    x, x_prev, y = np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges)
     history: list[HistoryRecord] = []
     check_gap = cfg.gap_check_interval > 0 and cfg.gap_tolerance > 0
     record = cfg.record_interval > 0

@@ -256,7 +256,9 @@ def test_grid_node_layout():
     assert img.node_id(2, 3) == 12
     g = grid_from_image(img)
     # node 1's grid neighbours: right (2) and down (5)
-    assert g.out_neighbors(1).tolist() == [2, 5]
+    edges = g.edges.tolist()
+    assert [1, 2] in edges and [1, 5] in edges
+    assert g.degree[0] == 2
 
 
 def test_grey_image_validation():

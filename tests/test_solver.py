@@ -7,19 +7,14 @@ from nlasso import (
     NLassoProblem,
     SbmSpec,
     SolverConfig,
-    SolverState,
     build_graph,
     conjugate_g_feasible,
-    dual_feasibility,
     duality_gap,
     extract_cluster,
-    init_state,
     kkt_residuals,
     run,
     sample_seeds,
     sbm_graph,
-    star_augmented_flow,
-    step,
 )
 from nlasso.generators import GreyImage, grid_from_image
 from nlasso.solver import _Kernel
@@ -33,26 +28,35 @@ def test_config_validation():
         SolverConfig(max_iters=10, gap_tolerance=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=10, record_interval=-1)
+    for bad in ({"max_iters": 2.5}, {"max_iters": float("nan")},
+                {"max_iters": float("inf")}, {"gap_check_interval": 0.5},
+                {"record_interval": 2.5}, {"gap_tolerance": float("nan")},
+                {"gap_tolerance": float("inf")}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
     cfg = SolverConfig()
     assert cfg.max_iters == 1000
+    cfg = SolverConfig(max_iters=20.0, gap_check_interval=np.int64(5),
+                       record_interval=10.0, gap_tolerance=1e-3)
+    assert (cfg.max_iters, cfg.gap_check_interval, cfg.record_interval) == (20, 5, 10)
+    assert all(type(v) is int for v in (cfg.max_iters, cfg.gap_check_interval,
+                                        cfg.record_interval))
 
 
 def test_init_state_all_ones(chain_problem):
-    s = init_state(chain_problem)
-    assert np.all(s.x_curr == 1.0)
-    assert np.all(s.x_prev == 1.0)
-    assert np.all(s.y == 0.0) and s.y.size == 99
-    assert s.r == 0
-    lifted = star_augmented_flow(chain_problem.graph, s.y)
-    assert dual_feasibility(chain_problem, lifted, tol=0.0).feasible
+    # run starts at x = x_prev = 1 with zero flow, which is dual feasible
+    g = chain_problem.graph
+    assert conjugate_g_feasible(chain_problem, np.zeros(g.num_edges))
+    res = run(chain_problem, SolverConfig(max_iters=1))
+    x, _, y = _Kernel(chain_problem).step(np.ones(g.n), np.ones(g.n), np.zeros(g.num_edges))
+    assert res.x.tobytes() == x.tobytes()
+    assert res.y.tobytes() == y.tobytes()
 
 
 def test_init_state_rejects_isolated_node():
     g = build_graph(3, [(1, 2, 1.0)])
     p = NLassoProblem(g, [1], 0.1, 0.1)
-    with pytest.raises(IsolatedNode):
-        init_state(p)
-    with pytest.raises(IsolatedNode):
+    with pytest.raises(IsolatedNode, match="node 3"):
         run(p, SolverConfig(max_iters=5))
 
 
@@ -62,33 +66,28 @@ def test_step_hand_derived_two_node():
     # and the seed proximal map gives (gamma + 0) / (gamma + 1) = 1/2
     g = build_graph(2, [(1, 2, 1.0)])
     p = NLassoProblem(g, [1], 0.05, 0.3)
-    s0 = SolverState(x_curr=np.zeros(2), x_prev=np.zeros(2), y=np.zeros(1), r=0)
-    s1 = step(p, s0)
-    assert s1.r == 1
-    assert s1.x_curr.tolist() == [0.5, 0.0]
-    assert s1.y.tolist() == [0.0]
-    assert s1.x_prev.tolist() == [0.0, 0.0]
+    x, x_prev, y = _Kernel(p).step(np.zeros(2), np.zeros(2), np.zeros(1))
+    assert x.tolist() == [0.5, 0.0]
+    assert y.tolist() == [0.0]
+    assert x_prev.tolist() == [0.0, 0.0]
 
 
 def test_step_capacity_invariant(rng):
     for _ in range(10):
         g = random_connected_graph(int(rng.integers(2, 9)), rng)
         p = NLassoProblem(g, [1], 0.2, 0.15)
-        s = SolverState(x_curr=rng.normal(size=g.n) * 5,
-                        x_prev=rng.normal(size=g.n) * 5,
-                        y=rng.normal(size=g.num_edges) * 5, r=0)
-        out = step(p, s)
-        assert conjugate_g_feasible(p, out.y)
+        _, _, y = _Kernel(p).step(rng.normal(size=g.n) * 5, rng.normal(size=g.n) * 5,
+                                  rng.normal(size=g.num_edges) * 5)
+        assert conjugate_g_feasible(p, y)
 
 
 def test_step_fixed_point_at_optimum(rng):
     g = build_graph(2, [(1, 2, 1.7)])
     p = NLassoProblem(g, [2], 0.3, 0.2)
     x_star, y_star = exact_tree_optimum(p)
-    s = SolverState(x_curr=x_star.copy(), x_prev=x_star.copy(), y=y_star.copy(), r=0)
-    out = step(p, s)
-    assert np.max(np.abs(out.x_curr - x_star)) <= 1e-12
-    assert np.max(np.abs(out.y - y_star)) <= 1e-12
+    x, _, y = _Kernel(p).step(x_star.copy(), x_star.copy(), y_star.copy())
+    assert np.max(np.abs(x - x_star)) <= 1e-12
+    assert np.max(np.abs(y - y_star)) <= 1e-12
 
 
 def test_run_chain_cluster(chain_problem):
@@ -198,8 +197,7 @@ def test_projection_matches_clip_along_runs():
     problems.append(saturated_grid_problem())
     for p in problems:
         k = _Kernel(p)
-        s = init_state(p)
-        ours = ref = (s.x_curr, s.x_prev, s.y)
+        ours = ref = (np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges))
         for _ in range(300):
             ours, ref = k.step(*ours), clip_step(k, *ref)
             assert same_bits(ours, ref)
