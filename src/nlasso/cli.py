@@ -72,10 +72,12 @@ def _write_lines(path: Path, lines) -> None:
 
 
 def _signal_csv_lines(x, limit: int | None = None):
-    stop = len(x) if limit is None else min(limit, len(x))
     yield "i,x"
-    for i in range(stop):
-        yield f"{i + 1},{float(x[i])!r}"
+    x = x[:limit]
+    # tolist() a chunk at a time: fast, without a Python float per node at once
+    for lo in range(0, x.size, 4096):
+        for i, value in enumerate(x[lo:lo + 4096].tolist(), start=lo + 1):
+            yield f"{i},{value!r}"
 
 
 def _certificate_lines(problem, result, cluster, reach_bound=None):

@@ -20,7 +20,8 @@ _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
 _M3 = np.uint64(0x94D049BB133111EB)
 
-# Pairs per row block in sbm_graph: bounds its working memory.
+# Pairs per row tile in sbm_graph, whose rows stay in one block: bounds its
+# working memory.
 _BLOCK_PAIRS = 1 << 18
 
 
@@ -118,11 +119,13 @@ def sbm_graph(spec: SbmSpec):
     All edges have weight 1.  Isolated nodes are possible; build the solver
     input accordingly.
 
-    Time is O(n^2).  The upper triangle is drawn in blocks of whole rows of
-    about _BLOCK_PAIRS pairs, so memory is O(n + pairs per block + edges).
-    The row and column halves of the pair hash are computed once per node,
-    leaving one xor and one _mix64 per pair.  The edges come out in the
-    row-major order of np.triu_indices, as an all-pairs draw gives them.
+    Time is O(n^2).  The upper triangle is drawn in tiles: rows lo..hi-1,
+    all in one block, against columns lo+1..n-1 (0-based), about
+    _BLOCK_PAIRS pairs each, so memory is O(n + pairs per tile + edges).
+    The row and column halves of the pair hash are computed once per node
+    and broadcast over the tile, leaving one xor and one _mix64 per pair.
+    Each tile is read in row-major order, so the edges come out in the
+    order of np.triu_indices, as an all-pairs draw gives them.
 
     Returns
     -------
@@ -136,30 +139,27 @@ def sbm_graph(spec: SbmSpec):
     stops = np.cumsum(sizes)
     ids = np.arange(1, total + 1)
     row_keys, col_keys = _keys(spec.rng_seed, ids, ids)
-    # pair (i, j), j > i, is inside a block iff j < block_stop[i] (0-based);
-    # u < p  <=>  bits < ceil(p * 2^53), since u = bits * 2^-53 exactly
-    block_stop = np.repeat(stops, sizes)
     t_in, t_out = (np.uint64(math.ceil(p * 2.0 ** 53)) for p in (spec.p_in, spec.p_out))
-    # row i (0-based) holds the pairs (i, i+1..total-1); ends[i] counts the
-    # pairs of rows 0..i, and each row block starts where a multiple of
-    # _BLOCK_PAIRS falls
-    row_len = np.arange(total - 1, 0, -1)
-    ends = np.cumsum(row_len)
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1], _BLOCK_PAIRS), side="right")
-    bounds = np.unique(np.append(cuts, total - 1))
+    cols = np.arange(total)
+    starts = np.concatenate(([0], stops[:-1]))
     src, dst = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        lens = row_len[lo:hi]
-        first = ends[lo:hi] - lens
-        i = np.repeat(np.arange(lo, hi), lens)
-        j = np.arange(first[0], ends[hi - 1]) - np.repeat(first, lens) + i + 1
-        inside = j < np.repeat(block_stop[lo:hi], lens)
-        keep = _pair_bits(row_keys[i], col_keys[j]) < np.where(inside, t_in, t_out)
-        src.append(i[keep] + 1)
-        dst.append(j[keep] + 1)
+    for start, stop in zip(starts, stops):
+        # u < p  <=>  bits < ceil(p * 2^53), since u = bits * 2^-53 exactly;
+        # for a row of this block, the columns before stop are in the block
+        thr = np.where(cols < stop, t_in, t_out)
+        lo = start
+        while lo < min(stop, total - 1):
+            hi = min(stop, lo + max(1, _BLOCK_PAIRS // (total - lo - 1)))
+            # tile rows lo..hi-1 by columns lo+1..total-1; only its leading
+            # hi-lo columns hold pairs with j <= i
+            keep = _pair_bits(row_keys[lo:hi, None], col_keys[None, lo + 1:]) < thr[lo + 1:]
+            keep[:, :hi - lo] = np.triu(keep[:, :hi - lo])
+            r, c = np.divmod(np.flatnonzero(keep), total - lo - 1)
+            src.append(r + lo + 1)
+            dst.append(c + lo + 2)
+            lo = hi
     src, dst = np.concatenate(src), np.concatenate(dst)
     g = build_graph(total, np.column_stack((src, dst, np.ones(src.size))))
-    starts = np.concatenate(([0], stops[:-1]))
     blocks = [np.arange(lo + 1, hi + 1, dtype=np.int64) for lo, hi in zip(starts, stops)]
     return g, blocks
 

@@ -246,7 +246,8 @@ def read_edge_list(path, n: int | None = None) -> Graph:
 
     Fields are whitespace separated, ids are 1-based, lines starting with
     `#` and blank lines are skipped; a `#` after a triple is an error.
-    When `n` is omitted the node count is the largest id seen.
+    When `n` is omitted the node count is the largest id seen, which may
+    not exceed the file's size in bytes (see _inferred_n).
 
     A file without any `#` is parsed in C by one np.loadtxt call, with
     int64 ids and float64 weights.  Every other file, and every file that
@@ -258,6 +259,7 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     """
     with open(path, "rb") as fh:
         plain = b"#" not in fh.read()
+        size = fh.tell()
     if plain:
         try:
             with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
@@ -268,12 +270,12 @@ def read_edge_list(path, n: int | None = None) -> Graph:
             pass
         else:
             if n is None:
-                n = max(rows["i"].max(), rows["j"].max())
+                n = _inferred_n(max(rows["i"].max(), rows["j"].max()), size)
             return build_graph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
-    return _read_edge_lines(path, n)
+    return _read_edge_lines(path, n, size)
 
 
-def _read_edge_lines(path, n: int | None) -> Graph:
+def _read_edge_lines(path, n: int | None, size: int) -> Graph:
     """read_edge_list's line parser: one int(), int(), float() per line."""
     triples = []
     for lineno, line in _text_lines(path):
@@ -286,8 +288,24 @@ def _read_edge_lines(path, n: int | None) -> Graph:
             raise InvalidEdge(f"{path}:{lineno}: {exc}") from exc
         triples.append((i, j, w))
     if n is None:
-        n = max((max(i, j) for i, j, _ in triples), default=0)
+        n = _inferred_n(max((max(i, j) for i, j, _ in triples), default=0), size)
     return build_graph(n, triples)
+
+
+def _inferred_n(largest, size: int):
+    """The node count of an edge-list file of `size` bytes read without n.
+
+    It is the largest id.  An id above `size` is rejected here, before
+    anything of length n is allocated, so the node arrays stay within a
+    small multiple of the file the reader already holds, whatever one
+    stray id says.  Every edge line takes at least 6 bytes, so a graph
+    with no isolated node always passes.  An id beyond int64 is left to
+    build_graph, which rejects it as not a number.
+    """
+    if size < largest <= np.iinfo(np.int64).max:
+        raise InvalidNode(f"node id {largest} exceeds the file's size of {size} bytes, "
+                          f"so most nodes up to it would be on no edge")
+    return largest
 
 
 def write_edge_list(path, g: Graph) -> None:
@@ -310,8 +328,16 @@ def read_node_set(path, n: int | None = None) -> np.ndarray:
 
 
 def write_node_set(path, ids) -> None:
-    """Write node ids one per line, ascending."""
-    ids = np.sort(np.asarray(ids, dtype=np.int64))
+    """Write node ids one per line, ascending.
+
+    The ids are checked by as_node_ids, bounded by their largest, so this
+    writes only what read_node_set reads back: distinct integers >= 1.
+    """
+    arr = np.asarray(ids)
+    # bound by the largest id that fits int64: nan, inf and larger floats
+    # then fail the check
+    top = int(arr.max(initial=0, where=arr < 2.0 ** 63)) if arr.dtype.kind in "iuf" else 0
+    ids = as_node_ids(arr, top)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i in ids:
             fh.write(f"{i}\n")

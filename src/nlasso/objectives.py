@@ -24,9 +24,12 @@ from .errors import DualInfeasible
 from .graph import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NLassoProblem:
     """One clustering instance: graph, one seed batch, and penalties.
+
+    Problems compare and hash by identity: a field-wise == would compare
+    the seed arrays, and Graph is unhashable.
 
     Parameters
     ----------
@@ -44,7 +47,7 @@ class NLassoProblem:
     seeds: np.ndarray
     alpha: float
     lam: float
-    seed_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    seed_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         seeds = gc.as_node_ids(self.seeds, self.graph.n)

@@ -69,7 +69,11 @@ def test_solve_invalid_alpha_exits_2(tmp_path, tiny_instance):
     (["--threshold", "nan"], "1 2 1.0\n2 3 1.0\n"),
     ([], "1 2 1.0\n2 3 inf\n"),
     (["--iters", "0"], "1 2 1.0\n2 3 1.0\n"),
-], ids=["alpha-inf", "lambda-inf", "threshold-nan", "weight-inf", "iters-zero"])
+    # without the node-count check these allocate node arrays of 9e9 entries
+    ([], "1 2 1.0\n2 9000000000 1.0\n"),
+    ([], "# parsed line by line\n1 2 1.0\n2 9000000000 1.0\n"),
+], ids=["alpha-inf", "lambda-inf", "threshold-nan", "weight-inf", "iters-zero",
+        "id-huge", "id-huge-commented"])
 def test_solve_non_finite_input_exits_2(tmp_path, capsys, flags, edges):
     graph = tmp_path / "edges.txt"
     graph.write_text(edges)

@@ -118,14 +118,17 @@ SBM_SPECS = [
     SbmSpec((150, 150), 0.02, 0.002, rng_seed=2 ** 40 + 17),
     SbmSpec((299, 1), 1.0, 0.5, rng_seed=18),
     SbmSpec((11, 22, 33), 0.4, 0.4, rng_seed=19),
+    SbmSpec((40, 1, 25, 1, 3), 1.0, 0.0, rng_seed=20),
+    SbmSpec((1, 90, 1, 45), 0.3, 0.02, rng_seed=21),
+    SbmSpec((2, 1, 2), 1.0, 1.0, rng_seed=22),
 ] + [SbmSpec((5 + 7 * k, 3 + 11 * k), 0.5 / (k + 1), 0.1 / (k + 1), rng_seed=100 + k)
      for k in range(10)]
 
 
-@pytest.mark.parametrize("block_pairs", [1, 3, 64, gen._BLOCK_PAIRS])
+@pytest.mark.parametrize("block_pairs", [1, 3, 7, 64, 1000, gen._BLOCK_PAIRS])
 def test_sbm_row_blocks_match_all_pairs(monkeypatch, block_pairs):
-    # sampling one row block at a time gives bitwise the same graph as
-    # drawing every pair at once, whatever the block size
+    # sampling one row tile at a time gives bitwise the same graph as
+    # drawing every pair at once, wherever the tiles end within a block
     monkeypatch.setattr(gen, "_BLOCK_PAIRS", block_pairs)
     for spec in SBM_SPECS:
         g, blocks = sbm_graph(spec)

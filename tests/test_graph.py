@@ -247,6 +247,19 @@ def test_node_set_round_trip(tmp_path):
     path.write_text("# header\n1\n\n2.5\n")
     with pytest.raises(InvalidNode, match=re.escape(f"{path}:4: ")):
         read_node_set(path)
+    write_node_set(path, np.array([7.0, 2.0]))
+    assert path.read_text() == "2\n7\n"
+    write_node_set(path, [])
+    assert path.read_text() == "" and read_node_set(path).size == 0
+
+
+@pytest.mark.parametrize("ids", [[2.7, 2, 1], [0, 2], [-1], [3, 1, 3], [np.nan, 1],
+                                 [np.inf, 1], [1e30], [2.0 ** 63], ["1"]])
+def test_write_node_set_rejects_what_read_node_set_would(tmp_path, ids):
+    path = tmp_path / "s.txt"
+    with pytest.raises(InvalidNode):
+        write_node_set(path, ids)
+    assert not path.exists()
 
 
 # What read_edge_list accepts and rejects.  Files without `#` go through
@@ -280,6 +293,9 @@ EDGE_FILES = {
     "comments-only": (b"# header\n\n  # note\n", (InvalidNode, "node count must be positive, got 0")),
     "id-beyond-int64": (b"1 99999999999999999999 0.5\n",
                         (InvalidNode, "node ids must be numbers, got dtype object")),
+    "id-beyond-file-size": (b"2 9000000000 1.0\n",
+                            (InvalidNode, "node id 9000000000 exceeds the file's size of "
+                                          "17 bytes, so most nodes up to it would be on no edge")),
 }
 
 

@@ -38,6 +38,14 @@ def test_problem_validation(weighted_chain):
     assert p.seed_mask[0] and p.seed_mask[2] and not p.seed_mask[1]
 
 
+def test_problem_compares_and_hashes_by_identity(weighted_chain):
+    # a field-wise == would compare two-seed arrays and raise ValueError
+    p = NLassoProblem(weighted_chain, [1, 3], 0.1, 0.1)
+    q = NLassoProblem(weighted_chain, [1, 3], 0.1, 0.1)
+    assert p == p and p != q
+    assert len({p, q, p}) == 2
+
+
 def test_tv_constant_zero(weighted_chain):
     assert total_variation(weighted_chain, np.full(100, 0.3)) == 0.0
 
