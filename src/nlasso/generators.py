@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountTooLarge, InvalidOverride, PgmError
-from .graph import Graph, build_graph
+from .graph import Graph, _whole, build_graph
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -23,13 +23,6 @@ _M3 = np.uint64(0x94D049BB133111EB)
 # Pairs per row tile in sbm_graph, whose rows stay in one block: bounds its
 # working memory.
 _BLOCK_PAIRS = 1 << 18
-
-
-def _whole(value, what: str) -> int:
-    """Return `value` as an int; raise ValueError unless it is a whole number."""
-    if not float(value).is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _rng_seed(value) -> int:

@@ -26,12 +26,41 @@ from .errors import (
 )
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _whole(value, what: str) -> int:
+    """Return `value` as an int; raise ValueError unless it is a whole number."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _node_count(n) -> int:
+    """Return `n` as an int; raise InvalidNode unless it is a whole number in 1..2**63-1."""
+    try:
+        count = _whole(n, "node count")
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidNode(f"node count must be a whole number, got {n!r}") from None
+    if count < 1:
+        raise InvalidNode(f"node count must be positive, got {count}")
+    if count > _INT64_MAX:
+        raise InvalidNode(f"node count {count} exceeds int64")
+    return count
+
+
 def _node_ids(ids, n: int) -> np.ndarray:
-    """Return `ids` as int64; raise InvalidNode naming the first not an integer in 1..n."""
+    """Return `ids` as int64; raise InvalidNode naming the first not an integer in 1..n.
+
+    `n` is a node count that passed _node_count.
+    """
     arr = np.asarray(ids)
     if arr.dtype.kind not in "iuf":
         raise InvalidNode(f"node ids must be numbers, got dtype {arr.dtype}")
     ok = (arr >= 1) & (arr <= n) & (arr == np.floor(arr))
+    if arr.dtype.kind == "f":
+        # the comparison rounds n up to 2**63, which int64 cannot hold
+        ok &= arr < 2.0 ** 63
     if not ok.all():
         bad = arr[~ok][0].item()
         if isinstance(bad, float) and bad.is_integer():
@@ -44,8 +73,10 @@ def as_node_ids(ids, n: int) -> np.ndarray:
     """Validate an iterable of 1-based node ids against a graph of n nodes.
 
     Returns a sorted array of unique int64 ids.  Raises InvalidNode for
-    non-integer, out-of-range or duplicate entries.
+    non-integer, out-of-range or duplicate entries, and for an n that is
+    not a whole number in 1..2**63-1.
     """
+    n = _node_count(n)
     arr = np.sort(_node_ids(ids if isinstance(ids, np.ndarray) else list(ids), n))
     if arr.size > 1 and np.any(arr[1:] == arr[:-1]):
         dup = arr[1:][arr[1:] == arr[:-1]][0]
@@ -114,7 +145,7 @@ def build_graph(n: int, edge_list) -> Graph:
     Parameters
     ----------
     n : int
-        Node count, at least 1.
+        Node count, a whole number in 1..2**63-1.
     edge_list : iterable of (i, j, w) triples, or array of shape (m, 3)
         1-based endpoints and a strictly positive, finite weight per edge.
 
@@ -125,9 +156,7 @@ def build_graph(n: int, edge_list) -> Graph:
         self-loops, weights, duplicates; the first offending edge of the
         first failing test is reported.
     """
-    n = int(n)
-    if n < 1:
-        raise InvalidNode(f"node count must be positive, got {n}")
+    n = _node_count(n)
     try:
         arr = np.asarray(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list))
     except ValueError:
@@ -300,12 +329,13 @@ def _inferred_n(largest, size: int):
     small multiple of the file the reader already holds, whatever one
     stray id says.  Every edge line takes at least 6 bytes, so a graph
     with no isolated node always passes.  An id beyond int64 is left to
-    build_graph, which rejects it as not a number.
+    build_graph, which rejects it as not a number; the count is then
+    2**63-1.
     """
-    if size < largest <= np.iinfo(np.int64).max:
+    if size < largest <= _INT64_MAX:
         raise InvalidNode(f"node id {largest} exceeds the file's size of {size} bytes, "
                           f"so most nodes up to it would be on no edge")
-    return largest
+    return min(largest, _INT64_MAX)
 
 
 def write_edge_list(path, g: Graph) -> None:
@@ -323,8 +353,10 @@ def read_node_set(path, n: int | None = None) -> np.ndarray:
             ids.append(int(line))
         except ValueError as exc:
             raise InvalidNode(f"{path}:{lineno}: {exc}") from exc
-    bound = n if n is not None else (max(ids) if ids else 0)
-    return as_node_ids(ids, bound)
+    if n is None:
+        # bound the ids by their largest, as a valid node count
+        n = min(max([*ids, 1]), _INT64_MAX)
+    return as_node_ids(ids, n)
 
 
 def write_node_set(path, ids) -> None:
@@ -336,7 +368,7 @@ def write_node_set(path, ids) -> None:
     arr = np.asarray(ids)
     # bound by the largest id that fits int64: nan, inf and larger floats
     # then fail the check
-    top = int(arr.max(initial=0, where=arr < 2.0 ** 63)) if arr.dtype.kind in "iuf" else 0
+    top = int(arr.max(initial=1, where=arr < 2.0 ** 63)) if arr.dtype.kind in "iuf" else 1
     ids = as_node_ids(arr, top)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i in ids:

@@ -16,6 +16,32 @@ is computed as max(y, -cap) then min(., cap), bit for bit the same as
 np.clip.  The primal step size 1/d_i (inverse node degree) and the dual
 step size 1/2 make the iteration convergent without any tuning; one
 iteration costs one pass over the edges plus one over the nodes.
+
+The flow has two layouts, and both give the same bits.
+
+* Gather (`_Kernel`): y in edge order.  Stage 2 gathers xt at src and
+  dst, and stage 4 is two np.bincount calls, which add each node's edges
+  into a zeroed sum in edge order: out-edges by ascending dst, in-edges by
+  ascending src.
+* Band (`_BandKernel`): for graphs whose edges lie on few offsets
+  k = dst - src, such as pixel grids (k = 1 and the width) and chains
+  (k = 1).  The flow is one band per offset with n - k slots; slot i holds
+  edge (i, i + k), and a slot with no edge has capacity 0.  Stage 2 is
+  xt[:n-k] - xt[k:] and stage 4 adds each band into zeroed out- and
+  in-sums with slice adds, the out-sums over bands by ascending k and the
+  in-sums by descending k.  That is the order np.bincount adds each node's
+  edges in, so no per-node sum changes.  An empty slot's flow is clamped
+  to +-0 (its differences are finite, as x is).  A sum that starts at +0
+  never becomes -0, since exact cancellation rounds to +0, and adding +-0
+  to any other value leaves it as it was, so empty slots add nothing.
+
+`run` takes the band layout when the bands pad the m edges with at most n
+empty slots and every band holds at least _MIN_BAND_SLOTS slots, and the
+gather layout otherwise.  A band costs a few numpy calls per step
+whatever its length.  Measured on 2 vCPUs (median step time, gather over
+band), the layouts break even at about 450 slots per band on chains and
+600 on grids: 8 x 8 grid 0.66x, 100-node chain 0.84x, 1000-node chain
+1.16x, 64 x 64 grid 1.85x, 256 x 256 grid 2.4x, 512 x 512 grid 1.7x.
 """
 
 from __future__ import annotations
@@ -29,7 +55,7 @@ from . import certificates as cert
 from . import graph as gc
 from . import objectives as obj
 from .errors import IsolatedNode
-from .generators import _whole
+from .graph import _whole
 from .objectives import NLassoProblem
 
 
@@ -109,6 +135,90 @@ class _Kernel:
         x_new = (v + self.shift) * self.scale
         return x_new, x, y
 
+    def edge_flow(self, y):
+        """The flow `y` of step in edge order."""
+        return y
+
+
+# Fewest slots per band for the band layout: below about this, a band's
+# numpy calls cost more than the gathers and bincounts they replace.
+_MIN_BAND_SLOTS = 512
+
+
+def _offsets(g: gc.Graph) -> np.ndarray:
+    """The distinct edge offsets dst - src, ascending."""
+    return np.flatnonzero(np.bincount(g.dst - g.src))
+
+
+def _uses_bands(g: gc.Graph) -> bool:
+    """True when `run` iterates on g in the band layout."""
+    k = _offsets(g)
+    slots = k.size * g.n - int(k.sum())
+    return bool(k.size) and g.n - k[-1] >= _MIN_BAND_SLOTS and slots - g.num_edges <= g.n
+
+
+class _BandKernel(_Kernel):
+    """The kernel with the flow stored as one band per edge offset.
+
+    y and the capacities are one array of all bands, ascending in offset;
+    `edge_flow` maps y back to edge order.  Stages 2 and 4 are methods so
+    that their temporaries are freed before the next stage allocates.
+    """
+
+    def __init__(self, p: NLassoProblem):
+        super().__init__(p)
+        n = self.n
+        self.offsets = [int(k) for k in _offsets(p.graph)]
+        self.bands = []
+        start = 0
+        for k in self.offsets:
+            self.bands.append(slice(start, start + n - k))
+            start += n - k
+        # band start of each offset, indexed by the offset
+        self.band_start = np.zeros(self.offsets[-1] + 1, dtype=np.int64)
+        self.band_start[self.offsets] = [b.start for b in self.bands]
+        cap = np.zeros(start)
+        cap[self._slots()] = self.cap
+        self.cap = cap
+        self.neg_cap = -cap
+
+    def _slots(self):
+        """The band slot of each edge, in edge order."""
+        return self.band_start[self.dst - self.src] + self.src
+
+    def step(self, x, x_prev, y):
+        y = self._ascend(2.0 * x - x_prev, y)
+        np.maximum(y, self.neg_cap, out=y)
+        np.minimum(y, self.cap, out=y)
+        v = x - self.gamma * self._divergence(y)
+        x_new = (v + self.shift) * self.scale
+        return x_new, x, y
+
+    def _ascend(self, xt, y):
+        """Stage 2: y + 0.5 * (xt_i - xt_j) per slot, as a new array."""
+        n = self.n
+        d = np.empty_like(y)
+        for k, band in zip(self.offsets, self.bands):
+            np.subtract(xt[:n - k], xt[k:], out=d[band])
+        d *= 0.5
+        d += y
+        return d
+
+    def _divergence(self, y):
+        """Stage 4: out-sums minus in-sums, each node's terms in bincount's order."""
+        n = self.n
+        out_sum = np.zeros(n)
+        in_sum = np.zeros(n)
+        for k, band in zip(self.offsets, self.bands):
+            out_sum[:n - k] += y[band]
+        for k, band in zip(self.offsets[::-1], self.bands[::-1]):
+            in_sum[k:] += y[band]
+        out_sum -= in_sum
+        return out_sum
+
+    def edge_flow(self, y):
+        return y[self._slots()]
+
 
 def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     """Iterate from the all-ones state under the given config.
@@ -124,8 +234,8 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     gap_tolerance at a check interval (both must be positive to enable the
     check).  Identical inputs produce bitwise identical results.
     """
-    kernel = _Kernel(p)
-    x, x_prev, y = np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges)
+    kernel = (_BandKernel if _uses_bands(p.graph) else _Kernel)(p)
+    x, x_prev, y = np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(kernel.cap.size)
     history: list[HistoryRecord] = []
     check_gap = cfg.gap_check_interval > 0 and cfg.gap_tolerance > 0
     record = cfg.record_interval > 0
@@ -136,11 +246,12 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
         want_record = record and r % cfg.record_interval == 0
         want_check = check_gap and r % cfg.gap_check_interval == 0
         if want_record or want_check:
-            gap = obj.duality_gap(p, x, y)
+            y_edges = kernel.edge_flow(y)
+            gap = obj.duality_gap(p, x, y_edges)
             if want_record:
                 primal = obj.primal_objective(p, x)
-                report = cert.kkt_residuals(p, x, y)
+                report = cert.kkt_residuals(p, x, y_edges)
                 history.append(HistoryRecord(r, primal, gap, report.max_residual))
             if want_check and gap <= cfg.gap_tolerance:
                 break
-    return SolverResult(x=x, y=y, iters_run=iters_run, history=history)
+    return SolverResult(x=x, y=kernel.edge_flow(y), iters_run=iters_run, history=history)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,52 @@ def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+def two_region_image(path, size=64):
+    """A disc of grey 170 on grey 80, with a fixed +-15 texture."""
+    rows, cols = np.mgrid[0:size, 0:size]
+    inside = (rows - 30) ** 2 + (cols - 34) ** 2 <= 20 ** 2
+    grey = np.where(inside, 170, 80) + (rows * 7 + cols * 13) % 31 - 15
+    write_pgm(path, GreyImage(size, size, grey.ravel()))
+
+
+# sha256 of every output file, recorded from a build before the solver had
+# more than one flow layout: a change of layout must not change a byte.  The
+# 64 x 64 grid takes the band layout (its mask is exactly the disc), the
+# four-node graph the gather layout.
+PINNED_DIGESTS = {
+    "segment": {
+        "mask.pgm": "e1e0aaf23ea788b3ab483a2dcbab34c912548c2b6d3d161c4662044d94f7f910",
+        "signal.csv": "69e7c77110a9457d025303299ce19c1a9eefcc7d2b947dddfb56a2b0d4106f67",
+    },
+    "solve": {
+        "certificates.txt": "9bd43e0377b9ca676fad4b3a37c6ba7be30bf96b208a4b2d064e50f5626c5588",
+        "cluster.txt": "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+        "signal.csv": "e7122ba7f47522f74701c1dafdadecf667b98e8f06e554ee6f0372b802e9ea83",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_DIGESTS))
+def test_outputs_match_pinned_digests(tmp_path, command):
+    if command == "segment":
+        image = tmp_path / "disc.pgm"
+        two_region_image(image)
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("".join(f"{r * 64 + c + 1}\n" for r, c in
+                                 ((30, 34), (24, 28), (36, 40), (22, 38))))
+        argv = ["segment", str(image), "--seeds", str(seeds), "--alpha", "0.005",
+                "--lambda", "0.2", "--iters", "600"]
+    else:
+        # the inputs of acceptance criterion 9
+        graph = tmp_path / "edges.txt"
+        graph.write_text("1 2 1.0\n2 3 0.5\n3 4 2.0\n1 4 1.5\n")
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text("2\n")
+        argv = ["solve", "--graph", str(graph), "--seeds", str(seeds),
+                "--alpha", "0.2", "--lambda", "0.1", "--iters", "400"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert digests == PINNED_DIGESTS[command]

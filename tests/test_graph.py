@@ -21,6 +21,7 @@ from nlasso import (
     write_edge_list,
     write_node_set,
 )
+from nlasso.graph import as_node_ids
 from oracle import random_connected_graph
 
 
@@ -56,12 +57,24 @@ def test_build_rejects_nonpositive_weight(w):
         build_graph(2, [(1, 2, w)])
 
 
-@pytest.mark.parametrize("edge", [(0, 2), (1, 4), (-1, 2), (1.5, 2),
-                                  (float("inf"), 2), (float("nan"), 2)])
-def test_build_rejects_out_of_range_ids(edge):
+OUT_OF_RANGE = [(3, (0, 2)), (3, (1, 4)), (3, (-1, 2)), (3, (1.5, 2)),
+                (3, (float("inf"), 2)), (3, (float("nan"), 2)),
+                # node counts that are not whole numbers in 1..2**63-1
+                (2.5, (1, 2)), (float("nan"), (1, 2)), (float("inf"), (1, float("inf"))),
+                (2.0 ** 63, (1, 2.0 ** 63)),
+                # a float id that int64 cannot hold, below a valid node count
+                (2 ** 63 - 1, (1, 2.0 ** 63))]
+
+
+@pytest.mark.parametrize("n, edge", OUT_OF_RANGE,
+                         ids=[f"edge{k}" for k in range(6)]
+                         + ["n-2.5", "n-nan", "n-inf", "n-2^63", "id-2^63"])
+def test_build_rejects_out_of_range_ids(n, edge):
     i, j = edge
     with pytest.raises(InvalidNode):
-        build_graph(3, [(i, j, 1.0)])
+        build_graph(n, [(i, j, 1.0)])
+    with pytest.raises(InvalidNode):
+        as_node_ids(edge, n)
 
 
 @pytest.mark.parametrize("edges", [[(1, 2)], [(1, 2, 1.0), (2, 3)], (1, 2, 1.0)],

@@ -1,0 +1,73 @@
+"""Invariants of the solver checked over random small connected graphs.
+
+Hypothesis draws the graphs and parameters from a fixed seed
+(derandomize) with a capped number of examples, so the suite stays
+deterministic and quick.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlasso import NLassoProblem, SolverConfig, build_graph, conjugate_g_feasible, run
+from nlasso.solver import _BandKernel, _Kernel
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def problems(draw, max_n=8):
+    """A connected graph on 2..max_n nodes (a random tree plus random extra
+    edges), a non-empty seed set and alpha, lambda in [1e-3, 10]."""
+    n = draw(st.integers(2, max_n))
+    tree = {(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)}
+    others = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+              if (i, j) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    edges = sorted(tree | set(extra))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=len(edges), max_size=len(edges)))
+    g = build_graph(n, [(i, j, w) for (i, j), w in zip(edges, weights)])
+    seeds = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    alpha = draw(st.floats(1e-3, 10.0))
+    lam = draw(st.floats(1e-3, 10.0))
+    return NLassoProblem(g, seeds, alpha, lam)
+
+
+@PROPERTY
+@given(problems())
+def test_weak_duality_along_the_run(p):
+    res = run(p, SolverConfig(max_iters=200, record_interval=5))
+    assert len(res.history) == 40
+    assert all(h.gap >= -1e-12 for h in res.history)
+
+
+@PROPERTY
+@given(problems(), st.lists(st.integers(1, 300), min_size=1, max_size=4))
+def test_flow_within_capacity_at_every_stop(p, stops):
+    for iters in stops:
+        assert conjugate_g_feasible(p, run(p, SolverConfig(max_iters=iters)).y)
+
+
+@PROPERTY
+@given(problems(), st.randoms(use_true_random=False))
+def test_relabelling_permutes_the_signal(p, rnd):
+    g = p.graph
+    label = np.array(rnd.sample(range(1, g.n + 1), g.n))  # node i becomes label[i - 1]
+    edges = np.column_stack((label[g.src], label[g.dst], g.weights))
+    q = NLassoProblem(build_graph(g.n, edges), label[p.seeds - 1], p.alpha, p.lam)
+    cfg = SolverConfig(max_iters=300)
+    x, xq = run(p, cfg).x, run(q, cfg).x
+    assert np.max(np.abs(xq[label - 1] - x)) <= 1e-9
+
+
+@PROPERTY
+@given(problems())
+def test_band_layout_matches_gather(p):
+    gk, bk = _Kernel(p), _BandKernel(p)
+    n = p.graph.n
+    a = (np.ones(n), np.ones(n), np.zeros(gk.cap.size))
+    b = (np.ones(n), np.ones(n), np.zeros(bk.cap.size))
+    for _ in range(100):
+        a, b = gk.step(*a), bk.step(*b)
+    assert a[0].tobytes() == b[0].tobytes()
+    assert a[2].tobytes() == bk.edge_flow(b[2]).tobytes()

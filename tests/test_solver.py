@@ -16,8 +16,9 @@ from nlasso import (
     sample_seeds,
     sbm_graph,
 )
-from nlasso.generators import GreyImage, grid_from_image
-from nlasso.solver import _Kernel
+from nlasso import solver
+from nlasso.generators import GreyImage, chain_graph, grid_from_image
+from nlasso.solver import _BandKernel, _Kernel, _uses_bands
 from oracle import exact_tree_optimum, pair_prox_gradient, random_connected_graph
 
 
@@ -189,9 +190,13 @@ def saturated_grid_problem():
     return NLassoProblem(g, np.flatnonzero(inside.ravel())[::7] + 1, 0.01, 1e-3)
 
 
+def frozen_problems():
+    return [NLassoProblem(build_graph(inst["n"], inst["edges"]), [inst["seed"]],
+                          inst["alpha"], inst["lam"]) for inst in FROZEN]
+
+
 def test_projection_matches_clip_along_runs():
-    problems = [NLassoProblem(build_graph(inst["n"], inst["edges"]), [inst["seed"]],
-                              inst["alpha"], inst["lam"]) for inst in FROZEN]
+    problems = frozen_problems()
     g, blocks = sbm_graph(SbmSpec((200, 200), 0.1, 0.01, rng_seed=0))
     problems.append(NLassoProblem(g, sample_seeds(blocks[0], 20, rng_seed=0), 1 / 40, 1 / 200))
     problems.append(saturated_grid_problem())
@@ -227,3 +232,93 @@ def test_projection_matches_clip_at_the_bound():
     assert ours[2].tolist() == [cap[0], -cap[1], 0.0, 0.0, cap[4], -cap[5], cap[6],
                                 -cap[7], 0.0, 0.0, 0.0]
     assert np.signbit(ours[2][[2, 8]]).all()  # -0.0 inside the bounds stays -0.0
+
+
+def run_in_layout(monkeypatch, band, p, cfg):
+    """`run` with its layout choice forced to bands (True) or gathers (False)."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_uses_bands", lambda g: band)
+        return run(p, cfg)
+
+
+def assert_layouts_agree(monkeypatch, p, cfg):
+    """Both layouts give the same x, y, history and iteration count, bit for bit."""
+    a = run_in_layout(monkeypatch, False, p, cfg)
+    b = run_in_layout(monkeypatch, True, p, cfg)
+    assert same_bits((a.x, a.y), (b.x, b.y))
+    assert a.iters_run == b.iters_run
+    assert [tuple(map(float.hex, map(float, h))) for h in a.history] \
+        == [tuple(map(float.hex, map(float, h))) for h in b.history]
+    return b
+
+
+def band_state(k, x, x_prev, y):
+    """A step state in edge order, moved into the band kernel's layout."""
+    yb = np.zeros(k.cap.size)
+    yb[k._slots()] = y
+    return x, x_prev, yb
+
+
+def test_band_layout_matches_gather_stepwise():
+    # the saturated grid has hundreds of flows at capacity and, at each row
+    # end, an empty slot of capacity 0
+    for p in frozen_problems() + [saturated_grid_problem()]:
+        gk, bk = _Kernel(p), _BandKernel(p)
+        state = (np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges))
+        ours = band_state(bk, *state)
+        for _ in range(300):
+            state, ours = gk.step(*state), bk.step(*ours)
+            assert same_bits(state, (ours[0], ours[1], bk.edge_flow(ours[2])))
+
+
+def test_band_layout_matches_gather_at_the_bound():
+    # the perfect matching of test_projection_matches_clip_at_the_bound: one
+    # band with every other slot empty, zero capacities, +-inf flows, -0.0
+    w = np.array([1.0, 0.5, 2.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1e-300, 5e-324, 5e-324])
+    m = w.size
+    g = build_graph(2 * m, np.column_stack((np.arange(1, 2 * m, 2),
+                                            np.arange(2, 2 * m + 1, 2), w)))
+    p = NLassoProblem(g, [1], 0.1, 0.25)
+    gk, bk = _Kernel(p), _BandKernel(p)
+    cap = gk.cap
+    y = np.array([cap[0], -cap[1], -0.0, 0.0, 1e300, -1e300, np.inf, -np.inf,
+                  -0.0, -0.0, 1e-300])
+    state = (np.tile([-0.0, 0.0], m), np.zeros(2 * m), y)
+    ours = band_state(bk, *state)
+    for _ in range(5):
+        state, ours = gk.step(*state), bk.step(*ours)
+        assert same_bits(state, (ours[0], ours[1], bk.edge_flow(ours[2])))
+    assert bk.cap.size == 2 * m - 1
+
+
+def test_band_layout_matches_gather_through_run(monkeypatch):
+    for p in frozen_problems():
+        assert_layouts_agree(monkeypatch, p, SolverConfig(max_iters=400, record_interval=50,
+                                                          gap_check_interval=100,
+                                                          gap_tolerance=1e-6))
+    # grids and a chain on which run takes the band layout by itself
+    above = [saturated_grid_problem(),
+             NLassoProblem(chain_graph(1000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2),
+             NLassoProblem(grid_from_image(GreyImage(40, 40, np.arange(1600) % 7 * 10)),
+                           [1, 2, 41], 0.05, 0.5)]
+    cfg = SolverConfig(max_iters=3000, record_interval=100, gap_check_interval=100,
+                       gap_tolerance=1e-3)
+    stops = []
+    for p in above:
+        assert _uses_bands(p.graph)
+        res = assert_layouts_agree(monkeypatch, p, cfg)
+        assert res.history
+        stops.append(res.iters_run)
+    # the gap stop ends some runs early
+    assert min(stops) < 3000
+
+
+def test_layout_selection():
+    image = GreyImage(64, 64, (np.arange(64 * 64) * 37) % 256)
+    assert _uses_bands(grid_from_image(image))
+    assert _uses_bands(chain_graph(2000))
+    # the 4000-node block model of the sbm-large benchmark workload
+    g, _ = sbm_graph(SbmSpec((2000, 2000), 20 / 2000, 1 / 2000, rng_seed=1))
+    assert not _uses_bands(g)
+    assert not any(_uses_bands(p.graph) for p in frozen_problems())
+    assert not _uses_bands(chain_graph(100))
