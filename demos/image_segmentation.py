@@ -25,7 +25,7 @@ disc = (rows - 7.5) ** 2 + (cols - 7.5) ** 2 <= 4.5 ** 2
 pixels = np.where(disc, 210, 60).astype(np.uint8)
 image = GreyImage(w, h, pixels.ravel())
 
-graph = grid_from_image(image, sigma=20.0)
+graph = grid_from_image(image)
 print(f"grid graph: {graph.n} pixels, {graph.num_edges} edges")
 print(f"intra-region weight 1.0, cross-boundary weight "
       f"{np.exp(-(210 - 60) ** 2 / 400):.2e}")

@@ -33,6 +33,8 @@ _BASIS_BYTES = 64 * 2**20
 # vectors, so the dense tridiagonal eigensolves cost no more than the
 # reorthogonalization
 _CHECK_EVERY = 8
+# Laplacian applications after which fiedler_vector raises NoConvergence
+_MAX_APPLIES = 500_000
 _EPS = np.finfo(np.float64).eps
 
 
@@ -80,8 +82,7 @@ def _start_vector(n: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 - 0.5
 
 
-def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10,
-                   max_iters: int = 500_000) -> np.ndarray:
+def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10) -> np.ndarray:
     """Eigenvector of the Laplacian for the smallest non-zero eigenvalue.
 
     Runs Lanczos with full reorthogonalization on the Laplacian, restricted
@@ -94,8 +95,8 @@ def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10,
     infinity norm and a non-negative entry at node 1.  Deterministic: the
     starting vector is a fixed hash ramp with the nullspace projected out.
 
-    max_iters bounds the number of Laplacian applications, Lanczos steps
-    and residual checks together.
+    It makes at most _MAX_APPLIES (500 000) Laplacian applications,
+    counting Lanczos steps and residual checks together.
 
     Raises
     ------
@@ -103,7 +104,7 @@ def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10,
         If the graph has more than one component (the target eigenvalue
         would be ambiguous), or fewer than 2 nodes.
     NoConvergence
-        If max_iters operator applications do not reach the tolerance.
+        If _MAX_APPLIES operator applications do not reach the tolerance.
     """
     if g.n < 2:
         raise Disconnected("need at least 2 nodes for a Fiedler vector")
@@ -116,8 +117,8 @@ def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10,
 
     def apply(x):
         nonlocal applies
-        if applies >= max_iters:
-            raise NoConvergence(f"no eigenpair to tolerance {tol} in {max_iters} "
+        if applies >= _MAX_APPLIES:
+            raise NoConvergence(f"no eigenpair to tolerance {tol} in {_MAX_APPLIES} "
                                 "Laplacian applications")
         applies += 1
         return op.apply(x)

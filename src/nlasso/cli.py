@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="total-variation penalty (> 0)")
             p.add_argument("--iters", type=int, default=None,
                            help="iteration count (default 1000)")
-            p.add_argument("--threshold", type=float, default=0.5,
+            p.add_argument("--threshold", type=float, default=None,
                            help="cluster extraction threshold (default 0.5)")
         p.add_argument("--workers", type=int, default=0,
                        help="worker count hint; results do not depend on it")
@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--seeds", type=str, required=True,
                        help="seed file: one pixel node id per line")
     add_common(p_seg)
-    p_seg.set_defaults(func=_cmd_segment, alpha=1.0 / 200.0, lam=0.2, iters=1000)
+    p_seg.set_defaults(func=_cmd_segment, alpha=1.0 / 200.0, lam=0.2, iters=1000,
+                       threshold=0.5)
 
     return parser
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountTooLarge, InvalidOverride, PgmError
-from .graph import Graph, _whole, build_graph
+from .graph import Graph, _node_count, _whole, build_graph
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -92,11 +92,15 @@ def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
     """Path graph on nodes 1..n with edge k joining nodes (k, k+1).
 
     `overrides` lists (edge index, weight) pairs with 1-based indices in
-    1..n-1 replacing the default weight.
+    1..n-1 replacing the default weight; other indices raise InvalidOverride.
     """
-    w = np.full(n - 1, float(default_w)) if n > 1 else np.empty(0)
+    n = _node_count(n)
+    w = np.full(n - 1, float(default_w))
     for idx, weight in overrides:
-        idx = int(idx)
+        try:
+            idx = _whole(idx, "edge index")
+        except ValueError:
+            raise InvalidOverride(f"edge index {idx!r} is not a whole number") from None
         if not 1 <= idx <= n - 1:
             raise InvalidOverride(f"edge index {idx} outside 1..{n - 1}")
         w[idx - 1] = float(weight)
@@ -194,36 +198,22 @@ class GreyImage:
         return row * self.width + col + 1
 
 
-def grid_from_image(img: GreyImage, sigma: float = 20.0) -> Graph:
-    """4-connected pixel grid with similarity weights exp(-(gi-gj)^2 / sigma^2).
+def grid_from_image(img: GreyImage) -> Graph:
+    """4-connected pixel grid with similarity weights exp(-(gi-gj)^2 / 20^2).
 
     Pixel (row, col) becomes node row*width + col + 1, so ids grow along
-    rows first.  Only horizontal and vertical neighbours are joined.
+    rows first.  Only horizontal and vertical neighbours are joined.  Grey
+    values are 0..255, so every weight is at least exp(-255^2 / 400),
+    about 2.5e-71, and none underflows to 0.
     """
     w, h = img.width, img.height
     if w * h < 2:
         raise ValueError("image must have at least 2 pixels")
-    sigma = float(sigma)
-    try:
-        inv = 1.0 / sigma ** 2
-    except (ZeroDivisionError, OverflowError):
-        inv = 0.0
-    if not (sigma > 0.0 and 0.0 < inv < math.inf):
-        raise ValueError(f"sigma must be positive with 1/sigma^2 finite and non-zero, "
-                         f"got {sigma!r}")
     grey = img.pixels.astype(np.float64)
     ids = np.arange(w * h, dtype=np.int64).reshape(h, w) + 1
     d2 = np.concatenate((((grey[:, :-1] - grey[:, 1:]) ** 2).ravel(),
                          ((grey[:-1, :] - grey[1:, :]) ** 2).ravel()))
-    weights = np.exp(-d2 * inv)
-    if not weights.all():
-        # exp(-t) underflows to 0 for t above ~745.13 and is at least the
-        # smallest subnormal for t <= -log(5e-324) ~ 744.44
-        d = int(math.sqrt(d2.max()))
-        least = d / math.sqrt(-math.log(5e-324))
-        raise ValueError(f"sigma {sigma!r} is too small for this image: its largest grey "
-                         f"difference between neighbours is {d}, and sigma >= {least:.6g} "
-                         f"keeps every weight exp(-d^2 / sigma^2) positive")
+    weights = np.exp(-d2 * (1.0 / 20.0 ** 2))
     edges = np.column_stack((
         np.concatenate((ids[:, :-1].ravel(), ids[:-1, :].ravel())),
         np.concatenate((ids[:, 1:].ravel(), ids[1:, :].ravel())),

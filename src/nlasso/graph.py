@@ -13,6 +13,7 @@ id anywhere in the package passes one check: finite, integral, in 1..n.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 
 import numpy as np
@@ -30,8 +31,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _whole(value, what: str) -> int:
-    """Return `value` as an int; raise ValueError unless it is a whole number."""
-    if not float(value).is_integer():
+    """Return `value` as an int; raise ValueError unless it is a whole real, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and float(value).is_integer()):
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return int(value)
 
@@ -270,13 +272,13 @@ def _text_lines(path):
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
-def read_edge_list(path, n: int | None = None) -> Graph:
+def read_edge_list(path) -> Graph:
     """Read an edge-list text file: one `i j w` triple per line.
 
     Fields are whitespace separated, ids are 1-based, lines starting with
     `#` and blank lines are skipped; a `#` after a triple is an error.
-    When `n` is omitted the node count is the largest id seen, which may
-    not exceed the file's size in bytes (see _inferred_n).
+    The node count is the largest id seen, which may not exceed the file's
+    size in bytes (see _inferred_n).
 
     A file without any `#` is parsed in C by one np.loadtxt call, with
     int64 ids and float64 weights.  Every other file, and every file that
@@ -298,13 +300,12 @@ def read_edge_list(path, n: int | None = None) -> Graph:
         except (ValueError, Warning):
             pass
         else:
-            if n is None:
-                n = _inferred_n(max(rows["i"].max(), rows["j"].max()), size)
+            n = _inferred_n(max(rows["i"].max(), rows["j"].max()), size)
             return build_graph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
-    return _read_edge_lines(path, n, size)
+    return _read_edge_lines(path, size)
 
 
-def _read_edge_lines(path, n: int | None, size: int) -> Graph:
+def _read_edge_lines(path, size: int) -> Graph:
     """read_edge_list's line parser: one int(), int(), float() per line."""
     triples = []
     for lineno, line in _text_lines(path):
@@ -316,13 +317,12 @@ def _read_edge_lines(path, n: int | None, size: int) -> Graph:
         except ValueError as exc:
             raise InvalidEdge(f"{path}:{lineno}: {exc}") from exc
         triples.append((i, j, w))
-    if n is None:
-        n = _inferred_n(max((max(i, j) for i, j, _ in triples), default=0), size)
+    n = _inferred_n(max((max(i, j) for i, j, _ in triples), default=0), size)
     return build_graph(n, triples)
 
 
 def _inferred_n(largest, size: int):
-    """The node count of an edge-list file of `size` bytes read without n.
+    """The node count of an edge-list file of `size` bytes.
 
     It is the largest id.  An id above `size` is rejected here, before
     anything of length n is allocated, so the node arrays stay within a
@@ -345,17 +345,14 @@ def write_edge_list(path, g: Graph) -> None:
             fh.write(f"{i} {j} {float(w)!r}\n")
 
 
-def read_node_set(path, n: int | None = None) -> np.ndarray:
-    """Read a node-set file: one 1-based node id per line, `#` comments."""
+def read_node_set(path, n: int) -> np.ndarray:
+    """Read a node-set file of ids in 1..n: one id per line, `#` comments."""
     ids = []
     for lineno, line in _text_lines(path):
         try:
             ids.append(int(line))
         except ValueError as exc:
             raise InvalidNode(f"{path}:{lineno}: {exc}") from exc
-    if n is None:
-        # bound the ids by their largest, as a valid node count
-        n = min(max([*ids, 1]), _INT64_MAX)
     return as_node_ids(ids, n)
 
 

@@ -61,27 +61,27 @@ from .objectives import NLassoProblem
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget and optional gap-based stopping.
+    """Iteration budget, check schedule and optional gap-based stopping.
 
-    max_iters is the fixed iteration count; the gap check is off by default
-    (gap_check_interval 0 or gap_tolerance 0 disables it).  record_interval
-    controls how often a history row is taken; 0 records nothing.  The
-    iteration count and both intervals are whole numbers, stored as int;
-    gap_tolerance is finite and non-negative.
+    max_iters is the fixed iteration count.  Every check_interval
+    iterations `run` records a history row, and it stops there once the
+    row's duality gap is at most gap_tolerance; check_interval 0 checks
+    nothing and gap_tolerance 0 never stops early.  The iteration count and
+    the interval are whole numbers, stored as int; gap_tolerance is finite
+    and non-negative.
     """
 
     max_iters: int = 1000
-    gap_check_interval: int = 0
+    check_interval: int = 0
     gap_tolerance: float = 0.0
-    record_interval: int = 0
 
     def __post_init__(self):
-        for name in ("max_iters", "gap_check_interval", "record_interval"):
+        for name in ("max_iters", "check_interval"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.gap_check_interval < 0 or self.record_interval < 0:
-            raise ValueError("intervals must be non-negative")
+        if self.check_interval < 0:
+            raise ValueError("check_interval must be non-negative")
         if not 0.0 <= self.gap_tolerance < np.inf:
             raise ValueError(f"gap_tolerance must be finite and non-negative, "
                              f"got {self.gap_tolerance!r}")
@@ -230,28 +230,24 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     some node has degree 0, since the primal step size 1/d_i is undefined
     there.
 
-    Stops at max_iters, or earlier when the duality gap drops below
-    gap_tolerance at a check interval (both must be positive to enable the
-    check).  Identical inputs produce bitwise identical results.
+    Every cfg.check_interval iterations it appends a HistoryRecord of the
+    primal value, duality gap and largest KKT residual, and stops there
+    when cfg.gap_tolerance is positive and that gap is at most
+    cfg.gap_tolerance; otherwise it stops at max_iters.  Identical inputs
+    produce bitwise identical results.
     """
     kernel = (_BandKernel if _uses_bands(p.graph) else _Kernel)(p)
     x, x_prev, y = np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(kernel.cap.size)
     history: list[HistoryRecord] = []
-    check_gap = cfg.gap_check_interval > 0 and cfg.gap_tolerance > 0
-    record = cfg.record_interval > 0
     iters_run = 0
     for r in range(1, cfg.max_iters + 1):
         x, x_prev, y = kernel.step(x, x_prev, y)
         iters_run = r
-        want_record = record and r % cfg.record_interval == 0
-        want_check = check_gap and r % cfg.gap_check_interval == 0
-        if want_record or want_check:
+        if cfg.check_interval and r % cfg.check_interval == 0:
             y_edges = kernel.edge_flow(y)
             gap = obj.duality_gap(p, x, y_edges)
-            if want_record:
-                primal = obj.primal_objective(p, x)
-                report = cert.kkt_residuals(p, x, y_edges)
-                history.append(HistoryRecord(r, primal, gap, report.max_residual))
-            if want_check and gap <= cfg.gap_tolerance:
+            history.append(HistoryRecord(r, obj.primal_objective(p, x), gap,
+                                         cert.kkt_residuals(p, x, y_edges).max_residual))
+            if cfg.gap_tolerance > 0 and gap <= cfg.gap_tolerance:
                 break
     return SolverResult(x=x, y=kernel.edge_flow(y), iters_run=iters_run, history=history)

@@ -183,9 +183,10 @@ def test_fiedler_rejects_disconnected():
         fiedler_vector(build_graph(1, []), UNNORMALIZED)
 
 
-def test_fiedler_no_convergence():
-    with pytest.raises(NoConvergence):
-        fiedler_vector(path(40), UNNORMALIZED, tol=1e-14, max_iters=3)
+def test_fiedler_no_convergence(monkeypatch):
+    monkeypatch.setattr(baselines, "_MAX_APPLIES", 3)
+    with pytest.raises(NoConvergence, match="in 3 Laplacian applications"):
+        fiedler_vector(path(40), UNNORMALIZED, tol=1e-14)
 
 
 def test_indicator_error_values():

@@ -41,13 +41,16 @@ def test_solve_with_manifest_and_override(tmp_path, tiny_instance):
     manifest = tmp_path / "run.manifest"
     manifest.write_text(
         f"# benchmark run\ngraph = {graph}\nseeds = {seeds}\n"
-        f"alpha = 0.1\nlambda = 0.5\niters = 50\nout = {tmp_path / 'a'}\n")
+        f"alpha = 0.1\nlambda = 0.5\niters = 50\nthreshold = 0.0001\n"
+        f"out = {tmp_path / 'a'}\n")
     assert main(["solve", "--manifest", str(manifest)]) == 0
     assert (tmp_path / "a" / "signal.csv").exists()
-    # flag overrides the manifest value
+    assert "threshold = 0.0001\n" in read(tmp_path / "a" / "certificates.txt")
+    # flags override the manifest values
     assert main(["solve", "--manifest", str(manifest),
-                 "--out", str(tmp_path / "b")]) == 0
+                 "--out", str(tmp_path / "b"), "--threshold", "0.25"]) == 0
     assert (tmp_path / "b" / "signal.csv").exists()
+    assert "threshold = 0.25\n" in read(tmp_path / "b" / "certificates.txt")
 
 
 def test_solve_missing_file_exits_2(tmp_path, tiny_instance):

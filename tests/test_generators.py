@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlasso import generators as gen
-from nlasso import CountTooLarge, InvalidOverride, PgmError, build_graph
+from nlasso import CountTooLarge, InvalidNode, InvalidOverride, PgmError, build_graph
 from nlasso.generators import (
     GreyImage,
     SbmSpec,
@@ -35,6 +35,14 @@ def test_chain_override_out_of_range():
         chain_graph(5, 1.0, [(5, 2.0)])
     with pytest.raises(InvalidOverride):
         chain_graph(5, 1.0, [(0, 2.0)])
+    for idx in (2.5, "2", True, float("nan"), float("inf")):
+        with pytest.raises(InvalidOverride, match="is not a whole number"):
+            chain_graph(5, 1.0, [(idx, 3.0)])
+    for n in (2.5, "5", 0):
+        with pytest.raises(InvalidNode):
+            chain_graph(n)
+    assert chain_graph(5, 1.0, [(np.int64(2), 3.0), (4.0, 0.5)]).weights.tolist() == [
+        1.0, 3.0, 1.0, 0.5]
 
 
 def test_sbm_spec_validation():
@@ -222,8 +230,11 @@ def test_grid_uniform_weights():
 
 def test_grid_similarity_decay():
     img = GreyImage(2, 1, [100, 120])
-    g = grid_from_image(img, sigma=20.0)
+    g = grid_from_image(img)
     assert g.weights[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+    # the largest grey difference gives the smallest weight, far from underflow
+    least = grid_from_image(GreyImage(2, 1, [0, 255])).weights[0]
+    assert least == np.exp(-255.0 ** 2 * (1.0 / 20.0 ** 2)) and least > 1e-71
 
 
 def test_grid_three_by_three():
@@ -275,12 +286,6 @@ def test_grey_image_validation():
     assert GreyImage(2, 1, [0.0, 255.0]).pixels.tolist() == [[0, 255]]
 
 
-@pytest.mark.parametrize("sigma", [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, 1e-200, 1e200])
-def test_grid_rejects_bad_sigma(sigma):
-    with pytest.raises(ValueError, match="sigma must be positive"):
-        grid_from_image(GreyImage(2, 1, [0, 10]), sigma=sigma)
-
-
 def test_pgm_binary_round_trip(tmp_path):
     px = np.arange(24, dtype=np.uint8).reshape(4, 6) * 10
     img = GreyImage(6, 4, px.ravel())
@@ -319,15 +324,3 @@ def test_pgm_binary_truncated(tmp_path):
     with pytest.raises(PgmError):
         read_pgm(path)
 
-
-def test_grid_rejects_sigma_that_underflows_a_weight():
-    img = GreyImage(2, 1, [0, 255])
-    with pytest.raises(ValueError, match=r"sigma 5\.0 is too small for this image: its largest "
-                                         r"grey difference between neighbours is 255, and "
-                                         r"sigma >= 9\.34599 keeps every weight"):
-        grid_from_image(img, sigma=5.0)
-    # the named sigma keeps the weight positive; just below the exact limit
-    # 255 / sqrt(1075 ln 2) ~ 9.3416 the weight underflows
-    assert grid_from_image(img, sigma=9.34599).weights[0] > 0.0
-    with pytest.raises(ValueError, match="too small for this image"):
-        grid_from_image(img, sigma=9.34)

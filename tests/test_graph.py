@@ -61,14 +61,15 @@ OUT_OF_RANGE = [(3, (0, 2)), (3, (1, 4)), (3, (-1, 2)), (3, (1.5, 2)),
                 (3, (float("inf"), 2)), (3, (float("nan"), 2)),
                 # node counts that are not whole numbers in 1..2**63-1
                 (2.5, (1, 2)), (float("nan"), (1, 2)), (float("inf"), (1, float("inf"))),
-                (2.0 ** 63, (1, 2.0 ** 63)),
+                (2.0 ** 63, (1, 2.0 ** 63)), ("3", (1, 2)), (True, (1, 2)),
                 # a float id that int64 cannot hold, below a valid node count
                 (2 ** 63 - 1, (1, 2.0 ** 63))]
 
 
 @pytest.mark.parametrize("n, edge", OUT_OF_RANGE,
                          ids=[f"edge{k}" for k in range(6)]
-                         + ["n-2.5", "n-nan", "n-inf", "n-2^63", "id-2^63"])
+                         + ["n-2.5", "n-nan", "n-inf", "n-2^63", "n-str", "n-bool",
+                            "id-2^63"])
 def test_build_rejects_out_of_range_ids(n, edge):
     i, j = edge
     with pytest.raises(InvalidNode):
@@ -253,17 +254,17 @@ def test_edge_list_bad_line(tmp_path):
 def test_node_set_round_trip(tmp_path):
     path = tmp_path / "s.txt"
     write_node_set(path, [4, 1, 3])
-    assert read_node_set(path).tolist() == [1, 3, 4]
-    assert read_node_set(path, n=10).tolist() == [1, 3, 4]
+    assert read_node_set(path, 4).tolist() == [1, 3, 4]
+    assert read_node_set(path, 10).tolist() == [1, 3, 4]
     with pytest.raises(InvalidNode):
-        read_node_set(path, n=2)
+        read_node_set(path, 2)
     path.write_text("# header\n1\n\n2.5\n")
     with pytest.raises(InvalidNode, match=re.escape(f"{path}:4: ")):
-        read_node_set(path)
+        read_node_set(path, 10)
     write_node_set(path, np.array([7.0, 2.0]))
     assert path.read_text() == "2\n7\n"
     write_node_set(path, [])
-    assert path.read_text() == "" and read_node_set(path).size == 0
+    assert path.read_text() == "" and read_node_set(path, 1).size == 0
 
 
 @pytest.mark.parametrize("ids", [[2.7, 2, 1], [0, 2], [-1], [3, 1, 3], [np.nan, 1],
@@ -336,5 +337,3 @@ def test_edge_list_with_and_without_header_agree(tmp_path, rng):
     write_edge_list(plain, g)
     commented.write_text("# i j w\n" + plain.read_text())
     assert read_edge_list(plain) == read_edge_list(commented) == g
-    wide = read_edge_list(plain, n=g.n + 2)
-    assert wide.n == g.n + 2 and wide == read_edge_list(commented, n=g.n + 2)

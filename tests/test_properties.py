@@ -6,10 +6,18 @@ deterministic and quick.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from nlasso import NLassoProblem, SolverConfig, build_graph, conjugate_g_feasible, run
+from nlasso import (
+    NLassoProblem,
+    SolverConfig,
+    boundary_conditions,
+    build_graph,
+    conjugate_g_feasible,
+    extract_cluster,
+    run,
+)
 from nlasso.solver import _BandKernel, _Kernel
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -36,7 +44,7 @@ def problems(draw, max_n=8):
 @PROPERTY
 @given(problems())
 def test_weak_duality_along_the_run(p):
-    res = run(p, SolverConfig(max_iters=200, record_interval=5))
+    res = run(p, SolverConfig(max_iters=200, check_interval=5))
     assert len(res.history) == 40
     assert all(h.gap >= -1e-12 for h in res.history)
 
@@ -71,3 +79,18 @@ def test_band_layout_matches_gather(p):
         a, b = gk.step(*a), bk.step(*b)
     assert a[0].tobytes() == b[0].tobytes()
     assert a[2].tobytes() == bk.edge_flow(b[2]).tobytes()
+
+
+# about two in three drawn problems deliver a cluster without the seed
+@settings(PROPERTY, suppress_health_check=[HealthCheck.filter_too_much])
+@given(problems())
+def test_delivered_clusters_satisfy_certificates(p):
+    # one seed, run to a duality gap of 1e-10; the absorbing condition is an
+    # equality at the optimum, so it holds to within rounding
+    p = NLassoProblem(p.graph, p.seeds[:1], p.alpha, p.lam)
+    res = run(p, SolverConfig(max_iters=20_000, check_interval=100, gap_tolerance=1e-10))
+    c = extract_cluster(res.x, 0.5, seeds=p.seeds)
+    assume(res.history[-1].gap <= 1e-10 and c.contains_seeds)
+    report = boundary_conditions(p, c, res.x)
+    assert report.holds_injecting
+    assert report.lhs <= report.rhs_absorbing * (1.0 + 1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import nlasso
@@ -30,6 +31,15 @@ PUBLIC = {
     "PgmError", "SeedsOutsideCluster",
 }
 
+# the settable parameters of the APIs whose options nothing but tests set
+SIGNATURES = {
+    nlasso.grid_from_image: "(img: 'GreyImage') -> 'Graph'",
+    nlasso.read_edge_list: "(path) -> 'Graph'",
+    nlasso.read_node_set: "(path, n: 'int') -> 'np.ndarray'",
+    nlasso.fiedler_vector: "(g: 'Graph', mode: 'str' = 'unnormalized', tol: 'float' = 1e-10)"
+                           " -> 'np.ndarray'",
+}
+
 # the star-augmented dual layout and the single-step solver API
 REMOVED = {
     objectives: ("star_augmented_flow", "dual_objective", "dual_feasibility",
@@ -51,3 +61,10 @@ def test_removed_names_stay_gone():
             assert not hasattr(owner, name), (owner, name)
             assert not hasattr(nlasso, name), name
     assert Graph.__hash__ is None
+
+
+def test_trimmed_signatures_are_pinned():
+    for func, signature in SIGNATURES.items():
+        assert str(inspect.signature(func)) == signature, func.__name__
+    names = [f.name for f in dataclasses.fields(nlasso.SolverConfig)]
+    assert names == ["max_iters", "check_interval", "gap_tolerance"]

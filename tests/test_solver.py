@@ -28,20 +28,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=10, gap_tolerance=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(max_iters=10, record_interval=-1)
+        SolverConfig(max_iters=10, check_interval=-1)
     for bad in ({"max_iters": 2.5}, {"max_iters": float("nan")},
-                {"max_iters": float("inf")}, {"gap_check_interval": 0.5},
-                {"record_interval": 2.5}, {"gap_tolerance": float("nan")},
-                {"gap_tolerance": float("inf")}):
+                {"max_iters": float("inf")}, {"max_iters": True}, {"max_iters": "5"},
+                {"check_interval": 0.5}, {"check_interval": True},
+                {"gap_tolerance": float("nan")}, {"gap_tolerance": float("inf")}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     cfg = SolverConfig()
-    assert cfg.max_iters == 1000
-    cfg = SolverConfig(max_iters=20.0, gap_check_interval=np.int64(5),
-                       record_interval=10.0, gap_tolerance=1e-3)
-    assert (cfg.max_iters, cfg.gap_check_interval, cfg.record_interval) == (20, 5, 10)
-    assert all(type(v) is int for v in (cfg.max_iters, cfg.gap_check_interval,
-                                        cfg.record_interval))
+    assert (cfg.max_iters, cfg.check_interval, cfg.gap_tolerance) == (1000, 0, 0.0)
+    cfg = SolverConfig(max_iters=20.0, check_interval=np.int64(5), gap_tolerance=1e-3)
+    assert (cfg.max_iters, cfg.check_interval) == (20, 5)
+    assert all(type(v) is int for v in (cfg.max_iters, cfg.check_interval))
 
 
 def test_init_state_all_ones(chain_problem):
@@ -108,7 +106,7 @@ def test_run_matches_pair_oracle():
 
 
 def test_run_deterministic(chain_problem):
-    cfg = SolverConfig(max_iters=300, record_interval=50)
+    cfg = SolverConfig(max_iters=300, check_interval=50)
     a = run(chain_problem, cfg)
     b = run(chain_problem, cfg)
     assert a.x.tobytes() == b.x.tobytes()
@@ -117,7 +115,7 @@ def test_run_deterministic(chain_problem):
 
 
 def test_run_history_recording(chain_problem):
-    res = run(chain_problem, SolverConfig(max_iters=250, record_interval=100))
+    res = run(chain_problem, SolverConfig(max_iters=250, check_interval=100))
     assert [h.r for h in res.history] == [100, 200]
     assert all(np.isfinite([h.primal, h.gap, h.max_kkt]).all() for h in res.history)
     rs = [h.r for h in res.history]
@@ -126,11 +124,14 @@ def test_run_history_recording(chain_problem):
 
 def test_run_gap_stop(house_graph):
     p = NLassoProblem(house_graph, [1], 0.5, 0.1)
-    cfg = SolverConfig(max_iters=10 ** 5, gap_check_interval=100, gap_tolerance=1e-6)
+    cfg = SolverConfig(max_iters=10 ** 5, check_interval=100, gap_tolerance=1e-6)
     res = run(p, cfg)
     assert res.iters_run < 10 ** 5
     assert res.iters_run % 100 == 0
     assert duality_gap(p, res.x, res.y) <= 1e-6
+    # one row per check, and the run stops at the first row within tolerance
+    assert [h.r for h in res.history] == list(range(100, res.iters_run + 1, 100))
+    assert [h.gap <= 1e-6 for h in res.history] == [False] * (len(res.history) - 1) + [True]
 
 
 def test_run_capacity_invariant_along_path(chain_problem):
@@ -146,7 +147,7 @@ def test_convergence_on_random_graphs(rng):
         g = random_connected_graph(n, rng)
         seeds = [int(rng.integers(1, n + 1))]
         p = NLassoProblem(g, seeds, 0.05, 0.1)
-        res = run(p, SolverConfig(max_iters=10 ** 5, record_interval=100))
+        res = run(p, SolverConfig(max_iters=10 ** 5, check_interval=100))
         gaps = [h.gap for h in res.history if h.r >= 1000]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-4 * len(seeds)
@@ -293,16 +294,14 @@ def test_band_layout_matches_gather_at_the_bound():
 
 def test_band_layout_matches_gather_through_run(monkeypatch):
     for p in frozen_problems():
-        assert_layouts_agree(monkeypatch, p, SolverConfig(max_iters=400, record_interval=50,
-                                                          gap_check_interval=100,
+        assert_layouts_agree(monkeypatch, p, SolverConfig(max_iters=400, check_interval=50,
                                                           gap_tolerance=1e-6))
     # grids and a chain on which run takes the band layout by itself
     above = [saturated_grid_problem(),
              NLassoProblem(chain_graph(1000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2),
              NLassoProblem(grid_from_image(GreyImage(40, 40, np.arange(1600) % 7 * 10)),
                            [1, 2, 41], 0.05, 0.5)]
-    cfg = SolverConfig(max_iters=3000, record_interval=100, gap_check_interval=100,
-                       gap_tolerance=1e-3)
+    cfg = SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-3)
     stops = []
     for p in above:
         assert _uses_bands(p.graph)
