@@ -232,8 +232,15 @@ def test_grid_similarity_decay():
     img = GreyImage(2, 1, [100, 120])
     g = grid_from_image(img)
     assert g.weights[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+
+
+def test_grid_rejects_sigma_that_underflows_a_weight():
+    img = GreyImage(2, 1, [0, 255])
+    # sigma is fixed at 20: no sigma can be passed, so none can underflow a weight
+    with pytest.raises(TypeError):
+        grid_from_image(img, sigma=5.0)
     # the largest grey difference gives the smallest weight, far from underflow
-    least = grid_from_image(GreyImage(2, 1, [0, 255])).weights[0]
+    least = grid_from_image(img).weights[0]
     assert least == np.exp(-255.0 ** 2 * (1.0 / 20.0 ** 2)) and least > 1e-71
 
 
