@@ -6,12 +6,16 @@ respects the capacities lam W_e, and x is constant across every edge whose
 flow is strictly below capacity.  kkt_residuals measures how far a pair is
 from those conditions.
 
-For a cluster C containing the seeds, two necessary conditions relate the
-penalty to the boundary weight: the seeds can inject at most
-1 - (alpha/2) * sum_{i in C minus seeds} x_i per unit, and the outside
-absorbs alpha * sum_{i not in C} x_i.  Replacing the outside sum by an
-upper bound U on the number of reachable outside nodes (each below the 1/2
-threshold) gives the coarser reach bound lam * boundary_weight <= U alpha / 2.
+For a cluster C containing the seeds S, two necessary conditions relate
+the penalty to the boundary weight.  At the optimum every edge leaving C
+carries its full capacity outward, so lam * boundary_weight is the net
+outflow of C: the seeds inject sum_{s in S} (1 - x_s) <= |S| and the
+non-seed nodes of C absorb alpha * sum_{i in C minus S} x_i, which gives
+lam * boundary_weight <= |S| - (alpha/2) * sum_{i in C minus S} x_i; and
+the outside absorbs alpha * sum_{i not in C} x_i.  Replacing the outside
+sum by an upper bound U on the number of reachable outside nodes (each
+below the 1/2 threshold) gives the coarser reach bound
+lam * boundary_weight <= U alpha / 2.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ def boundary_conditions(p: NLassoProblem, c: ClusterResult, x) -> BoundaryCondit
     bw = _boundary_weight(g, cluster)
     lhs = p.lam * bw
     inner = in_c & ~p.seed_mask
-    rhs_injecting = 1.0 - 0.5 * p.alpha * float(np.sum(x[inner]))
+    rhs_injecting = p.seeds.size - 0.5 * p.alpha * float(np.sum(x[inner]))
     rhs_absorbing = p.alpha * float(np.sum(x[~in_c]))
     return BoundaryConditionReport(
         boundary_weight=bw,

@@ -13,7 +13,9 @@ segment            greyscale PGM segmentation; writes mask.pgm and
 
 Exit codes: 0 success, 2 for input or validation errors, 3 for runtime
 failures (for example an isolated node).  All outputs are deterministic
-functions of the inputs, byte for byte, independent of --workers.
+functions of the inputs, byte for byte, independent of --workers.  Each
+output file is written to a temp file in the output directory and moved
+into place when complete, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ SBM_ITERS = 1000
 
 
 def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with gc._atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountTooLarge, InvalidOverride, PgmError
-from .graph import Graph, _node_count, _whole, build_graph
+from .graph import Graph, _atomic_open, _node_count, _whole, build_graph
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -293,7 +293,8 @@ def read_pgm(path) -> GreyImage:
 
 
 def write_pgm(path, img: GreyImage) -> None:
-    """Write a binary (P5) PGM with maxval 255."""
-    with open(path, "wb") as fh:
+    """Write a binary (P5) PGM with maxval 255, through a temp file (see
+    graph._atomic_open)."""
+    with _atomic_open(path, "wb") as fh:
         fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
         fh.write(img.pixels.tobytes())

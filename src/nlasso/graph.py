@@ -13,7 +13,9 @@ id anywhere in the package passes one check: finite, integral, in 1..n.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
+import os
 import warnings
 
 import numpy as np
@@ -269,6 +271,27 @@ def _text_lines(path):
                 yield lineno, line
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode="w", **kwargs):
+    """Open `path` for writing through a new temp file in its directory.
+
+    The temp file replaces `path` (os.replace) only once the block has
+    finished, so a write that fails partway leaves neither file behind and
+    any earlier file at `path` as it was.  Takes open()'s "w" or "wb" mode.
+    """
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
@@ -357,7 +380,7 @@ def read_node_set(path, n: int) -> np.ndarray:
 
 
 def write_node_set(path, ids) -> None:
-    """Write node ids one per line, ascending.
+    """Write node ids one per line, ascending, through a temp file (see _atomic_open).
 
     The ids are checked by as_node_ids, bounded by their largest, so this
     writes only what read_node_set reads back: distinct integers >= 1.
@@ -367,6 +390,6 @@ def write_node_set(path, ids) -> None:
     # then fail the check
     top = int(arr.max(initial=1, where=arr < 2.0 ** 63)) if arr.dtype.kind in "iuf" else 1
     ids = as_node_ids(arr, top)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i in ids:
             fh.write(f"{i}\n")

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from nlasso import cli
 from nlasso.cli import main
 from nlasso.generators import GreyImage, read_pgm, write_pgm
 
@@ -94,6 +95,28 @@ def test_solve_non_finite_input_exits_2(tmp_path, capsys, flags, edges):
     err = capsys.readouterr().err
     assert err.startswith("nlasso: ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, tiny_instance, monkeypatch):
+    graph, seeds = tiny_instance
+    argv = ["solve", "--graph", str(graph), "--seeds", str(seeds),
+            "--alpha", "0.1", "--lambda", "0.5", "--iters", "10"]
+    kept = tmp_path / "kept"
+    assert main(argv + ["--out", str(kept)]) == 0
+    before = {f.name: f.read_bytes() for f in kept.iterdir()}
+
+    def failing_lines(x, limit=None):
+        yield "i,x"
+        yield "1,0.5"
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_signal_csv_lines", failing_lines)
+    fresh = tmp_path / "fresh"
+    assert main(argv + ["--out", str(fresh)]) == 3
+    assert list(fresh.iterdir()) == []
+    # an earlier run's files stay whole
+    assert main(argv + ["--out", str(kept)]) == 3
+    assert {f.name: f.read_bytes() for f in kept.iterdir()} == before
 
 
 def test_solve_unknown_manifest_key_exits_2(tmp_path):

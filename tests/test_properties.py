@@ -6,7 +6,7 @@ deterministic and quick.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from nlasso import (
@@ -19,6 +19,7 @@ from nlasso import (
     run,
 )
 from nlasso.solver import _BandKernel, _Kernel
+from test_solver import assert_same_result, stepwise_run
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -81,13 +82,26 @@ def test_band_layout_matches_gather(p):
     assert a[2].tobytes() == bk.edge_flow(b[2]).tobytes()
 
 
-# about two in three drawn problems deliver a cluster without the seed
+@PROPERTY
+@given(problems(), st.integers(1, 1500), st.integers(0, 120),
+       st.sampled_from([0.0, 1e-6, 1e-10]))
+def test_fixed_point_stop_matches_stepwise_run(p, iters, interval, tol):
+    cfg = SolverConfig(max_iters=iters, check_interval=interval, gap_tolerance=tol)
+    assert_same_result(run(p, cfg), stepwise_run(p, cfg))
+
+
+# about two in five drawn problems deliver a cluster without every seed
 @settings(PROPERTY, suppress_health_check=[HealthCheck.filter_too_much])
 @given(problems())
+# five seeds and alpha 4.5 tie the whole graph at 5 / 9.5 > 1/2, so the
+# cluster has no boundary, but 1 - (alpha/2) * 5 / 9.5, one seed's bound, is
+# negative
+@example(NLassoProblem(build_graph(6, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+                                       (1, 6, 1.0), (3, 6, 1.0), (5, 6, 1.0)]),
+                       [1, 2, 3, 4, 5], 4.5, 10.0))
 def test_delivered_clusters_satisfy_certificates(p):
-    # one seed, run to a duality gap of 1e-10; the absorbing condition is an
-    # equality at the optimum, so it holds to within rounding
-    p = NLassoProblem(p.graph, p.seeds[:1], p.alpha, p.lam)
+    # all drawn seeds, run to a duality gap of 1e-10; the absorbing
+    # condition is an equality at the optimum, so it holds to within rounding
     res = run(p, SolverConfig(max_iters=20_000, check_interval=100, gap_tolerance=1e-10))
     c = extract_cluster(res.x, 0.5, seeds=p.seeds)
     assume(res.history[-1].gap <= 1e-10 and c.contains_seeds)

@@ -3,15 +3,18 @@ import pytest
 
 from frozen_oracle import INSTANCES as FROZEN
 from nlasso import (
+    HistoryRecord,
     IsolatedNode,
     NLassoProblem,
     SbmSpec,
     SolverConfig,
+    SolverResult,
     build_graph,
     conjugate_g_feasible,
     duality_gap,
     extract_cluster,
     kkt_residuals,
+    primal_objective,
     run,
     sample_seeds,
     sbm_graph,
@@ -242,14 +245,19 @@ def run_in_layout(monkeypatch, band, p, cfg):
         return run(p, cfg)
 
 
-def assert_layouts_agree(monkeypatch, p, cfg):
-    """Both layouts give the same x, y, history and iteration count, bit for bit."""
-    a = run_in_layout(monkeypatch, False, p, cfg)
-    b = run_in_layout(monkeypatch, True, p, cfg)
+def assert_same_result(a, b):
+    """Two SolverResults have the same x, y, history and iteration count, bit for bit."""
     assert same_bits((a.x, a.y), (b.x, b.y))
     assert a.iters_run == b.iters_run
     assert [tuple(map(float.hex, map(float, h))) for h in a.history] \
         == [tuple(map(float.hex, map(float, h))) for h in b.history]
+
+
+def assert_layouts_agree(monkeypatch, p, cfg):
+    """Both layouts give the same x, y, history and iteration count, bit for bit."""
+    a = run_in_layout(monkeypatch, False, p, cfg)
+    b = run_in_layout(monkeypatch, True, p, cfg)
+    assert_same_result(a, b)
     return b
 
 
@@ -321,3 +329,99 @@ def test_layout_selection():
     assert not _uses_bands(g)
     assert not any(_uses_bands(p.graph) for p in frozen_problems())
     assert not _uses_bands(chain_graph(100))
+
+
+def stepwise_run(p, cfg):
+    """`run` without its fixed-point stop: all max_iters steps of the kernel
+    that `run` picks, a history row at each multiple of check_interval, and
+    the gap stop."""
+    kernel = (_BandKernel if _uses_bands(p.graph) else _Kernel)(p)
+    x, x_prev, y = np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(kernel.cap.size)
+    history = []
+    for r in range(1, cfg.max_iters + 1):
+        x, x_prev, y = kernel.step(x, x_prev, y)
+        if cfg.check_interval and r % cfg.check_interval == 0:
+            y_edges = kernel.edge_flow(y)
+            gap = duality_gap(p, x, y_edges)
+            history.append(HistoryRecord(r, primal_objective(p, x), gap,
+                                         kkt_residuals(p, x, y_edges).max_residual))
+            if cfg.gap_tolerance > 0 and gap <= cfg.gap_tolerance:
+                break
+    return SolverResult(x=x, y=kernel.edge_flow(y), iters_run=r, history=history)
+
+
+def count_steps(monkeypatch, p, cfg):
+    """`run(p, cfg)` and the number of gather-kernel steps it took."""
+    calls = []
+    step = _Kernel.step
+    with monkeypatch.context() as m:
+        m.setattr(_Kernel, "step", lambda k, *state: calls.append(1) or step(k, *state))
+        return run(p, cfg), len(calls)
+
+
+def test_fixed_point_stop_matches_stepwise_run():
+    configs = [SolverConfig(max_iters=1000),
+               SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
+               SolverConfig(max_iters=3000, check_interval=100),
+               SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-10)]
+    for p in frozen_problems():
+        for cfg in configs:
+            assert_same_result(run(p, cfg), stepwise_run(p, cfg))
+
+
+def test_fixed_point_stop_fires_only_on_a_fixed_point(monkeypatch, chain_problem):
+    # the second frozen instance reaches a state that a step leaves bitwise
+    # unchanged by iteration 144; the chain does not in 1000
+    p = frozen_problems()[1]
+    cfg = SolverConfig(max_iters=1000, check_interval=100)
+    res, steps = count_steps(monkeypatch, p, cfg)
+    assert steps < 1000
+    assert res.iters_run == 1000 and [h.r for h in res.history] == list(range(100, 1001, 100))
+    assert_same_result(res, stepwise_run(p, cfg))
+    res, steps = count_steps(monkeypatch, chain_problem, SolverConfig(max_iters=1000))
+    assert steps == 1000 == res.iters_run
+
+
+class ClimbingKernel:
+    """A step map on which x alone is not enough to detect a fixed point:
+    x climbs by 1 to 16, and y counts the steps that start with x == x_prev."""
+
+    cap = np.zeros(1)
+
+    def __init__(self, p):
+        pass
+
+    def step(self, x, x_prev, y):
+        return np.minimum(x + 1.0, 16.0), x, y + float(np.array_equal(x, x_prev))
+
+    def edge_flow(self, y):
+        return y
+
+
+def test_fixed_point_needs_every_part_of_the_state(monkeypatch):
+    # step 16 maps (16, 15, 1) to (16, 16, 1): x and y repeat, but the
+    # state does not, and from step 17 on y grows by one per step
+    monkeypatch.setattr(solver, "_Kernel", ClimbingKernel)
+    res = run(frozen_problems()[1], SolverConfig(max_iters=100))
+    assert (res.x == 16.0).all() and res.y.tolist() == [85.0]
+    assert res.iters_run == 100
+
+
+def test_same_bits_tells_signed_zeros_apart():
+    same_bits_ = solver._same_bits
+    assert not same_bits_(np.array([0.0]), np.array([-0.0]))
+    nan = np.array([np.nan])
+    assert same_bits_(nan, nan.copy()) and not same_bits_(nan, -nan)
+
+
+# iterations until the gap is at most 1e-6, checked every 10, as printed by
+# tools/convergence_counts.py: the criterion-1 chain, then the 25 frozen
+# instances in order
+ITERS_TO_GAP_1E6 = [4510, 50, 50, 130, 70, 10, 20, 70, 50, 120, 60, 10, 50, 60, 130, 150,
+                    40, 30, 30, 10, 30, 190, 20, 10, 20, 10]
+
+
+def test_iterations_to_certified_gap_do_not_grow(chain_problem):
+    for p, bound in zip([chain_problem] + frozen_problems(), ITERS_TO_GAP_1E6):
+        res = run(p, SolverConfig(max_iters=bound, check_interval=10, gap_tolerance=1e-6))
+        assert res.history[-1].gap <= 1e-6, (bound, res.history[-1])
