@@ -362,8 +362,9 @@ def _inferred_n(largest, size: int):
 
 
 def write_edge_list(path, g: Graph) -> None:
-    """Write a graph in the `i j w` text format read by read_edge_list."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write a graph in the `i j w` text format read by read_edge_list,
+    through a temp file (see _atomic_open)."""
+    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, j, w in zip(g.src + 1, g.dst + 1, g.weights):
             fh.write(f"{i} {j} {float(w)!r}\n")
 

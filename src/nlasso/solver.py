@@ -43,23 +43,29 @@ band), the layouts break even at about 450 slots per band on chains and
 600 on grids: 8 x 8 grid 0.66x, 100-node chain 0.84x, 1000-node chain
 1.16x, 64 x 64 grid 1.85x, 256 x 256 grid 2.4x, 512 x 512 grid 1.7x.
 
-Fixed-point stop.  The step is a deterministic map of the state
-(x, xprev, y).  Every _FIXED_POINT_INTERVAL iterations `run` compares the
-bits of the last step's input and output: when the new x, the old x and
-the old xprev are the same bits and the new y is the old y, the state maps
-to itself, so every later iterate has the same bits too.  `run` then stops
-stepping and fills in what the remaining iterations would have produced
-(the same history rows and the same iters_run), so its result is exactly
-that of the full run.  Bits are compared through int64 views, so -0.0 and
-+0.0 differ and equal NaN payloads match.  Small problems often reach such
-a state at machine precision long before their budget.  Cycles of period
-two or more are not detected: recognising one needs a window of past
-states, and only 3 of the 25 frozen criterion-5 instances end in one
-(period 6), where 21 reach a fixed point.
+Repeat stop.  The step is a deterministic map of the state (x, xprev,
+y), so once a state recurs D steps after an earlier one, every later state
+recurs with period D.  Every _REPEAT_CHECK_INTERVAL iterations `run`
+compares the bits of the new state with two earlier states: the last one
+(D = 1, a fixed point) and one snapshot, re-taken at iterations
+_REPEAT_CHECK_INTERVAL * 2**k (Brent's cycle detection; Brent 1980, "An
+improved Monte Carlo factorization algorithm", BIT 20).  The snapshot is
+held by reference, since the step never writes its inputs.  On a match
+`run` steps only as far into the period as it still needs: the state that
+max_iters would end on, and the state of each remaining check, whose
+history row is that of the same offset within the period.  Its result is
+exactly that of the full run, and it holds at most two of these states
+besides the current one.  Bits are compared through int64 views, so
+-0.0 and +0.0 differ and equal NaN payloads match.  Small problems reach
+such a state at machine precision long before their budget: of the 25
+frozen criterion-5 instances, 21 reach a fixed point and 4 end in cycles
+of period 6 or 18.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -81,8 +87,8 @@ class SolverConfig:
     iterations `run` records a history row, and it stops there once the
     row's duality gap is at most gap_tolerance; check_interval 0 checks
     nothing and gap_tolerance 0 never stops early.  The iteration count and
-    the interval are whole numbers, stored as int; gap_tolerance is finite
-    and non-negative.
+    the interval are whole numbers, stored as int; gap_tolerance is a
+    finite, non-negative real number (not a bool), stored as float.
     """
 
     max_iters: int = 1000
@@ -96,9 +102,10 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.check_interval < 0:
             raise ValueError("check_interval must be non-negative")
-        if not 0.0 <= self.gap_tolerance < np.inf:
-            raise ValueError(f"gap_tolerance must be finite and non-negative, "
-                             f"got {self.gap_tolerance!r}")
+        tol = self.gap_tolerance
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
+            raise ValueError(f"gap_tolerance must be finite and non-negative, got {tol!r}")
+        object.__setattr__(self, "gap_tolerance", float(tol))
 
 
 class HistoryRecord(NamedTuple):
@@ -138,8 +145,8 @@ class _Kernel:
         self.scale = scale
 
     # step returns fresh x and y arrays and never writes to its inputs (the
-    # in-place clamps touch only the new y): `run` keeps the previous state
-    # to detect a fixed point
+    # in-place clamps touch only the new y): `run` keeps earlier states by
+    # reference to detect a repeat
     def step(self, x, x_prev, y):
         xt = 2.0 * x - x_prev
         y = y + 0.5 * (xt[self.src] - xt[self.dst])
@@ -157,10 +164,10 @@ class _Kernel:
         return y
 
 
-# Iterations between checks for an exact fixed point.  A check compares
-# a few arrays once, so a short interval costs little and stops soon after
-# the state freezes.
-_FIXED_POINT_INTERVAL = 16
+# Iterations between checks for a repeated state.  A check compares the
+# state with two earlier ones, stopping at the first array that differs, so
+# a short interval costs little and stops soon after the state repeats.
+_REPEAT_CHECK_INTERVAL = 16
 
 # Fewest slots per band for the band layout: below about this, a band's
 # numpy calls cost more than the gathers and bincounts they replace.
@@ -243,8 +250,68 @@ class _BandKernel(_Kernel):
         return y[self._slots()]
 
 
+# Most elements for which _same_bits compares byte copies: up to about
+# this size the copies cost less than an elementwise compare's fixed few
+# microseconds, which on a 2-6 node problem is a third of a step.
+_BYTES_COMPARE_MAX = 4096
+
+
 def _same_bits(a, b) -> bool:
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
+    """True when the float arrays a and b, of one shape, have the same bits."""
+    if a.size <= _BYTES_COMPARE_MAX:
+        return a.tobytes() == b.tobytes()
+    return bool((a.view(np.int64) == b.view(np.int64)).all())
+
+
+def _same_state(a, b) -> bool:
+    """True when the states a and b, each (x, x_prev, y), have the same bits."""
+    return all(_same_bits(u, v) for u, v in zip(a, b))
+
+
+def _check_row(p: NLassoProblem, kernel: _Kernel, state) -> tuple[float, float, float]:
+    """The primal value, duality gap and largest KKT residual of a state."""
+    x, _, y = state
+    y_edges = kernel.edge_flow(y)
+    return (obj.primal_objective(p, x), obj.duality_gap(p, x, y_edges),
+            cert.kkt_residuals(p, x, y_edges).max_residual)
+
+
+def _gap_stops(cfg: SolverConfig, row) -> bool:
+    return cfg.gap_tolerance > 0 and row[1] <= cfg.gap_tolerance
+
+
+def _periodic_tail(p, kernel, cfg, state, r, period, history):
+    """Finish a run whose state at iteration r recurs every `period` steps.
+
+    Appends the rows of the checks after r to history, each taken from the
+    state at its offset (c - r) % period, and returns the state and the
+    iteration the full run would end on: max_iters, or the first of these
+    checks whose gap stops the run.  Steps only as far as the last offset
+    it needs.
+    """
+    m, interval = cfg.max_iters, cfg.check_interval
+    checks = range(r + interval - r % interval, m + 1, interval) if interval else range(0)
+    # check offsets repeat every period / gcd(interval, period) checks, so
+    # these hold the first check at each offset
+    first = {(c - r) % period: c for c in checks[:period // math.gcd(interval, period)]}
+    end = (m - r) % period
+    rows = {}
+    final = stop = None
+    stop_at = m + 1
+    for offset in range(max([end, *first]) + 1):
+        if offset:
+            state = kernel.step(*state)
+        if offset == end:
+            final = state
+        if offset in first:
+            rows[offset] = _check_row(p, kernel, state)
+            if _gap_stops(cfg, rows[offset]) and first[offset] < stop_at:
+                stop, stop_at = state, first[offset]
+    for c in checks:
+        if c > stop_at:
+            break
+        history.append(HistoryRecord(c, *rows[(c - r) % period]))
+    return (stop, stop_at) if stop else (final, m)
 
 
 def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
@@ -263,36 +330,36 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     cfg.gap_tolerance; otherwise it stops at max_iters.  Identical inputs
     produce bitwise identical results.
 
-    Once a step leaves the state's bits unchanged (checked every
-    _FIXED_POINT_INTERVAL iterations), every later step would too, so `run`
-    stops stepping and appends the rows of the remaining checks, all equal
-    and computed once.  The result is bit for bit that of the full run.
+    Once the state's bits repeat those of an earlier state (checked every
+    _REPEAT_CHECK_INTERVAL iterations against the last state and a
+    snapshot), the run is periodic from there on, so `run` steps at most
+    one period further: far enough for the state max_iters ends on and for
+    the history row of each remaining check.  The result is bit for bit
+    that of the full run.
     """
     kernel = (_BandKernel if _uses_bands(p.graph) else _Kernel)(p)
-    x, x_prev, y = np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(kernel.cap.size)
+    n = p.graph.n
+    state = (np.ones(n), np.ones(n), np.zeros(kernel.cap.size))
     history: list[HistoryRecord] = []
     interval = cfg.check_interval
-    iters_run = 0
+    snap_r, snap = 0, None
     for r in range(1, cfg.max_iters + 1):
-        x_prev_old, y_old = x_prev, y
-        x, x_prev, y = kernel.step(x, x_prev, y)
-        iters_run = r
-        frozen = (r % _FIXED_POINT_INTERVAL == 0 and _same_bits(x, x_prev)
-                  and _same_bits(x_prev, x_prev_old) and _same_bits(y, y_old))
-        if frozen:
-            iters_run = cfg.max_iters
-        # the check due now and, once frozen, every later one: all see this state
-        checks = range(r + -r % interval, iters_run + 1, interval) if interval else ()
-        if checks:
-            y_edges = kernel.edge_flow(y)
-            gap = obj.duality_gap(p, x, y_edges)
-            row = (obj.primal_objective(p, x), gap,
-                   cert.kkt_residuals(p, x, y_edges).max_residual)
-            if cfg.gap_tolerance > 0 and gap <= cfg.gap_tolerance:
-                iters_run = checks[0]
-                history.append(HistoryRecord(iters_run, *row))
+        # rebind prev first, so the state before it is freed before the step allocates
+        prev = state
+        state = kernel.step(*state)
+        if interval and r % interval == 0:
+            row = _check_row(p, kernel, state)
+            history.append(HistoryRecord(r, *row))
+            if _gap_stops(cfg, row):
                 break
-            history += [HistoryRecord(c, *row) for c in checks]
-        if frozen:
+        if r % _REPEAT_CHECK_INTERVAL or r == cfg.max_iters:
+            continue
+        period = (1 if _same_state(state, prev)
+                  else r - snap_r if snap and _same_state(state, snap) else 0)
+        if period:
+            state, r = _periodic_tail(p, kernel, cfg, state, r, period, history)
             break
-    return SolverResult(x=x, y=kernel.edge_flow(y), iters_run=iters_run, history=history)
+        q = r // _REPEAT_CHECK_INTERVAL
+        if q & (q - 1) == 0:
+            snap_r, snap = r, state
+    return SolverResult(x=state[0], y=kernel.edge_flow(state[2]), iters_run=r, history=history)

@@ -1,5 +1,6 @@
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,6 +231,25 @@ def test_edge_list_round_trip(tmp_path, house_graph):
     write_edge_list(path, house_graph)
     back = read_edge_list(path)
     assert back == house_graph
+
+
+def test_failed_edge_list_write_leaves_no_partial_file(tmp_path, house_graph):
+    def failing_graph():
+        """house_graph with weights that raise after the first line."""
+        def weights():
+            yield float(house_graph.weights[0])
+            raise OSError("disk full")
+        return SimpleNamespace(src=house_graph.src, dst=house_graph.dst, weights=weights())
+
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    write_edge_list(kept, house_graph)
+    before = kept.read_bytes()
+    for path in (kept, fresh):
+        with pytest.raises(OSError, match="disk full"):
+            write_edge_list(path, failing_graph())
+    # no temp file is left, and the earlier file keeps its bytes
+    assert [f.name for f in tmp_path.iterdir()] == ["kept.txt"]
+    assert kept.read_bytes() == before
 
 
 def test_edge_list_comments_and_blanks(tmp_path):

@@ -19,7 +19,7 @@ from nlasso import (
     run,
 )
 from nlasso.solver import _BandKernel, _Kernel
-from test_solver import assert_same_result, stepwise_run
+from test_solver import assert_same_result, period_two_problem, stepwise_run
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -85,7 +85,8 @@ def test_band_layout_matches_gather(p):
 @PROPERTY
 @given(problems(), st.integers(1, 1500), st.integers(0, 120),
        st.sampled_from([0.0, 1e-6, 1e-10]))
-def test_fixed_point_stop_matches_stepwise_run(p, iters, interval, tol):
+@example(period_two_problem(), 999, 7, 0.0)
+def test_repeat_stop_matches_stepwise_run(p, iters, interval, tol):
     cfg = SolverConfig(max_iters=iters, check_interval=interval, gap_tolerance=tol)
     assert_same_result(run(p, cfg), stepwise_run(p, cfg))
 

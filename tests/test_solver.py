@@ -35,7 +35,9 @@ def test_config_validation():
     for bad in ({"max_iters": 2.5}, {"max_iters": float("nan")},
                 {"max_iters": float("inf")}, {"max_iters": True}, {"max_iters": "5"},
                 {"check_interval": 0.5}, {"check_interval": True},
-                {"gap_tolerance": float("nan")}, {"gap_tolerance": float("inf")}):
+                {"gap_tolerance": float("nan")}, {"gap_tolerance": float("inf")},
+                {"gap_tolerance": True}, {"gap_tolerance": "1e-3"}, {"gap_tolerance": None},
+                {"gap_tolerance": np.array(1e-3)}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     cfg = SolverConfig()
@@ -43,6 +45,9 @@ def test_config_validation():
     cfg = SolverConfig(max_iters=20.0, check_interval=np.int64(5), gap_tolerance=1e-3)
     assert (cfg.max_iters, cfg.check_interval) == (20, 5)
     assert all(type(v) is int for v in (cfg.max_iters, cfg.check_interval))
+    for tol in (0, 1, np.float32(0.5), np.int64(2)):
+        cfg = SolverConfig(gap_tolerance=tol)
+        assert type(cfg.gap_tolerance) is float and cfg.gap_tolerance == tol
 
 
 def test_init_state_all_ones(chain_problem):
@@ -332,7 +337,7 @@ def test_layout_selection():
 
 
 def stepwise_run(p, cfg):
-    """`run` without its fixed-point stop: all max_iters steps of the kernel
+    """`run` without its repeat stop: all max_iters steps of the kernel
     that `run` picks, a history row at each multiple of check_interval, and
     the gap stop."""
     kernel = (_BandKernel if _uses_bands(p.graph) else _Kernel)(p)
@@ -359,27 +364,49 @@ def count_steps(monkeypatch, p, cfg):
         return run(p, cfg), len(calls)
 
 
-def test_fixed_point_stop_matches_stepwise_run():
+def period_two_problem():
+    """Three nodes whose run enters a cycle of period 2 at step 62."""
+    g = build_graph(3, [(1, 2, 1.4482026762502507), (1, 3, 1.7154115281594486)])
+    return NLassoProblem(g, [1], 1.0, 0.5)
+
+
+def test_repeat_stop_matches_stepwise_run():
+    # frozen instances 0, 11, 12 and 13 end in cycles of period 18, 6, 6 and
+    # 6; intervals of 7, 33 and 1 put checks at many offsets of the period
     configs = [SolverConfig(max_iters=1000),
                SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
                SolverConfig(max_iters=3000, check_interval=100),
-               SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-10)]
-    for p in frozen_problems():
+               SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-10),
+               SolverConfig(max_iters=1000, check_interval=7),
+               SolverConfig(max_iters=999, check_interval=33),
+               SolverConfig(max_iters=2000, check_interval=1, gap_tolerance=1e-14),
+               SolverConfig(max_iters=1000, check_interval=16, gap_tolerance=1e-12)]
+    for p in frozen_problems() + [period_two_problem()]:
         for cfg in configs:
             assert_same_result(run(p, cfg), stepwise_run(p, cfg))
 
 
-def test_fixed_point_stop_fires_only_on_a_fixed_point(monkeypatch, chain_problem):
-    # the second frozen instance reaches a state that a step leaves bitwise
-    # unchanged by iteration 144; the chain does not in 1000
-    p = frozen_problems()[1]
-    cfg = SolverConfig(max_iters=1000, check_interval=100)
-    res, steps = count_steps(monkeypatch, p, cfg)
-    assert steps < 1000
-    assert res.iters_run == 1000 and [h.r for h in res.history] == list(range(100, 1001, 100))
-    assert_same_result(res, stepwise_run(p, cfg))
-    res, steps = count_steps(monkeypatch, chain_problem, SolverConfig(max_iters=1000))
+def test_repeat_stop_step_counts(monkeypatch, chain_problem):
+    # steps taken of 1000: frozen instance 1 reaches a fixed point by step
+    # 144; instance 11 enters a period-6 cycle at step 117, instance 0 a
+    # period-18 one at step 249 and the period-two problem its cycle at step
+    # 62, each caught once the snapshot lies in the cycle; the chain never
+    # repeats a state
+    frozen = frozen_problems()
+    cfg = SolverConfig(max_iters=1000)
+    for p, most in [(frozen[1], 160), (frozen[11], 250), (frozen[0], 500),
+                    (period_two_problem(), 100), (chain_problem, 1000)]:
+        res, steps = count_steps(monkeypatch, p, cfg)
+        assert steps <= most, (steps, most)
+        assert_same_result(res, stepwise_run(p, cfg))
     assert steps == 1000 == res.iters_run
+    # a check every 100 iterations: the row of each check after the cycle
+    # is found comes from a state within one period of it
+    cfg = SolverConfig(max_iters=1000, check_interval=100)
+    res, steps = count_steps(monkeypatch, frozen[11], cfg)
+    assert steps <= 250
+    assert res.iters_run == 1000 and [h.r for h in res.history] == list(range(100, 1001, 100))
+    assert_same_result(res, stepwise_run(frozen[11], cfg))
 
 
 class ClimbingKernel:
@@ -398,6 +425,14 @@ class ClimbingKernel:
         return y
 
 
+class ClockKernel(ClimbingKernel):
+    """A step map whose x_prev slot is a clock that never repeats: x steps
+    from 1 to 2 when the clock reads 40, and y stays 0."""
+
+    def step(self, x, clock, y):
+        return x + (clock == 40.0), clock + 1.0, y
+
+
 def test_fixed_point_needs_every_part_of_the_state(monkeypatch):
     # step 16 maps (16, 15, 1) to (16, 16, 1): x and y repeat, but the
     # state does not, and from step 17 on y grows by one per step
@@ -405,13 +440,45 @@ def test_fixed_point_needs_every_part_of_the_state(monkeypatch):
     res = run(frozen_problems()[1], SolverConfig(max_iters=100))
     assert (res.x == 16.0).all() and res.y.tolist() == [85.0]
     assert res.iters_run == 100
+    # x and y at steps 16 and 32 match those of the step before and of the
+    # snapshot taken at step 16, but the clock does not
+    monkeypatch.setattr(solver, "_Kernel", ClockKernel)
+    res = run(frozen_problems()[1], SolverConfig(max_iters=100))
+    assert (res.x == 2.0).all() and res.iters_run == 100
+
+
+class CyclingKernel(ClimbingKernel):
+    """A step map through k states: x counts steps modulo k, and y holds
+    the previous count."""
+
+    def __init__(self, k):
+        self.k = k
+        self.steps = 0
+
+    def step(self, x, x_prev, y):
+        self.steps += 1
+        return (x + 1.0) % self.k, x, x[:1] + 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 6, 18])
+def test_repeat_stop_ends_on_the_right_state_of_a_cycle(monkeypatch, k):
+    # 1001 iterations from x = 1 end on x = 1002 mod k; k does not divide
+    # 1001, so stepping one too few or too many after the repeat shows
+    kernel = CyclingKernel(k)
+    monkeypatch.setattr(solver, "_Kernel", lambda p: kernel)
+    res = run(frozen_problems()[1], SolverConfig(max_iters=1001))
+    assert (res.x == 1002 % k).all() and res.y.tolist() == [1001 % k]
+    assert res.iters_run == 1001 and kernel.steps < 500
 
 
 def test_same_bits_tells_signed_zeros_apart():
+    # byte copies compare small arrays, an elementwise int64 compare large ones
     same_bits_ = solver._same_bits
-    assert not same_bits_(np.array([0.0]), np.array([-0.0]))
-    nan = np.array([np.nan])
-    assert same_bits_(nan, nan.copy()) and not same_bits_(nan, -nan)
+    for size in (1, solver._BYTES_COMPARE_MAX + 1):
+        zero = np.zeros(size)
+        assert same_bits_(zero, zero.copy()) and not same_bits_(zero, -zero)
+        nan = np.full(size, np.nan)
+        assert same_bits_(nan, nan.copy()) and not same_bits_(nan, -nan)
 
 
 # iterations until the gap is at most 1e-6, checked every 10, as printed by
