@@ -55,8 +55,8 @@ held by reference, since the step never writes its inputs.  On a match
 max_iters would end on, and the state of each remaining check, whose
 history row is that of the same offset within the period.  Its result is
 exactly that of the full run, and it holds at most two of these states
-besides the current one.  Bits are compared through int64 views, so
--0.0 and +0.0 differ and equal NaN payloads match.  Small problems reach
+besides the current one.  Bits are compared as bytes (see _same_bits),
+so -0.0 and +0.0 differ and equal NaN payloads match.  Small problems reach
 such a state at machine precision long before their budget: of the 25
 frozen criterion-5 instances, 21 reach a fixed point and 4 end in cycles
 of period 6 or 18.
