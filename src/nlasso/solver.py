@@ -52,14 +52,14 @@ _REPEAT_CHECK_INTERVAL * 2**k (Brent's cycle detection; Brent 1980, "An
 improved Monte Carlo factorization algorithm", BIT 20).  The snapshot is
 held by reference, since the step never writes its inputs.  On a match
 `run` steps only as far into the period as it still needs: the state that
-max_iters would end on, and the state of each remaining check, whose
-history row is that of the same offset within the period.  Its result is
-exactly that of the full run, and it holds at most two of these states
-besides the current one.  Bits are compared as bytes (see _same_bits),
-so -0.0 and +0.0 differ and equal NaN payloads match.  Small problems reach
-such a state at machine precision long before their budget: of the 25
-frozen criterion-5 instances, 21 reach a fixed point and 4 end in cycles
-of period 6 or 18.
+max_iters would end on, and the state of each remaining check up to the
+first whose gap stops the run, whose history row is that of the same
+offset within the period.  Its result is exactly that of the full run,
+and it holds at most two of these states besides the current one.  Bits
+are compared as bytes (see _same_bits), so -0.0 and +0.0 differ and
+equal NaN payloads match.  Small problems reach such a state at machine
+precision long before their budget: of the 25 frozen criterion-5
+instances, 21 reach a fixed point and 4 end in cycles of period 6 or 18.
 """
 
 from __future__ import annotations
@@ -250,17 +250,9 @@ class _BandKernel(_Kernel):
         return y[self._slots()]
 
 
-# Most elements for which _same_bits compares byte copies: up to about
-# this size the copies cost less than an elementwise compare's fixed few
-# microseconds, which on a 2-6 node problem is a third of a step.
-_BYTES_COMPARE_MAX = 4096
-
-
 def _same_bits(a, b) -> bool:
     """True when the float arrays a and b, of one shape, have the same bits."""
-    if a.size <= _BYTES_COMPARE_MAX:
-        return a.tobytes() == b.tobytes()
-    return bool((a.view(np.int64) == b.view(np.int64)).all())
+    return a.tobytes() == b.tobytes()
 
 
 def _same_state(a, b) -> bool:
@@ -287,7 +279,8 @@ def _periodic_tail(p, kernel, cfg, state, r, period, history):
     state at its offset (c - r) % period, and returns the state and the
     iteration the full run would end on: max_iters, or the first of these
     checks whose gap stops the run.  Steps only as far as the last offset
-    it needs.
+    it needs: once a check stops the run, no check before it lies at a
+    larger offset, and the state max_iters ends on is not needed.
     """
     m, interval = cfg.max_iters, cfg.check_interval
     checks = range(r + interval - r % interval, m + 1, interval) if interval else range(0)
@@ -299,6 +292,8 @@ def _periodic_tail(p, kernel, cfg, state, r, period, history):
     final = stop = None
     stop_at = m + 1
     for offset in range(max([end, *first]) + 1):
+        if offset > stop_at - r:
+            break
         if offset:
             state = kernel.step(*state)
         if offset == end:
