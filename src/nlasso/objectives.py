@@ -40,7 +40,8 @@ class NLassoProblem:
         Fidelity weight at non-seed nodes; must be positive and finite so
         the signal decays to zero away from the seeds.
     lam : float
-        Total-variation penalty; must be positive and finite.
+        Total-variation penalty; must be positive and finite, and so must
+        every capacity lam * W_e.
     """
 
     graph: Graph
@@ -57,6 +58,13 @@ class NLassoProblem:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.lam < np.inf:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        g = self.graph
+        with np.errstate(over="ignore"):
+            over = np.flatnonzero(~np.isfinite(self.lam * g.weights))
+        if over.size:
+            e = over[0]
+            raise ValueError(f"capacity lam * W_e overflows at edge ({g.src[e] + 1}, "
+                             f"{g.dst[e] + 1}): lam {self.lam} times weight {g.weights[e]}")
         mask = np.zeros(self.graph.n, dtype=bool)
         mask[seeds - 1] = True
         mask.flags.writeable = False

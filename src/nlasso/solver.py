@@ -17,6 +17,14 @@ np.clip.  The primal step size 1/d_i (inverse node degree) and the dual
 step size 1/2 make the iteration convergent without any tuning; one
 iteration costs one pass over the edges plus one over the nodes.
 
+Every stage writes its result into an array that the same step created:
+xt, then the new flow (xt at src, minus xt at dst, times 0.5, plus y,
+clamped), then the new x (out-sums minus in-sums, times 1/d_i, subtracted
+from x, plus the prox shift, times the prox scale).  Each in-place form
+makes the same IEEE operation on the same operands as the formulas above
+(a + b and b + a have the same bits, as do a * b and b * a), so no bit
+changes.  xt is freed after stage 2, before stage 4 allocates its sums.
+
 The flow has two layouts, and both give the same bits.
 
 * Gather (`_Kernel`): y in edge order.  Stage 2 gathers xt at src and
@@ -27,21 +35,27 @@ The flow has two layouts, and both give the same bits.
   k = dst - src, such as pixel grids (k = 1 and the width) and chains
   (k = 1).  The flow is one band per offset with n - k slots; slot i holds
   edge (i, i + k), and a slot with no edge has capacity 0.  Stage 2 is
-  xt[:n-k] - xt[k:] and stage 4 adds each band into zeroed out- and
-  in-sums with slice adds, the out-sums over bands by ascending k and the
-  in-sums by descending k.  That is the order np.bincount adds each node's
-  edges in, so no per-node sum changes.  An empty slot's flow is clamped
-  to +-0 (its differences are finite, as x is).  A sum that starts at +0
-  never becomes -0, since exact cancellation rounds to +0, and adding +-0
-  to any other value leaves it as it was, so empty slots add nothing.
+  xt[:n-k] - xt[k:].  Stage 4 builds the out-sums over bands by ascending
+  k and the in-sums by descending k with slice adds.  That is the order
+  np.bincount adds each node's edges in, so no per-node sum changes.
+  Each sum starts as its first band plus 0.0, and as 0.0 at the nodes
+  that band does not reach: np.bincount adds the first term v into a
+  zeroed sum, and 0.0 + v has the bits of v + 0.0, -0.0 included (both
+  give +0.0 there).  An empty slot's flow is clamped to +-0 (its
+  differences are finite, as x is).  A sum that starts at +0 never becomes
+  -0, since exact cancellation rounds to +0, and adding +-0 to any other
+  value leaves it as it was, so empty slots add nothing.
 
 `run` takes the band layout when the bands pad the m edges with at most n
 empty slots and every band holds at least _MIN_BAND_SLOTS slots, and the
 gather layout otherwise.  A band costs a few numpy calls per step
 whatever its length.  Measured on 2 vCPUs (median step time, gather over
-band), the layouts break even at about 450 slots per band on chains and
-600 on grids: 8 x 8 grid 0.66x, 100-node chain 0.84x, 1000-node chain
-1.16x, 64 x 64 grid 1.85x, 256 x 256 grid 2.4x, 512 x 512 grid 1.7x.
+band, three runs), the layouts break even at about 700-900 slots per band
+on chains and 1000 on grids: 8 x 8 grid 0.57x, 100-node chain 0.69x,
+1000-node chain 1.05x, 64 x 64 grid 1.71x, 256 x 256 grid 2.2x, 512 x 512
+grid 1.7x.  _MIN_BAND_SLOTS was set at the break-even of zero-started band
+sums, which cost fewer calls; bands of 512 to about 900 slots now run up
+to about 15% slower than the gather layout would.
 
 Repeat stop.  The step is a deterministic map of the state (x, xprev,
 y), so once a state recurs D steps after an earlier one, every later state
@@ -144,20 +158,28 @@ class _Kernel:
         self.shift = shift
         self.scale = scale
 
-    # step returns fresh x and y arrays and never writes to its inputs (the
-    # in-place clamps touch only the new y): `run` keeps earlier states by
-    # reference to detect a repeat
+    # step returns fresh x and y arrays and never writes to its inputs (each
+    # stage works in place on an array the step created; see the module
+    # docstring): `run` keeps earlier states by reference to detect a repeat
     def step(self, x, x_prev, y):
-        xt = 2.0 * x - x_prev
-        y = y + 0.5 * (xt[self.src] - xt[self.dst])
+        xt = 2.0 * x
+        xt -= x_prev
+        d = xt[self.src]
+        d -= xt[self.dst]
+        del xt
+        d *= 0.5
+        d += y
         # np.clip with array bounds takes a slower path than max then min
-        np.maximum(y, self.neg_cap, out=y)
-        np.minimum(y, self.cap, out=y)
-        div = (np.bincount(self.src, weights=y, minlength=self.n)
-               - np.bincount(self.dst, weights=y, minlength=self.n))
-        v = x - self.gamma * div
-        x_new = (v + self.shift) * self.scale
-        return x_new, x, y
+        np.maximum(d, self.neg_cap, out=d)
+        np.minimum(d, self.cap, out=d)
+        div = np.bincount(self.src, weights=d, minlength=self.n)
+        div -= np.bincount(self.dst, weights=d, minlength=self.n)
+        # stages 5/6 in div, which becomes the new x
+        div *= self.gamma
+        np.subtract(x, div, out=div)
+        div += self.shift
+        div *= self.scale
+        return div, x, d
 
     def edge_flow(self, y):
         """The flow `y` of step in edge order."""
@@ -170,7 +192,8 @@ class _Kernel:
 _REPEAT_CHECK_INTERVAL = 16
 
 # Fewest slots per band for the band layout: below about this, a band's
-# numpy calls cost more than the gathers and bincounts they replace.
+# numpy calls cost more than the gathers and bincounts they replace (the
+# break-even has since moved up; see the module docstring).
 _MIN_BAND_SLOTS = 512
 
 
@@ -190,8 +213,8 @@ class _BandKernel(_Kernel):
     """The kernel with the flow stored as one band per edge offset.
 
     y and the capacities are one array of all bands, ascending in offset;
-    `edge_flow` maps y back to edge order.  Stages 2 and 4 are methods so
-    that their temporaries are freed before the next stage allocates.
+    `edge_flow` maps y back to edge order.  Stages 1-2 are one method, so
+    that xt is freed before stage 4 allocates its sums.
     """
 
     def __init__(self, p: NLassoProblem):
@@ -206,6 +229,10 @@ class _BandKernel(_Kernel):
         # band start of each offset, indexed by the offset
         self.band_start = np.zeros(self.offsets[-1] + 1, dtype=np.int64)
         self.band_start[self.offsets] = [b.start for b in self.bands]
+        # (band, nodes) pairs in the order np.bincount adds each node's
+        # edges: out-edges by ascending offset, in-edges by descending
+        self.out_bands = [(b, slice(0, n - k)) for k, b in zip(self.offsets, self.bands)]
+        self.in_bands = [(b, slice(k, n)) for k, b in zip(self.offsets, self.bands)][::-1]
         cap = np.zeros(start)
         cap[self._slots()] = self.cap
         self.cap = cap
@@ -217,16 +244,22 @@ class _BandKernel(_Kernel):
 
     # like _Kernel.step, fresh x and y arrays and inputs left untouched
     def step(self, x, x_prev, y):
-        y = self._ascend(2.0 * x - x_prev, y)
-        np.maximum(y, self.neg_cap, out=y)
-        np.minimum(y, self.cap, out=y)
-        v = x - self.gamma * self._divergence(y)
-        x_new = (v + self.shift) * self.scale
-        return x_new, x, y
+        d = self._ascend(x, x_prev, y)
+        np.maximum(d, self.neg_cap, out=d)
+        np.minimum(d, self.cap, out=d)
+        div = self._node_sums(d, self.out_bands)
+        div -= self._node_sums(d, self.in_bands)
+        div *= self.gamma
+        np.subtract(x, div, out=div)
+        div += self.shift
+        div *= self.scale
+        return div, x, d
 
-    def _ascend(self, xt, y):
-        """Stage 2: y + 0.5 * (xt_i - xt_j) per slot, as a new array."""
+    def _ascend(self, x, x_prev, y):
+        """Stages 1-2: y + 0.5 * (xt_i - xt_j) per slot, as a new array."""
         n = self.n
+        xt = 2.0 * x
+        xt -= x_prev
         d = np.empty_like(y)
         for k, band in zip(self.offsets, self.bands):
             np.subtract(xt[:n - k], xt[k:], out=d[band])
@@ -234,17 +267,20 @@ class _BandKernel(_Kernel):
         d += y
         return d
 
-    def _divergence(self, y):
-        """Stage 4: out-sums minus in-sums, each node's terms in bincount's order."""
-        n = self.n
-        out_sum = np.zeros(n)
-        in_sum = np.zeros(n)
-        for k, band in zip(self.offsets, self.bands):
-            out_sum[:n - k] += y[band]
-        for k, band in zip(self.offsets[::-1], self.bands[::-1]):
-            in_sum[k:] += y[band]
-        out_sum -= in_sum
-        return out_sum
+    def _node_sums(self, y, pairs):
+        """Stage 4: each node's sum of its slots in `pairs`, in their order.
+
+        The sum starts from the first band plus 0.0, the bits np.bincount
+        gives by adding that band into a zeroed sum, and is 0.0 at the
+        nodes that band does not reach."""
+        s = np.empty(self.n)
+        band, nodes = pairs[0]
+        np.add(y[band], 0.0, out=s[nodes])
+        s[:nodes.start] = 0.0
+        s[nodes.stop:] = 0.0
+        for band, nodes in pairs[1:]:
+            s[nodes] += y[band]
+        return s
 
     def edge_flow(self, y):
         return y[self._slots()]

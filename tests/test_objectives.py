@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -36,6 +38,17 @@ def test_problem_validation(weighted_chain):
     p = NLassoProblem(weighted_chain, [3, 1], 0.1, 0.1)
     assert p.seeds.tolist() == [1, 3]
     assert p.seed_mask[0] and p.seed_mask[2] and not p.seed_mask[1]
+
+
+def test_problem_rejects_overflowing_capacity():
+    # lam and every weight are finite, but lam * W_e is not: a capacity of
+    # inf would leave the flow unbounded and the gap meaningless
+    g = build_graph(3, [(1, 2, 1.0), (2, 3, 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(ValueError, match=r"overflows at edge \(2, 3\)"):
+            NLassoProblem(g, [1], 0.1, 10.0)
+    assert NLassoProblem(g, [1], 0.1, 1.0).capacities[1] == 1e308
 
 
 def test_problem_compares_and_hashes_by_identity(weighted_chain):

@@ -220,23 +220,30 @@ def test_projection_matches_clip_along_runs():
     assert at_cap >= 300, at_cap
 
 
-def test_projection_matches_clip_at_the_bound():
-    # a perfect matching, so each edge's flow is independent; xt is -0.0 at
-    # the first endpoint and +0.0 at the second, so the dual ascent adds -0.0
-    # and the projection sees y exactly as given
+def matching_problem():
+    """A perfect matching, so each edge's flow is independent, and a start
+    whose flows lie at and beyond the bounds: +-capacity, +-0.0, +-1e300,
+    +-inf, and capacities that underflow to 0 (0.25 * 5e-324).  xt is -0.0
+    at each edge's first endpoint and +0.0 at its second, so the dual ascent
+    adds -0.0, the projection sees y exactly as given, and every flow into
+    an edge's second endpoint given as -0.0 stays -0.0."""
     w = np.array([1.0, 0.5, 2.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1e-300, 5e-324, 5e-324])
     m = w.size
     g = build_graph(2 * m, np.column_stack((np.arange(1, 2 * m, 2),
                                             np.arange(2, 2 * m + 1, 2), w)))
     p = NLassoProblem(g, [1], 0.1, 0.25)
+    cap = p.capacities
+    y = np.array([cap[0], -cap[1], -0.0, 0.0, 1e300, -1e300, np.inf, -np.inf,
+                  -0.0, -0.0, 1e-300])
+    return p, (np.tile([-0.0, 0.0], m), np.zeros(2 * m), y)
+
+
+def test_projection_matches_clip_at_the_bound():
+    p, state = matching_problem()
     k = _Kernel(p)
     cap = k.cap
     assert cap[9] == cap[10] == 0.0  # 0.25 * 5e-324 underflows
-    y = np.array([cap[0], -cap[1], -0.0, 0.0, 1e300, -1e300, np.inf, -np.inf,
-                  -0.0, -0.0, 1e-300])
-    x = np.tile([-0.0, 0.0], m)
-    x_prev = np.zeros(2 * m)
-    ours, ref = k.step(x, x_prev, y.copy()), clip_step(k, x, x_prev, y.copy())
+    ours, ref = k.step(*state), clip_step(k, *state)
     assert same_bits(ours, ref)
     assert ours[2].tolist() == [cap[0], -cap[1], 0.0, 0.0, cap[4], -cap[5], cap[6],
                                 -cap[7], 0.0, 0.0, 0.0]
@@ -273,36 +280,68 @@ def band_state(k, x, x_prev, y):
     return x, x_prev, yb
 
 
-def test_band_layout_matches_gather_stepwise():
-    # the saturated grid has hundreds of flows at capacity and, at each row
-    # end, an empty slot of capacity 0
-    for p in frozen_problems() + [saturated_grid_problem()]:
+def reference_step(k, x, x_prev, y):
+    """`_Kernel.step` with one fresh array per expression, as first
+    written: the reference that the in-place stages must match bit for bit."""
+    xt = 2.0 * x - x_prev
+    y = y + 0.5 * (xt[k.src] - xt[k.dst])
+    np.maximum(y, k.neg_cap, out=y)
+    np.minimum(y, k.cap, out=y)
+    div = (np.bincount(k.src, weights=y, minlength=k.n)
+           - np.bincount(k.dst, weights=y, minlength=k.n))
+    v = x - k.gamma * div
+    return (v + k.shift) * k.scale, x, y
+
+
+def signed_zero_chain_state(n):
+    """x = -0.0 at the even 0-based nodes of an n-node chain, x_prev = +0.0
+    and y = -0.0: the first step keeps the flow of each edge (2i, 2i + 1) at
+    -0.0, the only flow out of node 2i and into node 2i + 1."""
+    return np.tile([-0.0, 0.0], n // 2), np.zeros(n), np.full(n - 1, -0.0)
+
+
+def test_kernels_match_reference_step():
+    # both layouts, step by step, from the all-ones start and from two
+    # hand-built states: a chain whose flows out of its even nodes and into
+    # its odd ones are -0.0, and matching_problem.  The saturated grid has
+    # hundreds of flows at capacity and, at each row end, an empty slot of
+    # capacity 0.  The band layout's out- and in-sums must have np.bincount's
+    # bits too, -0.0 against +0.0 included, which the step's outputs do not
+    # show: the prox adds a shift of +0.0 or more, which maps both zeros alike
+    chain = NLassoProblem(chain_graph(1000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2)
+    cases = [(p, (np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges)))
+             for p in frozen_problems() + [saturated_grid_problem(), chain]]
+    cases += [(chain, signed_zero_chain_state(1000)), matching_problem()]
+    for p, state in cases:
         gk, bk = _Kernel(p), _BandKernel(p)
-        state = (np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges))
-        ours = band_state(bk, *state)
+        ref = gather = state
+        band = band_state(bk, *state)
         for _ in range(300):
-            state, ours = gk.step(*state), bk.step(*ours)
-            assert same_bits(state, (ours[0], ours[1], bk.edge_flow(ours[2])))
+            ref, gather, band = reference_step(gk, *ref), gk.step(*gather), bk.step(*band)
+            assert same_bits(gather, ref)
+            assert same_bits((band[0], band[1], bk.edge_flow(band[2])), ref)
+            y = ref[2]
+            assert same_bits((bk._node_sums(band[2], bk.out_bands),
+                              bk._node_sums(band[2], bk.in_bands)),
+                             (np.bincount(gk.src, weights=y, minlength=gk.n),
+                              np.bincount(gk.dst, weights=y, minlength=gk.n)))
+    # the matching is one band with every other slot empty
+    assert bk.cap.size == 2 * p.graph.num_edges - 1
 
 
-def test_band_layout_matches_gather_at_the_bound():
-    # the perfect matching of test_projection_matches_clip_at_the_bound: one
-    # band with every other slot empty, zero capacities, +-inf flows, -0.0
-    w = np.array([1.0, 0.5, 2.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1e-300, 5e-324, 5e-324])
-    m = w.size
-    g = build_graph(2 * m, np.column_stack((np.arange(1, 2 * m, 2),
-                                            np.arange(2, 2 * m + 1, 2), w)))
-    p = NLassoProblem(g, [1], 0.1, 0.25)
-    gk, bk = _Kernel(p), _BandKernel(p)
-    cap = gk.cap
-    y = np.array([cap[0], -cap[1], -0.0, 0.0, 1e300, -1e300, np.inf, -np.inf,
-                  -0.0, -0.0, 1e-300])
-    state = (np.tile([-0.0, 0.0], m), np.zeros(2 * m), y)
-    ours = band_state(bk, *state)
-    for _ in range(5):
-        state, ours = gk.step(*state), bk.step(*ours)
-        assert same_bits(state, (ours[0], ours[1], bk.edge_flow(ours[2])))
-    assert bk.cap.size == 2 * m - 1
+def test_step_leaves_inputs_and_returns_fresh_arrays():
+    # `run` holds earlier states by reference for its repeat stop
+    rng = np.random.default_rng(3)
+    for p in (frozen_problems()[0], saturated_grid_problem()):
+        for k in (_Kernel(p), _BandKernel(p)):
+            n = p.graph.n
+            state = (rng.normal(size=n), rng.normal(size=n), rng.normal(size=k.cap.size))
+            before = [a.tobytes() for a in state]
+            x, x_prev, y = k.step(*state)
+            assert [a.tobytes() for a in state] == before
+            assert x_prev is state[0]
+            for a, b in [(x, y)] + [(new, old) for new in (x, y) for old in state]:
+                assert not np.shares_memory(a, b)
 
 
 def test_band_layout_matches_gather_through_run(monkeypatch):
