@@ -329,6 +329,30 @@ def test_kernels_match_reference_step():
     assert bk.cap.size == 2 * p.graph.num_edges - 1
 
 
+def test_band_layout_matches_gather_stepwise():
+    # the saturated grid has hundreds of flows at capacity and, at each row
+    # end, an empty slot of capacity 0
+    for p in frozen_problems() + [saturated_grid_problem()]:
+        gk, bk = _Kernel(p), _BandKernel(p)
+        state = (np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges))
+        ours = band_state(bk, *state)
+        for _ in range(300):
+            state, ours = gk.step(*state), bk.step(*ours)
+            assert same_bits(state, (ours[0], ours[1], bk.edge_flow(ours[2])))
+
+
+def test_band_layout_matches_gather_at_the_bound():
+    # matching_problem: one band with every other slot empty, zero
+    # capacities, +-inf flows, -0.0
+    p, state = matching_problem()
+    gk, bk = _Kernel(p), _BandKernel(p)
+    ours = band_state(bk, *state)
+    for _ in range(5):
+        state, ours = gk.step(*state), bk.step(*ours)
+        assert same_bits(state, (ours[0], ours[1], bk.edge_flow(ours[2])))
+    assert bk.cap.size == 2 * p.graph.num_edges - 1
+
+
 def test_step_leaves_inputs_and_returns_fresh_arrays():
     # `run` holds earlier states by reference for its repeat stop
     rng = np.random.default_rng(3)
