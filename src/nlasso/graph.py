@@ -113,8 +113,10 @@ class Graph:
         self.weights = weights
         self.degree = (np.bincount(src, minlength=n)
                        + np.bincount(dst, minlength=n))
-        self.weighted_degree = (np.bincount(src, weights=weights, minlength=n)
-                                + np.bincount(dst, weights=weights, minlength=n))
+        # build_graph rejects a weighted degree that overflows to inf
+        with np.errstate(over="ignore"):
+            self.weighted_degree = (np.bincount(src, weights=weights, minlength=n)
+                                    + np.bincount(dst, weights=weights, minlength=n))
         for arr in (self.src, self.dst, self.weights, self.degree,
                     self.weighted_degree):
             arr.flags.writeable = False
@@ -158,7 +160,8 @@ def build_graph(n: int, edge_list) -> Graph:
     InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight
         Each is one test over all edges, run in the order shape, ids,
         self-loops, weights, duplicates; the first offending edge of the
-        first failing test is reported.
+        first failing test is reported.  Last, InvalidWeight names the
+        first node whose weighted degree overflows to inf.
     """
     n = _node_count(n)
     try:
@@ -187,7 +190,12 @@ def build_graph(n: int, edge_list) -> Graph:
     if np.any(same):
         k = int(np.flatnonzero(same)[0])
         raise DuplicateEdge(f"edge ({src[k] + 1}, {dst[k] + 1}) listed twice")
-    return Graph(n, src, dst, w)
+    g = Graph(n, src, dst, w)
+    over = np.flatnonzero(g.weighted_degree == np.inf)
+    if over.size:
+        raise InvalidWeight(f"the edge weights at node {over[0] + 1} sum past the largest "
+                            "double (weighted degree inf)")
+    return g
 
 
 def _as_signal(g: Graph, x) -> np.ndarray:

@@ -25,12 +25,24 @@ makes the same IEEE operation on the same operands as the formulas above
 (a + b and b + a have the same bits, as do a * b and b * a), so no bit
 changes.  xt is freed after stage 2, before stage 4 allocates its sums.
 
-The flow has two layouts, and both give the same bits.
+The flow is an array of slots, each edge in one slot.  It has two
+layouts, and both give the same bits as a flow in edge order would.
 
-* Gather (`_Kernel`): y in edge order.  Stage 2 gathers xt at src and
-  dst, and stage 4 is two np.bincount calls, which add each node's edges
-  into a zeroed sum in edge order: out-edges by ascending dst, in-edges by
-  ascending src.
+* Gather (`_Kernel`): one slot per edge, in anti-diagonal order: sorted
+  by (src + dst, src), with src and dst kept in slot order.  Stage 2
+  gathers xt at src and dst, and stage 4 is two np.bincount calls, which
+  add each node's slots into a zeroed sum in slot order.  A graph stores
+  its edges with src < dst in lexicographic order, so in edge order a
+  node's out-edges run by ascending dst and its in-edges by ascending src.
+  Slot order keeps both: node i's out-slots sort by i + dst, that is by
+  dst, and node j's in-slots by src + j, that is by src.  So each sum adds
+  the same terms in the same order and keeps its bits.  In edge order,
+  np.bincount(src) adds a node's out-edges back to back into one bin, a
+  chain of dependent adds; in slot order, neighbouring slots on one
+  anti-diagonal have distinct src and distinct dst, so neither bincount
+  adds into the same bin twice in a row (on a 4000-node, 41 767-edge
+  block model: 129 against 89 us for np.bincount(src), and 71 against
+  58 us for the gather at dst).
 * Band (`_BandKernel`): for graphs whose edges lie on few offsets
   k = dst - src, such as pixel grids (k = 1 and the width) and chains
   (k = 1).  The flow is one band per offset with n - k slots; slot i holds
@@ -50,12 +62,11 @@ The flow has two layouts, and both give the same bits.
 empty slots and every band holds at least _MIN_BAND_SLOTS slots, and the
 gather layout otherwise.  A band costs a few numpy calls per step
 whatever its length.  Measured on 2 vCPUs (median step time, gather over
-band, three runs), the layouts break even at about 700-900 slots per band
-on chains and 1000 on grids: 8 x 8 grid 0.57x, 100-node chain 0.69x,
-1000-node chain 1.05x, 64 x 64 grid 1.71x, 256 x 256 grid 2.2x, 512 x 512
-grid 1.7x.  _MIN_BAND_SLOTS was set at the break-even of zero-started band
-sums, which cost fewer calls; bands of 512 to about 900 slots now run up
-to about 15% slower than the gather layout would.
+band, three runs), the layouts break even at about 1000 slots per band,
+on chains and grids alike: 24 x 24 grid 0.79-0.83x, 700-node chain
+0.89-0.92x, 1000-node chain 0.96-1.01x, 32 x 32 grid 0.98-1.04x,
+1500-node chain 1.05-1.08x, 2000-node chain 1.15-1.19x, 48 x 48 grid
+1.38-1.43x, 64 x 64 grid 1.73-1.82x, 256 x 256 grid 2.15-2.29x.
 
 Repeat stop.  The step is a deterministic map of the state (x, xprev,
 y), so once a state recurs D steps after an earlier one, every later state
@@ -138,7 +149,14 @@ class SolverResult:
 
 
 class _Kernel:
-    """Precomputed per-problem constants for the six update stages."""
+    """Precomputed per-problem constants for the six update stages.
+
+    The flow y is one array of slots, and `slots` holds the slot of each
+    edge; a slot that holds no edge has capacity 0.  This class stores the
+    flow in the gather layout: one slot per edge, sorted by (src + dst,
+    src), with src and dst in slot order.  A subclass supplies its own
+    _layout, slots and step.
+    """
 
     def __init__(self, p: NLassoProblem):
         g = p.graph
@@ -146,10 +164,10 @@ class _Kernel:
             bad = int(gc.isolated_nodes(g)[0])
             raise IsolatedNode(f"node {bad} has degree 0; every node needs a neighbour")
         self.n = g.n
-        self.src = g.src
-        self.dst = g.dst
-        self.cap = p.capacities
-        self.neg_cap = -self.cap
+        cap = np.zeros(self._layout(g))
+        cap[self.slots] = p.capacities
+        self.cap = cap
+        self.neg_cap = -cap
         gamma = 1.0 / g.degree.astype(np.float64)
         self.gamma = gamma
         # stages 5/6 collapse into x = (v + shift) * scale
@@ -157,6 +175,16 @@ class _Kernel:
         scale = np.where(p.seed_mask, 1.0 / (gamma + 1.0), 1.0 / (p.alpha * gamma + 1.0))
         self.shift = shift
         self.scale = scale
+
+    def _layout(self, g: gc.Graph) -> int:
+        """Lay the edges out in slots sorted by (src + dst, src); returns
+        the number of slots."""
+        order = np.lexsort((g.src, g.src + g.dst))
+        self.src = g.src[order]
+        self.dst = g.dst[order]
+        self.slots = np.empty_like(order)
+        self.slots[order] = np.arange(order.size)
+        return order.size
 
     # step returns fresh x and y arrays and never writes to its inputs (each
     # stage works in place on an array the step created; see the module
@@ -183,7 +211,7 @@ class _Kernel:
 
     def edge_flow(self, y):
         """The flow `y` of step in edge order."""
-        return y
+        return y[self.slots]
 
 
 # Iterations between checks for a repeated state.  A check compares the
@@ -192,9 +220,9 @@ class _Kernel:
 _REPEAT_CHECK_INTERVAL = 16
 
 # Fewest slots per band for the band layout: below about this, a band's
-# numpy calls cost more than the gathers and bincounts they replace (the
-# break-even has since moved up; see the module docstring).
-_MIN_BAND_SLOTS = 512
+# numpy calls cost more than the gathers and bincounts they replace (see
+# the module docstring).
+_MIN_BAND_SLOTS = 1000
 
 
 def _offsets(g: gc.Graph) -> np.ndarray:
@@ -212,15 +240,17 @@ def _uses_bands(g: gc.Graph) -> bool:
 class _BandKernel(_Kernel):
     """The kernel with the flow stored as one band per edge offset.
 
-    y and the capacities are one array of all bands, ascending in offset;
-    `edge_flow` maps y back to edge order.  Stages 1-2 are one method, so
-    that xt is freed before stage 4 allocates its sums.
+    y and the capacities are one array of all bands, ascending in offset.
+    Stages 1-2 are one method, so that xt is freed before stage 4
+    allocates its sums.
     """
 
-    def __init__(self, p: NLassoProblem):
-        super().__init__(p)
+    def _layout(self, g: gc.Graph) -> int:
+        """Lay the edges out in one band per offset; returns the number of
+        slots."""
         n = self.n
-        self.offsets = [int(k) for k in _offsets(p.graph)]
+        self.graph = g
+        self.offsets = [int(k) for k in _offsets(g)]
         self.bands = []
         start = 0
         for k in self.offsets:
@@ -233,14 +263,15 @@ class _BandKernel(_Kernel):
         # edges: out-edges by ascending offset, in-edges by descending
         self.out_bands = [(b, slice(0, n - k)) for k, b in zip(self.offsets, self.bands)]
         self.in_bands = [(b, slice(k, n)) for k, b in zip(self.offsets, self.bands)][::-1]
-        cap = np.zeros(start)
-        cap[self._slots()] = self.cap
-        self.cap = cap
-        self.neg_cap = -cap
+        return start
 
-    def _slots(self):
-        """The band slot of each edge, in edge order."""
-        return self.band_start[self.dst - self.src] + self.src
+    @property
+    def slots(self):
+        """The band slot of each edge, in edge order.  It is computed at
+        each use: an index of m entries held through the run would raise
+        the peak memory of a large grid's solve."""
+        g = self.graph
+        return self.band_start[g.dst - g.src] + g.src
 
     # like _Kernel.step, fresh x and y arrays and inputs left untouched
     def step(self, x, x_prev, y):
@@ -281,9 +312,6 @@ class _BandKernel(_Kernel):
         for band, nodes in pairs[1:]:
             s[nodes] += y[band]
         return s
-
-    def edge_flow(self, y):
-        return y[self._slots()]
 
 
 def _same_bits(a, b) -> bool:

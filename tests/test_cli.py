@@ -80,8 +80,11 @@ def test_solve_invalid_alpha_exits_2(tmp_path, tiny_instance):
     ([], "# parsed line by line\n1 2 1.0\n2 9000000000 1.0\n"),
     # finite lambda and weights whose product lambda * W_e overflows
     (["--lambda", "10"], "1 2 1.0\n2 3 1e308\n"),
+    # finite weights and capacities whose sum at node 2 overflows
+    (["--lambda", "1", "--iters", "50"], "1 2 1e308\n2 3 1e308\n"),
 ], ids=["alpha-inf", "lambda-inf", "threshold-nan", "weight-inf", "iters-zero",
-        "id-huge", "id-huge-commented", "capacity-overflow"])
+        "id-huge", "id-huge-commented", "capacity-overflow", "degree-overflow"])
+@pytest.mark.filterwarnings("error")
 def test_solve_non_finite_input_exits_2(tmp_path, capsys, flags, edges):
     graph = tmp_path / "edges.txt"
     graph.write_text(edges)

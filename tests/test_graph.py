@@ -58,6 +58,22 @@ def test_build_rejects_nonpositive_weight(w):
         build_graph(2, [(1, 2, w)])
 
 
+@pytest.mark.parametrize("edges, node", [
+    # two edges at node 2, whose sum overflows where the two bincounts add
+    ([(1, 2, 1e308), (2, 3, 1e308)], 2),
+    # two out-edges at node 1, whose sum overflows inside one bincount
+    ([(1, 2, 1e308), (1, 3, 1e308), (2, 3, 1.0)], 1),
+], ids=["in-plus-out", "out-only"])
+def test_build_rejects_overflowing_weighted_degree(edges, node):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidWeight, match=f"at node {node} sum past"):
+            build_graph(3, edges)
+        # just below the largest double, the weighted degree stays finite
+        g = build_graph(3, [(1, 2, 1e308), (2, 3, 7e307)])
+    assert g.weighted_degree[1] == 1.7e308
+
+
 OUT_OF_RANGE = [(3, (0, 2)), (3, (1, 4)), (3, (-1, 2)), (3, (1.5, 2)),
                 (3, (float("inf"), 2)), (3, (float("nan"), 2)),
                 # node counts that are not whole numbers in 1..2**63-1

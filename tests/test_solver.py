@@ -55,9 +55,10 @@ def test_init_state_all_ones(chain_problem):
     g = chain_problem.graph
     assert conjugate_g_feasible(chain_problem, np.zeros(g.num_edges))
     res = run(chain_problem, SolverConfig(max_iters=1))
-    x, _, y = _Kernel(chain_problem).step(np.ones(g.n), np.ones(g.n), np.zeros(g.num_edges))
+    k = _Kernel(chain_problem)
+    x, _, y = k.step(np.ones(g.n), np.ones(g.n), np.zeros(k.cap.size))
     assert res.x.tobytes() == x.tobytes()
-    assert res.y.tobytes() == y.tobytes()
+    assert res.y.tobytes() == k.edge_flow(y).tobytes()
 
 
 def test_init_state_rejects_isolated_node():
@@ -83,9 +84,10 @@ def test_step_capacity_invariant(rng):
     for _ in range(10):
         g = random_connected_graph(int(rng.integers(2, 9)), rng)
         p = NLassoProblem(g, [1], 0.2, 0.15)
-        _, _, y = _Kernel(p).step(rng.normal(size=g.n) * 5, rng.normal(size=g.n) * 5,
-                                  rng.normal(size=g.num_edges) * 5)
-        assert conjugate_g_feasible(p, y)
+        k = _Kernel(p)
+        _, _, y = k.step(*kernel_state(k, rng.normal(size=g.n) * 5, rng.normal(size=g.n) * 5,
+                                       rng.normal(size=g.num_edges) * 5))
+        assert conjugate_g_feasible(p, k.edge_flow(y))
 
 
 def test_step_fixed_point_at_optimum(rng):
@@ -241,13 +243,15 @@ def matching_problem():
 def test_projection_matches_clip_at_the_bound():
     p, state = matching_problem()
     k = _Kernel(p)
-    cap = k.cap
+    cap = p.capacities
     assert cap[9] == cap[10] == 0.0  # 0.25 * 5e-324 underflows
+    state = kernel_state(k, *state)
     ours, ref = k.step(*state), clip_step(k, *state)
     assert same_bits(ours, ref)
-    assert ours[2].tolist() == [cap[0], -cap[1], 0.0, 0.0, cap[4], -cap[5], cap[6],
-                                -cap[7], 0.0, 0.0, 0.0]
-    assert np.signbit(ours[2][[2, 8]]).all()  # -0.0 inside the bounds stays -0.0
+    y = k.edge_flow(ours[2])
+    assert y.tolist() == [cap[0], -cap[1], 0.0, 0.0, cap[4], -cap[5], cap[6], -cap[7],
+                          0.0, 0.0, 0.0]
+    assert np.signbit(y[[2, 8]]).all()  # -0.0 inside the bounds stays -0.0
 
 
 def run_in_layout(monkeypatch, band, p, cfg):
@@ -273,22 +277,29 @@ def assert_layouts_agree(monkeypatch, p, cfg):
     return b
 
 
-def band_state(k, x, x_prev, y):
-    """A step state in edge order, moved into the band kernel's layout."""
-    yb = np.zeros(k.cap.size)
-    yb[k._slots()] = y
-    return x, x_prev, yb
+def kernel_state(k, x, x_prev, y):
+    """A step state with its flow in edge order, moved into kernel k's slots."""
+    yk = np.zeros(k.cap.size)
+    yk[k.slots] = y
+    return x, x_prev, yk
 
 
-def reference_step(k, x, x_prev, y):
-    """`_Kernel.step` with one fresh array per expression, as first
-    written: the reference that the in-place stages must match bit for bit."""
+def edge_state(k, x, x_prev, y):
+    """A step state of kernel k with its flow moved back into edge order."""
+    return x, x_prev, k.edge_flow(y)
+
+
+def reference_step(p, k, x, x_prev, y):
+    """The step in edge order with one fresh array per expression, as first
+    written: the reference that both kernels must match bit for bit.  It
+    takes the per-node constants gamma, shift and scale from kernel k."""
+    g = p.graph
     xt = 2.0 * x - x_prev
-    y = y + 0.5 * (xt[k.src] - xt[k.dst])
-    np.maximum(y, k.neg_cap, out=y)
-    np.minimum(y, k.cap, out=y)
-    div = (np.bincount(k.src, weights=y, minlength=k.n)
-           - np.bincount(k.dst, weights=y, minlength=k.n))
+    y = y + 0.5 * (xt[g.src] - xt[g.dst])
+    np.maximum(y, -p.capacities, out=y)
+    np.minimum(y, p.capacities, out=y)
+    div = (np.bincount(g.src, weights=y, minlength=g.n)
+           - np.bincount(g.dst, weights=y, minlength=g.n))
     v = x - k.gamma * div
     return (v + k.shift) * k.scale, x, y
 
@@ -313,18 +324,19 @@ def test_kernels_match_reference_step():
              for p in frozen_problems() + [saturated_grid_problem(), chain]]
     cases += [(chain, signed_zero_chain_state(1000)), matching_problem()]
     for p, state in cases:
+        g = p.graph
         gk, bk = _Kernel(p), _BandKernel(p)
-        ref = gather = state
-        band = band_state(bk, *state)
+        ref = state
+        gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
         for _ in range(300):
-            ref, gather, band = reference_step(gk, *ref), gk.step(*gather), bk.step(*band)
-            assert same_bits(gather, ref)
-            assert same_bits((band[0], band[1], bk.edge_flow(band[2])), ref)
+            ref, gather, band = reference_step(p, gk, *ref), gk.step(*gather), bk.step(*band)
+            assert same_bits(edge_state(gk, *gather), ref)
+            assert same_bits(edge_state(bk, *band), ref)
             y = ref[2]
             assert same_bits((bk._node_sums(band[2], bk.out_bands),
                               bk._node_sums(band[2], bk.in_bands)),
-                             (np.bincount(gk.src, weights=y, minlength=gk.n),
-                              np.bincount(gk.dst, weights=y, minlength=gk.n)))
+                             (np.bincount(g.src, weights=y, minlength=g.n),
+                              np.bincount(g.dst, weights=y, minlength=g.n)))
     # the matching is one band with every other slot empty
     assert bk.cap.size == 2 * p.graph.num_edges - 1
 
@@ -334,11 +346,12 @@ def test_band_layout_matches_gather_stepwise():
     # end, an empty slot of capacity 0
     for p in frozen_problems() + [saturated_grid_problem()]:
         gk, bk = _Kernel(p), _BandKernel(p)
-        state = (np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges))
-        ours = band_state(bk, *state)
+        n = p.graph.n
+        gather = (np.ones(n), np.ones(n), np.zeros(gk.cap.size))
+        band = (np.ones(n), np.ones(n), np.zeros(bk.cap.size))
         for _ in range(300):
-            state, ours = gk.step(*state), bk.step(*ours)
-            assert same_bits(state, (ours[0], ours[1], bk.edge_flow(ours[2])))
+            gather, band = gk.step(*gather), bk.step(*band)
+            assert same_bits(edge_state(gk, *gather), edge_state(bk, *band))
 
 
 def test_band_layout_matches_gather_at_the_bound():
@@ -346,11 +359,39 @@ def test_band_layout_matches_gather_at_the_bound():
     # capacities, +-inf flows, -0.0
     p, state = matching_problem()
     gk, bk = _Kernel(p), _BandKernel(p)
-    ours = band_state(bk, *state)
+    gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
     for _ in range(5):
-        state, ours = gk.step(*state), bk.step(*ours)
-        assert same_bits(state, (ours[0], ours[1], bk.edge_flow(ours[2])))
+        gather, band = gk.step(*gather), bk.step(*band)
+        assert same_bits(edge_state(gk, *gather), edge_state(bk, *band))
     assert bk.cap.size == 2 * p.graph.num_edges - 1
+
+
+def test_gather_slots_keep_each_node_sum_order():
+    # a 120-node block model with weights drawn from [0.1, 10], whose
+    # anti-diagonal slot order differs from edge order
+    g, _ = sbm_graph(SbmSpec((60, 60), 0.2, 0.02, rng_seed=3))
+    w = np.random.default_rng(7).uniform(0.1, 10.0, g.num_edges)
+    g = build_graph(g.n, np.column_stack((g.src + 1, g.dst + 1, w)))
+    k = _Kernel(NLassoProblem(g, [1, 2, 3], 0.05, 0.5))
+    m, slots = g.num_edges, k.slots
+    assert sorted(slots) == list(range(m)) and (slots != np.arange(m)).any()
+    assert (k.src[slots] == g.src).all() and (k.dst[slots] == g.dst).all()
+    # slots run by ascending src + dst, and by ascending src within one sum
+    assert (np.diff(k.src + k.dst) >= 0).all()
+    # each node's out-slots run by ascending dst and its in-slots by
+    # ascending src, the order of its edges in edge order
+    for i in range(g.n):
+        assert (np.diff(k.dst[k.src == i]) > 0).all()
+        assert (np.diff(k.src[k.dst == i]) > 0).all()
+    # so np.bincount adds each node's terms in the same order: flows of
+    # mixed magnitudes, whose sums depend on that order, some of them -0.0
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=m) * 2.0 ** rng.integers(-40, 41, m)
+    y[rng.random(m) < 0.2] = -0.0
+    _, _, ys = kernel_state(k, None, None, y)
+    for slot_ends, edge_ends in ((k.src, g.src), (k.dst, g.dst)):
+        assert same_bits([np.bincount(slot_ends, weights=ys, minlength=g.n)],
+                         [np.bincount(edge_ends, weights=y, minlength=g.n)])
 
 
 def test_step_leaves_inputs_and_returns_fresh_arrays():
@@ -372,15 +413,15 @@ def test_band_layout_matches_gather_through_run(monkeypatch):
     for p in frozen_problems():
         assert_layouts_agree(monkeypatch, p, SolverConfig(max_iters=400, check_interval=50,
                                                           gap_tolerance=1e-6))
-    # grids and a chain on which run takes the band layout by itself
-    above = [saturated_grid_problem(),
-             NLassoProblem(chain_graph(1000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2),
+    # the saturated grid, and a chain and a grid on which run takes the
+    # band layout by itself
+    above = [NLassoProblem(chain_graph(2000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2),
              NLassoProblem(grid_from_image(GreyImage(40, 40, np.arange(1600) % 7 * 10)),
                            [1, 2, 41], 0.05, 0.5)]
+    assert all(_uses_bands(p.graph) for p in above)
     cfg = SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-3)
     stops = []
-    for p in above:
-        assert _uses_bands(p.graph)
+    for p in [saturated_grid_problem()] + above:
         res = assert_layouts_agree(monkeypatch, p, cfg)
         assert res.history
         stops.append(res.iters_run)
@@ -397,6 +438,8 @@ def test_layout_selection():
     assert not _uses_bands(g)
     assert not any(_uses_bands(p.graph) for p in frozen_problems())
     assert not _uses_bands(chain_graph(100))
+    # the break-even: bands of at least 1000 slots
+    assert _uses_bands(chain_graph(1001)) and not _uses_bands(chain_graph(1000))
 
 
 def stepwise_run(p, cfg):

@@ -19,8 +19,10 @@ def test_ab_run_against_the_same_checkout():
     assert proc.returncode == 0, proc.stderr
     for name in ("segment-large", "sbm-large", "tiny-batch"):
         assert f"{name} (" in proc.stdout
-    assert proc.stdout.count("bitwise equal") == 3
-    assert proc.stdout.count("wins") == 6
+    # the chain and the seed's ten block models
+    assert "paper-experiments (11 solves x 3 iterations, bitwise equal)" in proc.stdout
+    assert proc.stdout.count("bitwise equal") == 4
+    assert proc.stdout.count("wins") == 8
 
 
 def test_ab_run_refuses_to_time_different_results(tmp_path):

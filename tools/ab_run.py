@@ -3,12 +3,14 @@
 
 For one workload seed it builds the problems of perfbench's `segment-large`
 (the 256 x 256 image, one solve), `sbm-large` (the 4000-node block model,
-one solve) and `tiny-batch` (50 small solves) workloads, with each
-workload's iteration budget.  It loads the other checkout's `src/nlasso`
-as a second package, checks that both give bitwise the same x, y and
-iters_run on every problem, and only then times one round of each side's
-solves after the other, alternating which side goes first.  Per workload
-it prints each side's median, quartiles and the number of rounds it won.
+one solve), `tiny-batch` (50 small solves) and `paper-experiments` (the
+100-node chain and the seed's ten 200-node block models, 11 solves)
+workloads, with each workload's iteration budget.  It loads the other
+checkout's `src/nlasso` as a second package, checks that both give
+bitwise the same x, y and iters_run on every problem, and only then times
+one round of each side's solves after the other, alternating which side
+goes first.  Per workload it prints each side's median, quartiles and the
+number of rounds it won.
 
 Running both sides in one process shares the host's drift between them,
 which makes a small difference visible in fewer rounds than perfbench's
@@ -39,7 +41,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import nlasso  # noqa: E402
 import workloads  # noqa: E402
 
-WORKLOADS = ("segment-large", "sbm-large", "tiny-batch")
+WORKLOADS = ("segment-large", "sbm-large", "tiny-batch", "paper-experiments")
 
 
 def load_nlasso(checkout: Path, name: str):
@@ -61,6 +63,15 @@ def problems(name: str, seed: int, workdir: Path) -> tuple[list, int]:
     w.setup()
     if name == "tiny-batch":
         return [p for p, _ in w.cases], w.ITERS
+    if name == "paper-experiments":
+        probs = [w.chain_problem]
+        for rng_seed in w.rng_seeds:
+            spec = nlasso.SbmSpec((w.SBM_BLOCK, w.SBM_BLOCK), w.SBM_P_IN, w.SBM_P_OUT,
+                                  rng_seed=rng_seed)
+            g, blocks = nlasso.sbm_graph(spec)
+            seeds = nlasso.sample_seeds(blocks[0], w.SBM_SEEDS, rng_seed=rng_seed)
+            probs.append(nlasso.NLassoProblem(g, seeds, w.SBM_ALPHA, w.SBM_LAM))
+        return probs, w.ITERS
     if name == "segment-large":
         g = nlasso.grid_from_image(nlasso.read_pgm(w.image))
         seeds = nlasso.read_node_set(w.seeds, g.n)
