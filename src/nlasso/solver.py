@@ -25,8 +25,9 @@ makes the same IEEE operation on the same operands as the formulas above
 (a + b and b + a have the same bits, as do a * b and b * a), so no bit
 changes.  xt is freed after stage 2, before stage 4 allocates its sums.
 
-The flow is an array of slots, each edge in one slot.  It has two
-layouts, and both give the same bits as a flow in edge order would.
+The flow is an array of slots, each edge in one slot.  `run` steps it in
+one of three layouts, and all give the same bits as a flow in edge order
+would.
 
 * Gather (`_Kernel`): one slot per edge, in anti-diagonal order: sorted
   by (src + dst, src), with src and dst kept in slot order.  Stage 2
@@ -57,16 +58,53 @@ layouts, and both give the same bits as a flow in edge order would.
   differences are finite, as x is).  A sum that starts at +0 never becomes
   -0, since exact cancellation rounds to +0, and adding +-0 to any other
   value leaves it as it was, so empty slots add nothing.
+* Scalar (`_ScalarKernel`): the gather layout's slots, stepped in Python
+  floats one slot and then one node at a time.  On a graph of a few edges the
+  gather step's dozen numpy calls cost more than their arithmetic.  Each
+  Python operation is the correctly rounded IEEE operation of the numpy
+  stage, on the same operands and in the same order (Python floats are
+  doubles, and it fuses no multiply-add).  Each node's out- and in-sum
+  starts at 0.0 and adds the node's slots in slot order, as np.bincount
+  does.  The clamp follows numpy's rule for ties: np.maximum and
+  np.minimum return their second operand when +0 meets -0 (checked at
+  every length from 1 to 129 and at 255, 256, 1000 and 4097), so a flow of
+  -0 on an edge of capacity 0 becomes +0, the upper bound.  The clamp is
+  therefore written as comparisons that give the bound on a tie and pass
+  NaN through, as numpy does; the builtin max() and min() return their
+  first operand on a tie and would give -0.  A capacity lam W_e of 0
+  arises when it underflows.
 
 `run` takes the band layout when the bands pad the m edges with at most n
-empty slots and every band holds at least _MIN_BAND_SLOTS slots, and the
-gather layout otherwise.  A band costs a few numpy calls per step
-whatever its length.  Measured on 2 vCPUs (median step time, gather over
-band, three runs), the layouts break even at about 1000 slots per band,
-on chains and grids alike: 24 x 24 grid 0.79-0.83x, 700-node chain
-0.89-0.92x, 1000-node chain 0.96-1.01x, 32 x 32 grid 0.98-1.04x,
-1500-node chain 1.05-1.08x, 2000-node chain 1.15-1.19x, 48 x 48 grid
-1.38-1.43x, 64 x 64 grid 1.73-1.82x, 256 x 256 grid 2.15-2.29x.
+empty slots and every band holds at least _MIN_BAND_SLOTS slots; else the
+scalar layout when m is at most _MAX_SCALAR_EDGES; else the gather
+layout.  A band costs a few numpy calls per step whatever its length.
+Measured on 2 vCPUs (median step time, gather over band, three runs),
+the layouts break even at about 1000 slots per band, on chains and grids
+alike: 24 x 24 grid 0.79-0.83x, 700-node chain 0.89-0.92x, 1000-node
+chain 0.96-1.01x, 32 x 32 grid 0.98-1.04x, 1500-node chain 1.05-1.08x,
+2000-node chain 1.15-1.19x, 48 x 48 grid 1.38-1.43x, 64 x 64 grid
+1.73-1.82x, 256 x 256 grid 2.15-2.29x.
+
+The scalar step's time grows with m and n, the gather step's hardly at
+all on graphs this small.  Measured the same way (median step time,
+scalar over gather, the two alternating in blocks of 500 steps, three
+runs, twice at 8 to 16 edges), on chains of m + 1 nodes and on random
+connected graphs of about 0.6 m + 1 nodes, they break even at about 11
+edges on chains and 13 on random graphs:
+
+    edges   chain        random
+      3     0.49-0.52x   0.46-0.48x
+      4     0.57-0.60x   0.55-0.57x
+      6     0.69-0.72x   0.65-0.94x
+      8     0.80-0.86x   0.71-0.81x
+     10     0.85-1.12x   0.79-1.05x
+     11     0.86-1.21x   0.81-0.95x
+     12     0.98-1.20x   0.85-0.93x
+     13     0.87-1.16x   0.95-1.04x
+     14     1.12-1.28x   0.93-1.06x
+     16     1.21-1.38x   0.82-1.17x
+     20     1.37-1.41x   1.09-1.36x
+     32     2.10-2.31x   1.55-2.06x
 
 Repeat stop.  The step is a deterministic map of the state (x, xprev,
 y), so once a state recurs D steps after an earlier one, every later state
@@ -155,7 +193,7 @@ class _Kernel:
     edge; a slot that holds no edge has capacity 0.  This class stores the
     flow in the gather layout: one slot per edge, sorted by (src + dst,
     src), with src and dst in slot order.  A subclass supplies its own
-    _layout, slots and step.
+    step, and may supply its own _layout and slots.
     """
 
     def __init__(self, p: NLassoProblem):
@@ -214,6 +252,43 @@ class _Kernel:
         return y[self.slots]
 
 
+class _ScalarKernel(_Kernel):
+    """The gather layout stepped in Python floats, for graphs of a few edges.
+
+    Same slots, capacities and per-node constants as `_Kernel`, held as
+    lists; step runs stages 1-6 one slot and one node at a time.
+    """
+
+    def __init__(self, p: NLassoProblem):
+        super().__init__(p)
+        self.slot_ends = list(zip(self.src.tolist(), self.dst.tolist(),
+                                  self.cap.tolist(), self.neg_cap.tolist()))
+        self.node_consts = list(zip(self.gamma.tolist(), self.shift.tolist(),
+                                    self.scale.tolist()))
+
+    # like _Kernel.step, fresh x and y arrays and inputs left untouched
+    def step(self, x, x_prev, y):
+        xs = x.tolist()
+        xt = [2.0 * a - b for a, b in zip(xs, x_prev.tolist())]
+        out = [0.0] * self.n
+        into = [0.0] * self.n
+        flow = []
+        for (i, j, c, neg_c), v in zip(self.slot_ends, y.tolist()):
+            v = (xt[i] - xt[j]) * 0.5 + v
+            # np.maximum, then np.minimum: a tie (+-0 against -+0) gives the
+            # bound, their second operand, and NaN stays NaN
+            if v <= neg_c:
+                v = neg_c
+            if v >= c:
+                v = c
+            flow.append(v)
+            out[i] += v
+            into[j] += v
+        new_x = [(a - (o - t) * gamma + shift) * scale
+                 for a, o, t, (gamma, shift, scale) in zip(xs, out, into, self.node_consts)]
+        return np.array(new_x), x, np.array(flow)
+
+
 # Iterations between checks for a repeated state.  A check compares the
 # state with two earlier ones, stopping at the first array that differs, so
 # a short interval costs little and stops soon after the state repeats.
@@ -223,6 +298,12 @@ _REPEAT_CHECK_INTERVAL = 16
 # numpy calls cost more than the gathers and bincounts they replace (see
 # the module docstring).
 _MIN_BAND_SLOTS = 1000
+
+# Most edges for the scalar layout: above about this, its per-slot Python
+# work costs more than the gather step's numpy calls.  It lies between the
+# break-evens measured on chains and on random graphs (see the module
+# docstring).
+_MAX_SCALAR_EDGES = 12
 
 
 def _offsets(g: gc.Graph) -> np.ndarray:
@@ -235,6 +316,13 @@ def _uses_bands(g: gc.Graph) -> bool:
     k = _offsets(g)
     slots = k.size * g.n - int(k.sum())
     return bool(k.size) and g.n - k[-1] >= _MIN_BAND_SLOTS and slots - g.num_edges <= g.n
+
+
+def _kernel_class(g: gc.Graph) -> type[_Kernel]:
+    """The kernel, and so the flow layout, that `run` iterates on g with."""
+    if _uses_bands(g):
+        return _BandKernel
+    return _ScalarKernel if g.num_edges <= _MAX_SCALAR_EDGES else _Kernel
 
 
 class _BandKernel(_Kernel):
@@ -396,7 +484,7 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     the history row of each remaining check.  The result is bit for bit
     that of the full run.
     """
-    kernel = (_BandKernel if _uses_bands(p.graph) else _Kernel)(p)
+    kernel = _kernel_class(p.graph)(p)
     n = p.graph.n
     state = (np.ones(n), np.ones(n), np.zeros(kernel.cap.size))
     history: list[HistoryRecord] = []

@@ -18,8 +18,8 @@ from nlasso import (
     extract_cluster,
     run,
 )
-from nlasso.solver import _BandKernel, _Kernel
-from test_solver import assert_same_result, period_two_problem, stepwise_run
+from nlasso.solver import _BandKernel, _Kernel, _ScalarKernel
+from test_solver import assert_same_result, period_two_problem, stepwise_run, underflow_problem
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -80,6 +80,19 @@ def test_band_layout_matches_gather(p):
         a, b = gk.step(*a), bk.step(*b)
     assert a[0].tobytes() == b[0].tobytes()
     assert gk.edge_flow(a[2]).tobytes() == bk.edge_flow(b[2]).tobytes()
+
+
+@PROPERTY
+@given(problems())
+@example(underflow_problem())  # a capacity of 0, where the clamp meets -0.0 against +0.0
+def test_scalar_layout_matches_gather(p):
+    gk, sk = _Kernel(p), _ScalarKernel(p)
+    n = p.graph.n
+    a = b = (np.ones(n), np.ones(n), np.zeros(gk.cap.size))
+    for _ in range(100):
+        a, b = gk.step(*a), sk.step(*b)
+        assert [u.tobytes() for u in a] == [v.tobytes() for v in b]
+    assert b[0].dtype == b[2].dtype == np.float64
 
 
 @PROPERTY

@@ -21,7 +21,7 @@ from nlasso import (
 )
 from nlasso import solver
 from nlasso.generators import GreyImage, chain_graph, grid_from_image
-from nlasso.solver import _BandKernel, _Kernel, _uses_bands
+from nlasso.solver import _BandKernel, _Kernel, _kernel_class, _ScalarKernel, _uses_bands
 from oracle import exact_tree_optimum, pair_prox_gradient, random_connected_graph
 
 
@@ -252,12 +252,52 @@ def test_projection_matches_clip_at_the_bound():
     assert y.tolist() == [cap[0], -cap[1], 0.0, 0.0, cap[4], -cap[5], cap[6], -cap[7],
                           0.0, 0.0, 0.0]
     assert np.signbit(y[[2, 8]]).all()  # -0.0 inside the bounds stays -0.0
+    # -0.0 on an edge of capacity 0 ties both bounds; np.maximum and
+    # np.minimum return their second operand, so the flow ends at +0.0
+    assert not np.signbit(y[9])
 
 
-def run_in_layout(monkeypatch, band, p, cfg):
-    """`run` with its layout choice forced to bands (True) or gathers (False)."""
+def underflow_problem():
+    """Three nodes whose edge (2, 3) has capacity 0.25 * 5e-324 = 0, with the
+    seed at node 3: once x_2 < x_3 the dual ascent on that edge is negative,
+    so the clamp meets -0.0 against +0.0 at every step."""
+    g = build_graph(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 5e-324)])
+    return NLassoProblem(g, [3], 0.5, 0.25)
+
+
+def test_scalar_clamp_follows_numpy_ties():
+    p = underflow_problem()
+    assert p.capacities[2] == 0.0
+    gk, sk = _Kernel(p), _ScalarKernel(p)
+    state = (np.ones(3), np.ones(3), np.zeros(3))
+    gather = scalar = state
+    ties = 0
+    for _ in range(50):
+        xt = 2.0 * scalar[0] - scalar[1]
+        ties += (xt[1] - xt[2]) * 0.5 + scalar[2][gk.slots[2]] < 0.0
+        gather, scalar = gk.step(*gather), sk.step(*scalar)
+        assert same_bits(gather, scalar)
+        assert scalar[2][gk.slots[2]] == 0.0 and not np.signbit(scalar[2][gk.slots[2]])
+    assert ties >= 40, ties
+    # a NaN flow stays NaN through the clamp, as in np.maximum and np.minimum
+    gather = scalar = (np.ones(3), np.ones(3), np.array([np.nan, 0.0, 0.0]))
+    for _ in range(3):
+        gather, scalar = gk.step(*gather), sk.step(*scalar)
+        assert same_bits(gather, scalar)
+    assert np.isnan(scalar[0]).all()
+    # the matching's flows at and beyond the bounds, +-inf included
+    p, state = matching_problem()
+    gk, sk = _Kernel(p), _ScalarKernel(p)
+    gather = scalar = kernel_state(gk, *state)
+    for _ in range(5):
+        gather, scalar = gk.step(*gather), sk.step(*scalar)
+        assert same_bits(gather, scalar)
+
+
+def run_in_layout(monkeypatch, kernel, p, cfg):
+    """`run` with its kernel forced to the class `kernel`."""
     with monkeypatch.context() as m:
-        m.setattr(solver, "_uses_bands", lambda g: band)
+        m.setattr(solver, "_kernel_class", lambda g: kernel)
         return run(p, cfg)
 
 
@@ -269,10 +309,11 @@ def assert_same_result(a, b):
         == [tuple(map(float.hex, map(float, h))) for h in b.history]
 
 
-def assert_layouts_agree(monkeypatch, p, cfg):
-    """Both layouts give the same x, y, history and iteration count, bit for bit."""
-    a = run_in_layout(monkeypatch, False, p, cfg)
-    b = run_in_layout(monkeypatch, True, p, cfg)
+def assert_layouts_agree(monkeypatch, p, cfg, other=_BandKernel):
+    """The gather kernel and `other` give the same x, y, history and
+    iteration count, bit for bit; returns the result of `other`."""
+    a = run_in_layout(monkeypatch, _Kernel, p, cfg)
+    b = run_in_layout(monkeypatch, other, p, cfg)
     assert_same_result(a, b)
     return b
 
@@ -325,13 +366,16 @@ def test_kernels_match_reference_step():
     cases += [(chain, signed_zero_chain_state(1000)), matching_problem()]
     for p, state in cases:
         g = p.graph
-        gk, bk = _Kernel(p), _BandKernel(p)
+        gk, bk, sk = _Kernel(p), _BandKernel(p), _ScalarKernel(p)
         ref = state
         gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
+        scalar = gather
         for _ in range(300):
-            ref, gather, band = reference_step(p, gk, *ref), gk.step(*gather), bk.step(*band)
+            ref, gather, band, scalar = (reference_step(p, gk, *ref), gk.step(*gather),
+                                         bk.step(*band), sk.step(*scalar))
             assert same_bits(edge_state(gk, *gather), ref)
             assert same_bits(edge_state(bk, *band), ref)
+            assert same_bits(edge_state(sk, *scalar), ref)
             y = ref[2]
             assert same_bits((bk._node_sums(band[2], bk.out_bands),
                               bk._node_sums(band[2], bk.in_bands)),
@@ -398,7 +442,7 @@ def test_step_leaves_inputs_and_returns_fresh_arrays():
     # `run` holds earlier states by reference for its repeat stop
     rng = np.random.default_rng(3)
     for p in (frozen_problems()[0], saturated_grid_problem()):
-        for k in (_Kernel(p), _BandKernel(p)):
+        for k in (_Kernel(p), _BandKernel(p), _ScalarKernel(p)):
             n = p.graph.n
             state = (rng.normal(size=n), rng.normal(size=n), rng.normal(size=k.cap.size))
             before = [a.tobytes() for a in state]
@@ -440,13 +484,40 @@ def test_layout_selection():
     assert not _uses_bands(chain_graph(100))
     # the break-even: bands of at least 1000 slots
     assert _uses_bands(chain_graph(1001)) and not _uses_bands(chain_graph(1000))
+    # below the bands, graphs of at most 12 edges take the scalar kernel
+    assert _kernel_class(chain_graph(2000)) is _BandKernel
+    assert _kernel_class(g) is _Kernel
+    assert _kernel_class(chain_graph(100)) is _Kernel
+    assert all(_kernel_class(p.graph) is _ScalarKernel for p in frozen_problems())
+    assert _kernel_class(chain_graph(2)) is _ScalarKernel
+    assert _kernel_class(chain_graph(13)) is _ScalarKernel
+    assert _kernel_class(chain_graph(14)) is _Kernel
+    k5 = build_graph(5, [(i, j, 1.0) for i in range(1, 6) for j in range(i + 1, 6)])
+    assert _kernel_class(k5) is _ScalarKernel  # 10 edges
+    k6 = build_graph(6, [(i, j, 1.0) for i in range(1, 7) for j in range(i + 1, 7)])
+    assert _kernel_class(k6) is _Kernel  # 15 edges
+
+
+def test_scalar_layout_matches_gather_through_run(monkeypatch):
+    # the 25 frozen instances, on which run takes the scalar kernel by itself
+    configs = [SolverConfig(max_iters=1000),
+               SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
+               SolverConfig(max_iters=999, check_interval=33),
+               SolverConfig(max_iters=1000, check_interval=7, gap_tolerance=1e-12)]
+    stops = 0
+    for p in frozen_problems():
+        for cfg in configs:
+            res = assert_layouts_agree(monkeypatch, p, cfg, other=_ScalarKernel)
+            stops += res.iters_run < cfg.max_iters
+    # the gap stop ends some runs early
+    assert stops >= 10, stops
 
 
 def stepwise_run(p, cfg):
     """`run` without its repeat stop: all max_iters steps of the kernel
     that `run` picks, a history row at each multiple of check_interval, and
     the gap stop."""
-    kernel = (_BandKernel if _uses_bands(p.graph) else _Kernel)(p)
+    kernel = _kernel_class(p.graph)(p)
     x, x_prev, y = np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(kernel.cap.size)
     history = []
     for r in range(1, cfg.max_iters + 1):
@@ -462,12 +533,20 @@ def stepwise_run(p, cfg):
 
 
 def count_steps(monkeypatch, p, cfg):
-    """`run(p, cfg)` and the number of gather-kernel steps it took."""
+    """`run(p, cfg)` and the number of steps it took, of whichever kernel
+    `run` picks for p."""
     calls = []
-    step = _Kernel.step
+
+    class Counting(_kernel_class(p.graph)):
+        def step(self, *state):
+            calls.append(1)
+            return super().step(*state)
+
     with monkeypatch.context() as m:
-        m.setattr(_Kernel, "step", lambda k, *state: calls.append(1) or step(k, *state))
-        return run(p, cfg), len(calls)
+        m.setattr(solver, "_kernel_class", lambda g: Counting)
+        res = run(p, cfg)
+    assert calls
+    return res, len(calls)
 
 
 def period_two_problem():
@@ -549,13 +628,13 @@ class ClockKernel(ClimbingKernel):
 def test_fixed_point_needs_every_part_of_the_state(monkeypatch):
     # step 16 maps (16, 15, 1) to (16, 16, 1): x and y repeat, but the
     # state does not, and from step 17 on y grows by one per step
-    monkeypatch.setattr(solver, "_Kernel", ClimbingKernel)
+    monkeypatch.setattr(solver, "_kernel_class", lambda g: ClimbingKernel)
     res = run(frozen_problems()[1], SolverConfig(max_iters=100))
     assert (res.x == 16.0).all() and res.y.tolist() == [85.0]
     assert res.iters_run == 100
     # x and y at steps 16 and 32 match those of the step before and of the
     # snapshot taken at step 16, but the clock does not
-    monkeypatch.setattr(solver, "_Kernel", ClockKernel)
+    monkeypatch.setattr(solver, "_kernel_class", lambda g: ClockKernel)
     res = run(frozen_problems()[1], SolverConfig(max_iters=100))
     assert (res.x == 2.0).all() and res.iters_run == 100
 
@@ -578,7 +657,7 @@ def test_repeat_stop_ends_on_the_right_state_of_a_cycle(monkeypatch, k):
     # 1001 iterations from x = 1 end on x = 1002 mod k; k does not divide
     # 1001, so stepping one too few or too many after the repeat shows
     kernel = CyclingKernel(k)
-    monkeypatch.setattr(solver, "_Kernel", lambda p: kernel)
+    monkeypatch.setattr(solver, "_kernel_class", lambda g: lambda p: kernel)
     res = run(frozen_problems()[1], SolverConfig(max_iters=1001))
     assert (res.x == 1002 % k).all() and res.y.tolist() == [1001 % k]
     assert res.iters_run == 1001 and kernel.steps < 500

@@ -23,14 +23,23 @@ def test_ab_run_against_the_same_checkout():
     assert "paper-experiments (11 solves x 3 iterations, bitwise equal)" in proc.stdout
     assert proc.stdout.count("bitwise equal") == 4
     assert proc.stdout.count("wins") == 8
+    # each workload's solves by layout: the 256 x 256 grid takes bands, the
+    # block models and the 99-edge chain gathers, the tiny graphs scalars
+    for layouts in ("band 1, gather 0, scalar 0", "band 0, gather 1, scalar 0",
+                    "band 0, gather 0, scalar 50", "band 0, gather 11, scalar 0"):
+        assert f"  layouts here: {layouts}\n" in proc.stdout
 
 
 def test_ab_run_refuses_to_time_different_results(tmp_path):
+    # halve the dual step in all three layouts' kernels: the two numpy ones
+    # and the scalar one, which the tiny-batch solves take
     shutil.copytree(ROOT / "src", tmp_path / "src")
     solver = tmp_path / "src" / "nlasso" / "solver.py"
     text = solver.read_text()
-    assert text.count("d *= 0.5\n") == 2
-    solver.write_text(text.replace("d *= 0.5\n", "d *= 0.25\n"))
+    for old, new, count in (("d *= 0.5\n", "d *= 0.25\n", 2), ("* 0.5 + v\n", "* 0.25 + v\n", 1)):
+        assert text.count(old) == count
+        text = text.replace(old, new)
+    solver.write_text(text)
     proc = ab_run(tmp_path, "--iters", "3", "--rounds", "1", "--workload", "tiny-batch")
     assert proc.returncode != 0
     assert "differs between the checkouts" in proc.stderr

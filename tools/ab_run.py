@@ -9,8 +9,9 @@ workloads, with each workload's iteration budget.  It loads the other
 checkout's `src/nlasso` as a second package, checks that both give
 bitwise the same x, y and iters_run on every problem, and only then times
 one round of each side's solves after the other, alternating which side
-goes first.  Per workload it prints each side's median, quartiles and the
-number of rounds it won.
+goes first.  Per workload it prints how many of the solves take each flow
+layout in this checkout (band, gather or scalar; see nlasso/solver.py),
+then each side's median, quartiles and the number of rounds it won.
 
 Running both sides in one process shares the host's drift between them,
 which makes a small difference visible in fewer rounds than perfbench's
@@ -40,8 +41,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import nlasso  # noqa: E402
 import workloads  # noqa: E402
+from nlasso import solver  # noqa: E402
 
 WORKLOADS = ("segment-large", "sbm-large", "tiny-batch", "paper-experiments")
+LAYOUTS = {solver._BandKernel: "band", solver._Kernel: "gather", solver._ScalarKernel: "scalar"}
 
 
 def load_nlasso(checkout: Path, name: str):
@@ -99,6 +102,12 @@ def assert_same_results(name, sides):
             raise SystemExit(f"{name}: problem {k} differs between the checkouts")
 
 
+def layout_counts(probs) -> str:
+    """How many of the problems `run` steps in each layout, in this checkout."""
+    kernels = [solver._kernel_class(p.graph) for p in probs]
+    return ", ".join(f"{name} {kernels.count(cls)}" for cls, name in LAYOUTS.items())
+
+
 def time_solves(run, probs, cfg) -> float:
     t0 = time.perf_counter()
     for p in probs:
@@ -138,6 +147,7 @@ def main(argv=None) -> int:
                     times[s].append(time_solves(*sides[s]))
             wins = (sum(a < b for a, b in zip(*times)), sum(b < a for a, b in zip(*times)))
             print(f"{name} ({len(probs)} solves x {iters} iterations, bitwise equal)")
+            print(f"  layouts here: {layout_counts(probs)}")
             print(f"  this   {summary(times[0])}  wins {wins[0]}/{args.rounds}")
             print(f"  other  {summary(times[1])}  wins {wins[1]}/{args.rounds}")
             print(f"  median ratio this/other {np.median(times[0]) / np.median(times[1]):.3f}")
