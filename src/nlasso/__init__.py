@@ -62,7 +62,6 @@ from .graph import (
     isolated_nodes,
     read_edge_list,
     read_node_set,
-    write_edge_list,
     write_node_set,
 )
 from .objectives import (

@@ -369,14 +369,6 @@ def _inferred_n(largest, size: int):
     return min(largest, _INT64_MAX)
 
 
-def write_edge_list(path, g: Graph) -> None:
-    """Write a graph in the `i j w` text format read by read_edge_list,
-    through a temp file (see _atomic_open)."""
-    with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, j, w in zip(g.src + 1, g.dst + 1, g.weights):
-            fh.write(f"{i} {j} {float(w)!r}\n")
-
-
 def read_node_set(path, n: int) -> np.ndarray:
     """Read a node-set file of ids in 1..n: one id per line, `#` comments."""
     ids = []

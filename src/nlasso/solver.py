@@ -72,11 +72,13 @@ would.
   therefore written as comparisons that give the bound on a tie and pass
   NaN through, as numpy does; the builtin max() and min() return their
   first operand on a tie and would give -0.  A capacity lam W_e of 0
-  arises when it underflows.
+  arises when it underflows.  Between two checks of `run` the state stays
+  in lists of floats: it is converted from arrays once and back once,
+  not at every step, and each conversion keeps every bit.
 
 `run` takes the band layout when the bands pad the m edges with at most n
 empty slots and every band holds at least _MIN_BAND_SLOTS slots; else the
-scalar layout when m is at most _MAX_SCALAR_EDGES; else the gather
+scalar layout when m + n is at most _MAX_SCALAR_SIZE; else the gather
 layout.  A band costs a few numpy calls per step whatever its length.
 Measured on 2 vCPUs (median step time, gather over band, three runs),
 the layouts break even at about 1000 slots per band, on chains and grids
@@ -85,26 +87,41 @@ chain 0.96-1.01x, 32 x 32 grid 0.98-1.04x, 1500-node chain 1.05-1.08x,
 2000-node chain 1.15-1.19x, 48 x 48 grid 1.38-1.43x, 64 x 64 grid
 1.73-1.82x, 256 x 256 grid 2.15-2.29x.
 
-The scalar step's time grows with m and n, the gather step's hardly at
-all on graphs this small.  Measured the same way (median step time,
-scalar over gather, the two alternating in blocks of 500 steps, three
-runs, twice at 8 to 16 edges), on chains of m + 1 nodes and on random
-connected graphs of about 0.6 m + 1 nodes, they break even at about 11
-edges on chains and 13 on random graphs:
+The scalar step's time grows with both m and n, the gather step's hardly
+at all on graphs this small.  Measured through `advance` as `run` calls
+it, in runs of 16 steps (median step time, scalar over gather, the two
+alternating in blocks of 512 steps, six runs over two passes), on chains,
+random connected graphs of about 0.6 m + 1 nodes and complete graphs,
+the two break even at about 18 to 20 edges on chains, 19 to 22 on random
+graphs and 28 on complete graphs, but near 36 edges plus nodes on all
+three:
 
-    edges   chain        random
-      3     0.49-0.52x   0.46-0.48x
-      4     0.57-0.60x   0.55-0.57x
-      6     0.69-0.72x   0.65-0.94x
-      8     0.80-0.86x   0.71-0.81x
-     10     0.85-1.12x   0.79-1.05x
-     11     0.86-1.21x   0.81-0.95x
-     12     0.98-1.20x   0.85-0.93x
-     13     0.87-1.16x   0.95-1.04x
-     14     1.12-1.28x   0.93-1.06x
-     16     1.21-1.38x   0.82-1.17x
-     20     1.37-1.41x   1.09-1.36x
-     32     2.10-2.31x   1.55-2.06x
+    graph      edges  nodes  m + n   scalar/gather
+    chain         4      5      9    0.42-0.50x
+    random        8      6     14    0.55-0.69x
+    complete     10      5     15    0.55-0.55x
+    chain         8      9     17    0.55-0.67x
+    random       16     11     27    0.80-0.95x
+    complete     21      7     28    0.81-0.85x
+    random       19     12     31    0.90-1.26x
+    chain        16     17     33    0.79-1.17x
+    random       20     13     33    0.99-1.11x
+    random       22     14     36    0.94-1.14x
+    complete     28      8     36    0.95-1.02x
+    chain        18     19     37    0.67-1.07x
+    random       24     15     39    0.98-1.18x
+    chain        20     21     41    1.00-1.07x
+    complete     36      9     45    1.08-1.15x
+
+Check to check.  `run` has three kinds of event: a history check every
+check_interval iterations, a repeat check every _REPEAT_CHECK_INTERVAL,
+and max_iters.  One `advance` call of the kernel steps to the next event
+and leaves the last state and the one before it, which the period-1
+repeat check compares, in a list of two states.  The numpy layouts
+advance by calling step; the scalar layout runs its float steps.  The
+list is updated in place, so that nothing holds a state the run has
+stepped past: a caller that held each advance's first state would keep
+two more arrays alive through the advance.
 
 Repeat stop.  The step is a deterministic map of the state (x, xprev,
 y), so once a state recurs D steps after an earlier one, every later state
@@ -117,12 +134,14 @@ held by reference, since the step never writes its inputs.  On a match
 `run` steps only as far into the period as it still needs: the state that
 max_iters would end on, and the state of each remaining check up to the
 first whose gap stops the run, whose history row is that of the same
-offset within the period.  Its result is exactly that of the full run,
-and it holds at most two of these states besides the current one.  Bits
-are compared as bytes (see _same_bits), so -0.0 and +0.0 differ and
-equal NaN payloads match.  Small problems reach such a state at machine
-precision long before their budget: of the 25 frozen criterion-5
-instances, 21 reach a fixed point and 4 end in cycles of period 6 or 18.
+offset within the period, unless a check of the period just passed had
+that offset: its row is copied, since it did not stop the run.  Its
+result is exactly that of the full run, and it holds at most two of
+these states besides the current one.  Bits are compared as bytes (see
+_same_bits), so -0.0 and +0.0 differ and equal NaN payloads match.
+Small problems reach such a state at machine precision long before their
+budget: of the 25 frozen criterion-5 instances, 21 reach a fixed point
+and 4 end in cycles of period 6 or 18.
 """
 
 from __future__ import annotations
@@ -193,7 +212,7 @@ class _Kernel:
     edge; a slot that holds no edge has capacity 0.  This class stores the
     flow in the gather layout: one slot per edge, sorted by (src + dst,
     src), with src and dst in slot order.  A subclass supplies its own
-    step, and may supply its own _layout and slots.
+    step, and may supply its own advance, _layout and slots.
     """
 
     def __init__(self, p: NLassoProblem):
@@ -251,12 +270,25 @@ class _Kernel:
         """The flow `y` of step in edge order."""
         return y[self.slots]
 
+    def advance(self, states: list, k: int) -> None:
+        """Step k >= 1 times from states[1], in a list of two states that
+        ends as [the state before the last, the last].
+
+        It updates the list in place, so that the list holds the only
+        reference to each state: a state the run has stepped past is freed
+        before the next step allocates."""
+        for _ in range(k):
+            states[0] = states[1]
+            states[1] = self.step(*states[1])
+
 
 class _ScalarKernel(_Kernel):
     """The gather layout stepped in Python floats, for graphs of a few edges.
 
     Same slots, capacities and per-node constants as `_Kernel`, held as
-    lists; step runs stages 1-6 one slot and one node at a time.
+    lists; float_step runs stages 1-6 one slot and one node at a time, on
+    states of lists.  advance converts the state to lists once and back to
+    arrays once, and step is one float_step between arrays.
     """
 
     def __init__(self, p: NLassoProblem):
@@ -268,12 +300,27 @@ class _ScalarKernel(_Kernel):
 
     # like _Kernel.step, fresh x and y arrays and inputs left untouched
     def step(self, x, x_prev, y):
-        xs = x.tolist()
-        xt = [2.0 * a - b for a, b in zip(xs, x_prev.tolist())]
+        new_x, _, flow = self.float_step(x.tolist(), x_prev.tolist(), y.tolist())
+        return np.array(new_x), x, np.array(flow)
+
+    # like _Kernel.advance; the state is in lists between one conversion
+    # from arrays and one back, and both keep every bit
+    def advance(self, states: list, k: int) -> None:
+        state = [a.tolist() for a in states[1]]
+        for _ in range(k - 1):
+            state = self.float_step(*state)
+        prev = tuple(map(np.array, state)) if k > 1 else states[1]
+        x, _, y = self.float_step(*state)
+        states[:] = prev, (np.array(x), prev[0], np.array(y))
+
+    def float_step(self, x, x_prev, y):
+        """One step of the state (x, x_prev, y), each a list of floats;
+        returns a new x and flow, with x as the new x_prev."""
+        xt = [2.0 * a - b for a, b in zip(x, x_prev)]
         out = [0.0] * self.n
         into = [0.0] * self.n
         flow = []
-        for (i, j, c, neg_c), v in zip(self.slot_ends, y.tolist()):
+        for (i, j, c, neg_c), v in zip(self.slot_ends, y):
             v = (xt[i] - xt[j]) * 0.5 + v
             # np.maximum, then np.minimum: a tie (+-0 against -+0) gives the
             # bound, their second operand, and NaN stays NaN
@@ -285,8 +332,8 @@ class _ScalarKernel(_Kernel):
             out[i] += v
             into[j] += v
         new_x = [(a - (o - t) * gamma + shift) * scale
-                 for a, o, t, (gamma, shift, scale) in zip(xs, out, into, self.node_consts)]
-        return np.array(new_x), x, np.array(flow)
+                 for a, o, t, (gamma, shift, scale) in zip(x, out, into, self.node_consts)]
+        return new_x, x, flow
 
 
 # Iterations between checks for a repeated state.  A check compares the
@@ -299,11 +346,11 @@ _REPEAT_CHECK_INTERVAL = 16
 # the module docstring).
 _MIN_BAND_SLOTS = 1000
 
-# Most edges for the scalar layout: above about this, its per-slot Python
-# work costs more than the gather step's numpy calls.  It lies between the
-# break-evens measured on chains and on random graphs (see the module
-# docstring).
-_MAX_SCALAR_EDGES = 12
+# Most edges plus nodes for the scalar layout: above about this, its
+# per-slot and per-node Python work costs more than the gather step's numpy
+# calls.  Chains, random graphs and complete graphs break even near it (see
+# the module docstring).
+_MAX_SCALAR_SIZE = 36
 
 
 def _offsets(g: gc.Graph) -> np.ndarray:
@@ -322,7 +369,7 @@ def _kernel_class(g: gc.Graph) -> type[_Kernel]:
     """The kernel, and so the flow layout, that `run` iterates on g with."""
     if _uses_bands(g):
         return _BandKernel
-    return _ScalarKernel if g.num_edges <= _MAX_SCALAR_EDGES else _Kernel
+    return _ScalarKernel if g.num_edges + g.n <= _MAX_SCALAR_SIZE else _Kernel
 
 
 class _BandKernel(_Kernel):
@@ -424,36 +471,41 @@ def _gap_stops(cfg: SolverConfig, row) -> bool:
     return cfg.gap_tolerance > 0 and row[1] <= cfg.gap_tolerance
 
 
-def _periodic_tail(p, kernel, cfg, state, r, period, history):
+def _periodic_tail(p, kernel, cfg, states, r, period, history):
     """Finish a run whose state at iteration r recurs every `period` steps.
 
-    Appends the rows of the checks after r to history, each taken from the
-    state at its offset (c - r) % period, and returns the state and the
-    iteration the full run would end on: max_iters, or the first of these
-    checks whose gap stops the run.  Steps only as far as the last offset
-    it needs: once a check stops the run, no check before it lies at a
-    larger offset, and the state max_iters ends on is not needed.
+    `states` holds the states at r - 1 and r.  Appends the rows of the
+    checks after r to history, each that of the state at its offset
+    (c - r) % period, and returns the state and the iteration the full run
+    would end on: max_iters, or the first of these checks whose gap stops
+    the run.  A check of the period just passed, r - period to r, already
+    has the row of its offset; such a row did not stop the run, so it is
+    copied.  The tail steps only as far as the last offset it still needs:
+    once a check stops the run, no check before it lies at a larger
+    offset, and the state max_iters ends on is not needed.
     """
     m, interval = cfg.max_iters, cfg.check_interval
     checks = range(r + interval - r % interval, m + 1, interval) if interval else range(0)
     # check offsets repeat every period / gcd(interval, period) checks, so
     # these hold the first check at each offset
     first = {(c - r) % period: c for c in checks[:period // math.gcd(interval, period)]}
+    rows = {(h.r - r) % period: h[1:] for h in history if h.r >= r - period}
     end = (m - r) % period
-    rows = {}
     final = stop = None
     stop_at = m + 1
-    for offset in range(max([end, *first]) + 1):
+    at = 0
+    for offset in sorted({end, *first.keys() - rows.keys()}):
         if offset > stop_at - r:
             break
-        if offset:
-            state = kernel.step(*state)
+        if offset > at:
+            kernel.advance(states, offset - at)
+            at = offset
         if offset == end:
-            final = state
-        if offset in first:
-            rows[offset] = _check_row(p, kernel, state)
+            final = states[1]
+        if offset in first and offset not in rows:
+            rows[offset] = _check_row(p, kernel, states[1])
             if _gap_stops(cfg, rows[offset]) and first[offset] < stop_at:
-                stop, stop_at = state, first[offset]
+                stop, stop_at = states[1], first[offset]
     for c in checks:
         if c > stop_at:
             break
@@ -486,27 +538,33 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     """
     kernel = _kernel_class(p.graph)(p)
     n = p.graph.n
-    state = (np.ones(n), np.ones(n), np.zeros(kernel.cap.size))
+    m, interval = cfg.max_iters, cfg.check_interval
+    # the states at r - 1 and r; only this list holds them (see advance)
+    states = [None, (np.ones(n), np.ones(n), np.zeros(kernel.cap.size))]
     history: list[HistoryRecord] = []
-    interval = cfg.check_interval
     snap_r, snap = 0, None
-    for r in range(1, cfg.max_iters + 1):
-        # rebind prev first, so the state before it is freed before the step allocates
-        prev = state
-        state = kernel.step(*state)
+    r = 0
+    while r < m:
+        # advance to the next check: of the history, of a repeat, or max_iters
+        to = min(m, r + _REPEAT_CHECK_INTERVAL - r % _REPEAT_CHECK_INTERVAL)
+        if interval:
+            to = min(to, r + interval - r % interval)
+        kernel.advance(states, to - r)
+        r = to
         if interval and r % interval == 0:
-            row = _check_row(p, kernel, state)
+            row = _check_row(p, kernel, states[1])
             history.append(HistoryRecord(r, *row))
             if _gap_stops(cfg, row):
                 break
-        if r % _REPEAT_CHECK_INTERVAL or r == cfg.max_iters:
+        if r % _REPEAT_CHECK_INTERVAL or r == m:
             continue
-        period = (1 if _same_state(state, prev)
-                  else r - snap_r if snap and _same_state(state, snap) else 0)
+        period = (1 if _same_state(states[1], states[0])
+                  else r - snap_r if snap and _same_state(states[1], snap) else 0)
         if period:
-            state, r = _periodic_tail(p, kernel, cfg, state, r, period, history)
+            states[1], r = _periodic_tail(p, kernel, cfg, states, r, period, history)
             break
         q = r // _REPEAT_CHECK_INTERVAL
         if q & (q - 1) == 0:
-            snap_r, snap = r, state
-    return SolverResult(x=state[0], y=kernel.edge_flow(state[2]), iters_run=r, history=history)
+            snap_r, snap = r, states[1]
+    x, _, y = states[1]
+    return SolverResult(x=x, y=kernel.edge_flow(y), iters_run=r, history=history)

@@ -104,6 +104,19 @@ def test_repeat_stop_matches_stepwise_run(p, iters, interval, tol):
     assert_same_result(run(p, cfg), stepwise_run(p, cfg))
 
 
+@settings(PROPERTY, max_examples=10)
+@given(problems())
+def test_run_matches_stepwise_run_under_fixed_configs(p):
+    # `run` advances from check to check: budgets of 1, 17 and 999 and
+    # check intervals of 1, 7, 16 and 33 end advances before, on and
+    # between its repeat checks, every _REPEAT_CHECK_INTERVAL = 16 steps
+    for iters in (1, 17, 999):
+        for interval in (1, 7, 16, 33):
+            for tol in (0.0, 1e-8):
+                cfg = SolverConfig(max_iters=iters, check_interval=interval, gap_tolerance=tol)
+                assert_same_result(run(p, cfg), stepwise_run(p, cfg))
+
+
 # about two in five drawn problems deliver a cluster without every seed
 @settings(PROPERTY, suppress_health_check=[HealthCheck.filter_too_much])
 @given(problems())

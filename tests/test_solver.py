@@ -453,6 +453,31 @@ def test_step_leaves_inputs_and_returns_fresh_arrays():
                 assert not np.shares_memory(a, b)
 
 
+def test_advance_matches_step_calls():
+    # each layout's advance over k steps ends on the last two states of k
+    # step calls, bit for bit, and leaves the state it starts from as it
+    # was: `run` keeps its repeat-stop snapshot by reference.  The scalar
+    # kernel steps in floats between the two conversions; the starts
+    # include a capacity of 0 and the matching's -0.0 and +-inf flows
+    matching, start = matching_problem()
+    cases = [(p, None) for p in frozen_problems()[:3] + [underflow_problem()]]
+    for p, edge_start in cases + [(matching, start)]:
+        n = p.graph.n
+        for k in (_Kernel(p), _BandKernel(p), _ScalarKernel(p)):
+            first = (kernel_state(k, *edge_start) if edge_start
+                     else (np.ones(n), np.ones(n), np.zeros(k.cap.size)))
+            before = [a.tobytes() for a in first]
+            for steps in (1, 2, 5, 16):
+                prev, state = None, first
+                for _ in range(steps):
+                    prev, state = state, k.step(*state)
+                states = [None, first]
+                k.advance(states, steps)
+                assert same_bits(states[0], prev) and same_bits(states[1], state)
+                assert states[1][1] is states[0][0]
+            assert [a.tobytes() for a in first] == before
+
+
 def test_band_layout_matches_gather_through_run(monkeypatch):
     for p in frozen_problems():
         assert_layouts_agree(monkeypatch, p, SolverConfig(max_iters=400, check_interval=50,
@@ -484,18 +509,19 @@ def test_layout_selection():
     assert not _uses_bands(chain_graph(100))
     # the break-even: bands of at least 1000 slots
     assert _uses_bands(chain_graph(1001)) and not _uses_bands(chain_graph(1000))
-    # below the bands, graphs of at most 12 edges take the scalar kernel
+    # below the bands, graphs of at most 36 edges plus nodes take the scalar
+    # kernel
     assert _kernel_class(chain_graph(2000)) is _BandKernel
     assert _kernel_class(g) is _Kernel
     assert _kernel_class(chain_graph(100)) is _Kernel
     assert all(_kernel_class(p.graph) is _ScalarKernel for p in frozen_problems())
     assert _kernel_class(chain_graph(2)) is _ScalarKernel
-    assert _kernel_class(chain_graph(13)) is _ScalarKernel
-    assert _kernel_class(chain_graph(14)) is _Kernel
-    k5 = build_graph(5, [(i, j, 1.0) for i in range(1, 6) for j in range(i + 1, 6)])
-    assert _kernel_class(k5) is _ScalarKernel  # 10 edges
-    k6 = build_graph(6, [(i, j, 1.0) for i in range(1, 7) for j in range(i + 1, 7)])
-    assert _kernel_class(k6) is _Kernel  # 15 edges
+    assert _kernel_class(chain_graph(18)) is _ScalarKernel  # 17 edges, 18 nodes
+    assert _kernel_class(chain_graph(19)) is _Kernel
+    k8 = build_graph(8, [(i, j, 1.0) for i in range(1, 9) for j in range(i + 1, 9)])
+    assert _kernel_class(k8) is _ScalarKernel  # 28 edges, 8 nodes
+    k9 = build_graph(9, [(i, j, 1.0) for i in range(1, 10) for j in range(i + 1, 10)])
+    assert _kernel_class(k9) is _Kernel  # 36 edges, 9 nodes
 
 
 def test_scalar_layout_matches_gather_through_run(monkeypatch):
@@ -517,7 +543,7 @@ def stepwise_run(p, cfg):
     """`run` without its repeat stop: all max_iters steps of the kernel
     that `run` picks, a history row at each multiple of check_interval, and
     the gap stop."""
-    kernel = _kernel_class(p.graph)(p)
+    kernel = solver._kernel_class(p.graph)(p)
     x, x_prev, y = np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(kernel.cap.size)
     history = []
     for r in range(1, cfg.max_iters + 1):
@@ -534,14 +560,17 @@ def stepwise_run(p, cfg):
 
 def count_steps(monkeypatch, p, cfg):
     """`run(p, cfg)` and the number of steps it took, of whichever kernel
-    `run` picks for p."""
+    `run` picks for p: the scalar kernel's float steps, or the numpy
+    kernels' array steps."""
     calls = []
+    cls = _kernel_class(p.graph)
+    name = "float_step" if issubclass(cls, _ScalarKernel) else "step"
 
-    class Counting(_kernel_class(p.graph)):
-        def step(self, *state):
-            calls.append(1)
-            return super().step(*state)
+    def counted(self, *state):
+        calls.append(1)
+        return getattr(cls, name)(self, *state)
 
+    Counting = type("Counting", (cls,), {name: counted})
     with monkeypatch.context() as m:
         m.setattr(solver, "_kernel_class", lambda g: Counting)
         res = run(p, cfg)
@@ -579,12 +608,21 @@ def test_repeat_stop_step_counts(monkeypatch, chain_problem):
     # repeats a state
     frozen = frozen_problems()
     cfg = SolverConfig(max_iters=1000)
-    for p, most in [(frozen[1], 160), (frozen[11], 250), (frozen[0], 500),
-                    (period_two_problem(), 100), (chain_problem, 1000)]:
+    for p, most in [(frozen[1], 160), (frozen[11], 250), (period_two_problem(), 100),
+                    (chain_problem, 1000)]:
         res, steps = count_steps(monkeypatch, p, cfg)
         assert steps <= most, (steps, most)
         assert_same_result(res, stepwise_run(p, cfg))
     assert steps == 1000 == res.iters_run
+    # instance 0's cycle is found at step 400, as 8 periods (D = 144), and
+    # max_iters lies at offset 600 % 144 = 24: 424 steps.  With a check
+    # every 16 or 48 iterations, the offset of each check after 400 is that
+    # of a check from 256 to 400, whose row the tail copies
+    for interval in (0, 16, 48):
+        cfg = SolverConfig(max_iters=1000, check_interval=interval)
+        res, steps = count_steps(monkeypatch, frozen[0], cfg)
+        assert steps == 424, (interval, steps)
+        assert_same_result(res, stepwise_run(frozen[0], cfg))
     # a check every 100 iterations: the row of each check after the cycle
     # is found comes from a state within one period of it
     cfg = SolverConfig(max_iters=1000, check_interval=100)
@@ -592,9 +630,8 @@ def test_repeat_stop_step_counts(monkeypatch, chain_problem):
     assert steps <= 250
     assert res.iters_run == 1000 and [h.r for h in res.history] == list(range(100, 1001, 100))
     assert_same_result(res, stepwise_run(frozen[11], cfg))
-    # instance 0's cycle is found at step 400, as 8 periods (D = 144); the
-    # gap first meets 2**-57 at the check at 402, offset 2, so the tail stops
-    # there, short of the offsets of the checks after it
+    # the gap of instance 0 first meets 2**-57 at the check at 402, offset 2,
+    # so the tail stops there, short of the offsets of the checks after it
     cfg = SolverConfig(max_iters=1000, check_interval=67, gap_tolerance=2.0 ** -57)
     res, steps = count_steps(monkeypatch, frozen[0], cfg)
     assert res.iters_run == 402 and steps <= 410, steps
@@ -615,6 +652,8 @@ class ClimbingKernel:
 
     def edge_flow(self, y):
         return y
+
+    advance = _Kernel.advance  # the default: one step call per step
 
 
 class ClockKernel(ClimbingKernel):
@@ -650,6 +689,28 @@ class CyclingKernel(ClimbingKernel):
     def step(self, x, x_prev, y):
         self.steps += 1
         return (x + 1.0) % self.k, x, x[:1] + 0.0
+
+
+class LeadInKernel(ClimbingKernel):
+    """A step map that enters a cycle of period 16 at its 16th state: x
+    counts from 1 to 15 and then cycles through 16..31, and y is the x of
+    the step before, over 1000.  The states at 15 and 31 share x, not y."""
+
+    def step(self, x, x_prev, y):
+        return (16.0 + (x - 15.0) % 16.0 if x[0] >= 15 else x + 1.0), x, x[:1] / 1000.0
+
+
+def test_repeat_stop_copies_only_rows_of_the_cycle(monkeypatch):
+    # the cycle is found at step 32 as D = 16, from the snapshot at 16.  Of
+    # the checks every 15 iterations, the one at 30 lies in the period just
+    # passed and the one at 15 just before it, outside the cycle; the check
+    # at 255 has the offset of 15 within the period, and the row of 31
+    monkeypatch.setattr(solver, "_kernel_class", lambda g: LeadInKernel)
+    p = NLassoProblem(build_graph(2, [(1, 2, 1.0)]), [1], 0.5, 1.0)
+    cfg = SolverConfig(max_iters=300, check_interval=15)
+    res = run(p, cfg)
+    assert len(res.history) == 20
+    assert_same_result(res, stepwise_run(p, cfg))
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 18])

@@ -32,7 +32,7 @@ def test_ab_run_against_the_same_checkout():
 
 def test_ab_run_refuses_to_time_different_results(tmp_path):
     # halve the dual step in all three layouts' kernels: the two numpy ones
-    # and the scalar one, which the tiny-batch solves take
+    # and the scalar one's float step, which the tiny-batch solves take
     shutil.copytree(ROOT / "src", tmp_path / "src")
     solver = tmp_path / "src" / "nlasso" / "solver.py"
     text = solver.read_text()
