@@ -41,7 +41,10 @@ class NLassoProblem:
         the signal decays to zero away from the seeds.
     lam : float
         Total-variation penalty; must be positive and finite, and so must
-        every capacity lam * W_e.
+        every capacity lam * W_e.  lam times the largest weighted degree
+        must be at most 2**52: beyond that, a change of one ulp in an x_i
+        near 1 moves lam * TV(x) by more than 1, the scale of the fidelity
+        term, and the duality gap says nothing about the solution.
     """
 
     graph: Graph
@@ -65,6 +68,11 @@ class NLassoProblem:
             e = over[0]
             raise ValueError(f"capacity lam * W_e overflows at edge ({g.src[e] + 1}, "
                              f"{g.dst[e] + 1}): lam {self.lam} times weight {g.weights[e]}")
+        i = int(np.argmax(g.weighted_degree))
+        if self.lam * (float(g.weighted_degree[i]) * 2.0 ** -52) > 1.0:
+            raise ValueError(f"weights too large for a meaningful duality gap: lam {self.lam} "
+                             f"times weighted degree {g.weighted_degree[i]} at node {i + 1} "
+                             f"exceeds 2**52")
         mask = np.zeros(self.graph.n, dtype=bool)
         mask[seeds - 1] = True
         mask.flags.writeable = False

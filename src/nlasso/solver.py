@@ -72,9 +72,10 @@ would.
   therefore written as comparisons that give the bound on a tie and pass
   NaN through, as numpy does; the builtin max() and min() return their
   first operand on a tie and would give -0.  A capacity lam W_e of 0
-  arises when it underflows.  Between two checks of `run` the state stays
-  in lists of floats: it is converted from arrays once and back once,
-  not at every step, and each conversion keeps every bit.
+  arises when it underflows.  The state stays in lists of floats for the
+  whole run, from the all-ones start to the result.  It becomes arrays
+  only for a history row and for the result, and np.array keeps every
+  bit of a float.
 
 `run` takes the band layout when the bands pad the m edges with at most n
 empty slots and every band holds at least _MIN_BAND_SLOTS slots; else the
@@ -115,13 +116,16 @@ three:
 
 Check to check.  `run` has three kinds of event: a history check every
 check_interval iterations, a repeat check every _REPEAT_CHECK_INTERVAL,
-and max_iters.  One `advance` call of the kernel steps to the next event
-and leaves the last state and the one before it, which the period-1
-repeat check compares, in a list of two states.  The numpy layouts
-advance by calling step; the scalar layout runs its float steps.  The
-list is updated in place, so that nothing holds a state the run has
-stepped past: a caller that held each advance's first state would keep
-two more arrays alive through the advance.
+and max_iters.  One `advance` call of the kernel, a loop over its step,
+steps to the next event and leaves the last state and the one before it,
+which the period-1 repeat check compares, in a list of two states.  Each
+kernel owns the form of its state: arrays in the numpy layouts, lists of
+floats in the scalar one.  `run` asks the kernel for the start state, for
+a comparison of two states' bits, and for a state as arrays, which it
+needs only for a history row and for the result.  advance empties the
+list before it steps, so that nothing holds a state the run has stepped
+past: a caller that held each advance's first state would keep two more
+arrays alive through the advance.
 
 Repeat stop.  The step is a deterministic map of the state (x, xprev,
 y), so once a state recurs D steps after an earlier one, every later state
@@ -138,7 +142,8 @@ offset within the period, unless a check of the period just passed had
 that offset: its row is copied, since it did not stop the run.  Its
 result is exactly that of the full run, and it holds at most two of
 these states besides the current one.  Bits are compared as bytes (see
-_same_bits), so -0.0 and +0.0 differ and equal NaN payloads match.
+_same_bits; the scalar layout packs its lists as doubles), so -0.0 and
++0.0 differ and equal NaN payloads match.
 Small problems reach such a state at machine precision long before their
 budget: of the 25 frozen criterion-5 instances, 21 reach a fixed point
 and 4 end in cycles of period 6 or 18.
@@ -148,6 +153,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -212,7 +218,8 @@ class _Kernel:
     edge; a slot that holds no edge has capacity 0.  This class stores the
     flow in the gather layout: one slot per edge, sorted by (src + dst,
     src), with src and dst in slot order.  A subclass supplies its own
-    step, and may supply its own advance, _layout and slots.
+    step, and may supply its own _layout and slots, and its own state
+    representation through start, arrays and same_state.
     """
 
     def __init__(self, p: NLassoProblem):
@@ -266,6 +273,18 @@ class _Kernel:
         div *= self.scale
         return div, x, d
 
+    def start(self):
+        """The state run starts from: x = x_prev = 1 and zero flow."""
+        return np.ones(self.n), np.ones(self.n), np.zeros(self.cap.size)
+
+    def arrays(self, state):
+        """The state (x, x_prev, y) as float arrays, y in slot order."""
+        return state
+
+    def same_state(self, a, b) -> bool:
+        """True when the states a and b have the same bits (see _same_bits)."""
+        return all(_same_bits(u, v) for u, v in zip(a, b))
+
     def edge_flow(self, y):
         """The flow `y` of step in edge order."""
         return y[self.slots]
@@ -274,21 +293,25 @@ class _Kernel:
         """Step k >= 1 times from states[1], in a list of two states that
         ends as [the state before the last, the last].
 
-        It updates the list in place, so that the list holds the only
-        reference to each state: a state the run has stepped past is freed
-        before the next step allocates."""
-        for _ in range(k):
-            states[0] = states[1]
-            states[1] = self.step(*states[1])
+        It empties the list first and holds only the state it steps from,
+        so that a state the run has stepped past is freed before the next
+        step allocates."""
+        step = self.step
+        state = states[1]
+        states[:] = None, None
+        for _ in range(k - 1):
+            state = step(*state)
+        states[:] = state, step(*state)
 
 
 class _ScalarKernel(_Kernel):
     """The gather layout stepped in Python floats, for graphs of a few edges.
 
     Same slots, capacities and per-node constants as `_Kernel`, held as
-    lists; float_step runs stages 1-6 one slot and one node at a time, on
-    states of lists.  advance converts the state to lists once and back to
-    arrays once, and step is one float_step between arrays.
+    lists.  The state (x, x_prev, y) is three lists of floats from start to
+    the result: step runs stages 1-6 one slot and one node at a time, and
+    `run` converts a state to arrays only for a history row and for its
+    result.
     """
 
     def __init__(self, p: NLassoProblem):
@@ -297,25 +320,26 @@ class _ScalarKernel(_Kernel):
                                   self.cap.tolist(), self.neg_cap.tolist()))
         self.node_consts = list(zip(self.gamma.tolist(), self.shift.tolist(),
                                     self.scale.tolist()))
+        # the bits of a list of n or of m floats, as doubles
+        self.node_bits = struct.Struct(f"{self.n}d").pack
+        self.slot_bits = struct.Struct(f"{len(self.slot_ends)}d").pack
 
-    # like _Kernel.step, fresh x and y arrays and inputs left untouched
+    def start(self):
+        return [1.0] * self.n, [1.0] * self.n, [0.0] * len(self.slot_ends)
+
+    # np.array keeps every bit of a list of floats
+    def arrays(self, state):
+        return tuple(map(np.array, state))
+
+    # packed as doubles, the lists compare as _same_bits compares arrays
+    def same_state(self, a, b) -> bool:
+        nodes, slots = self.node_bits, self.slot_bits
+        return (nodes(*a[0]) == nodes(*b[0]) and nodes(*a[1]) == nodes(*b[1])
+                and slots(*a[2]) == slots(*b[2]))
+
+    # like _Kernel.step on lists of floats: a fresh x and flow, inputs left
+    # untouched
     def step(self, x, x_prev, y):
-        new_x, _, flow = self.float_step(x.tolist(), x_prev.tolist(), y.tolist())
-        return np.array(new_x), x, np.array(flow)
-
-    # like _Kernel.advance; the state is in lists between one conversion
-    # from arrays and one back, and both keep every bit
-    def advance(self, states: list, k: int) -> None:
-        state = [a.tolist() for a in states[1]]
-        for _ in range(k - 1):
-            state = self.float_step(*state)
-        prev = tuple(map(np.array, state)) if k > 1 else states[1]
-        x, _, y = self.float_step(*state)
-        states[:] = prev, (np.array(x), prev[0], np.array(y))
-
-    def float_step(self, x, x_prev, y):
-        """One step of the state (x, x_prev, y), each a list of floats;
-        returns a new x and flow, with x as the new x_prev."""
         xt = [2.0 * a - b for a, b in zip(x, x_prev)]
         out = [0.0] * self.n
         into = [0.0] * self.n
@@ -366,10 +390,13 @@ def _uses_bands(g: gc.Graph) -> bool:
 
 
 def _kernel_class(g: gc.Graph) -> type[_Kernel]:
-    """The kernel, and so the flow layout, that `run` iterates on g with."""
-    if _uses_bands(g):
-        return _BandKernel
-    return _ScalarKernel if g.num_edges + g.n <= _MAX_SCALAR_SIZE else _Kernel
+    """The kernel, and so the flow layout, that `run` iterates on g with.
+
+    The size test comes first: a band of _MIN_BAND_SLOTS slots needs more
+    nodes than a graph of _MAX_SCALAR_SIZE edges plus nodes has."""
+    if g.num_edges + g.n <= _MAX_SCALAR_SIZE:
+        return _ScalarKernel
+    return _BandKernel if _uses_bands(g) else _Kernel
 
 
 class _BandKernel(_Kernel):
@@ -454,14 +481,9 @@ def _same_bits(a, b) -> bool:
     return a.tobytes() == b.tobytes()
 
 
-def _same_state(a, b) -> bool:
-    """True when the states a and b, each (x, x_prev, y), have the same bits."""
-    return all(_same_bits(u, v) for u, v in zip(a, b))
-
-
 def _check_row(p: NLassoProblem, kernel: _Kernel, state) -> tuple[float, float, float]:
     """The primal value, duality gap and largest KKT residual of a state."""
-    x, _, y = state
+    x, _, y = kernel.arrays(state)
     y_edges = kernel.edge_flow(y)
     return (obj.primal_objective(p, x), obj.duality_gap(p, x, y_edges),
             cert.kkt_residuals(p, x, y_edges).max_residual)
@@ -537,10 +559,9 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     that of the full run.
     """
     kernel = _kernel_class(p.graph)(p)
-    n = p.graph.n
     m, interval = cfg.max_iters, cfg.check_interval
     # the states at r - 1 and r; only this list holds them (see advance)
-    states = [None, (np.ones(n), np.ones(n), np.zeros(kernel.cap.size))]
+    states = [None, kernel.start()]
     history: list[HistoryRecord] = []
     snap_r, snap = 0, None
     r = 0
@@ -558,13 +579,13 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
                 break
         if r % _REPEAT_CHECK_INTERVAL or r == m:
             continue
-        period = (1 if _same_state(states[1], states[0])
-                  else r - snap_r if snap and _same_state(states[1], snap) else 0)
+        period = (1 if kernel.same_state(states[1], states[0])
+                  else r - snap_r if snap and kernel.same_state(states[1], snap) else 0)
         if period:
             states[1], r = _periodic_tail(p, kernel, cfg, states, r, period, history)
             break
         q = r // _REPEAT_CHECK_INTERVAL
         if q & (q - 1) == 0:
             snap_r, snap = r, states[1]
-    x, _, y = states[1]
+    x, _, y = kernel.arrays(states[1])
     return SolverResult(x=x, y=kernel.edge_flow(y), iters_run=r, history=history)

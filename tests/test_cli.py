@@ -82,8 +82,12 @@ def test_solve_invalid_alpha_exits_2(tmp_path, tiny_instance):
     (["--lambda", "10"], "1 2 1.0\n2 3 1e308\n"),
     # finite weights and capacities whose sum at node 2 overflows
     (["--lambda", "1", "--iters", "50"], "1 2 1e308\n2 3 1e308\n"),
+    # nothing overflows, but lambda times node 2's weighted degree is far
+    # beyond 2**52, which makes the duality gap meaningless
+    (["--lambda", "1", "--iters", "50"], "1 2 1e308\n2 3 6e307\n"),
 ], ids=["alpha-inf", "lambda-inf", "threshold-nan", "weight-inf", "iters-zero",
-        "id-huge", "id-huge-commented", "capacity-overflow", "degree-overflow"])
+        "id-huge", "id-huge-commented", "capacity-overflow", "degree-overflow",
+        "weight-scale"])
 @pytest.mark.filterwarnings("error")
 def test_solve_non_finite_input_exits_2(tmp_path, capsys, flags, edges):
     graph = tmp_path / "edges.txt"

@@ -48,7 +48,25 @@ def test_problem_rejects_overflowing_capacity():
         warnings.simplefilter("error")  # no overflow warning on the way
         with pytest.raises(ValueError, match=r"overflows at edge \(2, 3\)"):
             NLassoProblem(g, [1], 0.1, 10.0)
-    assert NLassoProblem(g, [1], 0.1, 1.0).capacities[1] == 1e308
+        # a capacity of 1e308 passes the overflow check, and the weight
+        # scale check rejects it (test_problem_rejects_weights_too_large_for_the_gap)
+        with pytest.raises(ValueError, match="too large for a meaningful duality gap"):
+            NLassoProblem(g, [1], 0.1, 1.0)
+
+
+def test_problem_rejects_weights_too_large_for_the_gap():
+    # no weight, capacity or weighted degree overflows, but lam times node
+    # 2's weighted degree 1.6e308 is far beyond 2**52: the CLI once reported
+    # a duality gap of 5.9e293 for this problem with exit code 0
+    g = build_graph(3, [(1, 2, 1e308), (2, 3, 6e307)])
+    with pytest.raises(ValueError, match=r"weighted degree 1.6e\+308 at node 2 exceeds 2\*\*52"):
+        NLassoProblem(g, [1], 0.1, 1.0)
+    # the bound is lam times the largest weighted degree at most 2**52
+    g = build_graph(3, [(1, 2, 2.0 ** 51), (2, 3, 2.0 ** 51)])
+    assert NLassoProblem(g, [1], 0.1, 1.0).lam == 1.0
+    with pytest.raises(ValueError, match="at node 2 exceeds"):
+        NLassoProblem(g, [1], 0.1, 1.0 + 2.0 ** -52)
+    assert NLassoProblem(g, [1], 0.1, 0.5).lam == 0.5
 
 
 def test_problem_compares_and_hashes_by_identity(weighted_chain):

@@ -87,12 +87,11 @@ def test_band_layout_matches_gather(p):
 @example(underflow_problem())  # a capacity of 0, where the clamp meets -0.0 against +0.0
 def test_scalar_layout_matches_gather(p):
     gk, sk = _Kernel(p), _ScalarKernel(p)
-    n = p.graph.n
-    a = b = (np.ones(n), np.ones(n), np.zeros(gk.cap.size))
+    a, b = gk.start(), sk.start()
     for _ in range(100):
         a, b = gk.step(*a), sk.step(*b)
-        assert [u.tobytes() for u in a] == [v.tobytes() for v in b]
-    assert b[0].dtype == b[2].dtype == np.float64
+        assert [u.tobytes() for u in a] == [v.tobytes() for v in sk.arrays(b)]
+    assert sk.arrays(b)[0].dtype == sk.arrays(b)[2].dtype == np.float64
 
 
 @PROPERTY

@@ -269,29 +269,32 @@ def test_scalar_clamp_follows_numpy_ties():
     p = underflow_problem()
     assert p.capacities[2] == 0.0
     gk, sk = _Kernel(p), _ScalarKernel(p)
-    state = (np.ones(3), np.ones(3), np.zeros(3))
-    gather = scalar = state
+    gather, scalar = gk.start(), sk.start()
     ties = 0
     for _ in range(50):
-        xt = 2.0 * scalar[0] - scalar[1]
-        ties += (xt[1] - xt[2]) * 0.5 + scalar[2][gk.slots[2]] < 0.0
+        x, x_prev, y = sk.arrays(scalar)
+        xt = 2.0 * x - x_prev
+        ties += (xt[1] - xt[2]) * 0.5 + y[gk.slots[2]] < 0.0
         gather, scalar = gk.step(*gather), sk.step(*scalar)
-        assert same_bits(gather, scalar)
-        assert scalar[2][gk.slots[2]] == 0.0 and not np.signbit(scalar[2][gk.slots[2]])
+        assert same_bits(gather, sk.arrays(scalar))
+        y = sk.arrays(scalar)[2]
+        assert y[gk.slots[2]] == 0.0 and not np.signbit(y[gk.slots[2]])
     assert ties >= 40, ties
     # a NaN flow stays NaN through the clamp, as in np.maximum and np.minimum
-    gather = scalar = (np.ones(3), np.ones(3), np.array([np.nan, 0.0, 0.0]))
+    gather = (np.ones(3), np.ones(3), np.array([np.nan, 0.0, 0.0]))
+    scalar = in_layout(sk, gather)
     for _ in range(3):
         gather, scalar = gk.step(*gather), sk.step(*scalar)
-        assert same_bits(gather, scalar)
-    assert np.isnan(scalar[0]).all()
+        assert same_bits(gather, sk.arrays(scalar))
+    assert np.isnan(sk.arrays(scalar)[0]).all()
     # the matching's flows at and beyond the bounds, +-inf included
     p, state = matching_problem()
     gk, sk = _Kernel(p), _ScalarKernel(p)
-    gather = scalar = kernel_state(gk, *state)
+    gather = kernel_state(gk, *state)
+    scalar = in_layout(sk, gather)
     for _ in range(5):
         gather, scalar = gk.step(*gather), sk.step(*scalar)
-        assert same_bits(gather, scalar)
+        assert same_bits(gather, sk.arrays(scalar))
 
 
 def run_in_layout(monkeypatch, kernel, p, cfg):
@@ -323,6 +326,12 @@ def kernel_state(k, x, x_prev, y):
     yk = np.zeros(k.cap.size)
     yk[k.slots] = y
     return x, x_prev, yk
+
+
+def in_layout(k, state):
+    """A state of arrays in kernel k's own form: the scalar kernel steps
+    lists of floats, and `arrays` turns them back."""
+    return tuple(a.tolist() for a in state) if isinstance(k, _ScalarKernel) else state
 
 
 def edge_state(k, x, x_prev, y):
@@ -369,13 +378,13 @@ def test_kernels_match_reference_step():
         gk, bk, sk = _Kernel(p), _BandKernel(p), _ScalarKernel(p)
         ref = state
         gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
-        scalar = gather
+        scalar = in_layout(sk, gather)
         for _ in range(300):
             ref, gather, band, scalar = (reference_step(p, gk, *ref), gk.step(*gather),
                                          bk.step(*band), sk.step(*scalar))
             assert same_bits(edge_state(gk, *gather), ref)
             assert same_bits(edge_state(bk, *band), ref)
-            assert same_bits(edge_state(sk, *scalar), ref)
+            assert same_bits(edge_state(sk, *sk.arrays(scalar)), ref)
             y = ref[2]
             assert same_bits((bk._node_sums(band[2], bk.out_bands),
                               bk._node_sums(band[2], bk.in_bands)),
@@ -439,43 +448,44 @@ def test_gather_slots_keep_each_node_sum_order():
 
 
 def test_step_leaves_inputs_and_returns_fresh_arrays():
-    # `run` holds earlier states by reference for its repeat stop
+    # `run` holds earlier states by reference for its repeat stop; the
+    # scalar kernel's states are lists of floats, which share nothing but
+    # themselves
     rng = np.random.default_rng(3)
     for p in (frozen_problems()[0], saturated_grid_problem()):
         for k in (_Kernel(p), _BandKernel(p), _ScalarKernel(p)):
             n = p.graph.n
-            state = (rng.normal(size=n), rng.normal(size=n), rng.normal(size=k.cap.size))
-            before = [a.tobytes() for a in state]
+            state = in_layout(k, (rng.normal(size=n), rng.normal(size=n),
+                                  rng.normal(size=k.cap.size)))
+            before = [a.tobytes() for a in k.arrays(state)]
             x, x_prev, y = k.step(*state)
-            assert [a.tobytes() for a in state] == before
+            assert [a.tobytes() for a in k.arrays(state)] == before
             assert x_prev is state[0]
             for a, b in [(x, y)] + [(new, old) for new in (x, y) for old in state]:
-                assert not np.shares_memory(a, b)
+                assert a is not b and not np.shares_memory(a, b)
 
 
 def test_advance_matches_step_calls():
     # each layout's advance over k steps ends on the last two states of k
     # step calls, bit for bit, and leaves the state it starts from as it
-    # was: `run` keeps its repeat-stop snapshot by reference.  The scalar
-    # kernel steps in floats between the two conversions; the starts
+    # was: `run` keeps its repeat-stop snapshot by reference.  The starts
     # include a capacity of 0 and the matching's -0.0 and +-inf flows
     matching, start = matching_problem()
     cases = [(p, None) for p in frozen_problems()[:3] + [underflow_problem()]]
     for p, edge_start in cases + [(matching, start)]:
-        n = p.graph.n
         for k in (_Kernel(p), _BandKernel(p), _ScalarKernel(p)):
-            first = (kernel_state(k, *edge_start) if edge_start
-                     else (np.ones(n), np.ones(n), np.zeros(k.cap.size)))
-            before = [a.tobytes() for a in first]
+            first = in_layout(k, kernel_state(k, *edge_start)) if edge_start else k.start()
+            before = [a.tobytes() for a in k.arrays(first)]
             for steps in (1, 2, 5, 16):
                 prev, state = None, first
                 for _ in range(steps):
                     prev, state = state, k.step(*state)
                 states = [None, first]
                 k.advance(states, steps)
-                assert same_bits(states[0], prev) and same_bits(states[1], state)
+                assert same_bits(k.arrays(states[0]), k.arrays(prev))
+                assert same_bits(k.arrays(states[1]), k.arrays(state))
                 assert states[1][1] is states[0][0]
-            assert [a.tobytes() for a in first] == before
+            assert [a.tobytes() for a in k.arrays(first)] == before
 
 
 def test_band_layout_matches_gather_through_run(monkeypatch):
@@ -524,19 +534,43 @@ def test_layout_selection():
     assert _kernel_class(k9) is _Kernel  # 36 edges, 9 nodes
 
 
+def tiny_batch_problems(seed, count=25):
+    """Seeded random problems of the tiny-batch benchmark's shape: the
+    oracle's random connected graph on n = 2..6 nodes (cycling), one
+    uniform seed node, and alpha and lambda cycling the 3 x 2 grid."""
+    rng = np.random.default_rng(seed)
+    grid = [(alpha, lam) for alpha in (0.01, 0.1, 1.0) for lam in (0.05, 0.5)]
+    problems = []
+    for k in range(count):
+        n = 2 + k % 5
+        g = random_connected_graph(n, rng)
+        alpha, lam = grid[k % len(grid)]
+        problems.append(NLassoProblem(g, [int(rng.integers(1, n + 1))], alpha, lam))
+    return problems
+
+
 def test_scalar_layout_matches_gather_through_run(monkeypatch):
-    # the 25 frozen instances, on which run takes the scalar kernel by itself
+    # the 25 frozen instances, seeded random problems of tiny-batch's shape
+    # and the period-two problem, on all of which run takes the scalar
+    # kernel by itself: its state stays in lists of floats from the start to
+    # the result, and becomes arrays at each history row
+    problems = frozen_problems() + tiny_batch_problems(1) + tiny_batch_problems(2)
+    problems.append(period_two_problem())
+    assert all(_kernel_class(p.graph) is _ScalarKernel for p in problems)
     configs = [SolverConfig(max_iters=1000),
                SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
                SolverConfig(max_iters=999, check_interval=33),
                SolverConfig(max_iters=1000, check_interval=7, gap_tolerance=1e-12)]
-    stops = 0
-    for p in frozen_problems():
+    stops = repeats = 0
+    for p in problems:
         for cfg in configs:
-            res = assert_layouts_agree(monkeypatch, p, cfg, other=_ScalarKernel)
+            res, steps = count_steps(monkeypatch, p, cfg)
+            assert_same_result(res, run_in_layout(monkeypatch, _Kernel, p, cfg))
             stops += res.iters_run < cfg.max_iters
-    # the gap stop ends some runs early
-    assert stops >= 10, stops
+            repeats += steps < res.iters_run
+    # the gap stop ends some runs early, and the repeat stop skips steps of
+    # others
+    assert stops >= 10 and repeats >= 10, (stops, repeats)
 
 
 def stepwise_run(p, cfg):
@@ -544,33 +578,33 @@ def stepwise_run(p, cfg):
     that `run` picks, a history row at each multiple of check_interval, and
     the gap stop."""
     kernel = solver._kernel_class(p.graph)(p)
-    x, x_prev, y = np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(kernel.cap.size)
+    state = kernel.start()
     history = []
     for r in range(1, cfg.max_iters + 1):
-        x, x_prev, y = kernel.step(x, x_prev, y)
+        state = kernel.step(*state)
         if cfg.check_interval and r % cfg.check_interval == 0:
+            x, _, y = kernel.arrays(state)
             y_edges = kernel.edge_flow(y)
             gap = duality_gap(p, x, y_edges)
             history.append(HistoryRecord(r, primal_objective(p, x), gap,
                                          kkt_residuals(p, x, y_edges).max_residual))
             if cfg.gap_tolerance > 0 and gap <= cfg.gap_tolerance:
                 break
+    x, _, y = kernel.arrays(state)
     return SolverResult(x=x, y=kernel.edge_flow(y), iters_run=r, history=history)
 
 
 def count_steps(monkeypatch, p, cfg):
     """`run(p, cfg)` and the number of steps it took, of whichever kernel
-    `run` picks for p: the scalar kernel's float steps, or the numpy
-    kernels' array steps."""
+    `run` picks for p."""
     calls = []
     cls = _kernel_class(p.graph)
-    name = "float_step" if issubclass(cls, _ScalarKernel) else "step"
 
     def counted(self, *state):
         calls.append(1)
-        return getattr(cls, name)(self, *state)
+        return cls.step(self, *state)
 
-    Counting = type("Counting", (cls,), {name: counted})
+    Counting = type("Counting", (cls,), {"step": counted})
     with monkeypatch.context() as m:
         m.setattr(solver, "_kernel_class", lambda g: Counting)
         res = run(p, cfg)
@@ -638,22 +672,21 @@ def test_repeat_stop_step_counts(monkeypatch, chain_problem):
     assert_same_result(res, stepwise_run(frozen[0], cfg))
 
 
-class ClimbingKernel:
+class ClimbingKernel(_Kernel):
     """A step map on which x alone is not enough to detect a fixed point:
-    x climbs by 1 to 16, and y counts the steps that start with x == x_prev."""
+    x climbs by 1 to 16, and y counts the steps that start with x == x_prev.
+    It keeps the default start, advance and state comparison."""
 
     cap = np.zeros(1)
 
     def __init__(self, p):
-        pass
+        self.n = p.graph.n
 
     def step(self, x, x_prev, y):
         return np.minimum(x + 1.0, 16.0), x, y + float(np.array_equal(x, x_prev))
 
     def edge_flow(self, y):
         return y
-
-    advance = _Kernel.advance  # the default: one step call per step
 
 
 class ClockKernel(ClimbingKernel):
@@ -682,7 +715,8 @@ class CyclingKernel(ClimbingKernel):
     """A step map through k states: x counts steps modulo k, and y holds
     the previous count."""
 
-    def __init__(self, k):
+    def __init__(self, k, p):
+        super().__init__(p)
         self.k = k
         self.steps = 0
 
@@ -717,9 +751,10 @@ def test_repeat_stop_copies_only_rows_of_the_cycle(monkeypatch):
 def test_repeat_stop_ends_on_the_right_state_of_a_cycle(monkeypatch, k):
     # 1001 iterations from x = 1 end on x = 1002 mod k; k does not divide
     # 1001, so stepping one too few or too many after the repeat shows
-    kernel = CyclingKernel(k)
+    p = frozen_problems()[1]
+    kernel = CyclingKernel(k, p)
     monkeypatch.setattr(solver, "_kernel_class", lambda g: lambda p: kernel)
-    res = run(frozen_problems()[1], SolverConfig(max_iters=1001))
+    res = run(p, SolverConfig(max_iters=1001))
     assert (res.x == 1002 % k).all() and res.y.tolist() == [1001 % k]
     assert res.iters_run == 1001 and kernel.steps < 500
 
@@ -730,6 +765,22 @@ def test_same_bits_tells_signed_zeros_apart():
     assert same_bits_(zero, zero.copy()) and not same_bits_(zero, -zero)
     nan = np.full(3, np.nan)
     assert same_bits_(nan, nan.copy()) and not same_bits_(nan, -nan)
+    # the repeat stop compares the scalar kernel's lists as _same_bits
+    # compares arrays, in each part of the state: NaNs of one payload match
+    # although each float("nan") is a distinct object
+    k = _ScalarKernel(frozen_problems()[1])
+    _, ones, y = k.start()
+    values = [lambda: 0.0, lambda: -0.0, lambda: float("nan"), lambda: -float("nan"),
+              lambda: 1.5]
+    for u in values:
+        for v in values:
+            a, b = [u() for _ in range(k.n)], [v() for _ in range(k.n)]
+            expected = same_bits_(np.array(a), np.array(b))
+            assert expected == (u is v)
+            assert k.same_state((a, ones, y), (b, ones, y)) == expected
+            assert k.same_state((ones, a, y), (ones, b, y)) == expected
+            assert k.same_state((ones, ones, a[:1] + y[1:]),
+                                (ones, ones, b[:1] + y[1:])) == expected
 
 
 # iterations until the gap is at most 1e-6, checked every 10, as printed by

@@ -44,3 +44,17 @@ def test_ab_run_refuses_to_time_different_results(tmp_path):
     assert proc.returncode != 0
     assert "differs between the checkouts" in proc.stderr
     assert "wins" not in proc.stdout
+
+
+def test_convergence_counts_segment_gaps():
+    # the segment-large seed-1 problem's gaps at 700 and 2000 iterations,
+    # pinned as upper bounds as test_solver pins the iteration counts
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import convergence_counts
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    gaps = convergence_counts.segment_gaps()
+    assert list(gaps) == [700, 2000]
+    assert 0.0 <= gaps[2000] < gaps[700] <= 20.774, gaps
+    assert gaps[2000] <= 0.8225, gaps

@@ -10,6 +10,12 @@ measures convergence without any timing.  Instances:
 * the ten criterion-4 block models (`nlasso sbm-experiment`, rng seeds 0-9);
 * the 25 frozen criterion-5 instances (tests/frozen_oracle.py).
 
+Last it prints the duality gap of perfbench's `segment-large` problem (the
+seed-1 256 x 256 image, built by importing perfbench/workloads.py, which
+it only reads) at 700 iterations, the workload's budget, and at 2000: 10^5
+grid iterations would take minutes, and the gap does not reach 1e-6 within
+6000.
+
 tests/test_solver.py pins the chain's and the frozen set's counts as upper
 bounds.
 
@@ -19,19 +25,24 @@ Usage: python tools/convergence_counts.py
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from frozen_oracle import INSTANCES  # noqa: E402
-from nlasso import NLassoProblem, SolverConfig, build_graph, run  # noqa: E402
+from nlasso import NLassoProblem, SolverConfig, build_graph, read_node_set, run  # noqa: E402
 from nlasso import cli, generators as gen  # noqa: E402
+import workloads  # noqa: E402
 
 GAP = 1e-6
 CHECK_INTERVAL = 10
 CAP = 10 ** 5
+SEGMENT_SEED = 1
+SEGMENT_ITERS = (700, 2000)
 
 
 def iterations_to_gap(p: NLassoProblem) -> str:
@@ -55,9 +66,23 @@ def instances():
         yield f"frozen[{k}]", NLassoProblem(g, [inst["seed"]], inst["alpha"], inst["lam"])
 
 
+def segment_gaps() -> dict[int, float]:
+    """The gap of the segment-large problem at each of SEGMENT_ITERS."""
+    with tempfile.TemporaryDirectory() as tmp:
+        w = workloads.WORKLOADS["segment-large"](SEGMENT_SEED, Path(tmp))
+        w.setup()
+        g = gen.grid_from_image(gen.read_pgm(w.image))
+        p = NLassoProblem(g, read_node_set(w.seeds, g.n), w.ALPHA, w.LAM)
+    res = run(p, SolverConfig(max_iters=max(SEGMENT_ITERS), check_interval=100))
+    gaps = {h.r: h.gap for h in res.history}
+    return {k: gaps[k] for k in SEGMENT_ITERS}
+
+
 def main() -> int:
     for name, p in instances():
         print(f"{name:<12} {iterations_to_gap(p)}", flush=True)
+    gaps = ", ".join(f"{gap:.3g} at {k}" for k, gap in segment_gaps().items())
+    print(f"segment-large[{SEGMENT_SEED}] gap {gaps}", flush=True)
     return 0
 
 
