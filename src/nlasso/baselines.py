@@ -13,6 +13,7 @@ when it is full, the iteration restarts from the current Ritz vector.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -100,12 +101,17 @@ def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10) -> np
 
     Raises
     ------
+    ValueError
+        If tol is not a real number (a bool is not) with 0 < tol < inf.
     Disconnected
         If the graph has more than one component (the target eigenvalue
         would be ambiguous), or fewer than 2 nodes.
     NoConvergence
         If _MAX_APPLIES operator applications do not reach the tolerance.
     """
+    # a tol of nan or at most 0 is never met, and inf accepts any vector
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 < tol < np.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if g.n < 2:
         raise Disconnected("need at least 2 nodes for a Fiedler vector")
     if not gc.is_connected(g):

@@ -27,7 +27,8 @@ changes.  xt is freed after stage 2, before stage 4 allocates its sums.
 
 The flow is an array of slots, each edge in one slot.  `run` steps it in
 one of three layouts, and all give the same bits as a flow in edge order
-would.
+would.  The two numpy layouts share one step and differ only in stages 2
+and 4.
 
 * Gather (`_Kernel`): one slot per edge, in anti-diagonal order: sorted
   by (src + dst, src), with src and dst kept in slot order.  Stage 2
@@ -134,16 +135,20 @@ compares the bits of the new state with two earlier states: the last one
 (D = 1, a fixed point) and one snapshot, re-taken at iterations
 _REPEAT_CHECK_INTERVAL * 2**k (Brent's cycle detection; Brent 1980, "An
 improved Monte Carlo factorization algorithm", BIT 20).  The snapshot is
-held by reference, since the step never writes its inputs.  On a match
-`run` steps only as far into the period as it still needs: the state that
-max_iters would end on, and the state of each remaining check up to the
-first whose gap stops the run, whose history row is that of the same
-offset within the period, unless a check of the period just passed had
-that offset: its row is copied, since it did not stop the run.  Its
-result is exactly that of the full run, and it holds at most two of
-these states besides the current one.  Bits are compared as bytes (see
-_same_bits; the scalar layout packs its lists as doubles), so -0.0 and
-+0.0 differ and equal NaN payloads match.
+held by reference, since the step never writes its inputs.  Once it finds
+period D at iteration r, the state of every iteration from r - D on
+depends only on its phase, the iteration mod D.  `run` then makes no more
+repeat checks and keeps a dict from phase to history row, filled with the
+rows of the checks from r - D to r.  Its loop goes on from event to event,
+but steps the state only to a check whose phase has no row yet ((t -
+phase) % D steps from the phase it holds) and, at the end, to the phase of
+max_iters.  A row from the dict did not stop the run when it was
+computed, so the gap stop comes at the first check, in time order, whose
+row stops it.  The result is exactly that of the full run.  With no
+history checks the state steps less than one period past r; with checks
+it may step further, but never more than the full run would.  Bits are
+compared as bytes (see _same_bits; the scalar layout packs its lists as
+doubles), so -0.0 and +0.0 differ and equal NaN payloads match.
 Small problems reach such a state at machine precision long before their
 budget: of the 25 frozen criterion-5 instances, 21 reach a fixed point
 and 4 end in cycles of period 6 or 18.
@@ -151,7 +156,6 @@ and 4 end in cycles of period 6 or 18.
 
 from __future__ import annotations
 
-import math
 import numbers
 import struct
 from dataclasses import dataclass, field
@@ -217,9 +221,9 @@ class _Kernel:
     The flow y is one array of slots, and `slots` holds the slot of each
     edge; a slot that holds no edge has capacity 0.  This class stores the
     flow in the gather layout: one slot per edge, sorted by (src + dst,
-    src), with src and dst in slot order.  A subclass supplies its own
-    step, and may supply its own _layout and slots, and its own state
-    representation through start, arrays and same_state.
+    src), with src and dst in slot order.  A subclass may supply its own
+    _layout and slots, stages 2 and 4 (_differences and _divergence), or
+    its own step and state representation (start, arrays and same_state).
     """
 
     def __init__(self, p: NLassoProblem):
@@ -256,22 +260,32 @@ class _Kernel:
     def step(self, x, x_prev, y):
         xt = 2.0 * x
         xt -= x_prev
-        d = xt[self.src]
-        d -= xt[self.dst]
+        d = self._differences(xt)
         del xt
         d *= 0.5
         d += y
         # np.clip with array bounds takes a slower path than max then min
         np.maximum(d, self.neg_cap, out=d)
         np.minimum(d, self.cap, out=d)
-        div = np.bincount(self.src, weights=d, minlength=self.n)
-        div -= np.bincount(self.dst, weights=d, minlength=self.n)
+        div = self._divergence(d)
         # stages 5/6 in div, which becomes the new x
         div *= self.gamma
         np.subtract(x, div, out=div)
         div += self.shift
         div *= self.scale
         return div, x, d
+
+    def _differences(self, xt):
+        """Stage 2's xt_i - xt_j per slot, as a new array."""
+        d = xt[self.src]
+        d -= xt[self.dst]
+        return d
+
+    def _divergence(self, y):
+        """Stage 4's out-sums minus in-sums per node, as a new array."""
+        div = np.bincount(self.src, weights=y, minlength=self.n)
+        div -= np.bincount(self.dst, weights=y, minlength=self.n)
+        return div
 
     def start(self):
         """The state run starts from: x = x_prev = 1 and zero flow."""
@@ -403,8 +417,6 @@ class _BandKernel(_Kernel):
     """The kernel with the flow stored as one band per edge offset.
 
     y and the capacities are one array of all bands, ascending in offset.
-    Stages 1-2 are one method, so that xt is freed before stage 4
-    allocates its sums.
     """
 
     def _layout(self, g: gc.Graph) -> int:
@@ -435,30 +447,17 @@ class _BandKernel(_Kernel):
         g = self.graph
         return self.band_start[g.dst - g.src] + g.src
 
-    # like _Kernel.step, fresh x and y arrays and inputs left untouched
-    def step(self, x, x_prev, y):
-        d = self._ascend(x, x_prev, y)
-        np.maximum(d, self.neg_cap, out=d)
-        np.minimum(d, self.cap, out=d)
-        div = self._node_sums(d, self.out_bands)
-        div -= self._node_sums(d, self.in_bands)
-        div *= self.gamma
-        np.subtract(x, div, out=div)
-        div += self.shift
-        div *= self.scale
-        return div, x, d
-
-    def _ascend(self, x, x_prev, y):
-        """Stages 1-2: y + 0.5 * (xt_i - xt_j) per slot, as a new array."""
+    def _differences(self, xt):
         n = self.n
-        xt = 2.0 * x
-        xt -= x_prev
-        d = np.empty_like(y)
+        d = np.empty(self.cap.size)
         for k, band in zip(self.offsets, self.bands):
             np.subtract(xt[:n - k], xt[k:], out=d[band])
-        d *= 0.5
-        d += y
         return d
+
+    def _divergence(self, y):
+        div = self._node_sums(y, self.out_bands)
+        div -= self._node_sums(y, self.in_bands)
+        return div
 
     def _node_sums(self, y, pairs):
         """Stage 4: each node's sum of its slots in `pairs`, in their order.
@@ -489,52 +488,6 @@ def _check_row(p: NLassoProblem, kernel: _Kernel, state) -> tuple[float, float, 
             cert.kkt_residuals(p, x, y_edges).max_residual)
 
 
-def _gap_stops(cfg: SolverConfig, row) -> bool:
-    return cfg.gap_tolerance > 0 and row[1] <= cfg.gap_tolerance
-
-
-def _periodic_tail(p, kernel, cfg, states, r, period, history):
-    """Finish a run whose state at iteration r recurs every `period` steps.
-
-    `states` holds the states at r - 1 and r.  Appends the rows of the
-    checks after r to history, each that of the state at its offset
-    (c - r) % period, and returns the state and the iteration the full run
-    would end on: max_iters, or the first of these checks whose gap stops
-    the run.  A check of the period just passed, r - period to r, already
-    has the row of its offset; such a row did not stop the run, so it is
-    copied.  The tail steps only as far as the last offset it still needs:
-    once a check stops the run, no check before it lies at a larger
-    offset, and the state max_iters ends on is not needed.
-    """
-    m, interval = cfg.max_iters, cfg.check_interval
-    checks = range(r + interval - r % interval, m + 1, interval) if interval else range(0)
-    # check offsets repeat every period / gcd(interval, period) checks, so
-    # these hold the first check at each offset
-    first = {(c - r) % period: c for c in checks[:period // math.gcd(interval, period)]}
-    rows = {(h.r - r) % period: h[1:] for h in history if h.r >= r - period}
-    end = (m - r) % period
-    final = stop = None
-    stop_at = m + 1
-    at = 0
-    for offset in sorted({end, *first.keys() - rows.keys()}):
-        if offset > stop_at - r:
-            break
-        if offset > at:
-            kernel.advance(states, offset - at)
-            at = offset
-        if offset == end:
-            final = states[1]
-        if offset in first and offset not in rows:
-            rows[offset] = _check_row(p, kernel, states[1])
-            if _gap_stops(cfg, rows[offset]) and first[offset] < stop_at:
-                stop, stop_at = states[1], first[offset]
-    for c in checks:
-        if c > stop_at:
-            break
-        history.append(HistoryRecord(c, *rows[(c - r) % period]))
-    return (stop, stop_at) if stop else (final, m)
-
-
 def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     """Iterate from the all-ones state under the given config.
 
@@ -553,37 +506,56 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
 
     Once the state's bits repeat those of an earlier state (checked every
     _REPEAT_CHECK_INTERVAL iterations against the last state and a
-    snapshot), the run is periodic from there on, so `run` steps at most
-    one period further: far enough for the state max_iters ends on and for
-    the history row of each remaining check.  The result is bit for bit
-    that of the full run.
+    snapshot), the run is periodic from there on: `run` keeps each phase's
+    history row (iteration mod period), and steps the state only to the
+    phase of a check that has no row yet and, at the end, to that of
+    max_iters.  With check_interval 0 it steps less than one period
+    further, and it never steps more than the full run.  The result is bit
+    for bit that of the full run.
     """
     kernel = _kernel_class(p.graph)(p)
     m, interval = cfg.max_iters, cfg.check_interval
-    # the states at r - 1 and r; only this list holds them (see advance)
+    # the states of iterations at - 1 and at; only this list holds them
+    # (see advance)
     states = [None, kernel.start()]
     history: list[HistoryRecord] = []
     snap_r, snap = 0, None
-    r = 0
+    # once the state repeats: its period, and the history row of each phase
+    # (iteration mod period) checked since one period before, none of which
+    # stopped the run.  From then on states[1] is the state of at's phase.
+    period, rows = 0, {}
+    r = at = 0
     while r < m:
-        # advance to the next check: of the history, of a repeat, or max_iters
-        to = min(m, r + _REPEAT_CHECK_INTERVAL - r % _REPEAT_CHECK_INTERVAL)
+        # advance to the next check: of the history, of a repeat until one
+        # is found, or max_iters
+        to = m if period else min(m, r + _REPEAT_CHECK_INTERVAL - r % _REPEAT_CHECK_INTERVAL)
         if interval:
             to = min(to, r + interval - r % interval)
-        kernel.advance(states, to - r)
         r = to
-        if interval and r % interval == 0:
-            row = _check_row(p, kernel, states[1])
+        check = interval and r % interval == 0
+        row = rows.get(r % period) if period and check else None
+        # once periodic, step only to a check whose phase has no row yet,
+        # and to the phase of max_iters
+        if not period or r == m or check and row is None:
+            steps = (r - at) % period if period else r - at
+            if steps:
+                kernel.advance(states, steps)
+            at = r
+        if check:
+            if row is None:
+                row = _check_row(p, kernel, states[1])
             history.append(HistoryRecord(r, *row))
-            if _gap_stops(cfg, row):
+            if cfg.gap_tolerance > 0 and row[1] <= cfg.gap_tolerance:
                 break
-        if r % _REPEAT_CHECK_INTERVAL or r == m:
+            if period:
+                rows[r % period] = row
+        if period or r % _REPEAT_CHECK_INTERVAL or r == m:
             continue
         period = (1 if kernel.same_state(states[1], states[0])
                   else r - snap_r if snap and kernel.same_state(states[1], snap) else 0)
         if period:
-            states[1], r = _periodic_tail(p, kernel, cfg, states, r, period, history)
-            break
+            rows = {h.r % period: h[1:] for h in history if h.r >= r - period}
+            continue
         q = r // _REPEAT_CHECK_INTERVAL
         if q & (q - 1) == 0:
             snap_r, snap = r, states[1]

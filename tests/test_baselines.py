@@ -183,6 +183,19 @@ def test_fiedler_rejects_disconnected():
         fiedler_vector(build_graph(1, []), UNNORMALIZED)
 
 
+def test_fiedler_rejects_bad_tolerance(monkeypatch):
+    # each would make 500 000 applications before NoConvergence, or return
+    # an unchecked Ritz vector (inf); none makes a single application
+    calls = count_applies(monkeypatch)
+    for tol in (float("nan"), 0.0, -1.0, float("inf"), -float("inf"), True, None, "1e-10",
+                np.array(1e-10)):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            fiedler_vector(chain_graph(30), UNNORMALIZED, tol=tol)
+    assert not calls
+    for tol in (1, np.float32(1e-3), np.float64(1e-10)):
+        fiedler_vector(path(5), UNNORMALIZED, tol=tol)
+
+
 def test_fiedler_no_convergence(monkeypatch):
     monkeypatch.setattr(baselines, "_MAX_APPLIES", 3)
     with pytest.raises(NoConvergence, match="in 3 Laplacian applications"):

@@ -6,6 +6,7 @@ deterministic and quick.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,13 @@ from nlasso import (
     run,
 )
 from nlasso.solver import _BandKernel, _Kernel, _ScalarKernel
-from test_solver import assert_same_result, period_two_problem, stepwise_run, underflow_problem
+from test_solver import (
+    assert_same_result,
+    count_steps,
+    period_two_problem,
+    stepwise_run,
+    underflow_problem,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -100,7 +107,11 @@ def test_scalar_layout_matches_gather(p):
 @example(period_two_problem(), 999, 7, 0.0)
 def test_repeat_stop_matches_stepwise_run(p, iters, interval, tol):
     cfg = SolverConfig(max_iters=iters, check_interval=interval, gap_tolerance=tol)
-    assert_same_result(run(p, cfg), stepwise_run(p, cfg))
+    with pytest.MonkeyPatch.context() as m:
+        res, steps = count_steps(m, p, cfg)
+    assert_same_result(res, stepwise_run(p, cfg))
+    # once the state repeats, run steps only to the phases it still needs
+    assert steps <= res.iters_run
 
 
 @settings(PROPERTY, max_examples=10)

@@ -648,10 +648,15 @@ def test_repeat_stop_step_counts(monkeypatch, chain_problem):
         assert steps <= most, (steps, most)
         assert_same_result(res, stepwise_run(p, cfg))
     assert steps == 1000 == res.iters_run
+    # the 50 problems of tiny-batch's shape: the 25 frozen instances and 25
+    # seeded ones
+    for seed, total in ((1, 14_432), (2, 14_624)):
+        assert sum(count_steps(monkeypatch, p, cfg)[1]
+                   for p in frozen + tiny_batch_problems(seed)) == total, seed
     # instance 0's cycle is found at step 400, as 8 periods (D = 144), and
-    # max_iters lies at offset 600 % 144 = 24: 424 steps.  With a check
-    # every 16 or 48 iterations, the offset of each check after 400 is that
-    # of a check from 256 to 400, whose row the tail copies
+    # max_iters lies at phase 600 % 144 = 24 past it: 424 steps.  With a
+    # check every 16 or 48 iterations, the phase of each check after 400 is
+    # that of a check from 256 to 400, whose row run reuses
     for interval in (0, 16, 48):
         cfg = SolverConfig(max_iters=1000, check_interval=interval)
         res, steps = count_steps(monkeypatch, frozen[0], cfg)
@@ -664,8 +669,8 @@ def test_repeat_stop_step_counts(monkeypatch, chain_problem):
     assert steps <= 250
     assert res.iters_run == 1000 and [h.r for h in res.history] == list(range(100, 1001, 100))
     assert_same_result(res, stepwise_run(frozen[11], cfg))
-    # the gap of instance 0 first meets 2**-57 at the check at 402, offset 2,
-    # so the tail stops there, short of the offsets of the checks after it
+    # the gap of instance 0 first meets 2**-57 at the check at 402, two
+    # steps past the cycle's detection, so run stops there
     cfg = SolverConfig(max_iters=1000, check_interval=67, gap_tolerance=2.0 ** -57)
     res, steps = count_steps(monkeypatch, frozen[0], cfg)
     assert res.iters_run == 402 and steps <= 410, steps
