@@ -20,7 +20,7 @@ lam * boundary_weight <= U alpha / 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,8 +38,25 @@ class ClusterResult:
     contains_seeds: bool | None = None
 
 
+def _format_value(value) -> str:
+    """A value as certificate files write it: a bool as true/false, else its repr."""
+    return str(value).lower() if isinstance(value, bool) else repr(value)
+
+
+def _key_value_lines(values: dict) -> list[str]:
+    """One `key = value` line per item, in order."""
+    return [f"{key} = {_format_value(value)}" for key, value in values.items()]
+
+
+class _Report:
+    """Base of the reports: `as_lines` writes one line per field, in field order."""
+
+    def as_lines(self) -> list[str]:
+        return _key_value_lines(asdict(self))
+
+
 @dataclass(frozen=True)
-class KKTReport:
+class KKTReport(_Report):
     """Residuals of the four optimality conditions.
 
     seed_demand_residual and nonseed_demand_residual are max norms of the
@@ -59,18 +76,9 @@ class KKTReport:
         return max(self.seed_demand_residual, self.nonseed_demand_residual,
                    self.nonsaturated_jump)
 
-    def as_lines(self) -> list[str]:
-        return [
-            f"seed_demand_residual = {self.seed_demand_residual!r}",
-            f"nonseed_demand_residual = {self.nonseed_demand_residual!r}",
-            f"capacity_ok = {str(self.capacity_ok).lower()}",
-            f"nonsaturated_jump = {self.nonsaturated_jump!r}",
-            f"eps_sat = {self.eps_sat!r}",
-        ]
-
 
 @dataclass(frozen=True)
-class BoundaryConditionReport:
+class BoundaryConditionReport(_Report):
     """Necessary-condition slacks for a delivered cluster."""
 
     boundary_weight: float
@@ -79,16 +87,6 @@ class BoundaryConditionReport:
     rhs_absorbing: float
     holds_injecting: bool
     holds_absorbing: bool
-
-    def as_lines(self) -> list[str]:
-        return [
-            f"boundary_weight = {self.boundary_weight!r}",
-            f"lhs = {self.lhs!r}",
-            f"rhs_injecting = {self.rhs_injecting!r}",
-            f"rhs_absorbing = {self.rhs_absorbing!r}",
-            f"holds_injecting = {str(self.holds_injecting).lower()}",
-            f"holds_absorbing = {str(self.holds_absorbing).lower()}",
-        ]
 
 
 def extract_cluster(x, threshold: float = 0.5, seeds=None) -> ClusterResult:

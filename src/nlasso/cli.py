@@ -47,24 +47,28 @@ _INPUT_ERRORS = (InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight,
                  FileNotFoundError, IsADirectoryError, PermissionError, ValueError)
 _RUNTIME_ERRORS = (NLassoError, OSError)
 
-CHAIN_N = 100
-CHAIN_DEFAULT_W = 5.0 / 4.0
-CHAIN_SPECIAL_EDGE = 4
-CHAIN_SPECIAL_W = 1.0
-CHAIN_ALPHA = 1.0 / 200.0
-CHAIN_LAMBDA = 2.0 / 10.0
-CHAIN_ITERS = 1000
-CHAIN_SEED_NODE = 1
+EXPERIMENT_ITERS = 1000
 CHAIN_CSV_NODES = 20
 CHAIN_REACH_BOUND = 80
 
-SBM_BLOCK = 100
-SBM_P_IN = 1.0 / 5.0
-SBM_P_OUT = 1.0 / 100.0
-SBM_SEED_COUNT = 20
-SBM_ALPHA = 1.0 / 40.0
-SBM_LAMBDA = 1.0 / 200.0
-SBM_ITERS = 1000
+
+def chain_problem() -> obj.NLassoProblem:
+    """The chain experiment: a 100-node path with weight 5/4 on every edge
+    but {4, 5}, which has weight 1, seed node 1, alpha 1/200, lambda 2/10."""
+    g = gen.chain_graph(100, 5.0 / 4.0, [(4, 1.0)])
+    return obj.NLassoProblem(g, [1], 1.0 / 200.0, 2.0 / 10.0)
+
+
+def sbm_problem(rng_seed: int):
+    """The block-model experiment for one rng seed: (problem, blocks).
+
+    Two 100-node blocks with edge probabilities 1/5 inside and 1/100
+    across, 20 seeds drawn from the first block, alpha 1/40, lambda 1/200.
+    """
+    g, blocks = gen.sbm_graph(gen.SbmSpec((100, 100), 1.0 / 5.0, 1.0 / 100.0,
+                                          rng_seed=rng_seed))
+    seeds = gen.sample_seeds(blocks[0], 20, rng_seed=rng_seed)
+    return obj.NLassoProblem(g, seeds, 1.0 / 40.0, 1.0 / 200.0), blocks
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -83,25 +87,23 @@ def _signal_csv_lines(x, limit: int | None = None):
 
 
 def _certificate_lines(problem, result, cluster, reach_bound=None):
-    report = cert.kkt_residuals(problem, result.x, result.y)
-    lines = [
-        f"alpha = {problem.alpha!r}",
-        f"lambda = {problem.lam!r}",
-        f"iterations = {result.iters_run}",
-        f"threshold = {cluster.threshold!r}",
-        f"cluster_size = {cluster.cluster.size}",
-        f"duality_gap = {obj.duality_gap(problem, result.x, result.y)!r}",
-    ]
-    lines += report.as_lines()
-    if cluster.contains_seeds:
-        cond = cert.boundary_conditions(problem, cluster, result.x)
-        lines += cond.as_lines()
-        if reach_bound is not None:
-            holds = cert.reach_bound_check(problem, cluster, reach_bound)
-            lines.append(f"reach_bound_max_outside = {int(reach_bound)}")
-            lines.append(f"reach_bound_holds = {str(holds).lower()}")
-    else:
-        lines.append("seeds_in_cluster = false")
+    lines = cert._key_value_lines({
+        "alpha": problem.alpha,
+        "lambda": problem.lam,
+        "iterations": result.iters_run,
+        "threshold": cluster.threshold,
+        "cluster_size": cluster.cluster.size,
+        "duality_gap": obj.duality_gap(problem, result.x, result.y),
+    })
+    lines += cert.kkt_residuals(problem, result.x, result.y).as_lines()
+    if not cluster.contains_seeds:
+        return lines + cert._key_value_lines({"seeds_in_cluster": False})
+    lines += cert.boundary_conditions(problem, cluster, result.x).as_lines()
+    if reach_bound is not None:
+        lines += cert._key_value_lines({
+            "reach_bound_max_outside": reach_bound,
+            "reach_bound_holds": cert.reach_bound_check(problem, cluster, reach_bound),
+        })
     return lines
 
 
@@ -173,12 +175,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_chain_experiment(args) -> int:
-    g = gen.chain_graph(CHAIN_N, CHAIN_DEFAULT_W,
-                        [(CHAIN_SPECIAL_EDGE, CHAIN_SPECIAL_W)])
-    problem = obj.NLassoProblem(g, [CHAIN_SEED_NODE], CHAIN_ALPHA, CHAIN_LAMBDA)
+    problem = chain_problem()
     out = Path(args.out)
-    result, cluster = _solve(problem, CHAIN_ITERS, 0.5, out)
-    fiedler = baselines.fiedler_vector(g, baselines.NORMALIZED, tol=1e-10)
+    result, cluster = _solve(problem, EXPERIMENT_ITERS, 0.5, out)
+    fiedler = baselines.fiedler_vector(problem.graph, baselines.NORMALIZED, tol=1e-10)
     _write_lines(out / "nLassoChain.csv", _signal_csv_lines(result.x, CHAIN_CSV_NODES))
     _write_lines(out / "FiedlerChain.csv", _signal_csv_lines(fiedler, CHAIN_CSV_NODES))
     gc.write_node_set(out / "cluster.txt", cluster.cluster)
@@ -189,25 +189,21 @@ def _cmd_chain_experiment(args) -> int:
 
 
 def _cmd_sbm_experiment(args) -> int:
-    spec = gen.SbmSpec((SBM_BLOCK, SBM_BLOCK), SBM_P_IN, SBM_P_OUT,
-                       rng_seed=args.rng_seed)
-    g, blocks = gen.sbm_graph(spec)
-    seeds = gen.sample_seeds(blocks[0], SBM_SEED_COUNT, rng_seed=args.rng_seed)
-    problem = obj.NLassoProblem(g, seeds, SBM_ALPHA, SBM_LAMBDA)
+    problem, blocks = sbm_problem(args.rng_seed)
+    n = problem.graph.n
     out = Path(args.out)
-    result, cluster = _solve(problem, SBM_ITERS, 0.5, out)
-    in_cluster = np.zeros(g.n, dtype=bool)
+    result, cluster = _solve(problem, EXPERIMENT_ITERS, 0.5, out)
+    in_cluster = np.zeros(n, dtype=bool)
     in_cluster[cluster.cluster - 1] = True
-    in_block = np.zeros(g.n, dtype=bool)
+    in_block = np.zeros(n, dtype=bool)
     in_block[blocks[0] - 1] = True
-    accuracy = float(np.mean(in_cluster == in_block))
     _write_lines(out / "signal.csv", _signal_csv_lines(result.x))
     gc.write_node_set(out / "cluster.txt", cluster.cluster)
-    _write_lines(out / "accuracy.txt", [
-        f"rng_seed = {args.rng_seed}",
-        f"accuracy = {accuracy!r}",
-        f"cluster_size = {cluster.cluster.size}",
-    ])
+    _write_lines(out / "accuracy.txt", cert._key_value_lines({
+        "rng_seed": args.rng_seed,
+        "accuracy": float(np.mean(in_cluster == in_block)),
+        "cluster_size": cluster.cluster.size,
+    }))
     return 0
 
 

@@ -41,7 +41,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import nlasso  # noqa: E402
 import workloads  # noqa: E402
-from nlasso import solver  # noqa: E402
+from nlasso import cli, solver  # noqa: E402
 
 WORKLOADS = ("segment-large", "sbm-large", "tiny-batch", "paper-experiments")
 LAYOUTS = {solver._BandKernel: "band", solver._Kernel: "gather", solver._ScalarKernel: "scalar"}
@@ -67,14 +67,7 @@ def problems(name: str, seed: int, workdir: Path) -> tuple[list, int]:
     if name == "tiny-batch":
         return [p for p, _ in w.cases], w.ITERS
     if name == "paper-experiments":
-        probs = [w.chain_problem]
-        for rng_seed in w.rng_seeds:
-            spec = nlasso.SbmSpec((w.SBM_BLOCK, w.SBM_BLOCK), w.SBM_P_IN, w.SBM_P_OUT,
-                                  rng_seed=rng_seed)
-            g, blocks = nlasso.sbm_graph(spec)
-            seeds = nlasso.sample_seeds(blocks[0], w.SBM_SEEDS, rng_seed=rng_seed)
-            probs.append(nlasso.NLassoProblem(g, seeds, w.SBM_ALPHA, w.SBM_LAM))
-        return probs, w.ITERS
+        return [cli.chain_problem()] + [cli.sbm_problem(s)[0] for s in w.rng_seeds], w.ITERS
     if name == "segment-large":
         g = nlasso.grid_from_image(nlasso.read_pgm(w.image))
         seeds = nlasso.read_node_set(w.seeds, g.n)

@@ -52,15 +52,9 @@ def iterations_to_gap(p: NLassoProblem) -> str:
 
 
 def instances():
-    g = gen.chain_graph(cli.CHAIN_N, cli.CHAIN_DEFAULT_W,
-                        [(cli.CHAIN_SPECIAL_EDGE, cli.CHAIN_SPECIAL_W)])
-    yield "chain", NLassoProblem(g, [cli.CHAIN_SEED_NODE], cli.CHAIN_ALPHA, cli.CHAIN_LAMBDA)
+    yield "chain", cli.chain_problem()
     for seed in range(10):
-        spec = gen.SbmSpec((cli.SBM_BLOCK, cli.SBM_BLOCK), cli.SBM_P_IN, cli.SBM_P_OUT,
-                           rng_seed=seed)
-        g, blocks = gen.sbm_graph(spec)
-        seeds = gen.sample_seeds(blocks[0], cli.SBM_SEED_COUNT, rng_seed=seed)
-        yield f"sbm[{seed}]", NLassoProblem(g, seeds, cli.SBM_ALPHA, cli.SBM_LAMBDA)
+        yield f"sbm[{seed}]", cli.sbm_problem(seed)[0]
     for k, inst in enumerate(INSTANCES):
         g = build_graph(inst["n"], inst["edges"])
         yield f"frozen[{k}]", NLassoProblem(g, [inst["seed"]], inst["alpha"], inst["lam"])
