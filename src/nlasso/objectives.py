@@ -15,6 +15,7 @@ exactly at an optimal primal-dual pair.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,8 @@ class NLassoProblem:
         Non-empty set of 1-based seed node ids.
     alpha : float
         Fidelity weight at non-seed nodes; must be positive and finite so
-        the signal decays to zero away from the seeds.
+        the signal decays to zero away from the seeds.  alpha and lam must
+        be real numbers other than bool, and are stored as Python floats.
     lam : float
         Total-variation penalty; must be positive and finite, and so must
         every capacity lam * W_e.  lam times the largest weighted degree
@@ -57,10 +59,12 @@ class NLassoProblem:
         seeds = gc.as_node_ids(self.seeds, self.graph.n)
         if seeds.size == 0:
             raise ValueError("seed set must be non-empty")
-        if not 0.0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0.0 < self.lam < np.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        for name in ("alpha", "lam"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and 0.0 < value < np.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, float(value))
         g = self.graph
         with np.errstate(over="ignore"):
             over = np.flatnonzero(~np.isfinite(self.lam * g.weights))

@@ -128,6 +128,35 @@ def test_failed_write_leaves_no_partial_file(tmp_path, tiny_instance, monkeypatc
     assert {f.name: f.read_bytes() for f in kept.iterdir()} == before
 
 
+def test_solve_threshold_above_signal_writes_empty_cluster(tmp_path, tiny_instance):
+    # no node's signal exceeds 2: the cluster is empty and holds no seed, so
+    # the certificates end without the boundary conditions
+    graph, seeds = tiny_instance
+    out = tmp_path / "out"
+    assert main(["solve", "--graph", str(graph), "--seeds", str(seeds), "--alpha", "0.1",
+                 "--lambda", "0.5", "--iters", "50", "--threshold", "2",
+                 "--out", str(out)]) == 0
+    assert read(out / "cluster.txt") == ""
+    lines = read(out / "certificates.txt").splitlines()
+    assert lines[-1] == "seeds_in_cluster = false"
+    assert "threshold = 2.0" in lines and "cluster_size = 0" in lines
+    assert not any(line.startswith("holds_") for line in lines)
+
+
+def test_solve_without_graph_exits_2(tmp_path, tiny_instance, capsys):
+    _, seeds = tiny_instance
+    assert main(["solve", "--seeds", str(seeds), "--alpha", "0.1", "--lambda", "0.5",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "nlasso: missing required setting `graph`\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_workers_exits_2(tmp_path, capsys):
+    assert main(["chain-experiment", "--workers", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "nlasso: --workers must be >= 0, got -1\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_unknown_manifest_key_exits_2(tmp_path):
     manifest = tmp_path / "m.txt"
     manifest.write_text("graph = g.txt\nwat = 1\n")
@@ -280,8 +309,22 @@ def two_region_image(path, size=64):
 # sha256 of every output file, recorded from a build before the solver had
 # more than one flow layout: a change of layout must not change a byte.  The
 # 64 x 64 grid takes the band layout (its mask is exactly the disc), the
-# four-node graph the gather layout.
+# four-node graph the scalar layout (m + n = 8).  The two experiments' files
+# were recorded before they were built in cli.chain_problem and
+# cli.sbm_problem; the chain takes the gather layout.  FiedlerChain.csv is
+# left out: it goes through LAPACK and BLAS, whose last bits may differ
+# between builds.
 PINNED_DIGESTS = {
+    "chain-experiment": {
+        "certificates.txt": "cd64c330c1f6b4ebab3fefb7ddfdd3a8b31c9ab5fce33d48d110f7fe3e2afcb0",
+        "cluster.txt": "16fbd7d1f18d2fedb247d73edc3bc6aa040f5ab99bd3b48c35b79e543d22179b",
+        "nLassoChain.csv": "93477d13c6eb27d8d1330be67fa777df656786fe0cd312c85054a3cab3a66f43",
+    },
+    "sbm-experiment": {
+        "accuracy.txt": "6def1d1c2664fd0f41062ba3c65411b54bba8e7e78473c456573628c32b0e5e8",
+        "cluster.txt": "93d4e5c77838e0aa5cb6647c385c810a7c2782bf769029e6c420052048ab22bb",
+        "signal.csv": "ef3ecfe4937b0898d16a11032dbca9c6180258c8bf0ade66b09466dc0afbee2f",
+    },
     "segment": {
         "mask.pgm": "e1e0aaf23ea788b3ab483a2dcbab34c912548c2b6d3d161c4662044d94f7f910",
         "signal.csv": "69e7c77110a9457d025303299ce19c1a9eefcc7d2b947dddfb56a2b0d4106f67",
@@ -304,6 +347,10 @@ def test_outputs_match_pinned_digests(tmp_path, command):
                                  ((30, 34), (24, 28), (36, 40), (22, 38))))
         argv = ["segment", str(image), "--seeds", str(seeds), "--alpha", "0.005",
                 "--lambda", "0.2", "--iters", "600"]
+    elif command == "chain-experiment":
+        argv = ["chain-experiment"]
+    elif command == "sbm-experiment":
+        argv = ["sbm-experiment", "--rng-seed", "3"]
     else:
         # the inputs of acceptance criterion 9
         graph = tmp_path / "edges.txt"
@@ -314,5 +361,6 @@ def test_outputs_match_pinned_digests(tmp_path, command):
                 "--alpha", "0.2", "--lambda", "0.1", "--iters", "400"]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
-    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()
+               if f.name != "FiedlerChain.csv"}
     assert digests == PINNED_DIGESTS[command]

@@ -58,6 +58,11 @@ def test_sbm_spec_validation():
         SbmSpec((5, 5), 1.5, 0.1)
 
 
+def test_sbm_needs_two_nodes():
+    with pytest.raises(ValueError, match="need at least 2 nodes"):
+        sbm_graph(SbmSpec((1,), 0.5, 0.1))
+
+
 def test_sbm_disjoint_triangles():
     g, blocks = sbm_graph(SbmSpec((3, 3), 1.0, 0.0, rng_seed=11))
     assert g.num_edges == 6
@@ -228,6 +233,11 @@ def test_grid_uniform_weights():
     assert g.weights[0] == 1.0
 
 
+def test_grid_needs_two_pixels():
+    with pytest.raises(ValueError, match="at least 2 pixels"):
+        grid_from_image(GreyImage(1, 1, [77]))
+
+
 def test_grid_similarity_decay():
     img = GreyImage(2, 1, [100, 120])
     g = grid_from_image(img)
@@ -331,3 +341,16 @@ def test_pgm_binary_truncated(tmp_path):
     with pytest.raises(PgmError):
         read_pgm(path)
 
+
+
+@pytest.mark.parametrize("content, message", [
+    ("P5\n", "truncated header"),
+    ("P5\n0 2\n255\n", "bad dimensions 0x2"),
+    ("P2\n2 1\n255\n0 x\n", "bad pixel token"),
+    ("P2\n2 1\n7\n7 8\n", "pixel above maxval 7"),
+], ids=["truncated-header", "zero-width", "bad-pixel-token", "above-maxval"])
+def test_pgm_rejects_with_reason(tmp_path, content, message):
+    path = tmp_path / "bad.pgm"
+    path.write_text(content)
+    with pytest.raises(PgmError, match=message):
+        read_pgm(path)

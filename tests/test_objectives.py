@@ -8,12 +8,17 @@ from nlasso import (
     DimensionMismatch,
     DualInfeasible,
     NLassoProblem,
+    SolverConfig,
+    boundary_conditions,
     build_graph,
+    chain_graph,
     conjugate_f,
     conjugate_g_feasible,
     divergence,
     duality_gap,
+    extract_cluster,
     primal_objective,
+    run,
     total_variation,
 )
 from nlasso.baselines import laplacian
@@ -38,6 +43,37 @@ def test_problem_validation(weighted_chain):
     p = NLassoProblem(weighted_chain, [3, 1], 0.1, 0.1)
     assert p.seeds.tolist() == [1, 3]
     assert p.seed_mask[0] and p.seed_mask[2] and not p.seed_mask[1]
+
+
+def test_problem_stores_parameters_as_floats():
+    # numpy and int parameters are stored as Python floats, so the values
+    # computed from them are Python floats too; 0.25 and 0.5 are exact in
+    # float32, so each value equals the one from plain floats
+    g = chain_graph(30)
+    double = NLassoProblem(g, [1], 0.25, 0.5)
+    res = run(double, SolverConfig(max_iters=50))
+    for alpha, lam in ((np.float32(0.25), np.float32(0.5)), (np.float64(0.25), np.int64(1) / 2),
+                       (0.25, np.float64(0.5))):
+        p = NLassoProblem(g, [1], alpha, lam)
+        assert type(p.alpha) is float and type(p.lam) is float
+        for value, expected in ((primal_objective(p, res.x), primal_objective(double, res.x)),
+                                (duality_gap(p, res.x, res.y), duality_gap(double, res.x, res.y))):
+            assert type(value) is float and value == expected
+        # the whole chain is the cluster: lhs is lam times a boundary weight of 0
+        x = np.ones(g.n)
+        lines = boundary_conditions(p, extract_cluster(x, 0.5, seeds=p.seeds), x).as_lines()
+        assert lines[:2] == ["boundary_weight = 0.0", "lhs = 0.0"]
+    assert NLassoProblem(g, [1], 1, 2).alpha == 1.0
+
+
+@pytest.mark.parametrize("alpha, lam", [
+    (True, 0.5), (0.25, True), (np.True_, 0.5), (np.array(0.25), 0.5), (0.25, np.array([0.5])),
+    ("0.25", 0.5), (0.25 + 0j, 0.5), (float("nan"), 0.5), (0.25, np.float32("nan")),
+], ids=["alpha-true", "lam-true", "alpha-np-true", "alpha-0d-array", "lam-1d-array",
+        "alpha-str", "alpha-complex", "alpha-nan", "lam-float32-nan"])
+def test_problem_rejects_non_real_parameters(alpha, lam):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        NLassoProblem(chain_graph(3), [1], alpha, lam)
 
 
 def test_problem_rejects_overflowing_capacity():

@@ -3,6 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import given
+
+from nlasso import cli
+from test_properties import PROPERTY, problems
+from test_solver import frozen_problems
+
 ROOT = Path(__file__).resolve().parent.parent
 AB_RUN = ROOT / "tools" / "ab_run.py"
 
@@ -59,3 +66,38 @@ def test_convergence_counts_segment_gaps():
     assert list(gaps) == [700, 2000]
     assert 0.0 <= gaps[2000] < gaps[700] <= 20.774, gaps
     assert gaps[2000] <= 0.8225, gaps
+
+
+def convergence_counts_tool():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import convergence_counts
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    return convergence_counts
+
+
+RATE_KS = (10, 100, 1000)
+
+
+def test_ergodic_gap_within_the_rate_bound():
+    # the paper's optimal-rate claim as Chambolle & Pock's ergodic bound:
+    # k times the gap of the averaged iterates stays below B, with margins
+    # of 4.8 and more on these problems
+    tool = convergence_counts_tool()
+    problems = [cli.chain_problem(), cli.sbm_problem(0)[0]] + frozen_problems()
+    rates = [tool.ergodic_gap_bound(p, RATE_KS) for p in problems]
+    for rate in rates:
+        assert list(rate) == list(RATE_KS)
+        for k, (k_gap, bound) in rate.items():
+            assert k_gap <= bound, (k, k_gap, bound)
+    # the chain's and SBM seed 0's values at k = 1000
+    assert rates[0][1000] == pytest.approx((18.036, 87.153), rel=1e-4)
+    assert rates[1][1000] == pytest.approx((371.75, 1847.8), rel=1e-4)
+
+
+@PROPERTY
+@given(problems(max_n=12))
+def test_ergodic_gap_within_the_rate_bound_on_random_graphs(p):
+    for k, (k_gap, bound) in convergence_counts_tool().ergodic_gap_bound(p, RATE_KS).items():
+        assert k_gap <= bound, (k, k_gap, bound)
