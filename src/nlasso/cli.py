@@ -190,12 +190,12 @@ def _cmd_chain_experiment(args) -> int:
 
 def _cmd_sbm_experiment(args) -> int:
     problem, blocks = sbm_problem(args.rng_seed)
-    n = problem.graph.n
+    g = problem.graph
     out = Path(args.out)
     result, cluster = _solve(problem, EXPERIMENT_ITERS, 0.5, out)
-    in_cluster = np.zeros(n, dtype=bool)
+    in_cluster = np.zeros(g.n, dtype=bool)
     in_cluster[cluster.cluster - 1] = True
-    in_block = np.zeros(n, dtype=bool)
+    in_block = np.zeros(g.n, dtype=bool)
     in_block[blocks[0] - 1] = True
     _write_lines(out / "signal.csv", _signal_csv_lines(result.x))
     gc.write_node_set(out / "cluster.txt", cluster.cluster)

@@ -83,9 +83,9 @@ def ergodic_gap_bound(p: NLassoProblem, ks) -> dict[int, tuple[float, float]]:
     for k in range(1, max(ks) + 1):
         state = kernel.step(*state)
         x_sum += state[0]
-        y_sum += kernel.edge_flow(state[2])
+        y_sum += state[2]  # in slot order
         if k in ks:
-            x_bar, y_bar = x_sum / k, y_sum / k
+            x_bar, y_bar = x_sum / k, kernel.edge_flow(y_sum) / k
             z = -divergence(g, y_bar)
             x_hat = np.where(p.seed_mask, 1.0 + z, z / p.alpha)
             y_hat = p.capacities * np.sign(x_bar[g.src] - x_bar[g.dst])
