@@ -20,6 +20,7 @@ lam * boundary_weight <= U alpha / 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -93,27 +94,22 @@ def extract_cluster(x, threshold: float = 0.5, seeds=None) -> ClusterResult:
     """Threshold a node signal into a cluster.
 
     Strict inequality: nodes with x_i exactly equal to the threshold stay
-    out.  The threshold must be finite.  When `seeds` is given,
-    contains_seeds reports whether all of them made it in.
+    out.  The threshold must be a finite real number.  When `seeds` is
+    given, contains_seeds reports whether all of them made it in.
     """
-    _check_threshold(threshold)
+    threshold = gc._real(threshold, "threshold")
     x = np.asarray(x, dtype=np.float64)
     ids = np.flatnonzero(x > threshold) + 1
     contains = None
     if seeds is not None:
         seeds = gc.as_node_ids(seeds, x.size)
         contains = bool(np.all(np.isin(seeds, ids)))
-    return ClusterResult(cluster=ids, threshold=float(threshold),
-                         contains_seeds=contains)
-
-
-def _check_threshold(threshold) -> None:
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    return ClusterResult(cluster=ids, threshold=threshold, contains_seeds=contains)
 
 
 def kkt_residuals(p: NLassoProblem, x, y_base, eps_sat: float = 1e-6) -> KKTReport:
-    """Evaluate the optimality residuals of a primal-dual pair."""
+    """Evaluate the optimality residuals of a primal-dual pair; 0 <= eps_sat < 1."""
+    eps_sat = gc._real(eps_sat, "eps_sat", 0.0, math.nextafter(1.0, 0.0), "in [0, 1)")
     g = p.graph
     x = gc._as_signal(g, x)
     y = gc._as_base_flow(g, y_base)
@@ -129,7 +125,7 @@ def kkt_residuals(p: NLassoProblem, x, y_base, eps_sat: float = 1e-6) -> KKTRepo
         jump = float(np.max(np.abs(x[g.src[loose]] - x[g.dst[loose]])))
     else:
         jump = 0.0
-    return KKTReport(seed_res, nonseed_res, capacity_ok, jump, float(eps_sat))
+    return KKTReport(seed_res, nonseed_res, capacity_ok, jump, eps_sat)
 
 
 def boundary_conditions(p: NLassoProblem, c: ClusterResult, x) -> BoundaryConditionReport:
@@ -165,8 +161,9 @@ def reach_bound_check(p: NLassoProblem, c: ClusterResult, max_outside: int) -> b
     """Coarse necessary condition lam * boundary_weight <= max_outside * alpha / 2.
 
     max_outside bounds how many nodes outside the cluster the updates can
-    reach.  An empty boundary passes for any bound.
+    reach, a whole number >= 0.  An empty boundary passes for any bound.
     """
+    max_outside = gc._whole(max_outside, "max_outside", low=0)
     bw = _boundary_weight(p.graph, c.cluster)
     return bool(p.lam * bw <= max_outside * p.alpha / 2.0)
 

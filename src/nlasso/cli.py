@@ -30,21 +30,10 @@ from . import baselines, certificates as cert, generators as gen
 from . import graph as gc
 from . import objectives as obj
 from . import solver as slv
-from .errors import (
-    CountTooLarge,
-    DimensionMismatch,
-    DuplicateEdge,
-    InvalidEdge,
-    InvalidNode,
-    InvalidOverride,
-    InvalidWeight,
-    NLassoError,
-    PgmError,
-)
+from .errors import NLassoError
 
-_INPUT_ERRORS = (InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight,
-                 InvalidOverride, CountTooLarge, PgmError, DimensionMismatch,
-                 FileNotFoundError, IsADirectoryError, PermissionError, ValueError)
+# every input error of the package is a ValueError
+_INPUT_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError, PermissionError)
 _RUNTIME_ERRORS = (NLassoError, OSError)
 
 EXPERIMENT_ITERS = 1000
@@ -155,7 +144,7 @@ def _solve(problem, iters: int, threshold: float, out: Path):
     leaves no output directory behind.  Returns (SolverResult, ClusterResult).
     """
     cfg = slv.SolverConfig(max_iters=iters)
-    cert._check_threshold(threshold)
+    gc._real(threshold, "threshold")
     out.mkdir(parents=True, exist_ok=True)
     result = slv.run(problem, cfg)
     return result, cert.extract_cluster(result.x, threshold, seeds=problem.seeds)

@@ -5,23 +5,27 @@ class NLassoError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidNode(NLassoError):
+class _InputError(NLassoError, ValueError):
+    """Base of the errors that reject an input: each is also a ValueError."""
+
+
+class InvalidNode(_InputError):
     """Node id outside the valid range 1..n, or not an integer."""
 
 
-class InvalidEdge(NLassoError):
+class InvalidEdge(_InputError):
     """Malformed edge, e.g. a self-loop."""
 
 
-class DuplicateEdge(NLassoError):
+class DuplicateEdge(_InputError):
     """Edge listed more than once after canonical orientation."""
 
 
-class InvalidWeight(NLassoError):
+class InvalidWeight(_InputError):
     """Edge weight that is not strictly positive and finite."""
 
 
-class DimensionMismatch(NLassoError):
+class DimensionMismatch(_InputError):
     """Vector length does not match the graph's node or edge count."""
 
 
@@ -45,13 +49,13 @@ class SeedsOutsideCluster(NLassoError):
     """Certificate requires the seed set to be contained in the cluster."""
 
 
-class CountTooLarge(NLassoError):
+class CountTooLarge(_InputError):
     """Requested more samples than the population holds."""
 
 
-class InvalidOverride(NLassoError):
+class InvalidOverride(_InputError):
     """Chain edge override index outside 1..n-1."""
 
 
-class PgmError(NLassoError):
+class PgmError(_InputError):
     """Malformed PGM image file."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountTooLarge, InvalidOverride, PgmError
-from .graph import Graph, _atomic_open, _node_count, _whole, build_graph
+from .graph import Graph, _atomic_open, _id_set, _node_count, _real, _whole, build_graph
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -23,14 +23,6 @@ _M3 = np.uint64(0x94D049BB133111EB)
 # Pairs per row tile in sbm_graph, whose rows stay in one block: bounds its
 # working memory.
 _BLOCK_PAIRS = 1 << 18
-
-
-def _rng_seed(value) -> int:
-    """Return `value` as an int; raise ValueError unless it is a whole number >= 0."""
-    seed = _whole(value, "rng_seed")
-    if seed < 0:
-        raise ValueError(f"rng_seed must be non-negative, got {value!r}")
-    return seed
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -70,7 +62,7 @@ def pair_uniform(rng_seed: int, i, j) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SbmSpec:
-    """Two-or-more-block stochastic block model parameters."""
+    """Two-or-more-block stochastic block model parameters, 0 <= p_out <= p_in <= 1."""
 
     block_sizes: tuple
     p_in: float
@@ -78,14 +70,14 @@ class SbmSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(_whole(s, "block size") for s in self.block_sizes)
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"block sizes must be positive, got {sizes}")
-        if not 0.0 <= self.p_out <= self.p_in <= 1.0:
-            raise ValueError(
-                f"need 0 <= p_out <= p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}")
-        object.__setattr__(self, "block_sizes", sizes)
-        object.__setattr__(self, "rng_seed", _rng_seed(self.rng_seed))
+        sizes = tuple(_whole(s, "block size", low=1) for s in self.block_sizes)
+        p_in, p_out = (_real(getattr(self, name), name, 0.0, 1.0, "in [0, 1]")
+                       for name in ("p_in", "p_out"))
+        if p_out > p_in:
+            raise ValueError(f"need p_out <= p_in, got p_in={p_in}, p_out={p_out}")
+        for name, value in (("block_sizes", sizes), ("p_in", p_in), ("p_out", p_out),
+                            ("rng_seed", _whole(self.rng_seed, "rng_seed", low=0))):
+            object.__setattr__(self, name, value)
 
 
 def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
@@ -93,9 +85,10 @@ def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
 
     `overrides` lists (edge index, weight) pairs with 1-based indices in
     1..n-1 replacing the default weight; other indices raise InvalidOverride.
+    Weights are real numbers; build_graph rejects one not positive and finite.
     """
     n = _node_count(n)
-    w = np.full(n - 1, float(default_w))
+    w = np.full(n - 1, _real(default_w, "default_w", -np.inf, np.inf, "a real number"))
     for idx, weight in overrides:
         try:
             idx = _whole(idx, "edge index")
@@ -103,7 +96,7 @@ def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
             raise InvalidOverride(f"edge index {idx!r} is not a whole number") from None
         if not 1 <= idx <= n - 1:
             raise InvalidOverride(f"edge index {idx} outside 1..{n - 1}")
-        w[idx - 1] = float(weight)
+        w[idx - 1] = _real(weight, "override weight", -np.inf, np.inf, "a real number")
     k = np.arange(1, n)
     return build_graph(n, np.column_stack((k, k + 1, w)))
 
@@ -162,14 +155,12 @@ def sbm_graph(spec: SbmSpec):
 
 
 def sample_seeds(block, count: int, rng_seed: int = 0) -> np.ndarray:
-    """Uniform sample without replacement from one block's node ids."""
-    ids = np.sort(np.asarray(block, dtype=np.int64))
-    count = _whole(count, "count")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    """Uniform sample without replacement from one block's distinct node ids."""
+    ids = _id_set(block)
+    count = _whole(count, "count", low=1)
     if count > ids.size:
         raise CountTooLarge(f"requested {count} seeds from a block of {ids.size}")
-    rng = np.random.default_rng(_rng_seed(rng_seed))
+    rng = np.random.default_rng(_whole(rng_seed, "rng_seed", low=0))
     return np.sort(rng.choice(ids, size=count, replace=False))
 
 
@@ -182,16 +173,18 @@ class GreyImage:
     pixels: np.ndarray
 
     def __post_init__(self):
+        width, height = (_whole(getattr(self, name), name, low=1)
+                         for name in ("width", "height"))
         px = np.asarray(self.pixels)
-        if px.size != self.width * self.height:
-            raise ValueError(
-                f"pixel count {px.size} != width*height {self.width * self.height}")
+        if px.size != width * height:
+            raise ValueError(f"pixel count {px.size} != width*height {width * height}")
         ok = (px >= 0) & (px <= 255) & (px == np.floor(px))
         if not ok.all():
             raise ValueError(f"grey value {px[~ok][0]} is not an integer in 0..255")
-        px = px.reshape(self.height, self.width).astype(np.uint8)
+        px = px.reshape(height, width).astype(np.uint8)
         px.flags.writeable = False
-        object.__setattr__(self, "pixels", px)
+        for name, value in (("width", width), ("height", height), ("pixels", px)):
+            object.__setattr__(self, name, value)
 
     def node_id(self, row: int, col: int) -> int:
         """1-based graph node id of the pixel at (row, col)."""

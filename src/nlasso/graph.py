@@ -9,11 +9,14 @@ the indexing of every flow vector in the package.
 
 `build_graph` takes (i, j, w) triples or an (m, 3) array, and every node
 id anywhere in the package passes one check: finite, integral, in 1..n.
+Every numeric parameter passes _real or _whole: a real number, not a bool,
+in its range, stored as a Python float or int.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import numbers
 import os
 import warnings
@@ -30,21 +33,40 @@ from .errors import (
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# the largest finite double: _real's bounds are inclusive, so `finite` is
+# -_MAX..._MAX and `positive` starts at the smallest positive double
+_MAX = float(np.finfo(np.float64).max)
+_POSITIVE = (math.ulp(0.0), _MAX, "positive and finite")
 
 
-def _whole(value, what: str) -> int:
-    """Return `value` as an int; raise ValueError unless it is a whole real, not a bool."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and float(value).is_integer()):
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
+def _whole(value, what: str, low: int | None = None) -> int:
+    """Return `value` as an int; raise ValueError naming `what` unless it is a
+    whole real number, not a bool, and at least `low`."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) and (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        if low is None or int(value) >= low:
+            return int(value)
+    rule = "a whole number" if low is None else f"a whole number >= {low}"
+    raise ValueError(f"{what} must be {rule}, got {value!r}")
+
+
+def _real(value, what: str, lo: float = -_MAX, hi: float = _MAX, rule: str = "finite") -> float:
+    """Return `value` as a float; raise ValueError saying `what` must be `rule`
+    unless it is a real number, not a bool, with lo <= value <= hi.  It is
+    converted first: NaN fails both bounds, an np.float32 compares as a double.
+    """
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with contextlib.suppress(OverflowError):
+            if lo <= (x := float(value)) <= hi:
+                return x
+    raise ValueError(f"{what} must be {rule}, got {value!r}")
 
 
 def _node_count(n) -> int:
     """Return `n` as an int; raise InvalidNode unless it is a whole number in 1..2**63-1."""
     try:
         count = _whole(n, "node count")
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         raise InvalidNode(f"node count must be a whole number, got {n!r}") from None
     if count < 1:
         raise InvalidNode(f"node count must be positive, got {count}")
@@ -86,6 +108,15 @@ def as_node_ids(ids, n: int) -> np.ndarray:
         dup = arr[1:][arr[1:] == arr[:-1]][0]
         raise InvalidNode(f"duplicate node id {dup}")
     return arr
+
+
+def _id_set(ids) -> np.ndarray:
+    """as_node_ids of `ids` bounded by their largest: sorted distinct int64 ids >= 1."""
+    arr = np.asarray(ids)
+    # bound by the largest id that fits int64: nan, inf and larger floats
+    # then fail the check
+    top = int(arr.max(initial=1, where=arr < 2.0 ** 63)) if arr.dtype.kind in "iuf" else 1
+    return as_node_ids(arr, top)
 
 
 class Graph:
@@ -383,14 +414,10 @@ def read_node_set(path, n: int) -> np.ndarray:
 def write_node_set(path, ids) -> None:
     """Write node ids one per line, ascending, through a temp file (see _atomic_open).
 
-    The ids are checked by as_node_ids, bounded by their largest, so this
-    writes only what read_node_set reads back: distinct integers >= 1.
+    The ids pass _id_set, so this writes only what read_node_set reads
+    back: distinct integers >= 1.
     """
-    arr = np.asarray(ids)
-    # bound by the largest id that fits int64: nan, inf and larger floats
-    # then fail the check
-    top = int(arr.max(initial=1, where=arr < 2.0 ** 63)) if arr.dtype.kind in "iuf" else 1
-    ids = as_node_ids(arr, top)
+    ids = _id_set(ids)
     with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i in ids:
             fh.write(f"{i}\n")

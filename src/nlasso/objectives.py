@@ -15,7 +15,6 @@ exactly at an optimal primal-dual pair.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,11 +59,7 @@ class NLassoProblem:
         if seeds.size == 0:
             raise ValueError("seed set must be non-empty")
         for name in ("alpha", "lam"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                               and 0.0 < value < np.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, gc._real(getattr(self, name), name, *gc._POSITIVE))
         g = self.graph
         with np.errstate(over="ignore"):
             over = np.flatnonzero(~np.isfinite(self.lam * g.weights))

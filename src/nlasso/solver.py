@@ -156,7 +156,6 @@ and 4 end in cycles of period 6 or 18.
 
 from __future__ import annotations
 
-import numbers
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -167,7 +166,7 @@ from . import certificates as cert
 from . import graph as gc
 from . import objectives as obj
 from .errors import IsolatedNode
-from .graph import _whole
+from .graph import _MAX, _real, _whole
 from .objectives import NLassoProblem
 
 
@@ -188,16 +187,10 @@ class SolverConfig:
     gap_tolerance: float = 0.0
 
     def __post_init__(self):
-        for name in ("max_iters", "check_interval"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.check_interval < 0:
-            raise ValueError("check_interval must be non-negative")
-        tol = self.gap_tolerance
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
-            raise ValueError(f"gap_tolerance must be finite and non-negative, got {tol!r}")
-        object.__setattr__(self, "gap_tolerance", float(tol))
+        for name, low in (("max_iters", 1), ("check_interval", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, low))
+        object.__setattr__(self, "gap_tolerance", _real(
+            self.gap_tolerance, "gap_tolerance", 0.0, _MAX, "finite and non-negative"))
 
 
 class HistoryRecord(NamedTuple):
