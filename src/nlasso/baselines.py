@@ -20,7 +20,7 @@ import numpy as np
 
 from . import generators as gen
 from . import graph as gc
-from .errors import Disconnected, IsolatedNode, NoConvergence
+from .errors import Disconnected, NoConvergence
 from .graph import Graph
 
 UNNORMALIZED = "unnormalized"
@@ -48,9 +48,8 @@ class LaplacianOperator:
     def __post_init__(self):
         if self.mode not in (UNNORMALIZED, NORMALIZED):
             raise ValueError(f"mode must be {UNNORMALIZED!r} or {NORMALIZED!r}")
-        if self.mode == NORMALIZED and np.any(self.graph.degree == 0):
-            bad = int(gc.isolated_nodes(self.graph)[0])
-            raise IsolatedNode(f"node {bad} has degree 0; normalization undefined")
+        if self.mode == NORMALIZED:
+            gc._reject_isolated(self.graph, "normalization undefined")
 
     def apply(self, x) -> np.ndarray:
         """One operator application, linear in the edge count."""

@@ -160,10 +160,12 @@ def boundary_conditions(p: NLassoProblem, c: ClusterResult, x) -> BoundaryCondit
 def reach_bound_check(p: NLassoProblem, c: ClusterResult, max_outside: int) -> bool:
     """Coarse necessary condition lam * boundary_weight <= max_outside * alpha / 2.
 
-    max_outside bounds how many nodes outside the cluster the updates can
-    reach, a whole number >= 0.  An empty boundary passes for any bound.
+    max_outside, a whole number from 0 to the largest float, bounds how many
+    outside nodes the updates can reach.  An empty boundary passes any bound.
     """
     max_outside = gc._whole(max_outside, "max_outside", low=0)
+    if max_outside > gc._MAX:  # the bound multiplies it by a float
+        raise ValueError(f"max_outside must be at most {gc._MAX:g}")
     bw = _boundary_weight(p.graph, c.cluster)
     return bool(p.lam * bw <= max_outside * p.alpha / 2.0)
 

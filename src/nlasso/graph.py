@@ -29,6 +29,7 @@ from .errors import (
     InvalidEdge,
     InvalidNode,
     InvalidWeight,
+    IsolatedNode,
 )
 
 
@@ -42,10 +43,12 @@ _POSITIVE = (math.ulp(0.0), _MAX, "positive and finite")
 def _whole(value, what: str, low: int | None = None) -> int:
     """Return `value` as an int; raise ValueError naming `what` unless it is a
     whole real number, not a bool, and at least `low`."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real) and (
-            isinstance(value, numbers.Integral) or float(value).is_integer()):
-        if low is None or int(value) >= low:
-            return int(value)
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        # float() overflows on a fraction past the float range
+        with contextlib.suppress(OverflowError):
+            if (isinstance(value, numbers.Integral) or float(value).is_integer()) and (
+                    low is None or int(value) >= low):
+                return int(value)
     rule = "a whole number" if low is None else f"a whole number >= {low}"
     raise ValueError(f"{what} must be {rule}, got {value!r}")
 
@@ -277,6 +280,12 @@ def boundary(g: Graph, cluster) -> np.ndarray:
 def isolated_nodes(g: Graph) -> np.ndarray:
     """1-based ids of nodes with no incident edge."""
     return np.flatnonzero(g.degree == 0) + 1
+
+
+def _reject_isolated(g: Graph, reason: str) -> None:
+    """Raise IsolatedNode naming g's first node of degree 0, and `reason`."""
+    if (bad := isolated_nodes(g)).size:
+        raise IsolatedNode(f"node {int(bad[0])} has degree 0; {reason}")
 
 
 def is_connected(g: Graph) -> bool:

@@ -28,7 +28,10 @@ changes.  xt is freed after stage 2, before stage 4 allocates its sums.
 The flow is an array of slots, each edge in one slot.  `run` steps it in
 one of three layouts, and all give the same bits as a flow in edge order
 would.  The two numpy layouts share one step and differ only in stages 2
-and 4.
+and 4.  `_kernel(p)` builds every kernel: it rejects a node of degree 0,
+picks the layout and passes that layout's class plain arrays, computed
+once: src, dst and the capacities lam W_e in edge order, then the
+per-node constants of `_node_constants`.  Each class lays out its slots.
 
 * Gather (`_Kernel`): one slot per edge, in anti-diagonal order: sorted
   by (src + dst, src), with src and dst kept in slot order.  Stage 2
@@ -78,10 +81,11 @@ and 4.
   only for a history row and for the result, and np.array keeps every
   bit of a float.
 
-`run` takes the band layout when the bands pad the m edges with at most n
+`_kernel` takes the band layout when the bands pad the m edges with at most n
 empty slots and every band holds at least _MIN_BAND_SLOTS slots; else the
 scalar layout when m + n is at most _MAX_SCALAR_SIZE; else the gather
-layout.  A band costs a few numpy calls per step whatever its length.
+layout.  The size test comes first, so a graph of a few edges counts no
+offsets.  A band costs a few numpy calls per step whatever its length.
 Measured on 2 vCPUs (median step time, gather over band, three runs),
 the layouts break even at about 1000 slots per band, on chains and grids
 alike: 24 x 24 grid 0.79-0.83x, 700-node chain 0.89-0.92x, 1000-node
@@ -165,7 +169,6 @@ import numpy as np
 from . import certificates as cert
 from . import graph as gc
 from . import objectives as obj
-from .errors import IsolatedNode
 from .graph import _MAX, _real, _whole
 from .objectives import NLassoProblem
 
@@ -209,43 +212,25 @@ class SolverResult:
 
 
 class _Kernel:
-    """Precomputed per-problem constants for the six update stages.
+    """Per-problem constants for the six update stages.
 
-    The flow y is one array of slots, and `slots` holds the slot of each
-    edge; a slot that holds no edge has capacity 0.  This class stores the
-    flow in the gather layout: one slot per edge, sorted by (src + dst,
-    src), with src and dst in slot order.  A subclass may supply its own
-    _layout and slots, stages 2 and 4 (_differences and _divergence), or
-    its own step and state representation (start, arrays and same_state).
+    Each layout's class is built from the plain arrays that `_kernel`
+    computes.  The flow y is one array of slots, and `slots` holds the slot
+    of each edge; a slot that holds no edge has capacity 0.  This class
+    stores the flow in the gather layout: one slot per edge, sorted by
+    (src + dst, src), with src and dst in slot order.  The other layouts
+    replace stages 2 and 4 (_differences and _divergence), or the step and
+    the state representation (start, arrays and same_state).
     """
 
-    def __init__(self, p: NLassoProblem):
-        g = p.graph
-        if np.any(g.degree == 0):
-            bad = int(gc.isolated_nodes(g)[0])
-            raise IsolatedNode(f"node {bad} has degree 0; every node needs a neighbour")
-        self.n = g.n
-        cap = np.zeros(self._layout(g))
-        cap[self.slots] = p.capacities
-        self.cap = cap
-        self.neg_cap = -cap
-        gamma = 1.0 / g.degree.astype(np.float64)
-        self.gamma = gamma
-        # stages 5/6 collapse into x = (v + shift) * scale
-        shift = np.where(p.seed_mask, gamma, 0.0)
-        scale = np.where(p.seed_mask, 1.0 / (gamma + 1.0), 1.0 / (p.alpha * gamma + 1.0))
-        self.shift = shift
-        self.scale = scale
-
-    def _layout(self, g: gc.Graph) -> int:
-        """Lay the edges out in slots sorted by (src + dst, src); returns
-        the number of slots."""
-        order = np.lexsort((g.src, g.src + g.dst))
-        self.src = g.src[order]
-        self.dst = g.dst[order]
+    def __init__(self, src, dst, cap, gamma, shift, scale):
+        order = np.lexsort((src, src + dst))
+        self.src, self.dst, self.cap = src[order], dst[order], cap[order]
         self.slots = np.empty_like(order)
         self.slots[order] = np.arange(order.size)
-        return order.size
+        self.neg_cap = -self.cap
+        self.n = gamma.size
+        self.gamma, self.shift, self.scale = gamma, shift, scale
 
     # step returns fresh x and y arrays and never writes to its inputs (each
     # stage works in place on an array the step created; see the module
@@ -321,8 +306,8 @@ class _ScalarKernel(_Kernel):
     result.
     """
 
-    def __init__(self, p: NLassoProblem):
-        super().__init__(p)
+    def __init__(self, src, dst, cap, gamma, shift, scale):
+        super().__init__(src, dst, cap, gamma, shift, scale)
         self.slot_ends = list(zip(self.src.tolist(), self.dst.tolist(),
                                   self.cap.tolist(), self.neg_cap.tolist()))
         self.node_consts = list(zip(self.gamma.tolist(), self.shift.tolist(),
@@ -384,26 +369,29 @@ _MIN_BAND_SLOTS = 1000
 _MAX_SCALAR_SIZE = 36
 
 
-def _offsets(g: gc.Graph) -> np.ndarray:
-    """The distinct edge offsets dst - src, ascending."""
-    return np.flatnonzero(np.bincount(g.dst - g.src))
+def _node_constants(p: NLassoProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-node gamma = 1/d_i, shift and scale: stages 5/6 collapse
+    into x = (v + shift) * scale."""
+    gamma = 1.0 / p.graph.degree.astype(np.float64)
+    shift = np.where(p.seed_mask, gamma, 0.0)
+    scale = np.where(p.seed_mask, 1.0 / (gamma + 1.0), 1.0 / (p.alpha * gamma + 1.0))
+    return gamma, shift, scale
 
 
-def _uses_bands(g: gc.Graph) -> bool:
-    """True when `run` iterates on g in the band layout."""
-    k = _offsets(g)
-    slots = k.size * g.n - int(k.sum())
-    return bool(k.size) and g.n - k[-1] >= _MIN_BAND_SLOTS and slots - g.num_edges <= g.n
-
-
-def _kernel_class(g: gc.Graph) -> type[_Kernel]:
-    """The kernel, and so the flow layout, that `run` iterates on g with.
-
-    The size test comes first: a band of _MIN_BAND_SLOTS slots needs more
-    nodes than a graph of _MAX_SCALAR_SIZE edges plus nodes has."""
+def _kernel(p: NLassoProblem) -> _Kernel:
+    """The kernel `run` iterates p with, in the layout the module docstring
+    gives for p's graph.  Raises IsolatedNode for a node of degree 0."""
+    g = p.graph
+    gc._reject_isolated(g, "every node needs a neighbour")
     if g.num_edges + g.n <= _MAX_SCALAR_SIZE:
-        return _ScalarKernel
-    return _BandKernel if _uses_bands(g) else _Kernel
+        cls = _ScalarKernel
+    else:
+        # the distinct offsets dst - src, ascending, and their bands' slots
+        k = np.flatnonzero(np.bincount(g.dst - g.src))
+        slots = k.size * g.n - int(k.sum())
+        bands = g.n - k[-1] >= _MIN_BAND_SLOTS and slots - g.num_edges <= g.n
+        cls = _BandKernel if bands else _Kernel
+    return cls(g.src, g.dst, p.capacities, *_node_constants(p))
 
 
 class _BandKernel(_Kernel):
@@ -412,12 +400,9 @@ class _BandKernel(_Kernel):
     y and the capacities are one array of all bands, ascending in offset.
     """
 
-    def _layout(self, g: gc.Graph) -> int:
-        """Lay the edges out in one band per offset; returns the number of
-        slots."""
-        n = self.n
-        self.graph = g
-        self.offsets = [int(k) for k in _offsets(g)]
+    def __init__(self, src, dst, cap, gamma, shift, scale):
+        n = self.n = gamma.size
+        self.offsets = np.flatnonzero(np.bincount(dst - src)).tolist()
         self.bands = []
         start = 0
         for k in self.offsets:
@@ -430,15 +415,19 @@ class _BandKernel(_Kernel):
         # edges: out-edges by ascending offset, in-edges by descending
         self.out_bands = [(b, slice(0, n - k)) for k, b in zip(self.offsets, self.bands)]
         self.in_bands = [(b, slice(k, n)) for k, b in zip(self.offsets, self.bands)][::-1]
-        return start
+        self.edges = src, dst
+        self.cap = np.zeros(start)
+        self.cap[self.slots] = cap
+        self.neg_cap = -self.cap
+        self.gamma, self.shift, self.scale = gamma, shift, scale
 
     @property
     def slots(self):
         """The band slot of each edge, in edge order.  It is computed at
         each use: an index of m entries held through the run would raise
         the peak memory of a large grid's solve."""
-        g = self.graph
-        return self.band_start[g.dst - g.src] + g.src
+        src, dst = self.edges
+        return self.band_start[dst - src] + src
 
     def _differences(self, xt):
         n = self.n
@@ -506,7 +495,7 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     further, and it never steps more than the full run.  The result is bit
     for bit that of the full run.
     """
-    kernel = _kernel_class(p.graph)(p)
+    kernel = _kernel(p)
     m, interval = cfg.max_iters, cfg.check_interval
     # the states of iterations at - 1 and at; only this list holds them
     # (see advance)

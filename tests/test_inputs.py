@@ -8,6 +8,7 @@ reports with exit code 2.
 
 import ast
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,21 @@ def test_parameter_just_outside_its_range_raises_value_error_naming_it(param):
     call, outside = PARAMETERS[param]
     with pytest.raises(ValueError, match=param.rpartition(".")[2]):
         call(outside)
+
+
+# parameter and a value of it past the float range, which float() and a
+# product with a float cannot hold
+BEYOND_FLOATS = {
+    "max_iters": Fraction(10 ** 400) + Fraction(1, 2),
+    "max_outside": 10 ** 400,
+}
+
+
+@pytest.mark.parametrize("param", BEYOND_FLOATS)
+def test_value_beyond_the_float_range_raises_value_error_naming_it(param):
+    call, _ = PARAMETERS[param]
+    with pytest.raises(ValueError, match=param):
+        call(BEYOND_FLOATS[param])
 
 
 def test_chain_weights_out_of_range_stay_invalid_weight():

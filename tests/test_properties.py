@@ -23,6 +23,7 @@ from nlasso.solver import _BandKernel, _Kernel, _ScalarKernel
 from test_solver import (
     assert_same_result,
     count_steps,
+    kernel_of,
     period_two_problem,
     stepwise_run,
     underflow_problem,
@@ -79,7 +80,7 @@ def test_relabelling_permutes_the_signal(p, rnd):
 @PROPERTY
 @given(problems())
 def test_band_layout_matches_gather(p):
-    gk, bk = _Kernel(p), _BandKernel(p)
+    gk, bk = kernel_of(_Kernel, p), kernel_of(_BandKernel, p)
     n = p.graph.n
     a = (np.ones(n), np.ones(n), np.zeros(gk.cap.size))
     b = (np.ones(n), np.ones(n), np.zeros(bk.cap.size))
@@ -93,7 +94,7 @@ def test_band_layout_matches_gather(p):
 @given(problems())
 @example(underflow_problem())  # a capacity of 0, where the clamp meets -0.0 against +0.0
 def test_scalar_layout_matches_gather(p):
-    gk, sk = _Kernel(p), _ScalarKernel(p)
+    gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
     a, b = gk.start(), sk.start()
     for _ in range(100):
         a, b = gk.step(*a), sk.step(*b)

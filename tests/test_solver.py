@@ -21,7 +21,7 @@ from nlasso import (
 )
 from nlasso import solver
 from nlasso.generators import GreyImage, chain_graph, grid_from_image
-from nlasso.solver import _BandKernel, _Kernel, _kernel_class, _ScalarKernel, _uses_bands
+from nlasso.solver import _BandKernel, _Kernel, _kernel, _node_constants, _ScalarKernel
 from oracle import exact_tree_optimum, pair_prox_gradient, random_connected_graph
 
 
@@ -55,7 +55,7 @@ def test_init_state_all_ones(chain_problem):
     g = chain_problem.graph
     assert conjugate_g_feasible(chain_problem, np.zeros(g.num_edges))
     res = run(chain_problem, SolverConfig(max_iters=1))
-    k = _Kernel(chain_problem)
+    k = kernel_of(_Kernel, chain_problem)
     x, _, y = k.step(np.ones(g.n), np.ones(g.n), np.zeros(k.cap.size))
     assert res.x.tobytes() == x.tobytes()
     assert res.y.tobytes() == k.edge_flow(y).tobytes()
@@ -66,6 +66,13 @@ def test_init_state_rejects_isolated_node():
     p = NLassoProblem(g, [1], 0.1, 0.1)
     with pytest.raises(IsolatedNode, match="node 3"):
         run(p, SolverConfig(max_iters=5))
+    # a chain of n - 1 nodes beside node n, on graphs of the gather and the
+    # band layout's size: joining node n to the chain gives that layout
+    for n, layout in ((100, _Kernel), (1002, _BandKernel)):
+        assert layout_of(chain_graph(n)) is layout
+        g = build_graph(n, [(i, i + 1, 1.0) for i in range(1, n - 1)])
+        with pytest.raises(IsolatedNode, match=f"node {n} has degree 0"):
+            run(NLassoProblem(g, [1], 0.1, 0.1), SolverConfig(max_iters=5))
 
 
 def test_step_hand_derived_two_node():
@@ -74,7 +81,7 @@ def test_step_hand_derived_two_node():
     # and the seed proximal map gives (gamma + 0) / (gamma + 1) = 1/2
     g = build_graph(2, [(1, 2, 1.0)])
     p = NLassoProblem(g, [1], 0.05, 0.3)
-    x, x_prev, y = _Kernel(p).step(np.zeros(2), np.zeros(2), np.zeros(1))
+    x, x_prev, y = kernel_of(_Kernel, p).step(np.zeros(2), np.zeros(2), np.zeros(1))
     assert x.tolist() == [0.5, 0.0]
     assert y.tolist() == [0.0]
     assert x_prev.tolist() == [0.0, 0.0]
@@ -84,7 +91,7 @@ def test_step_capacity_invariant(rng):
     for _ in range(10):
         g = random_connected_graph(int(rng.integers(2, 9)), rng)
         p = NLassoProblem(g, [1], 0.2, 0.15)
-        k = _Kernel(p)
+        k = kernel_of(_Kernel, p)
         _, _, y = k.step(*kernel_state(k, rng.normal(size=g.n) * 5, rng.normal(size=g.n) * 5,
                                        rng.normal(size=g.num_edges) * 5))
         assert conjugate_g_feasible(p, k.edge_flow(y))
@@ -94,7 +101,7 @@ def test_step_fixed_point_at_optimum(rng):
     g = build_graph(2, [(1, 2, 1.7)])
     p = NLassoProblem(g, [2], 0.3, 0.2)
     x_star, y_star = exact_tree_optimum(p)
-    x, _, y = _Kernel(p).step(x_star.copy(), x_star.copy(), y_star.copy())
+    x, _, y = kernel_of(_Kernel, p).step(x_star.copy(), x_star.copy(), y_star.copy())
     assert np.max(np.abs(x - x_star)) <= 1e-12
     assert np.max(np.abs(y - y_star)) <= 1e-12
 
@@ -212,7 +219,7 @@ def test_projection_matches_clip_along_runs():
     problems.append(NLassoProblem(g, sample_seeds(blocks[0], 20, rng_seed=0), 1 / 40, 1 / 200))
     problems.append(saturated_grid_problem())
     for p in problems:
-        k = _Kernel(p)
+        k = kernel_of(_Kernel, p)
         ours = ref = (np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges))
         for _ in range(300):
             ours, ref = k.step(*ours), clip_step(k, *ref)
@@ -242,7 +249,7 @@ def matching_problem():
 
 def test_projection_matches_clip_at_the_bound():
     p, state = matching_problem()
-    k = _Kernel(p)
+    k = kernel_of(_Kernel, p)
     cap = p.capacities
     assert cap[9] == cap[10] == 0.0  # 0.25 * 5e-324 underflows
     state = kernel_state(k, *state)
@@ -268,7 +275,7 @@ def underflow_problem():
 def test_scalar_clamp_follows_numpy_ties():
     p = underflow_problem()
     assert p.capacities[2] == 0.0
-    gk, sk = _Kernel(p), _ScalarKernel(p)
+    gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
     gather, scalar = gk.start(), sk.start()
     ties = 0
     for _ in range(50):
@@ -289,7 +296,7 @@ def test_scalar_clamp_follows_numpy_ties():
     assert np.isnan(sk.arrays(scalar)[0]).all()
     # the matching's flows at and beyond the bounds, +-inf included
     p, state = matching_problem()
-    gk, sk = _Kernel(p), _ScalarKernel(p)
+    gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
     gather = kernel_state(gk, *state)
     scalar = in_layout(sk, gather)
     for _ in range(5):
@@ -297,10 +304,21 @@ def test_scalar_clamp_follows_numpy_ties():
         assert same_bits(gather, sk.arrays(scalar))
 
 
+def kernel_of(cls, p):
+    """p's kernel in the layout of class cls, from the arrays `_kernel`
+    passes its layout's class."""
+    return cls(p.graph.src, p.graph.dst, p.capacities, *_node_constants(p))
+
+
+def layout_of(g):
+    """The class of the kernel `_kernel` builds for a problem on g."""
+    return type(_kernel(NLassoProblem(g, [1], 0.1, 0.1)))
+
+
 def run_in_layout(monkeypatch, kernel, p, cfg):
     """`run` with its kernel forced to the class `kernel`."""
     with monkeypatch.context() as m:
-        m.setattr(solver, "_kernel_class", lambda g: kernel)
+        m.setattr(solver, "_kernel", lambda q: kernel_of(kernel, q))
         return run(p, cfg)
 
 
@@ -375,7 +393,7 @@ def test_kernels_match_reference_step():
     cases += [(chain, signed_zero_chain_state(1000)), matching_problem()]
     for p, state in cases:
         g = p.graph
-        gk, bk, sk = _Kernel(p), _BandKernel(p), _ScalarKernel(p)
+        gk, bk, sk = (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel))
         ref = state
         gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
         scalar = in_layout(sk, gather)
@@ -398,7 +416,7 @@ def test_band_layout_matches_gather_stepwise():
     # the saturated grid has hundreds of flows at capacity and, at each row
     # end, an empty slot of capacity 0
     for p in frozen_problems() + [saturated_grid_problem()]:
-        gk, bk = _Kernel(p), _BandKernel(p)
+        gk, bk = kernel_of(_Kernel, p), kernel_of(_BandKernel, p)
         n = p.graph.n
         gather = (np.ones(n), np.ones(n), np.zeros(gk.cap.size))
         band = (np.ones(n), np.ones(n), np.zeros(bk.cap.size))
@@ -411,7 +429,7 @@ def test_band_layout_matches_gather_at_the_bound():
     # matching_problem: one band with every other slot empty, zero
     # capacities, +-inf flows, -0.0
     p, state = matching_problem()
-    gk, bk = _Kernel(p), _BandKernel(p)
+    gk, bk = kernel_of(_Kernel, p), kernel_of(_BandKernel, p)
     gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
     for _ in range(5):
         gather, band = gk.step(*gather), bk.step(*band)
@@ -425,7 +443,7 @@ def test_gather_slots_keep_each_node_sum_order():
     g, _ = sbm_graph(SbmSpec((60, 60), 0.2, 0.02, rng_seed=3))
     w = np.random.default_rng(7).uniform(0.1, 10.0, g.num_edges)
     g = build_graph(g.n, np.column_stack((g.src + 1, g.dst + 1, w)))
-    k = _Kernel(NLassoProblem(g, [1, 2, 3], 0.05, 0.5))
+    k = kernel_of(_Kernel, NLassoProblem(g, [1, 2, 3], 0.05, 0.5))
     m, slots = g.num_edges, k.slots
     assert sorted(slots) == list(range(m)) and (slots != np.arange(m)).any()
     assert (k.src[slots] == g.src).all() and (k.dst[slots] == g.dst).all()
@@ -453,7 +471,7 @@ def test_step_leaves_inputs_and_returns_fresh_arrays():
     # themselves
     rng = np.random.default_rng(3)
     for p in (frozen_problems()[0], saturated_grid_problem()):
-        for k in (_Kernel(p), _BandKernel(p), _ScalarKernel(p)):
+        for k in (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel)):
             n = p.graph.n
             state = in_layout(k, (rng.normal(size=n), rng.normal(size=n),
                                   rng.normal(size=k.cap.size)))
@@ -473,7 +491,7 @@ def test_advance_matches_step_calls():
     matching, start = matching_problem()
     cases = [(p, None) for p in frozen_problems()[:3] + [underflow_problem()]]
     for p, edge_start in cases + [(matching, start)]:
-        for k in (_Kernel(p), _BandKernel(p), _ScalarKernel(p)):
+        for k in (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel)):
             first = in_layout(k, kernel_state(k, *edge_start)) if edge_start else k.start()
             before = [a.tobytes() for a in k.arrays(first)]
             for steps in (1, 2, 5, 16):
@@ -497,7 +515,7 @@ def test_band_layout_matches_gather_through_run(monkeypatch):
     above = [NLassoProblem(chain_graph(2000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2),
              NLassoProblem(grid_from_image(GreyImage(40, 40, np.arange(1600) % 7 * 10)),
                            [1, 2, 41], 0.05, 0.5)]
-    assert all(_uses_bands(p.graph) for p in above)
+    assert all(layout_of(p.graph) is _BandKernel for p in above)
     cfg = SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-3)
     stops = []
     for p in [saturated_grid_problem()] + above:
@@ -510,28 +528,25 @@ def test_band_layout_matches_gather_through_run(monkeypatch):
 
 def test_layout_selection():
     image = GreyImage(64, 64, (np.arange(64 * 64) * 37) % 256)
-    assert _uses_bands(grid_from_image(image))
-    assert _uses_bands(chain_graph(2000))
+    assert layout_of(grid_from_image(image)) is _BandKernel
+    assert layout_of(chain_graph(2000)) is _BandKernel
     # the 4000-node block model of the sbm-large benchmark workload
     g, _ = sbm_graph(SbmSpec((2000, 2000), 20 / 2000, 1 / 2000, rng_seed=1))
-    assert not _uses_bands(g)
-    assert not any(_uses_bands(p.graph) for p in frozen_problems())
-    assert not _uses_bands(chain_graph(100))
+    assert layout_of(g) is _Kernel
+    assert layout_of(chain_graph(100)) is _Kernel
     # the break-even: bands of at least 1000 slots
-    assert _uses_bands(chain_graph(1001)) and not _uses_bands(chain_graph(1000))
+    assert layout_of(chain_graph(1001)) is _BandKernel
+    assert layout_of(chain_graph(1000)) is _Kernel
     # below the bands, graphs of at most 36 edges plus nodes take the scalar
     # kernel
-    assert _kernel_class(chain_graph(2000)) is _BandKernel
-    assert _kernel_class(g) is _Kernel
-    assert _kernel_class(chain_graph(100)) is _Kernel
-    assert all(_kernel_class(p.graph) is _ScalarKernel for p in frozen_problems())
-    assert _kernel_class(chain_graph(2)) is _ScalarKernel
-    assert _kernel_class(chain_graph(18)) is _ScalarKernel  # 17 edges, 18 nodes
-    assert _kernel_class(chain_graph(19)) is _Kernel
+    assert all(layout_of(p.graph) is _ScalarKernel for p in frozen_problems())
+    assert layout_of(chain_graph(2)) is _ScalarKernel
+    assert layout_of(chain_graph(18)) is _ScalarKernel  # 17 edges, 18 nodes
+    assert layout_of(chain_graph(19)) is _Kernel
     k8 = build_graph(8, [(i, j, 1.0) for i in range(1, 9) for j in range(i + 1, 9)])
-    assert _kernel_class(k8) is _ScalarKernel  # 28 edges, 8 nodes
+    assert layout_of(k8) is _ScalarKernel  # 28 edges, 8 nodes
     k9 = build_graph(9, [(i, j, 1.0) for i in range(1, 10) for j in range(i + 1, 10)])
-    assert _kernel_class(k9) is _Kernel  # 36 edges, 9 nodes
+    assert layout_of(k9) is _Kernel  # 36 edges, 9 nodes
 
 
 def tiny_batch_problems(seed, count=25):
@@ -556,7 +571,7 @@ def test_scalar_layout_matches_gather_through_run(monkeypatch):
     # the result, and becomes arrays at each history row
     problems = frozen_problems() + tiny_batch_problems(1) + tiny_batch_problems(2)
     problems.append(period_two_problem())
-    assert all(_kernel_class(p.graph) is _ScalarKernel for p in problems)
+    assert all(layout_of(p.graph) is _ScalarKernel for p in problems)
     configs = [SolverConfig(max_iters=1000),
                SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
                SolverConfig(max_iters=999, check_interval=33),
@@ -577,7 +592,7 @@ def stepwise_run(p, cfg):
     """`run` without its repeat stop: all max_iters steps of the kernel
     that `run` picks, a history row at each multiple of check_interval, and
     the gap stop."""
-    kernel = solver._kernel_class(p.graph)(p)
+    kernel = solver._kernel(p)
     state = kernel.start()
     history = []
     for r in range(1, cfg.max_iters + 1):
@@ -598,15 +613,16 @@ def count_steps(monkeypatch, p, cfg):
     """`run(p, cfg)` and the number of steps it took, of whichever kernel
     `run` picks for p."""
     calls = []
-    cls = _kernel_class(p.graph)
+    kernel = solver._kernel(p)
+    step = kernel.step
 
-    def counted(self, *state):
+    def counted(*state):
         calls.append(1)
-        return cls.step(self, *state)
+        return step(*state)
 
-    Counting = type("Counting", (cls,), {"step": counted})
+    kernel.step = counted
     with monkeypatch.context() as m:
-        m.setattr(solver, "_kernel_class", lambda g: Counting)
+        m.setattr(solver, "_kernel", lambda q: kernel)
         res = run(p, cfg)
     assert calls
     return res, len(calls)
@@ -705,13 +721,13 @@ class ClockKernel(ClimbingKernel):
 def test_fixed_point_needs_every_part_of_the_state(monkeypatch):
     # step 16 maps (16, 15, 1) to (16, 16, 1): x and y repeat, but the
     # state does not, and from step 17 on y grows by one per step
-    monkeypatch.setattr(solver, "_kernel_class", lambda g: ClimbingKernel)
+    monkeypatch.setattr(solver, "_kernel", ClimbingKernel)
     res = run(frozen_problems()[1], SolverConfig(max_iters=100))
     assert (res.x == 16.0).all() and res.y.tolist() == [85.0]
     assert res.iters_run == 100
     # x and y at steps 16 and 32 match those of the step before and of the
     # snapshot taken at step 16, but the clock does not
-    monkeypatch.setattr(solver, "_kernel_class", lambda g: ClockKernel)
+    monkeypatch.setattr(solver, "_kernel", ClockKernel)
     res = run(frozen_problems()[1], SolverConfig(max_iters=100))
     assert (res.x == 2.0).all() and res.iters_run == 100
 
@@ -744,7 +760,7 @@ def test_repeat_stop_copies_only_rows_of_the_cycle(monkeypatch):
     # the checks every 15 iterations, the one at 30 lies in the period just
     # passed and the one at 15 just before it, outside the cycle; the check
     # at 255 has the offset of 15 within the period, and the row of 31
-    monkeypatch.setattr(solver, "_kernel_class", lambda g: LeadInKernel)
+    monkeypatch.setattr(solver, "_kernel", LeadInKernel)
     p = NLassoProblem(build_graph(2, [(1, 2, 1.0)]), [1], 0.5, 1.0)
     cfg = SolverConfig(max_iters=300, check_interval=15)
     res = run(p, cfg)
@@ -758,7 +774,7 @@ def test_repeat_stop_ends_on_the_right_state_of_a_cycle(monkeypatch, k):
     # 1001, so stepping one too few or too many after the repeat shows
     p = frozen_problems()[1]
     kernel = CyclingKernel(k, p)
-    monkeypatch.setattr(solver, "_kernel_class", lambda g: lambda p: kernel)
+    monkeypatch.setattr(solver, "_kernel", lambda p: kernel)
     res = run(p, SolverConfig(max_iters=1001))
     assert (res.x == 1002 % k).all() and res.y.tolist() == [1001 % k]
     assert res.iters_run == 1001 and kernel.steps < 500
@@ -773,7 +789,7 @@ def test_same_bits_tells_signed_zeros_apart():
     # the repeat stop compares the scalar kernel's lists as _same_bits
     # compares arrays, in each part of the state: NaNs of one payload match
     # although each float("nan") is a distinct object
-    k = _ScalarKernel(frozen_problems()[1])
+    k = kernel_of(_ScalarKernel, frozen_problems()[1])
     _, ones, y = k.start()
     values = [lambda: 0.0, lambda: -0.0, lambda: float("nan"), lambda: -float("nan"),
               lambda: 1.5]

@@ -7,8 +7,10 @@ one solve), `tiny-batch` (50 small solves) and `paper-experiments` (the
 100-node chain and the seed's ten 200-node block models, 11 solves)
 workloads, with each workload's iteration budget.  It loads the other
 checkout's `src/nlasso` as a second package, checks that both give
-bitwise the same x, y and iters_run on every problem, and only then times
-one round of each side's solves after the other, alternating which side
+bitwise the same x, y and iters_run on every problem, with no checks and
+with a history row every CHECK_INTERVAL iterations (every float of each
+row compared by its bits too), and only then times one round of each
+side's solves, with no checks, after the other, alternating which side
 goes first.  Per workload it prints how many of the solves take each flow
 layout in this checkout (band, gather or scalar; see nlasso/solver.py),
 then each side's median, quartiles and the number of rounds it won.
@@ -31,6 +33,7 @@ import importlib.util
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,9 @@ import workloads  # noqa: E402
 from nlasso import cli, solver  # noqa: E402
 
 WORKLOADS = ("segment-large", "sbm-large", "tiny-batch", "paper-experiments")
+# iterations between the history rows of the bitwise check, or every
+# iteration under a smaller budget; no gap stop, so every row is compared
+CHECK_INTERVAL = 50
 LAYOUTS = {solver._BandKernel: "band", solver._Kernel: "gather", solver._ScalarKernel: "scalar"}
 
 
@@ -84,20 +90,30 @@ def port(module, p):
     return module.NLassoProblem(module.build_graph(g.n, edges), p.seeds, p.alpha, p.lam)
 
 
+def history_bits(res) -> list:
+    """Each history row of a SolverResult with its floats as hex strings."""
+    return [(h.r, *(float(v).hex() for v in h[1:])) for h in res.history]
+
+
 def assert_same_results(name, sides):
-    """Both sides' runs give bitwise the same x, y and iters_run."""
+    """Both sides' runs give bitwise the same x, y, iters_run and history,
+    under their configs and with a history row every CHECK_INTERVAL
+    iterations."""
     (run_a, probs_a, cfg_a), (run_b, probs_b, cfg_b) = sides
-    for k, (pa, pb) in enumerate(zip(probs_a, probs_b)):
-        a, b = run_a(pa, cfg_a), run_b(pb, cfg_b)
-        same = (a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
-                and a.iters_run == b.iters_run)
-        if not same:
-            raise SystemExit(f"{name}: problem {k} differs between the checkouts")
+    interval = min(CHECK_INTERVAL, cfg_a.max_iters)
+    for ca, cb in ((cfg_a, cfg_b), (replace(cfg_a, check_interval=interval),
+                                    replace(cfg_b, check_interval=interval))):
+        for k, (pa, pb) in enumerate(zip(probs_a, probs_b)):
+            a, b = run_a(pa, ca), run_b(pb, cb)
+            same = (a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+                    and a.iters_run == b.iters_run and history_bits(a) == history_bits(b))
+            if not same:
+                raise SystemExit(f"{name}: problem {k} differs between the checkouts")
 
 
 def layout_counts(probs) -> str:
     """How many of the problems `run` steps in each layout, in this checkout."""
-    kernels = [solver._kernel_class(p.graph) for p in probs]
+    kernels = [type(solver._kernel(p)) for p in probs]
     return ", ".join(f"{name} {kernels.count(cls)}" for cls, name in LAYOUTS.items())
 
 

@@ -73,17 +73,19 @@ def ergodic_gap_bound(p: NLassoProblem, ks) -> dict[int, tuple[float, float]]:
     at ybar (1 + z at seeds and z / alpha elsewhere, with z = -div(ybar))
     and yhat = lam W_e sign(xbar_i - xbar_j) maximises it at xbar, so
     B = sum_i d_i (xhat_i - 1)^2 + 2 sum_e yhat_e^2: the theorem's
-    (1/2)||.||^2 in T^-1 and Sigma^-1, doubled for its cross term.
+    (1/2)||.||^2 in T^-1 and Sigma^-1, doubled for its cross term.  The
+    iterates are those of the kernel `run` builds for p, in its layout.
     """
-    kernel = solver._Kernel(p)
+    kernel = solver._kernel(p)
     g = p.graph
     state = kernel.start()
-    x_sum, y_sum = np.zeros(g.n), np.zeros(g.num_edges)
+    x_sum, y_sum = np.zeros(g.n), np.zeros(kernel.cap.size)
     out = {}
     for k in range(1, max(ks) + 1):
         state = kernel.step(*state)
-        x_sum += state[0]
-        y_sum += state[2]  # in slot order
+        x, _, y = kernel.arrays(state)
+        x_sum += x
+        y_sum += y  # in slot order
         if k in ks:
             x_bar, y_bar = x_sum / k, kernel.edge_flow(y_sum) / k
             z = -divergence(g, y_bar)
