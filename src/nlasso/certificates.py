@@ -27,7 +27,7 @@ import numpy as np
 
 from . import graph as gc
 from .errors import SeedsOutsideCluster
-from .objectives import NLassoProblem
+from .objectives import NLassoProblem, conjugate_g_feasible
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ class KKTReport(_Report):
     flow-demand equations; capacity_ok reports the closed capacity
     constraint; nonsaturated_jump is the largest |x_i - x_j| over edges with
     |y_e| < lam W_e (1 - eps_sat), where the signal must be constant.
+    max_residual is the largest of the three residuals, or NaN if any is.
     """
 
     seed_demand_residual: float
@@ -74,8 +75,8 @@ class KKTReport(_Report):
 
     @property
     def max_residual(self) -> float:
-        return max(self.seed_demand_residual, self.nonseed_demand_residual,
-                   self.nonsaturated_jump)
+        return float(np.max((self.seed_demand_residual, self.nonseed_demand_residual,
+                             self.nonsaturated_jump)))
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,11 @@ def kkt_residuals(p: NLassoProblem, x, y_base, eps_sat: float = 1e-6) -> KKTRepo
     y = gc._as_base_flow(g, y_base)
     inflow = -gc.divergence(g, y)
     s = p.seed_mask
-    seed_res = float(np.max(np.abs(inflow[s] - (x[s] - 1.0)))) if s.any() else 0.0
+    seed_res = float(np.max(np.abs(inflow[s] - (x[s] - 1.0))))
     non = ~s
     nonseed_res = float(np.max(np.abs(inflow[non] - p.alpha * x[non]))) if non.any() else 0.0
     cap = p.capacities
-    capacity_ok = bool(np.all(np.abs(y) <= cap))
+    capacity_ok = conjugate_g_feasible(p, y)
     loose = np.abs(y) < cap * (1.0 - eps_sat)
     if loose.any():
         jump = float(np.max(np.abs(x[g.src[loose]] - x[g.dst[loose]])))

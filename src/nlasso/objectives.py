@@ -128,10 +128,13 @@ def duality_gap(p: NLassoProblem, x, y_base) -> float:
     Raises
     ------
     DualInfeasible
-        If some |y_e| exceeds lam W_e, where the gap is +inf by convention.
+        If some |y_e| exceeds lam W_e (the gap is +inf by convention) or is NaN.
     """
     y = gc._as_base_flow(p.graph, y_base)
     if not conjugate_g_feasible(p, y):
+        g, e = p.graph, int(np.argmax(np.isnan(y)))
+        if np.isnan(y[e]):
+            raise DualInfeasible(f"flow is nan at edge ({g.src[e] + 1}, {g.dst[e] + 1})")
         worst = float(np.max(np.abs(y) - p.capacities))
         raise DualInfeasible(f"capacity exceeded by {worst:.3e}")
     z = -gc.divergence(p.graph, y)

@@ -78,7 +78,7 @@ per-node constants of `_node_constants`.  Each class lays out its slots.
   first operand on a tie and would give -0.  A capacity lam W_e of 0
   arises when it underflows.  The state stays in lists of floats for the
   whole run, from the all-ones start to the result.  It becomes arrays
-  only for a history row and for the result, and np.array keeps every
+  only for a history row and for the result, and np.asarray keeps every
   bit of a float.
 
 `_kernel` takes the band layout when the bands pad the m edges with at most n
@@ -125,12 +125,14 @@ and max_iters.  One `advance` call of the kernel, a loop over its step,
 steps to the next event and leaves the last state and the one before it,
 which the period-1 repeat check compares, in a list of two states.  Each
 kernel owns the form of its state: arrays in the numpy layouts, lists of
-floats in the scalar one.  `run` asks the kernel for the start state, for
-a comparison of two states' bits, and for a state as arrays, which it
-needs only for a history row and for the result.  advance empties the
-list before it steps, so that nothing holds a state the run has stepped
-past: a caller that held each advance's first state would keep two more
-arrays alive through the advance.
+floats in the scalar one, with the flow in the layout's slots.  `run` asks
+the kernel for the start state, for a comparison of two states' bits
+(`same_state`), and for a state as arrays with the flow in edge order
+(`arrays`), which it needs only for a history row and for the result, so
+only the kernels know the slot order.  advance empties the list before it
+steps, so that nothing holds a state the run has stepped past: a caller
+that held each advance's first state would keep two more arrays alive
+through the advance.
 
 Repeat stop.  The step is a deterministic map of the state (x, xprev,
 y), so once a state recurs D steps after an earlier one, every later state
@@ -151,7 +153,7 @@ computed, so the gap stop comes at the first check, in time order, whose
 row stops it.  The result is exactly that of the full run.  With no
 history checks the state steps less than one period past r; with checks
 it may step further, but never more than the full run would.  Bits are
-compared as bytes (see _same_bits; the scalar layout packs its lists as
+compared as bytes (see same_state; the scalar layout packs its lists as
 doubles), so -0.0 and +0.0 differ and equal NaN payloads match.
 Small problems reach such a state at machine precision long before their
 budget: of the 25 frozen criterion-5 instances, 21 reach a fixed point
@@ -220,7 +222,8 @@ class _Kernel:
     stores the flow in the gather layout: one slot per edge, sorted by
     (src + dst, src), with src and dst in slot order.  The other layouts
     replace stages 2 and 4 (_differences and _divergence), or the step and
-    the state representation (start, arrays and same_state).
+    the state representation (start and same_state).  `arrays` reads the
+    state of every layout out in edge order.
     """
 
     def __init__(self, src, dst, cap, gamma, shift, scale):
@@ -270,16 +273,17 @@ class _Kernel:
         return np.ones(self.n), np.ones(self.n), np.zeros(self.cap.size)
 
     def arrays(self, state):
-        """The state (x, x_prev, y) as float arrays, y in slot order."""
-        return state
+        """The state (x, x_prev, y) as float arrays, y in edge order.
+
+        np.asarray returns a numpy layout's arrays as they are and turns the
+        scalar layout's lists into arrays, keeping every bit of a float."""
+        x, x_prev, y = map(np.asarray, state)
+        return x, x_prev, y[self.slots]
 
     def same_state(self, a, b) -> bool:
-        """True when the states a and b have the same bits (see _same_bits)."""
-        return all(_same_bits(u, v) for u, v in zip(a, b))
-
-    def edge_flow(self, y):
-        """The flow `y` of step in edge order."""
-        return y[self.slots]
+        """True when the states a and b have the same bits, compared as
+        bytes: -0.0 and +0.0 differ, and NaNs of one payload match."""
+        return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
 
     def advance(self, states: list, k: int) -> None:
         """Step k >= 1 times from states[1], in a list of two states that
@@ -319,11 +323,7 @@ class _ScalarKernel(_Kernel):
     def start(self):
         return [1.0] * self.n, [1.0] * self.n, [0.0] * len(self.slot_ends)
 
-    # np.array keeps every bit of a list of floats
-    def arrays(self, state):
-        return tuple(map(np.array, state))
-
-    # packed as doubles, the lists compare as _same_bits compares arrays
+    # packed as doubles, the lists compare as _Kernel.same_state's arrays
     def same_state(self, a, b) -> bool:
         nodes, slots = self.node_bits, self.slot_bits
         return (nodes(*a[0]) == nodes(*b[0]) and nodes(*a[1]) == nodes(*b[1])
@@ -457,17 +457,11 @@ class _BandKernel(_Kernel):
         return s
 
 
-def _same_bits(a, b) -> bool:
-    """True when the float arrays a and b, of one shape, have the same bits."""
-    return a.tobytes() == b.tobytes()
-
-
 def _check_row(p: NLassoProblem, kernel: _Kernel, state) -> tuple[float, float, float]:
     """The primal value, duality gap and largest KKT residual of a state."""
     x, _, y = kernel.arrays(state)
-    y_edges = kernel.edge_flow(y)
-    return (obj.primal_objective(p, x), obj.duality_gap(p, x, y_edges),
-            cert.kkt_residuals(p, x, y_edges).max_residual)
+    return (obj.primal_objective(p, x), obj.duality_gap(p, x, y),
+            cert.kkt_residuals(p, x, y).max_residual)
 
 
 def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
@@ -542,4 +536,4 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
         if q & (q - 1) == 0:
             snap_r, snap = r, states[1]
     x, _, y = kernel.arrays(states[1])
-    return SolverResult(x=x, y=kernel.edge_flow(y), iters_run=r, history=history)
+    return SolverResult(x=x, y=y, iters_run=r, history=history)

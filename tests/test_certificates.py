@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from nlasso import (
+    KKTReport,
     NLassoProblem,
     SeedsOutsideCluster,
     SolverConfig,
@@ -71,6 +74,22 @@ def test_kkt_at_tree_optima(rng):
         assert report.nonseed_demand_residual <= 1e-8
         assert report.capacity_ok
         assert report.nonsaturated_jump <= 1e-8
+
+
+def test_kkt_max_residual_reports_nan():
+    # on a 3-node path, a NaN in x makes two residuals NaN behind a seed
+    # residual of 0.0, which the builtin max would report
+    p = NLassoProblem(build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)]), [1], 0.5, 0.4)
+    report = kkt_residuals(p, [1.0, np.nan, 0.0], np.zeros(2))
+    assert report.seed_demand_residual == 0.0
+    assert np.isnan(report.nonseed_demand_residual) and np.isnan(report.nonsaturated_jump)
+    assert np.isnan(report.max_residual)
+    # a NaN in any place; finite residuals give the largest, bit for bit
+    for values in itertools.permutations((0.0, 1.5, np.nan)):
+        assert np.isnan(KKTReport(values[0], values[1], True, values[2], 1e-6).max_residual)
+    for values in itertools.permutations((0.0, 0.1 + 0.2, 5e-324)):
+        res = KKTReport(values[0], values[1], True, values[2], 1e-6).max_residual
+        assert type(res) is float and res.hex() == (0.1 + 0.2).hex()
 
 
 def test_kkt_report_serialization(chain_problem):

@@ -243,6 +243,18 @@ def test_dual_feasibility_capacity_violation(chain_problem):
     assert not conjugate_g_feasible(chain_problem, y)
 
 
+def test_dual_feasibility_names_the_edge_of_a_nan_flow(chain_problem):
+    # a NaN flow is named by its edge, also behind a finite excess
+    g = chain_problem.graph
+    y = np.zeros(g.num_edges)
+    y[2] = 2.0 * chain_problem.capacities[2]
+    y[7] = np.nan
+    assert not conjugate_g_feasible(chain_problem, y)
+    assert (g.src[7] + 1, g.dst[7] + 1) == (8, 9)
+    with pytest.raises(DualInfeasible, match=r"flow is nan at edge \(8, 9\)$"):
+        duality_gap(chain_problem, np.zeros(g.n), y)
+
+
 def test_conjugate_f_values(chain_problem):
     assert conjugate_f(chain_problem, np.zeros(100)) == 0.0
     z = np.zeros(100)

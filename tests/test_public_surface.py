@@ -41,12 +41,15 @@ SIGNATURES = {
 }
 
 # the star-augmented dual layout, the single-step solver API and the
-# edge-list writer, which nothing but tests called
+# edge-list writer, which nothing but tests called; the solver's own byte
+# compare and slot-order read-out, folded into its kernels' same_state and
+# arrays
 REMOVED = {
     objectives: ("star_augmented_flow", "dual_objective", "dual_feasibility",
                  "DualFeasibilityReport", "_as_augmented_flow", "laplacian_quadratic"),
     errors: ("NotAugmented",),
-    solver: ("step", "init_state", "SolverState"),
+    solver: ("step", "init_state", "SolverState", "_same_bits"),
+    solver._Kernel: ("edge_flow",),
     Graph: ("out_neighbors", "in_neighbors", "neighbors", "_check_node"),
     graph: ("write_edge_list",),
 }

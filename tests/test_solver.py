@@ -56,9 +56,9 @@ def test_init_state_all_ones(chain_problem):
     assert conjugate_g_feasible(chain_problem, np.zeros(g.num_edges))
     res = run(chain_problem, SolverConfig(max_iters=1))
     k = kernel_of(_Kernel, chain_problem)
-    x, _, y = k.step(np.ones(g.n), np.ones(g.n), np.zeros(k.cap.size))
+    x, _, y = k.arrays(k.step(np.ones(g.n), np.ones(g.n), np.zeros(k.cap.size)))
     assert res.x.tobytes() == x.tobytes()
-    assert res.y.tobytes() == k.edge_flow(y).tobytes()
+    assert res.y.tobytes() == y.tobytes()
 
 
 def test_init_state_rejects_isolated_node():
@@ -92,9 +92,9 @@ def test_step_capacity_invariant(rng):
         g = random_connected_graph(int(rng.integers(2, 9)), rng)
         p = NLassoProblem(g, [1], 0.2, 0.15)
         k = kernel_of(_Kernel, p)
-        _, _, y = k.step(*kernel_state(k, rng.normal(size=g.n) * 5, rng.normal(size=g.n) * 5,
-                                       rng.normal(size=g.num_edges) * 5))
-        assert conjugate_g_feasible(p, k.edge_flow(y))
+        state = kernel_state(k, rng.normal(size=g.n) * 5, rng.normal(size=g.n) * 5,
+                             rng.normal(size=g.num_edges) * 5)
+        assert conjugate_g_feasible(p, k.arrays(k.step(*state))[2])
 
 
 def test_step_fixed_point_at_optimum(rng):
@@ -255,7 +255,7 @@ def test_projection_matches_clip_at_the_bound():
     state = kernel_state(k, *state)
     ours, ref = k.step(*state), clip_step(k, *state)
     assert same_bits(ours, ref)
-    y = k.edge_flow(ours[2])
+    y = k.arrays(ours)[2]
     assert y.tolist() == [cap[0], -cap[1], 0.0, 0.0, cap[4], -cap[5], cap[6], -cap[7],
                           0.0, 0.0, 0.0]
     assert np.signbit(y[[2, 8]]).all()  # -0.0 inside the bounds stays -0.0
@@ -281,18 +281,18 @@ def test_scalar_clamp_follows_numpy_ties():
     for _ in range(50):
         x, x_prev, y = sk.arrays(scalar)
         xt = 2.0 * x - x_prev
-        ties += (xt[1] - xt[2]) * 0.5 + y[gk.slots[2]] < 0.0
+        ties += (xt[1] - xt[2]) * 0.5 + y[2] < 0.0
         gather, scalar = gk.step(*gather), sk.step(*scalar)
-        assert same_bits(gather, sk.arrays(scalar))
+        assert same_bits(gk.arrays(gather), sk.arrays(scalar))
         y = sk.arrays(scalar)[2]
-        assert y[gk.slots[2]] == 0.0 and not np.signbit(y[gk.slots[2]])
+        assert y[2] == 0.0 and not np.signbit(y[2])
     assert ties >= 40, ties
     # a NaN flow stays NaN through the clamp, as in np.maximum and np.minimum
     gather = (np.ones(3), np.ones(3), np.array([np.nan, 0.0, 0.0]))
     scalar = in_layout(sk, gather)
     for _ in range(3):
         gather, scalar = gk.step(*gather), sk.step(*scalar)
-        assert same_bits(gather, sk.arrays(scalar))
+        assert same_bits(gk.arrays(gather), sk.arrays(scalar))
     assert np.isnan(sk.arrays(scalar)[0]).all()
     # the matching's flows at and beyond the bounds, +-inf included
     p, state = matching_problem()
@@ -301,7 +301,7 @@ def test_scalar_clamp_follows_numpy_ties():
     scalar = in_layout(sk, gather)
     for _ in range(5):
         gather, scalar = gk.step(*gather), sk.step(*scalar)
-        assert same_bits(gather, sk.arrays(scalar))
+        assert same_bits(gk.arrays(gather), sk.arrays(scalar))
 
 
 def kernel_of(cls, p):
@@ -352,11 +352,6 @@ def in_layout(k, state):
     return tuple(a.tolist() for a in state) if isinstance(k, _ScalarKernel) else state
 
 
-def edge_state(k, x, x_prev, y):
-    """A step state of kernel k with its flow moved back into edge order."""
-    return x, x_prev, k.edge_flow(y)
-
-
 def reference_step(p, k, x, x_prev, y):
     """The step in edge order with one fresh array per expression, as first
     written: the reference that both kernels must match bit for bit.  It
@@ -400,9 +395,9 @@ def test_kernels_match_reference_step():
         for _ in range(300):
             ref, gather, band, scalar = (reference_step(p, gk, *ref), gk.step(*gather),
                                          bk.step(*band), sk.step(*scalar))
-            assert same_bits(edge_state(gk, *gather), ref)
-            assert same_bits(edge_state(bk, *band), ref)
-            assert same_bits(edge_state(sk, *sk.arrays(scalar)), ref)
+            assert same_bits(gk.arrays(gather), ref)
+            assert same_bits(bk.arrays(band), ref)
+            assert same_bits(sk.arrays(scalar), ref)
             y = ref[2]
             assert same_bits((bk._node_sums(band[2], bk.out_bands),
                               bk._node_sums(band[2], bk.in_bands)),
@@ -422,7 +417,7 @@ def test_band_layout_matches_gather_stepwise():
         band = (np.ones(n), np.ones(n), np.zeros(bk.cap.size))
         for _ in range(300):
             gather, band = gk.step(*gather), bk.step(*band)
-            assert same_bits(edge_state(gk, *gather), edge_state(bk, *band))
+            assert same_bits(gk.arrays(gather), bk.arrays(band))
 
 
 def test_band_layout_matches_gather_at_the_bound():
@@ -433,7 +428,7 @@ def test_band_layout_matches_gather_at_the_bound():
     gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
     for _ in range(5):
         gather, band = gk.step(*gather), bk.step(*band)
-        assert same_bits(edge_state(gk, *gather), edge_state(bk, *band))
+        assert same_bits(gk.arrays(gather), bk.arrays(band))
     assert bk.cap.size == 2 * p.graph.num_edges - 1
 
 
@@ -599,14 +594,13 @@ def stepwise_run(p, cfg):
         state = kernel.step(*state)
         if cfg.check_interval and r % cfg.check_interval == 0:
             x, _, y = kernel.arrays(state)
-            y_edges = kernel.edge_flow(y)
-            gap = duality_gap(p, x, y_edges)
+            gap = duality_gap(p, x, y)
             history.append(HistoryRecord(r, primal_objective(p, x), gap,
-                                         kkt_residuals(p, x, y_edges).max_residual))
+                                         kkt_residuals(p, x, y).max_residual))
             if cfg.gap_tolerance > 0 and gap <= cfg.gap_tolerance:
                 break
     x, _, y = kernel.arrays(state)
-    return SolverResult(x=x, y=kernel.edge_flow(y), iters_run=r, history=history)
+    return SolverResult(x=x, y=y, iters_run=r, history=history)
 
 
 def count_steps(monkeypatch, p, cfg):
@@ -696,18 +690,17 @@ def test_repeat_stop_step_counts(monkeypatch, chain_problem):
 class ClimbingKernel(_Kernel):
     """A step map on which x alone is not enough to detect a fixed point:
     x climbs by 1 to 16, and y counts the steps that start with x == x_prev.
-    It keeps the default start, advance and state comparison."""
+    It keeps the default start, advance, state comparison and read-out,
+    with its one flow slot holding edge 0."""
 
     cap = np.zeros(1)
+    slots = np.array([0])
 
     def __init__(self, p):
         self.n = p.graph.n
 
     def step(self, x, x_prev, y):
         return np.minimum(x + 1.0, 16.0), x, y + float(np.array_equal(x, x_prev))
-
-    def edge_flow(self, y):
-        return y
 
 
 class ClockKernel(ClimbingKernel):
@@ -781,27 +774,30 @@ def test_repeat_stop_ends_on_the_right_state_of_a_cycle(monkeypatch, k):
 
 
 def test_same_bits_tells_signed_zeros_apart():
-    same_bits_ = solver._same_bits
-    zero = np.zeros(3)
-    assert same_bits_(zero, zero.copy()) and not same_bits_(zero, -zero)
-    nan = np.full(3, np.nan)
-    assert same_bits_(nan, nan.copy()) and not same_bits_(nan, -nan)
-    # the repeat stop compares the scalar kernel's lists as _same_bits
-    # compares arrays, in each part of the state: NaNs of one payload match
-    # although each float("nan") is a distinct object
-    k = kernel_of(_ScalarKernel, frozen_problems()[1])
+    # the repeat stop compares states through same_state, the numpy
+    # layouts' arrays as bytes: -0.0 and +0.0 differ, NaNs of one payload
+    # match
+    p = frozen_problems()[1]
+    gk, k = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
+    zero, nan = np.zeros(3), np.full(3, np.nan)
+    for a in (zero, nan):
+        assert gk.same_state((a, a, a), (a.copy(), a.copy(), a.copy()))
+        assert not gk.same_state((a, a, a), (a, a, -a))
+    # the scalar kernel packs its lists as doubles and compares them as the
+    # numpy layouts compare arrays, in each part of the state: NaNs of one
+    # payload match although each float("nan") is a distinct object
     _, ones, y = k.start()
     values = [lambda: 0.0, lambda: -0.0, lambda: float("nan"), lambda: -float("nan"),
               lambda: 1.5]
     for u in values:
         for v in values:
             a, b = [u() for _ in range(k.n)], [v() for _ in range(k.n)]
-            expected = same_bits_(np.array(a), np.array(b))
-            assert expected == (u is v)
-            assert k.same_state((a, ones, y), (b, ones, y)) == expected
-            assert k.same_state((ones, a, y), (ones, b, y)) == expected
-            assert k.same_state((ones, ones, a[:1] + y[1:]),
-                                (ones, ones, b[:1] + y[1:])) == expected
+            pairs = [((a, ones, y), (b, ones, y)), ((ones, a, y), (ones, b, y)),
+                     ((ones, ones, a[:1] + y[1:]), (ones, ones, b[:1] + y[1:]))]
+            for s, t in pairs:
+                expected = gk.same_state(tuple(map(np.array, s)), tuple(map(np.array, t)))
+                assert expected == (u is v)
+                assert k.same_state(s, t) == expected
 
 
 # iterations until the gap is at most 1e-6, checked every 10, as printed by

@@ -74,20 +74,21 @@ def ergodic_gap_bound(p: NLassoProblem, ks) -> dict[int, tuple[float, float]]:
     and yhat = lam W_e sign(xbar_i - xbar_j) maximises it at xbar, so
     B = sum_i d_i (xhat_i - 1)^2 + 2 sum_e yhat_e^2: the theorem's
     (1/2)||.||^2 in T^-1 and Sigma^-1, doubled for its cross term.  The
-    iterates are those of the kernel `run` builds for p, in its layout.
+    iterates are those of the kernel `run` builds for p, in its layout,
+    read out through `arrays` with the flow in edge order.
     """
     kernel = solver._kernel(p)
     g = p.graph
     state = kernel.start()
-    x_sum, y_sum = np.zeros(g.n), np.zeros(kernel.cap.size)
+    x_sum, y_sum = np.zeros(g.n), np.zeros(g.num_edges)
     out = {}
     for k in range(1, max(ks) + 1):
         state = kernel.step(*state)
         x, _, y = kernel.arrays(state)
         x_sum += x
-        y_sum += y  # in slot order
+        y_sum += y
         if k in ks:
-            x_bar, y_bar = x_sum / k, kernel.edge_flow(y_sum) / k
+            x_bar, y_bar = x_sum / k, y_sum / k
             z = -divergence(g, y_bar)
             x_hat = np.where(p.seed_mask, 1.0 + z, z / p.alpha)
             y_hat = p.capacities * np.sign(x_bar[g.src] - x_bar[g.dst])
