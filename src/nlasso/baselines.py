@@ -167,9 +167,18 @@ def fiedler_vector(g: Graph, mode: str = UNNORMALIZED, tol: float = 1e-10) -> np
 
 
 def fiedler_value(g: Graph, v, mode: str = UNNORMALIZED) -> float:
-    """Rayleigh quotient of v under the chosen Laplacian."""
+    """Rayleigh quotient of v under the chosen Laplacian.
+
+    The quotient does not depend on the scale of v, so v is first divided
+    by its largest magnitude, and v @ v neither underflows nor overflows.
+    Raises ValueError when v is zero or not finite.
+    """
     op = laplacian(g, mode)
-    v = np.asarray(v, dtype=np.float64)
+    v = gc._as_signal(g, v)
+    top = np.max(np.abs(v))
+    if not 0.0 < top < np.inf:
+        raise ValueError(f"v must be finite and not zero, got largest magnitude {top}")
+    v = v / top
     return float(v @ op.apply(v)) / float(v @ v)
 
 
@@ -179,11 +188,10 @@ class IndicatorError(NamedTuple):
 
 
 def indicator_error(x, cluster) -> IndicatorError:
-    """Norms of x minus the 0/1 indicator of the cluster."""
-    x = np.asarray(x, dtype=np.float64)
+    """Norms of x minus the 0/1 indicator of the cluster; x is 1-d."""
+    x = gc._as_vector(x)
     ids = gc.as_node_ids(cluster, x.size)
     ind = np.zeros(x.size)
     ind[ids - 1] = 1.0
     err = x - ind
-    return IndicatorError(l2=float(np.linalg.norm(err)),
-                          linf=float(np.max(np.abs(err))) if err.size else 0.0)
+    return IndicatorError(l2=float(np.linalg.norm(err)), linf=float(np.max(np.abs(err))))

@@ -95,11 +95,12 @@ def extract_cluster(x, threshold: float = 0.5, seeds=None) -> ClusterResult:
     """Threshold a node signal into a cluster.
 
     Strict inequality: nodes with x_i exactly equal to the threshold stay
-    out.  The threshold must be a finite real number.  When `seeds` is
-    given, contains_seeds reports whether all of them made it in.
+    out.  The signal x is 1-d, and the threshold a finite real number.
+    When `seeds` is given, contains_seeds reports whether all of them made
+    it in.
     """
     threshold = gc._real(threshold, "threshold")
-    x = np.asarray(x, dtype=np.float64)
+    x = gc._as_vector(x)
     ids = np.flatnonzero(x > threshold) + 1
     contains = None
     if seeds is not None:

@@ -232,6 +232,13 @@ def build_graph(n: int, edge_list) -> Graph:
     return g
 
 
+def _as_vector(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-d node signal, got shape {x.shape}")
+    return x
+
+
 def _as_signal(g: Graph, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (g.n,):

@@ -25,13 +25,13 @@ makes the same IEEE operation on the same operands as the formulas above
 (a + b and b + a have the same bits, as do a * b and b * a), so no bit
 changes.  xt is freed after stage 2, before stage 4 allocates its sums.
 
-The flow is an array of slots, each edge in one slot.  `run` steps it in
-one of three layouts, and all give the same bits as a flow in edge order
-would.  The two numpy layouts share one step and differ only in stages 2
-and 4.  `_kernel(p)` builds every kernel: it rejects a node of degree 0,
-picks the layout and passes that layout's class plain arrays, computed
-once: src, dst and the capacities lam W_e in edge order, then the
-per-node constants of `_node_constants`.  Each class lays out its slots.
+`run` steps the flow in one of three layouts, and all give the same bits
+as a flow in edge order would.  The two numpy layouts each lay it out in
+an array of slots, each edge in one slot, share one step and differ only
+in stages 2 and 4.  `_kernel(p)` builds every kernel: it rejects a node of
+degree 0, picks the layout and passes that layout's class plain arrays,
+computed once: src, dst and the capacities lam W_e in edge order, then the
+per-node constants of `_node_constants`.
 
 * Gather (`_Kernel`): one slot per edge, in anti-diagonal order: sorted
   by (src + dst, src), with src and dst kept in slot order.  Stage 2
@@ -62,24 +62,23 @@ per-node constants of `_node_constants`.  Each class lays out its slots.
   differences are finite, as x is).  A sum that starts at +0 never becomes
   -0, since exact cancellation rounds to +0, and adding +-0 to any other
   value leaves it as it was, so empty slots add nothing.
-* Scalar (`_ScalarKernel`): the gather layout's slots, stepped in Python
-  floats one slot and then one node at a time.  On a graph of a few edges the
-  gather step's dozen numpy calls cost more than their arithmetic.  Each
-  Python operation is the correctly rounded IEEE operation of the numpy
-  stage, on the same operands and in the same order (Python floats are
-  doubles, and it fuses no multiply-add).  Each node's out- and in-sum
-  starts at 0.0 and adds the node's slots in slot order, as np.bincount
-  does.  The clamp follows numpy's rule for ties: np.maximum and
+* Scalar (`_ScalarKernel`): the flow in edge order, stepped in Python
+  floats one edge and then one node at a time.  On a graph of a few edges
+  the gather step's dozen numpy calls cost more than their arithmetic, and
+  a loop gains nothing from slots.  Each Python operation is the correctly
+  rounded IEEE operation of the numpy stage, on the same operands and in
+  the same order (Python floats are doubles, and it fuses no
+  multiply-add).  Each node's out- and in-sum starts at 0.0 and adds the
+  node's edges in edge order, the order each gather sum keeps (see
+  Gather).  The clamp follows numpy's rule for ties: np.maximum and
   np.minimum return their second operand when +0 meets -0 (checked at
   every length from 1 to 129 and at 255, 256, 1000 and 4097), so a flow of
   -0 on an edge of capacity 0 becomes +0, the upper bound.  The clamp is
   therefore written as comparisons that give the bound on a tie and pass
   NaN through, as numpy does; the builtin max() and min() return their
   first operand on a tie and would give -0.  A capacity lam W_e of 0
-  arises when it underflows.  The state stays in lists of floats for the
-  whole run, from the all-ones start to the result.  It becomes arrays
-  only for a history row and for the result, and np.asarray keeps every
-  bit of a float.
+  arises when it underflows.  The state stays in lists of floats from the
+  all-ones start to the result.
 
 `_kernel` takes the band layout when the bands pad the m edges with at most n
 empty slots and every band holds at least _MIN_BAND_SLOTS slots; else the
@@ -124,8 +123,8 @@ check_interval iterations, a repeat check every _REPEAT_CHECK_INTERVAL,
 and max_iters.  One `advance` call of the kernel, a loop over its step,
 steps to the next event and leaves the last state and the one before it,
 which the period-1 repeat check compares, in a list of two states.  Each
-kernel owns the form of its state: arrays in the numpy layouts, lists of
-floats in the scalar one, with the flow in the layout's slots.  `run` asks
+kernel owns the form of its state: arrays with the flow in the layout's
+slots, or lists of floats with the flow in edge order.  `run` asks
 the kernel for the start state, for a comparison of two states' bits
 (`same_state`), and for a state as arrays with the flow in edge order
 (`arrays`), which it needs only for a history row and for the result, so
@@ -222,7 +221,7 @@ class _Kernel:
     stores the flow in the gather layout: one slot per edge, sorted by
     (src + dst, src), with src and dst in slot order.  The other layouts
     replace stages 2 and 4 (_differences and _divergence), or the step and
-    the state representation (start and same_state).  `arrays` reads the
+    the state (start and same_state) in edge order.  `arrays` reads the
     state of every layout out in edge order.
     """
 
@@ -301,33 +300,34 @@ class _Kernel:
 
 
 class _ScalarKernel(_Kernel):
-    """The gather layout stepped in Python floats, for graphs of a few edges.
+    """The step in Python floats and in edge order, for graphs of a few edges.
 
-    Same slots, capacities and per-node constants as `_Kernel`, held as
+    The edges' ends and capacities and the per-node constants are held as
     lists.  The state (x, x_prev, y) is three lists of floats from start to
-    the result: step runs stages 1-6 one slot and one node at a time, and
-    `run` converts a state to arrays only for a history row and for its
-    result.
+    the result, with y in edge order, so `slots` is the whole flow: step
+    runs stages 1-6 one edge and one node at a time, and `run` converts a
+    state to arrays only for a history row and for its result.
     """
 
+    slots = slice(None)
+
     def __init__(self, src, dst, cap, gamma, shift, scale):
-        super().__init__(src, dst, cap, gamma, shift, scale)
-        self.slot_ends = list(zip(self.src.tolist(), self.dst.tolist(),
-                                  self.cap.tolist(), self.neg_cap.tolist()))
-        self.node_consts = list(zip(self.gamma.tolist(), self.shift.tolist(),
-                                    self.scale.tolist()))
+        self.n = gamma.size
+        self.edge_ends = [(i, j, c, -c) for i, j, c in zip(src.tolist(), dst.tolist(),
+                                                           cap.tolist())]
+        self.node_consts = list(zip(gamma.tolist(), shift.tolist(), scale.tolist()))
         # the bits of a list of n or of m floats, as doubles
         self.node_bits = struct.Struct(f"{self.n}d").pack
-        self.slot_bits = struct.Struct(f"{len(self.slot_ends)}d").pack
+        self.edge_bits = struct.Struct(f"{len(self.edge_ends)}d").pack
 
     def start(self):
-        return [1.0] * self.n, [1.0] * self.n, [0.0] * len(self.slot_ends)
+        return [1.0] * self.n, [1.0] * self.n, [0.0] * len(self.edge_ends)
 
     # packed as doubles, the lists compare as _Kernel.same_state's arrays
     def same_state(self, a, b) -> bool:
-        nodes, slots = self.node_bits, self.slot_bits
+        nodes, edges = self.node_bits, self.edge_bits
         return (nodes(*a[0]) == nodes(*b[0]) and nodes(*a[1]) == nodes(*b[1])
-                and slots(*a[2]) == slots(*b[2]))
+                and edges(*a[2]) == edges(*b[2]))
 
     # like _Kernel.step on lists of floats: a fresh x and flow, inputs left
     # untouched
@@ -336,7 +336,7 @@ class _ScalarKernel(_Kernel):
         out = [0.0] * self.n
         into = [0.0] * self.n
         flow = []
-        for (i, j, c, neg_c), v in zip(self.slot_ends, y):
+        for (i, j, c, neg_c), v in zip(self.edge_ends, y):
             v = (xt[i] - xt[j]) * 0.5 + v
             # np.maximum, then np.minimum: a tie (+-0 against -+0) gives the
             # bound, their second operand, and NaN stays NaN
@@ -363,7 +363,7 @@ _REPEAT_CHECK_INTERVAL = 16
 _MIN_BAND_SLOTS = 1000
 
 # Most edges plus nodes for the scalar layout: above about this, its
-# per-slot and per-node Python work costs more than the gather step's numpy
+# per-edge and per-node Python work costs more than the gather step's numpy
 # calls.  Chains, random graphs and complete graphs break even near it (see
 # the module docstring).
 _MAX_SCALAR_SIZE = 36

@@ -33,7 +33,9 @@ from nlasso import (
     UNNORMALIZED,
     chain_graph,
     extract_cluster,
+    fiedler_value,
     fiedler_vector,
+    indicator_error,
     kkt_residuals,
     reach_bound_check,
     sample_seeds,
@@ -157,6 +159,27 @@ def test_sample_seeds_block_order_does_not_matter():
         assert sample_seeds(same, 3, rng_seed=2).tolist() == [3, 5, 16]
     with pytest.raises(CountTooLarge):
         sample_seeds(block, 21)
+
+
+def test_fiedler_value_scores_every_finite_nonzero_vector():
+    # the Rayleigh quotient does not depend on scale, so a vector whose
+    # v @ v underflows or overflows scores as its multiple of largest
+    # magnitude 1; a zero or non-finite vector has no score
+    g = chain_graph(4)
+    assert fiedler_value(g, [5e-324, 0.0, 0.0, 0.0]) == 1.0
+    assert fiedler_value(g, [1e200, -1e200, 0.0, 0.0]) == 2.5
+    for v in (np.zeros(4), [np.nan, 1.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="v must be finite and not zero"):
+            fiedler_value(g, v)
+
+
+@pytest.mark.parametrize("signal", [[[0.9, 0.1], [0.8, 0.7]], 0.9, [[0.9]]],
+                         ids=["2x2", "scalar", "1x1"])
+def test_cluster_signal_must_be_one_dimensional(signal):
+    with pytest.raises(DimensionMismatch, match="1-d"):
+        extract_cluster(signal)
+    with pytest.raises(DimensionMismatch, match="1-d"):
+        indicator_error(signal, [1])
 
 
 INPUT_ERRORS = [InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight, DimensionMismatch,

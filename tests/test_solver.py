@@ -298,7 +298,7 @@ def test_scalar_clamp_follows_numpy_ties():
     p, state = matching_problem()
     gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
     gather = kernel_state(gk, *state)
-    scalar = in_layout(sk, gather)
+    scalar = in_layout(sk, kernel_state(sk, *state))
     for _ in range(5):
         gather, scalar = gk.step(*gather), sk.step(*scalar)
         assert same_bits(gk.arrays(gather), sk.arrays(scalar))
@@ -341,7 +341,7 @@ def assert_layouts_agree(monkeypatch, p, cfg, other=_BandKernel):
 
 def kernel_state(k, x, x_prev, y):
     """A step state with its flow in edge order, moved into kernel k's slots."""
-    yk = np.zeros(k.cap.size)
+    yk = np.zeros(len(k.start()[2]))
     yk[k.slots] = y
     return x, x_prev, yk
 
@@ -391,7 +391,7 @@ def test_kernels_match_reference_step():
         gk, bk, sk = (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel))
         ref = state
         gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
-        scalar = in_layout(sk, gather)
+        scalar = in_layout(sk, kernel_state(sk, *state))
         for _ in range(300):
             ref, gather, band, scalar = (reference_step(p, gk, *ref), gk.step(*gather),
                                          bk.step(*band), sk.step(*scalar))
@@ -460,6 +460,29 @@ def test_gather_slots_keep_each_node_sum_order():
                          [np.bincount(edge_ends, weights=y, minlength=g.n)])
 
 
+def test_scalar_flow_stays_in_edge_order():
+    # on graphs whose gather slots are not in edge order, the scalar
+    # kernel's raw flow list is the edge-order flow that `arrays` reads out,
+    # and it matches the gather kernel at every step from a random state
+    k5 = build_graph(5, [(i, j, 1.0 + i / j) for i in range(1, 6) for j in range(i + 1, 6)])
+    problems = [NLassoProblem(k5, [2], 0.1, 0.3)] + frozen_problems()
+    rng = np.random.default_rng(13)
+    checked = 0
+    for p in problems:
+        gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
+        n, m = p.graph.n, p.graph.num_edges
+        if not (gk.slots != np.arange(m)).any():
+            continue
+        state = (rng.normal(size=n), rng.normal(size=n), rng.normal(size=m) * p.capacities)
+        gather, scalar = kernel_state(gk, *state), in_layout(sk, state)
+        for _ in range(300):
+            gather, scalar = gk.step(*gather), sk.step(*scalar)
+            assert same_bits([np.array(scalar[2])], [sk.arrays(scalar)[2]])
+            assert same_bits(gk.arrays(gather), sk.arrays(scalar))
+        checked += 1
+    assert checked == 5  # K5 and frozen instances 6, 11, 16 and 20
+
+
 def test_step_leaves_inputs_and_returns_fresh_arrays():
     # `run` holds earlier states by reference for its repeat stop; the
     # scalar kernel's states are lists of floats, which share nothing but
@@ -469,7 +492,7 @@ def test_step_leaves_inputs_and_returns_fresh_arrays():
         for k in (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel)):
             n = p.graph.n
             state = in_layout(k, (rng.normal(size=n), rng.normal(size=n),
-                                  rng.normal(size=k.cap.size)))
+                                  rng.normal(size=len(k.start()[2]))))
             before = [a.tobytes() for a in k.arrays(state)]
             x, x_prev, y = k.step(*state)
             assert [a.tobytes() for a in k.arrays(state)] == before
