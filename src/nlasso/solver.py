@@ -62,23 +62,33 @@ per-node constants of `_node_constants`.
   differences are finite, as x is).  A sum that starts at +0 never becomes
   -0, since exact cancellation rounds to +0, and adding +-0 to any other
   value leaves it as it was, so empty slots add nothing.
-* Scalar (`_ScalarKernel`): the flow in edge order, stepped in Python
-  floats one edge and then one node at a time.  On a graph of a few edges
-  the gather step's dozen numpy calls cost more than their arithmetic, and
-  a loop gains nothing from slots.  Each Python operation is the correctly
-  rounded IEEE operation of the numpy stage, on the same operands and in
-  the same order (Python floats are doubles, and it fuses no
-  multiply-add).  Each node's out- and in-sum starts at 0.0 and adds the
-  node's edges in edge order, the order each gather sum keeps (see
-  Gather).  The clamp follows numpy's rule for ties: np.maximum and
-  np.minimum return their second operand when +0 meets -0 (checked at
-  every length from 1 to 129 and at 255, 256, 1000 and 4097), so a flow of
-  -0 on an edge of capacity 0 becomes +0, the upper bound.  The clamp is
-  therefore written as comparisons that give the bound on a tie and pass
-  NaN through, as numpy does; the builtin max() and min() return their
-  first operand on a tie and would give -0.  A capacity lam W_e of 0
-  arises when it underflows.  The state stays in lists of floats from the
-  all-ones start to the result.
+* Scalar (`_ScalarKernel`): the flow in edge order, in Python floats,
+  stepped by one straight-line function written for the graph.  On a
+  graph of a few edges the gather step's dozen numpy calls cost more than
+  their arithmetic, and a Python loop over the edges spends most of its
+  time on zips, tuple unpacks and list indexes, so the kernel writes the
+  step out once (`_scalar_step`): it unpacks x, x_prev and y into one
+  local per entry, gives each node one line for xt and each edge three
+  (the dual ascent, then the two halves of the clamp), and returns the
+  new x as one expression per node.  The source is built from the node
+  and edge positions and fixed text alone; the capacities, their
+  negations and the node constants are bound by name in the function's
+  globals, never printed into it.  So each keeps its bits (-0.0,
+  subnormals and a capacity of 0 included), and CPython has no constant
+  expression to fold.  Each Python operation is the correctly rounded
+  IEEE operation of the numpy stage, on the same operands and in the same
+  order (Python floats are doubles, and it fuses no multiply-add).  Each
+  node's out- and in-sum is written as 0.0 plus the node's edges in edge
+  order, the order each gather sum keeps (see Gather).  The clamp follows
+  numpy's rule for ties: np.maximum and np.minimum return their second
+  operand when +0 meets -0 (checked at every length from 1 to 129 and at
+  255, 256, 1000 and 4097), so a flow of -0 on an edge of capacity 0
+  becomes +0, the upper bound.  The clamp is therefore written as
+  comparisons that give the bound on a tie and pass NaN through, as numpy
+  does; the builtin max() and min() return their first operand on a tie
+  and would give -0.  A capacity lam W_e of 0 arises when it underflows.
+  The state stays in lists of floats from the all-ones start to the
+  result.
 
 `_kernel` takes the band layout when the bands pad the m edges with at most n
 empty slots and every band holds at least _MIN_BAND_SLOTS slots; else the
@@ -93,30 +103,41 @@ chain 0.96-1.01x, 32 x 32 grid 0.98-1.04x, 1500-node chain 1.05-1.08x,
 1.73-1.82x, 256 x 256 grid 2.15-2.29x.
 
 The scalar step's time grows with both m and n, the gather step's hardly
-at all on graphs this small.  Measured through `advance` as `run` calls
-it, in runs of 16 steps (median step time, scalar over gather, the two
-alternating in blocks of 512 steps, six runs over two passes), on chains,
-random connected graphs of about 0.6 m + 1 nodes and complete graphs,
-the two break even at about 18 to 20 edges on chains, 19 to 22 on random
-graphs and 28 on complete graphs, but near 36 edges plus nodes on all
-three:
+at all on graphs this small, and writing and compiling the scalar step
+costs about 0.06 ms per edge plus node, where a gather kernel is built in
+under 0.01 ms.  Measured on 2 vCPUs through `advance` as `run` calls it,
+in runs of 16 steps (scalar over gather: per step, the two alternating in
+blocks of 512 steps, the 2nd to the 23rd of 24 runs over four passes; and
+with each kernel's build plus 1000 median steps, the four passes'
+extremes), on chains, random connected graphs of about 0.6 m + 1 nodes
+and complete graphs, the two break even near 80 edges plus nodes per step
+and near 65 at a 1000-iteration budget, on all three:
 
-    graph      edges  nodes  m + n   scalar/gather
-    chain         4      5      9    0.42-0.50x
-    random        8      6     14    0.55-0.69x
-    complete     10      5     15    0.55-0.55x
-    chain         8      9     17    0.55-0.67x
-    random       16     11     27    0.80-0.95x
-    complete     21      7     28    0.81-0.85x
-    random       19     12     31    0.90-1.26x
-    chain        16     17     33    0.79-1.17x
-    random       20     13     33    0.99-1.11x
-    random       22     14     36    0.94-1.14x
-    complete     28      8     36    0.95-1.02x
-    chain        18     19     37    0.67-1.07x
-    random       24     15     39    0.98-1.18x
-    chain        20     21     41    1.00-1.07x
-    complete     36      9     45    1.08-1.15x
+    graph      edges  nodes  m + n   per step      build + 1000 steps
+    chain         4      5      9    0.11-0.13x    0.16-0.16x
+    random        8      6     14    0.18-0.20x    0.24-0.25x
+    complete     10      5     15    0.16-0.21x    0.24-0.26x
+    chain         8      9     17    0.20-0.23x    0.27-0.28x
+    random       16     11     27    0.29-0.32x    0.41-0.43x
+    complete     21      7     28    0.29-0.33x    0.42-0.44x
+    chain        16     17     33    0.34-0.38x    0.48-0.51x
+    complete     28      8     36    0.37-0.40x    0.53-0.55x
+    random       24     15     39    0.40-0.46x    0.57-0.61x
+    complete     36      9     45    0.48-0.55x    0.67-0.73x
+    chain        24     25     49    0.53-0.57x    0.72-0.75x
+    complete     45     10     55    0.55-0.63x    0.82-0.85x
+    chain        32     33     65    0.68-0.76x    0.98-1.01x
+    random       40     25     65    0.58-1.01x    0.73-1.12x
+    complete     55     11     66    0.66-1.20x    0.85-1.08x
+    random       48     30     78    0.51-1.06x    0.90-1.41x
+    complete     66     12     78    0.68-1.01x    1.18-1.31x
+    chain        40     41     81    1.02-1.62x    1.41-1.44x
+    complete     78     13     91    0.97-1.12x    1.41-1.48x
+    random       64     39    103    1.10-1.45x    1.72-1.79x
+
+_MAX_SCALAR_SIZE stays below both: no workload has a graph of 37 to 198
+edges plus nodes, and a solve that the repeat stop ends within a few
+hundred steps pays the whole build for them.
 
 Check to check.  `run` has three kinds of event: a history check every
 check_interval iterations, a repeat check every _REPEAT_CHECK_INTERVAL,
@@ -300,28 +321,36 @@ class _Kernel:
 
 
 class _ScalarKernel(_Kernel):
-    """The step in Python floats and in edge order, for graphs of a few edges.
+    """The step as one straight-line Python function written for the
+    graph, for graphs of a few edges.
 
-    The edges' ends and capacities and the per-node constants are held as
-    lists.  The state (x, x_prev, y) is three lists of floats from start to
-    the result, with y in edge order, so `slots` is the whole flow: step
-    runs stages 1-6 one edge and one node at a time, and `run` converts a
-    state to arrays only for a history row and for its result.
+    The state (x, x_prev, y) is three lists of floats from start to the
+    result, with y in edge order, so `slots` is the whole flow and `run`
+    converts a state to arrays only for a history row and for its result.
+    `step` is the function `_scalar_step` writes and compiles once per
+    kernel, held by the instance, so it takes the state alone.  Its
+    constants are bound by name in its globals: the capacities c<e>, their
+    negations nc<e> and each node's g<i>, s<i> and k<i> (gamma, shift and
+    scale).
     """
 
     slots = slice(None)
 
     def __init__(self, src, dst, cap, gamma, shift, scale):
-        self.n = gamma.size
-        self.edge_ends = [(i, j, c, -c) for i, j, c in zip(src.tolist(), dst.tolist(),
-                                                           cap.tolist())]
-        self.node_consts = list(zip(gamma.tolist(), shift.tolist(), scale.tolist()))
+        self.n, self.m = gamma.size, cap.size
+        consts = {f"{name}{i}": v
+                  for name, values in (("c", cap), ("nc", -cap), ("g", gamma),
+                                       ("s", shift), ("k", scale))
+                  for i, v in enumerate(values.tolist())}
+        exec(compile(_scalar_step(self.n, src.tolist(), dst.tolist()), "<scalar step>",
+                     "exec"), consts)
+        self.step = consts["step"]
         # the bits of a list of n or of m floats, as doubles
         self.node_bits = struct.Struct(f"{self.n}d").pack
-        self.edge_bits = struct.Struct(f"{len(self.edge_ends)}d").pack
+        self.edge_bits = struct.Struct(f"{self.m}d").pack
 
     def start(self):
-        return [1.0] * self.n, [1.0] * self.n, [0.0] * len(self.edge_ends)
+        return [1.0] * self.n, [1.0] * self.n, [0.0] * self.m
 
     # packed as doubles, the lists compare as _Kernel.same_state's arrays
     def same_state(self, a, b) -> bool:
@@ -329,27 +358,37 @@ class _ScalarKernel(_Kernel):
         return (nodes(*a[0]) == nodes(*b[0]) and nodes(*a[1]) == nodes(*b[1])
                 and edges(*a[2]) == edges(*b[2]))
 
-    # like _Kernel.step on lists of floats: a fresh x and flow, inputs left
-    # untouched
-    def step(self, x, x_prev, y):
-        xt = [2.0 * a - b for a, b in zip(x, x_prev)]
-        out = [0.0] * self.n
-        into = [0.0] * self.n
-        flow = []
-        for (i, j, c, neg_c), v in zip(self.edge_ends, y):
-            v = (xt[i] - xt[j]) * 0.5 + v
-            # np.maximum, then np.minimum: a tie (+-0 against -+0) gives the
-            # bound, their second operand, and NaN stays NaN
-            if v <= neg_c:
-                v = neg_c
-            if v >= c:
-                v = c
-            flow.append(v)
-            out[i] += v
-            into[j] += v
-        new_x = [(a - (o - t) * gamma + shift) * scale
-                 for a, o, t, (gamma, shift, scale) in zip(x, out, into, self.node_consts)]
-        return new_x, x, flow
+
+def _scalar_step(n: int, src: list[int], dst: list[int]) -> str:
+    """The source of the scalar layout's step(x, x_prev, y) on a graph of
+    n nodes and the edges src[e] -> dst[e], written from ints and fixed
+    text alone.
+
+    Like _Kernel.step on lists of floats, it returns a fresh x and flow
+    and leaves its inputs untouched.  Node i's xt is t<i> and edge e's flow
+    f<e>; each node's out-sum and in-sum start at 0.0 and add its edges in
+    edge order.
+    """
+    nodes, edges = range(n), range(len(src))
+    lines = ["def step(x, x_prev, y):",
+             f"    [{', '.join(f'x{i}' for i in nodes)}] = x",
+             f"    [{', '.join(f'p{i}' for i in nodes)}] = x_prev",
+             f"    [{', '.join(f'y{e}' for e in edges)}] = y"]
+    lines += [f"    t{i} = 2.0 * x{i} - p{i}" for i in nodes]
+    outs, ins = [["0.0"] for _ in nodes], [["0.0"] for _ in nodes]
+    for e, (i, j) in enumerate(zip(src, dst)):
+        # np.maximum, then np.minimum: a tie (+-0 against -+0) gives the
+        # bound, their second operand, and NaN stays NaN
+        lines += [f"    f{e} = (t{i} - t{j}) * 0.5 + y{e}",
+                  f"    if f{e} <= nc{e}: f{e} = nc{e}",
+                  f"    if f{e} >= c{e}: f{e} = c{e}"]
+        outs[i].append(f"f{e}")
+        ins[j].append(f"f{e}")
+    lines.append("    return [")
+    lines += [f"        (x{i} - (({' + '.join(outs[i])}) - ({' + '.join(ins[i])})) * g{i}"
+              f" + s{i}) * k{i}," for i in nodes]
+    lines.append(f"    ], x, [{', '.join(f'f{e}' for e in edges)}]")
+    return "\n".join(lines) + "\n"
 
 
 # Iterations between checks for a repeated state.  A check compares the
@@ -362,10 +401,8 @@ _REPEAT_CHECK_INTERVAL = 16
 # the module docstring).
 _MIN_BAND_SLOTS = 1000
 
-# Most edges plus nodes for the scalar layout: above about this, its
-# per-edge and per-node Python work costs more than the gather step's numpy
-# calls.  Chains, random graphs and complete graphs break even near it (see
-# the module docstring).
+# Most edges plus nodes for the scalar layout, below its break-even with the
+# gather layout (see the module docstring for why).
 _MAX_SCALAR_SIZE = 36
 
 

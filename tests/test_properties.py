@@ -92,8 +92,15 @@ def test_band_layout_matches_gather(p):
 @PROPERTY
 @given(problems())
 @example(underflow_problem())  # a capacity of 0, where the clamp meets -0.0 against +0.0
+# the smallest and the largest generated steps: one edge (m + n = 3), and
+# the complete graph K8 (m + n = 36, _MAX_SCALAR_SIZE)
+@example(NLassoProblem(build_graph(2, [(1, 2, 0.7)]), [2], 0.3, 1.1))
+@example(NLassoProblem(build_graph(8, [(i, j, (i + 2 * j) / 7) for i in range(1, 9)
+                                       for j in range(i + 1, 9)]), [1, 6], 0.05, 0.4))
 def test_scalar_layout_matches_gather(p):
     gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
+    # the generated step holds no float of the problem as a literal
+    assert {repr(c) for c in sk.step.__code__.co_consts} <= {"None", "0.0", "0.5", "2.0"}
     a, b = gk.start(), sk.start()
     for _ in range(100):
         a, b = gk.step(*a), sk.step(*b)

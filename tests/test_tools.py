@@ -39,12 +39,12 @@ def test_ab_run_against_the_same_checkout():
 
 def test_ab_run_refuses_to_time_different_results(tmp_path):
     # halve the dual step in all three layouts' kernels: the step the two
-    # numpy layouts share and the scalar one's float step, which the
-    # tiny-batch solves take
+    # numpy layouts share and the template of the scalar one's generated
+    # step, which the tiny-batch solves take
     shutil.copytree(ROOT / "src", tmp_path / "src")
     solver = tmp_path / "src" / "nlasso" / "solver.py"
     text = solver.read_text()
-    for old, new, count in (("d *= 0.5\n", "d *= 0.25\n", 1), ("* 0.5 + v\n", "* 0.25 + v\n", 1)):
+    for old, new, count in (("d *= 0.5\n", "d *= 0.25\n", 1), ("* 0.5 + y", "* 0.25 + y", 1)):
         assert text.count(old) == count
         text = text.replace(old, new)
     solver.write_text(text)
