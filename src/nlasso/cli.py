@@ -97,12 +97,16 @@ def _certificate_lines(problem, result, cluster, reach_bound=None):
 
 
 def _parse_manifest(path: Path) -> dict:
+    """Each key of a `key = value` manifest, mapped to (line number, value)."""
     values = {}
     for lineno, line in gc._text_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key `{key}`")
+        values[key] = lineno, value.strip()
     return values
 
 
@@ -118,9 +122,13 @@ def _solve_settings(args) -> dict:
     def pick(flag, key, convert, default=None):
         if flag is not None:
             return flag
-        if key in manifest:
-            return convert(manifest[key])
-        return default
+        if key not in manifest:
+            return default
+        lineno, value = manifest[key]
+        try:
+            return convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{Path(args.manifest)}:{lineno}: {key}: {exc}") from exc
 
     settings = {
         "graph": pick(args.graph, "graph", str),

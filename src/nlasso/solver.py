@@ -67,10 +67,11 @@ per-node constants of `_node_constants`.
   graph of a few edges the gather step's dozen numpy calls cost more than
   their arithmetic, and a Python loop over the edges spends most of its
   time on zips, tuple unpacks and list indexes, so the kernel writes the
-  step out once (`_scalar_step`): it unpacks x, x_prev and y into one
-  local per entry, gives each node one line for xt and each edge three
-  (the dual ascent, then the two halves of the clamp), and returns the
-  new x as one expression per node.  The source is built from the node
+  step out once (`_scalar_step`): it takes each float of the state as one
+  argument, gives each node one line for xt and each edge three (the dual
+  ascent into the edge's own flow name, then the two halves of the
+  clamp), and returns the new x as one expression per node, then the x it
+  was given and the new flow.  The source is built from the node
   and edge positions and fixed text alone; the capacities, their
   negations and the node constants are bound by name in the function's
   globals, never printed into it.  So each keeps its bits (-0.0,
@@ -87,8 +88,9 @@ per-node constants of `_node_constants`.
   comparisons that give the bound on a tie and pass NaN through, as numpy
   does; the builtin max() and min() return their first operand on a tie
   and would give -0.  A capacity lam W_e of 0 arises when it underflows.
-  The state stays in lists of floats from the all-ones start to the
-  result.
+  The state is one flat tuple of floats, x, then x_prev, then the flow,
+  from the all-ones start to the result, so `step(*state)` passes it as
+  the step's arguments.
 
 `_kernel` takes the band layout when the bands pad the m edges with at most n
 empty slots and every band holds at least _MIN_BAND_SLOTS slots; else the
@@ -145,7 +147,8 @@ and max_iters.  One `advance` call of the kernel, a loop over its step,
 steps to the next event and leaves the last state and the one before it,
 which the period-1 repeat check compares, in a list of two states.  Each
 kernel owns the form of its state: arrays with the flow in the layout's
-slots, or lists of floats with the flow in edge order.  `run` asks
+slots, or one flat tuple of floats with the flow in edge order.  Every
+layout's step maps a state to the next by `step(*state)`.  `run` asks
 the kernel for the start state, for a comparison of two states' bits
 (`same_state`), and for a state as arrays with the flow in edge order
 (`arrays`), which it needs only for a history row and for the result, so
@@ -173,7 +176,7 @@ computed, so the gap stop comes at the first check, in time order, whose
 row stops it.  The result is exactly that of the full run.  With no
 history checks the state steps less than one period past r; with checks
 it may step further, but never more than the full run would.  Bits are
-compared as bytes (see same_state; the scalar layout packs its lists as
+compared as bytes (see same_state; the scalar layout packs its tuple as
 doubles), so -0.0 and +0.0 differ and equal NaN payloads match.
 Small problems reach such a state at machine precision long before their
 budget: of the 25 frozen criterion-5 instances, 21 reach a fixed point
@@ -237,13 +240,14 @@ class _Kernel:
     """Per-problem constants for the six update stages.
 
     Each layout's class is built from the plain arrays that `_kernel`
-    computes.  The flow y is one array of slots, and `slots` holds the slot
-    of each edge; a slot that holds no edge has capacity 0.  This class
-    stores the flow in the gather layout: one slot per edge, sorted by
-    (src + dst, src), with src and dst in slot order.  The other layouts
-    replace stages 2 and 4 (_differences and _divergence), or the step and
-    the state (start and same_state) in edge order.  `arrays` reads the
-    state of every layout out in edge order.
+    computes.  The state is (x, x_prev, y), the flow y one array of slots,
+    and `slots` holds the slot of each edge; a slot that holds no edge has
+    capacity 0.  This class stores the flow in the gather layout: one slot
+    per edge, sorted by (src + dst, src), with src and dst in slot order.
+    The band layout replaces stages 2 and 4 (_differences and _divergence);
+    the scalar layout replaces the state's form (start, step, same_state
+    and arrays).  `arrays` reads the state of every layout out in edge
+    order.
     """
 
     def __init__(self, src, dst, cap, gamma, shift, scale):
@@ -293,11 +297,8 @@ class _Kernel:
         return np.ones(self.n), np.ones(self.n), np.zeros(self.cap.size)
 
     def arrays(self, state):
-        """The state (x, x_prev, y) as float arrays, y in edge order.
-
-        np.asarray returns a numpy layout's arrays as they are and turns the
-        scalar layout's lists into arrays, keeping every bit of a float."""
-        x, x_prev, y = map(np.asarray, state)
+        """The state (x, x_prev, y) as float arrays, y in edge order."""
+        x, x_prev, y = state
         return x, x_prev, y[self.slots]
 
     def same_state(self, a, b) -> bool:
@@ -324,17 +325,15 @@ class _ScalarKernel(_Kernel):
     """The step as one straight-line Python function written for the
     graph, for graphs of a few edges.
 
-    The state (x, x_prev, y) is three lists of floats from start to the
-    result, with y in edge order, so `slots` is the whole flow and `run`
-    converts a state to arrays only for a history row and for its result.
-    `step` is the function `_scalar_step` writes and compiles once per
-    kernel, held by the instance, so it takes the state alone.  Its
-    constants are bound by name in its globals: the capacities c<e>, their
-    negations nc<e> and each node's g<i>, s<i> and k<i> (gamma, shift and
-    scale).
+    The state is one flat tuple of 2n + m floats, (x_0 .. x_{n-1},
+    xprev_0 .. xprev_{n-1}, y_0 .. y_{m-1}) with y in edge order, from
+    start to the result; `run` converts it to arrays only for a history row
+    and for its result.  `step` is the function `_scalar_step` writes and
+    compiles once per kernel, held by the instance, so it takes the state
+    alone.  Its constants are bound by name in its globals: the capacities
+    c<e>, their negations nc<e> and each node's g<i>, s<i> and k<i>
+    (gamma, shift and scale).
     """
-
-    slots = slice(None)
 
     def __init__(self, src, dst, cap, gamma, shift, scale):
         self.n, self.m = gamma.size, cap.size
@@ -345,49 +344,47 @@ class _ScalarKernel(_Kernel):
         exec(compile(_scalar_step(self.n, src.tolist(), dst.tolist()), "<scalar step>",
                      "exec"), consts)
         self.step = consts["step"]
-        # the bits of a list of n or of m floats, as doubles
-        self.node_bits = struct.Struct(f"{self.n}d").pack
-        self.edge_bits = struct.Struct(f"{self.m}d").pack
+        # the bits of a state, as doubles
+        self.bits = struct.Struct(f"{2 * self.n + self.m}d").pack
 
     def start(self):
-        return [1.0] * self.n, [1.0] * self.n, [0.0] * self.m
+        return (1.0,) * (2 * self.n) + (0.0,) * self.m
 
-    # packed as doubles, the lists compare as _Kernel.same_state's arrays
+    def arrays(self, state):
+        n = self.n
+        return np.array(state[:n]), np.array(state[n:2 * n]), np.array(state[2 * n:])
+
+    # packed as doubles, the tuples compare as _Kernel.same_state's arrays
     def same_state(self, a, b) -> bool:
-        nodes, edges = self.node_bits, self.edge_bits
-        return (nodes(*a[0]) == nodes(*b[0]) and nodes(*a[1]) == nodes(*b[1])
-                and edges(*a[2]) == edges(*b[2]))
+        return self.bits(*a) == self.bits(*b)
 
 
 def _scalar_step(n: int, src: list[int], dst: list[int]) -> str:
-    """The source of the scalar layout's step(x, x_prev, y) on a graph of
-    n nodes and the edges src[e] -> dst[e], written from ints and fixed
-    text alone.
+    """The source of the scalar layout's step on a graph of n nodes and the
+    edges src[e] -> dst[e], written from ints and fixed text alone.
 
-    Like _Kernel.step on lists of floats, it returns a fresh x and flow
-    and leaves its inputs untouched.  Node i's xt is t<i> and edge e's flow
-    f<e>; each node's out-sum and in-sum start at 0.0 and add its edges in
-    edge order.
+    It takes the state's floats as its arguments x<i>, p<i> (x_prev) and
+    y<e>, and returns the next state as one flat tuple: the new x, then the
+    x it was given, then the new flow.  Node i's xt is t<i>, and edge e's
+    new flow replaces y<e>; each node's out-sum and in-sum start at 0.0 and
+    add its edges in edge order.
     """
     nodes, edges = range(n), range(len(src))
-    lines = ["def step(x, x_prev, y):",
-             f"    [{', '.join(f'x{i}' for i in nodes)}] = x",
-             f"    [{', '.join(f'p{i}' for i in nodes)}] = x_prev",
-             f"    [{', '.join(f'y{e}' for e in edges)}] = y"]
+    xs, ys = [f"x{i}" for i in nodes], [f"y{e}" for e in edges]
+    lines = [f"def step({', '.join(xs + [f'p{i}' for i in nodes] + ys)}):"]
     lines += [f"    t{i} = 2.0 * x{i} - p{i}" for i in nodes]
     outs, ins = [["0.0"] for _ in nodes], [["0.0"] for _ in nodes]
     for e, (i, j) in enumerate(zip(src, dst)):
         # np.maximum, then np.minimum: a tie (+-0 against -+0) gives the
         # bound, their second operand, and NaN stays NaN
-        lines += [f"    f{e} = (t{i} - t{j}) * 0.5 + y{e}",
-                  f"    if f{e} <= nc{e}: f{e} = nc{e}",
-                  f"    if f{e} >= c{e}: f{e} = c{e}"]
-        outs[i].append(f"f{e}")
-        ins[j].append(f"f{e}")
-    lines.append("    return [")
-    lines += [f"        (x{i} - (({' + '.join(outs[i])}) - ({' + '.join(ins[i])})) * g{i}"
-              f" + s{i}) * k{i}," for i in nodes]
-    lines.append(f"    ], x, [{', '.join(f'f{e}' for e in edges)}]")
+        lines += [f"    y{e} = (t{i} - t{j}) * 0.5 + y{e}",
+                  f"    if y{e} <= nc{e}: y{e} = nc{e}",
+                  f"    if y{e} >= c{e}: y{e} = c{e}"]
+        outs[i].append(f"y{e}")
+        ins[j].append(f"y{e}")
+    new_x = [f"(x{i} - (({' + '.join(outs[i])}) - ({' + '.join(ins[i])})) * g{i} + s{i}) * k{i}"
+             for i in nodes]
+    lines.append(f"    return {', '.join(new_x + xs + ys)}")
     return "\n".join(lines) + "\n"
 
 

@@ -181,6 +181,40 @@ def test_solve_manifest_bad_line_names_path_and_line(tmp_path, capsys):
     assert f"{manifest}:4: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", "abc", "could not convert string to float: 'abc'"),
+    ("iters", "1e3", "invalid literal for int() with base 10: '1e3'"),
+], ids=["alpha", "iters"])
+def test_solve_manifest_bad_value_names_path_and_line(tmp_path, tiny_instance, capsys,
+                                                       key, value, message):
+    graph, seeds = tiny_instance
+    settings = {"graph": graph, "seeds": seeds, "alpha": 0.1, "lambda": 0.5, "iters": 10,
+                "out": tmp_path / "o", key: value}
+    manifest = tmp_path / "m.txt"
+    manifest.write_text("# run\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["solve", "--manifest", str(manifest)]) == 2
+    lineno = 2 + list(settings).index(key)
+    assert capsys.readouterr().err == f"nlasso: {manifest}:{lineno}: {key}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_manifest_duplicate_key_exits_2(tmp_path, tiny_instance, capsys):
+    # a second `graph` line would otherwise replace the first
+    graph, seeds = tiny_instance
+    other = tmp_path / "other.txt"
+    other.write_text("1 2 1.0\n")
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"graph = {graph}\nseeds = {seeds}\nalpha = 0.1\nlambda = 0.5\n"
+                        f"out = {tmp_path / 'o'}\ngraph = {other}\n")
+    assert main(["solve", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"nlasso: {manifest}:6: duplicate key `graph`\n"
+    assert not (tmp_path / "o").exists()
+    # without the second line the manifest solves the first graph
+    manifest.write_text("".join(read(manifest).splitlines(keepends=True)[:-1]))
+    assert main(["solve", "--manifest", str(manifest)]) == 0
+    assert len(read(tmp_path / "o" / "signal.csv").splitlines()) == 4
+
+
 def test_solve_isolated_node_exits_3(tmp_path):
     graph = tmp_path / "edges.txt"
     graph.write_text("1 3 1.0\n")  # node 2 has no incident edge

@@ -297,8 +297,7 @@ def test_scalar_clamp_follows_numpy_ties():
     # the matching's flows at and beyond the bounds, +-inf included
     p, state = matching_problem()
     gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
-    gather = kernel_state(gk, *state)
-    scalar = in_layout(sk, kernel_state(sk, *state))
+    gather, scalar = kernel_state(gk, *state), kernel_state(sk, *state)
     for _ in range(5):
         gather, scalar = gk.step(*gather), sk.step(*scalar)
         assert same_bits(gk.arrays(gather), sk.arrays(scalar))
@@ -340,16 +339,30 @@ def assert_layouts_agree(monkeypatch, p, cfg, other=_BandKernel):
 
 
 def kernel_state(k, x, x_prev, y):
-    """A step state with its flow in edge order, moved into kernel k's slots."""
-    yk = np.zeros(len(k.start()[2]))
+    """A step state with its flow in edge order, in kernel k's own form: the
+    flow moved into a numpy layout's slots, or the scalar kernel's flat
+    tuple."""
+    if isinstance(k, _ScalarKernel):
+        return in_layout(k, (x, x_prev, y))
+    yk = np.zeros(k.cap.size)
     yk[k.slots] = y
     return x, x_prev, yk
 
 
 def in_layout(k, state):
-    """A state of arrays in kernel k's own form: the scalar kernel steps
-    lists of floats, and `arrays` turns them back."""
-    return tuple(a.tolist() for a in state) if isinstance(k, _ScalarKernel) else state
+    """A state of arrays in kernel k's own form: the scalar kernel steps one
+    flat tuple of floats, x then x_prev then y, and `arrays` cuts it back
+    into arrays."""
+    return tuple(np.concatenate(state).tolist()) if isinstance(k, _ScalarKernel) else state
+
+
+def holds_previous_x(k, new, old):
+    """True when the state `new` holds the x of the state `old` as its
+    x_prev, as the same objects: the array, or the scalar kernel's middle n
+    floats."""
+    if isinstance(k, _ScalarKernel):
+        return all(a is b for a, b in zip(new[k.n:2 * k.n], old[:k.n], strict=True))
+    return new[1] is old[0]
 
 
 def reference_step(p, k, x, x_prev, y):
@@ -391,7 +404,7 @@ def test_kernels_match_reference_step():
         gk, bk, sk = (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel))
         ref = state
         gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
-        scalar = in_layout(sk, kernel_state(sk, *state))
+        scalar = kernel_state(sk, *state)
         for _ in range(300):
             ref, gather, band, scalar = (reference_step(p, gk, *ref), gk.step(*gather),
                                          bk.step(*band), sk.step(*scalar))
@@ -462,8 +475,9 @@ def test_gather_slots_keep_each_node_sum_order():
 
 def test_scalar_flow_stays_in_edge_order():
     # on graphs whose gather slots are not in edge order, the scalar
-    # kernel's raw flow list is the edge-order flow that `arrays` reads out,
-    # and it matches the gather kernel at every step from a random state
+    # kernel's raw flow, the state's last m floats, is the edge-order flow
+    # that `arrays` reads out, and it matches the gather kernel at every
+    # step from a random state
     k5 = build_graph(5, [(i, j, 1.0 + i / j) for i in range(1, 6) for j in range(i + 1, 6)])
     problems = [NLassoProblem(k5, [2], 0.1, 0.3)] + frozen_problems()
     rng = np.random.default_rng(13)
@@ -477,7 +491,7 @@ def test_scalar_flow_stays_in_edge_order():
         gather, scalar = kernel_state(gk, *state), in_layout(sk, state)
         for _ in range(300):
             gather, scalar = gk.step(*gather), sk.step(*scalar)
-            assert same_bits([np.array(scalar[2])], [sk.arrays(scalar)[2]])
+            assert same_bits([np.array(scalar[2 * n:])], [sk.arrays(scalar)[2]])
             assert same_bits(gk.arrays(gather), sk.arrays(scalar))
         checked += 1
     assert checked == 5  # K5 and frozen instances 6, 11, 16 and 20
@@ -485,18 +499,23 @@ def test_scalar_flow_stays_in_edge_order():
 
 def test_step_leaves_inputs_and_returns_fresh_arrays():
     # `run` holds earlier states by reference for its repeat stop; the
-    # scalar kernel's states are lists of floats, which share nothing but
-    # themselves
+    # scalar kernel's state is one tuple of floats, which nothing writes to,
+    # and its `arrays` are fresh
     rng = np.random.default_rng(3)
     for p in (frozen_problems()[0], saturated_grid_problem()):
         for k in (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel)):
             n = p.graph.n
+            scalar = isinstance(k, _ScalarKernel)
             state = in_layout(k, (rng.normal(size=n), rng.normal(size=n),
-                                  rng.normal(size=len(k.start()[2]))))
+                                  rng.normal(size=k.m if scalar else k.cap.size)))
             before = [a.tobytes() for a in k.arrays(state)]
-            x, x_prev, y = k.step(*state)
+            after = k.step(*state)
             assert [a.tobytes() for a in k.arrays(state)] == before
-            assert x_prev is state[0]
+            assert holds_previous_x(k, after, state)
+            if scalar:
+                assert type(after) is tuple and len(after) == len(state) == 2 * n + k.m
+                after, state = k.arrays(after), k.arrays(state)
+            x, _, y = after
             for a, b in [(x, y)] + [(new, old) for new in (x, y) for old in state]:
                 assert a is not b and not np.shares_memory(a, b)
 
@@ -510,7 +529,7 @@ def test_advance_matches_step_calls():
     cases = [(p, None) for p in frozen_problems()[:3] + [underflow_problem()]]
     for p, edge_start in cases + [(matching, start)]:
         for k in (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel)):
-            first = in_layout(k, kernel_state(k, *edge_start)) if edge_start else k.start()
+            first = kernel_state(k, *edge_start) if edge_start else k.start()
             before = [a.tobytes() for a in k.arrays(first)]
             for steps in (1, 2, 5, 16):
                 prev, state = None, first
@@ -520,7 +539,7 @@ def test_advance_matches_step_calls():
                 k.advance(states, steps)
                 assert same_bits(k.arrays(states[0]), k.arrays(prev))
                 assert same_bits(k.arrays(states[1]), k.arrays(state))
-                assert states[1][1] is states[0][0]
+                assert holds_previous_x(k, states[1], states[0])
             assert [a.tobytes() for a in k.arrays(first)] == before
 
 
@@ -585,8 +604,8 @@ def tiny_batch_problems(seed, count=25):
 def test_scalar_layout_matches_gather_through_run(monkeypatch):
     # the 25 frozen instances, seeded random problems of tiny-batch's shape
     # and the period-two problem, on all of which run takes the scalar
-    # kernel by itself: its state stays in lists of floats from the start to
-    # the result, and becomes arrays at each history row
+    # kernel by itself: its state stays one flat tuple of floats from the
+    # start to the result, and becomes arrays at each history row
     problems = frozen_problems() + tiny_batch_problems(1) + tiny_batch_problems(2)
     problems.append(period_two_problem())
     assert all(layout_of(p.graph) is _ScalarKernel for p in problems)
@@ -806,10 +825,11 @@ def test_same_bits_tells_signed_zeros_apart():
     for a in (zero, nan):
         assert gk.same_state((a, a, a), (a.copy(), a.copy(), a.copy()))
         assert not gk.same_state((a, a, a), (a, a, -a))
-    # the scalar kernel packs its lists as doubles and compares them as the
-    # numpy layouts compare arrays, in each part of the state: NaNs of one
-    # payload match although each float("nan") is a distinct object
-    _, ones, y = k.start()
+    # the scalar kernel packs its flat tuple as doubles and compares it as
+    # the numpy layouts compare arrays, in each part of the state: NaNs of
+    # one payload match although each float("nan") is a distinct object
+    start = k.start()
+    ones, y = list(start[:k.n]), list(start[2 * k.n:])
     values = [lambda: 0.0, lambda: -0.0, lambda: float("nan"), lambda: -float("nan"),
               lambda: 1.5]
     for u in values:
@@ -820,7 +840,8 @@ def test_same_bits_tells_signed_zeros_apart():
             for s, t in pairs:
                 expected = gk.same_state(tuple(map(np.array, s)), tuple(map(np.array, t)))
                 assert expected == (u is v)
-                assert k.same_state(s, t) == expected
+                assert k.same_state(tuple(s[0] + s[1] + s[2]),
+                                    tuple(t[0] + t[1] + t[2])) == expected
 
 
 # iterations until the gap is at most 1e-6, checked every 10, as printed by

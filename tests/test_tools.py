@@ -54,6 +54,15 @@ def test_ab_run_refuses_to_time_different_results(tmp_path):
     assert "wins" not in proc.stdout
 
 
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_ab_run_rejects_iters_below_one(tmp_path, iters):
+    # rejected before the other checkout is loaded: here it has no package
+    proc = ab_run(tmp_path, "--iters", iters)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: --iters must be >= 1\n")
+    assert proc.stdout == ""
+
+
 def test_convergence_counts_segment_gaps():
     # the segment-large seed-1 problem's gaps at 700 and 2000 iterations,
     # pinned as upper bounds as test_solver pins the iteration counts

@@ -22,7 +22,8 @@ fresh-process runs; those stay the measure of record.
 Usage: python tools/ab_run.py OTHER_CHECKOUT [--seed N] [--rounds N]
                               [--iters N] [--workload NAME ...]
 
---iters replaces every workload's iteration budget (for a quick check).
+--iters replaces every workload's iteration budget (for a quick check); it
+must be at least 1.
 perfbench/ is only read: its workloads generate the inputs.
 """
 
@@ -139,6 +140,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
+    if args.iters is not None and args.iters < 1:
+        ap.error("--iters must be >= 1")
     other = load_nlasso(args.other.resolve(), "nlasso_other")
     print(f"this:  {ROOT}\nother: {args.other.resolve()}\nseed {args.seed}, "
           f"{args.rounds} rounds")
