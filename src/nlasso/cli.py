@@ -115,28 +115,39 @@ def _solve_settings(args) -> dict:
     if args.manifest is not None:
         manifest = _parse_manifest(Path(args.manifest))
     known = {"graph", "seeds", "alpha", "lambda", "iters", "threshold", "out"}
-    unknown = set(manifest) - known
-    if unknown:
-        raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
+    for key, (lineno, _) in manifest.items():
+        if key not in known:
+            raise ValueError(f"{Path(args.manifest)}:{lineno}: unknown key `{key}`")
 
-    def pick(flag, key, convert, default=None):
+    def pick(flag, key, convert, default=None, check=None):
+        """The flag if given, else the manifest's value converted and, when
+        `check` is given, passed through the rule the solver applies to it,
+        under the manifest's key; else the default."""
         if flag is not None:
             return flag
         if key not in manifest:
             return default
         lineno, value = manifest[key]
+        where = f"{Path(args.manifest)}:{lineno}"
         try:
-            return convert(value)
+            value = convert(value)
         except ValueError as exc:
-            raise ValueError(f"{Path(args.manifest)}:{lineno}: {key}: {exc}") from exc
+            raise ValueError(f"{where}: {key}: {exc}") from exc
+        try:
+            return check(value, key) if check else value
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+
+    def positive(value, key):
+        return gc._real(value, key, *gc._POSITIVE)
 
     settings = {
         "graph": pick(args.graph, "graph", str),
         "seeds": pick(args.seeds, "seeds", str),
-        "alpha": pick(args.alpha, "alpha", float),
-        "lam": pick(args.lam, "lambda", float),
-        "iters": pick(args.iters, "iters", int, 1000),
-        "threshold": pick(args.threshold, "threshold", float, 0.5),
+        "alpha": pick(args.alpha, "alpha", float, check=positive),
+        "lam": pick(args.lam, "lambda", float, check=positive),
+        "iters": pick(args.iters, "iters", int, 1000, check=lambda v, key: gc._whole(v, key, 1)),
+        "threshold": pick(args.threshold, "threshold", float, 0.5, check=gc._real),
         "out": pick(args.out, "out", str),
     }
     for key in ("graph", "seeds", "alpha", "lam", "out"):

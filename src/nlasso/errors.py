@@ -12,6 +12,10 @@ class _InputError(NLassoError, ValueError):
 class InvalidNode(_InputError):
     """Node id outside the valid range 1..n, or not an integer."""
 
+    # the position, in the ids checked, of the entry the error names, where
+    # the check knows one (see graph._invalid_node)
+    _index = None
+
 
 class InvalidEdge(_InputError):
     """Malformed edge, e.g. a self-loop."""

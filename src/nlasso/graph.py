@@ -94,8 +94,18 @@ def _node_ids(ids, n: int) -> np.ndarray:
         bad = arr[~ok][0].item()
         if isinstance(bad, float) and bad.is_integer():
             bad = int(bad)
-        raise InvalidNode(f"node id {bad} is not an integer in 1..{n}")
+        raise _invalid_node(f"node id {bad} is not an integer in 1..{n}",
+                            np.flatnonzero(~ok)[0])
     return arr.astype(np.int64)
+
+
+def _invalid_node(message: str, index) -> InvalidNode:
+    """InvalidNode(message) naming the entry at flat position `index` of
+    the ids checked, kept as its `_index` for a caller that knows where
+    each entry came from (read_node_set's line numbers)."""
+    exc = InvalidNode(message)
+    exc._index = int(index)
+    return exc
 
 
 def as_node_ids(ids, n: int) -> np.ndarray:
@@ -106,10 +116,12 @@ def as_node_ids(ids, n: int) -> np.ndarray:
     not a whole number in 1..2**63-1.
     """
     n = _node_count(n)
-    arr = np.sort(_node_ids(ids if isinstance(ids, np.ndarray) else list(ids), n))
+    ids = _node_ids(ids if isinstance(ids, np.ndarray) else list(ids), n)
+    arr = np.sort(ids)
     if arr.size > 1 and np.any(arr[1:] == arr[:-1]):
         dup = arr[1:][arr[1:] == arr[:-1]][0]
-        raise InvalidNode(f"duplicate node id {dup}")
+        # named at its second entry, the one that repeats it
+        raise _invalid_node(f"duplicate node id {dup}", np.flatnonzero(ids == dup)[1])
     return arr
 
 
@@ -417,14 +429,23 @@ def _inferred_n(largest, size: int):
 
 
 def read_node_set(path, n: int) -> np.ndarray:
-    """Read a node-set file of ids in 1..n: one id per line, `#` comments."""
-    ids = []
+    """Read a node-set file of ids in 1..n: one id per line, `#` comments.
+
+    An id that is not an integer in 1..n, or repeats an earlier one, is
+    reported at `path:lineno` of its line."""
+    ids, linenos = [], []
     for lineno, line in _text_lines(path):
         try:
             ids.append(int(line))
         except ValueError as exc:
             raise InvalidNode(f"{path}:{lineno}: {exc}") from exc
-    return as_node_ids(ids, n)
+        linenos.append(lineno)
+    try:
+        return as_node_ids(ids, n)
+    except InvalidNode as exc:
+        if exc._index is None:
+            raise
+        raise InvalidNode(f"{path}:{linenos[exc._index]}: {exc}") from exc
 
 
 def write_node_set(path, ids) -> None:

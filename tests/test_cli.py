@@ -157,10 +157,12 @@ def test_negative_workers_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_solve_unknown_manifest_key_exits_2(tmp_path):
+def test_solve_unknown_manifest_key_exits_2(tmp_path, capsys):
     manifest = tmp_path / "m.txt"
-    manifest.write_text("graph = g.txt\nwat = 1\n")
+    manifest.write_text("graph = g.txt\nwat = 1\ncolour = red\n")
     assert main(["solve", "--manifest", str(manifest)]) == 2
+    # the first unknown key in file order, at its line
+    assert capsys.readouterr().err == f"nlasso: {manifest}:2: unknown key `wat`\n"
 
 
 def test_solve_manifest_workers_key_exits_2(tmp_path, tiny_instance, capsys):
@@ -181,10 +183,16 @@ def test_solve_manifest_bad_line_names_path_and_line(tmp_path, capsys):
     assert f"{manifest}:4: " in capsys.readouterr().err
 
 
+# a value that does not convert, then one out of the solver's range, reported
+# under the manifest's key
 @pytest.mark.parametrize("key, value, message", [
-    ("alpha", "abc", "could not convert string to float: 'abc'"),
-    ("iters", "1e3", "invalid literal for int() with base 10: '1e3'"),
-], ids=["alpha", "iters"])
+    ("alpha", "abc", "alpha: could not convert string to float: 'abc'"),
+    ("iters", "1e3", "iters: invalid literal for int() with base 10: '1e3'"),
+    ("alpha", "-1", "alpha must be positive and finite, got -1.0"),
+    ("lambda", "0", "lambda must be positive and finite, got 0.0"),
+    ("iters", "0", "iters must be a whole number >= 1, got 0"),
+    ("threshold", "nan", "threshold must be finite, got nan"),
+], ids=["alpha", "iters", "alpha-range", "lambda-range", "iters-range", "threshold-range"])
 def test_solve_manifest_bad_value_names_path_and_line(tmp_path, tiny_instance, capsys,
                                                        key, value, message):
     graph, seeds = tiny_instance
@@ -194,7 +202,7 @@ def test_solve_manifest_bad_value_names_path_and_line(tmp_path, tiny_instance, c
     manifest.write_text("# run\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
     assert main(["solve", "--manifest", str(manifest)]) == 2
     lineno = 2 + list(settings).index(key)
-    assert capsys.readouterr().err == f"nlasso: {manifest}:{lineno}: {key}: {message}\n"
+    assert capsys.readouterr().err == f"nlasso: {manifest}:{lineno}: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

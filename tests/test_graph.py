@@ -277,10 +277,15 @@ def test_node_set_round_trip(tmp_path):
     write_node_set(path, [4, 1, 3])
     assert read_node_set(path, 4).tolist() == [1, 3, 4]
     assert read_node_set(path, 10).tolist() == [1, 3, 4]
-    with pytest.raises(InvalidNode):
+    with pytest.raises(InvalidNode, match=re.escape(f"{path}:2: node id 3 is not an integer "
+                                                    "in 1..2")):
         read_node_set(path, 2)
     path.write_text("# header\n1\n\n2.5\n")
     with pytest.raises(InvalidNode, match=re.escape(f"{path}:4: ")):
+        read_node_set(path, 10)
+    # a repeated id is named at its later line
+    path.write_text("# header\n2\n1\n\n2\n2\n")
+    with pytest.raises(InvalidNode, match=re.escape(f"{path}:5: duplicate node id 2")):
         read_node_set(path, 10)
     write_node_set(path, np.array([7.0, 2.0]))
     assert path.read_text() == "2\n7\n"

@@ -101,10 +101,18 @@ def test_scalar_layout_matches_gather(p):
     gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
     # the generated step holds no float of the problem as a literal
     assert {repr(c) for c in sk.step.__code__.co_consts} <= {"None", "0.0", "0.5", "2.0"}
-    a, b = gk.start(), sk.start()
+    # another problem on the same graph shares the compiled step, and each
+    # kernel steps with its own constants
+    others = np.setdiff1d(np.arange(1, p.graph.n + 1), p.seeds).tolist() or [1]
+    q = NLassoProblem(p.graph, others, p.alpha * 3.0, p.lam / 3.0)
+    gq, sq = kernel_of(_Kernel, q), kernel_of(_ScalarKernel, q)
+    assert sq.step.__code__ is sk.step.__code__ and sq.step is not sk.step
+    pairs = [(gk, sk, gk.start(), sk.start()), (gq, sq, gq.start(), sq.start())]
     for _ in range(100):
-        a, b = gk.step(*a), sk.step(*b)
-        assert [u.tobytes() for u in gk.arrays(a)] == [v.tobytes() for v in sk.arrays(b)]
+        pairs = [(g, s, g.step(*a), s.step(*b)) for g, s, a, b in pairs]
+        for g, s, a, b in pairs:
+            assert [u.tobytes() for u in g.arrays(a)] == [v.tobytes() for v in s.arrays(b)]
+    b = pairs[0][3]
     assert sk.arrays(b)[0].dtype == sk.arrays(b)[2].dtype == np.float64
 
 

@@ -625,6 +625,28 @@ def test_scalar_layout_matches_gather_through_run(monkeypatch):
     assert stops >= 10 and repeats >= 10, (stops, repeats)
 
 
+def test_scalar_steps_compiled_once_per_structure():
+    # tiny-batch seed 1's 50 problems hold 30 graph structures: 30 compiles,
+    # and the other 20 kernels reuse a compiled step
+    problems = frozen_problems() + tiny_batch_problems(1)
+    solver._step_code.cache_clear()
+    for p in problems:
+        solver._kernel(p)
+    info = solver._step_code.cache_info()
+    assert (info.misses, info.hits) == (30, 20)
+    # a cold cache and a warm one give the same result
+    cfg = SolverConfig(max_iters=1000, check_interval=50)
+    for p in problems:
+        solver._step_code.cache_clear()
+        cold = run(p, cfg)
+        assert_same_result(cold, run(p, cfg))
+    # the same n and m on other edges: a path and a star on 4 nodes
+    path = kernel_of(_ScalarKernel, NLassoProblem(chain_graph(4), [1], 0.1, 0.5))
+    star = build_graph(4, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)])
+    star = kernel_of(_ScalarKernel, NLassoProblem(star, [1], 0.1, 0.5))
+    assert star.step.__code__ is not path.step.__code__
+
+
 def stepwise_run(p, cfg):
     """`run` without its repeat stop: all max_iters steps of the kernel
     that `run` picks, a history row at each multiple of check_interval, and

@@ -31,9 +31,12 @@ def test_ab_run_against_the_same_checkout():
     assert proc.stdout.count("bitwise equal") == 4
     assert proc.stdout.count("wins") == 8
     # each workload's solves by layout: the 256 x 256 grid takes bands, the
-    # block models and the 99-edge chain gathers, the tiny graphs scalars
-    for layouts in ("band 1, gather 0, scalar 0", "band 0, gather 1, scalar 0",
-                    "band 0, gather 0, scalar 50", "band 0, gather 11, scalar 0"):
+    # block models and the 99-edge chain gathers, the tiny graphs scalars;
+    # seed 1's 50 tiny graphs hold 30 graph structures
+    for layouts in ("band 1, gather 0, scalar 0; scalar structures 0",
+                    "band 0, gather 1, scalar 0; scalar structures 0",
+                    "band 0, gather 0, scalar 50; scalar structures 30",
+                    "band 0, gather 11, scalar 0; scalar structures 0"):
         assert f"  layouts here: {layouts}\n" in proc.stdout
 
 

@@ -12,8 +12,10 @@ with a history row every CHECK_INTERVAL iterations (every float of each
 row compared by its bits too), and only then times one round of each
 side's solves, with no checks, after the other, alternating which side
 goes first.  Per workload it prints how many of the solves take each flow
-layout in this checkout (band, gather or scalar; see nlasso/solver.py),
-then each side's median, quartiles and the number of rounds it won.
+layout in this checkout (band, gather or scalar; see nlasso/solver.py) and
+how many distinct graph structures the scalar solves hold (each compiles
+its step once), then each side's median, quartiles and the number of
+rounds it won.
 
 Running both sides in one process shares the host's drift between them,
 which makes a small difference visible in fewer rounds than perfbench's
@@ -113,9 +115,14 @@ def assert_same_results(name, sides):
 
 
 def layout_counts(probs) -> str:
-    """How many of the problems `run` steps in each layout, in this checkout."""
+    """How many of the problems `run` steps in each layout, in this checkout,
+    and how many graph structures (n, src, dst) the scalar ones hold: only
+    the first kernel on a structure compiles its step."""
     kernels = [type(solver._kernel(p)) for p in probs]
-    return ", ".join(f"{name} {kernels.count(cls)}" for cls, name in LAYOUTS.items())
+    counts = ", ".join(f"{name} {kernels.count(cls)}" for cls, name in LAYOUTS.items())
+    structures = {(p.graph.n, p.graph.src.tobytes(), p.graph.dst.tobytes())
+                  for p, cls in zip(probs, kernels) if cls is solver._ScalarKernel}
+    return f"{counts}; scalar structures {len(structures)}"
 
 
 def time_solves(run, probs, cfg) -> float:
