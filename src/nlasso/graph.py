@@ -84,19 +84,26 @@ def _node_ids(ids, n: int) -> np.ndarray:
     `n` is a node count that passed _node_count.
     """
     arr = np.asarray(ids)
-    if arr.dtype.kind not in "iuf":
+    if not _numeric(arr):
         raise InvalidNode(f"node ids must be numbers, got dtype {arr.dtype}")
-    ok = (arr >= 1) & (arr <= n) & (arr == np.floor(arr))
+    ok = (arr >= 1) & (arr <= n)
     if arr.dtype.kind == "f":
         # the comparison rounds n up to 2**63, which int64 cannot hold
-        ok &= arr < 2.0 ** 63
+        ok &= (arr == np.floor(arr)) & (arr < 2.0 ** 63)
     if not ok.all():
-        bad = arr[~ok][0].item()
+        bad = arr[~ok][:1].tolist()[0]
         if isinstance(bad, float) and bad.is_integer():
             bad = int(bad)
         raise _invalid_node(f"node id {bad} is not an integer in 1..{n}",
                             np.flatnonzero(~ok)[0])
     return arr.astype(np.int64)
+
+
+def _numeric(arr: np.ndarray) -> bool:
+    """True for an array of numbers: of an integer or float dtype, or of
+    ints alone, as np.asarray keeps a list that holds an int past int64."""
+    return arr.dtype.kind in "iuf" or arr.dtype == object and all(
+        isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in arr.flat)
 
 
 def _invalid_node(message: str, index) -> InvalidNode:
@@ -130,7 +137,7 @@ def _id_set(ids) -> np.ndarray:
     arr = np.asarray(ids)
     # bound by the largest id that fits int64: nan, inf and larger floats
     # then fail the check
-    top = int(arr.max(initial=1, where=arr < 2.0 ** 63)) if arr.dtype.kind in "iuf" else 1
+    top = int(arr.max(initial=1, where=arr < 2.0 ** 63)) if _numeric(arr) else 1
     return as_node_ids(arr, top)
 
 
@@ -407,7 +414,9 @@ def _read_edge_lines(path, size: int) -> Graph:
         except ValueError as exc:
             raise InvalidEdge(f"{path}:{lineno}: {exc}") from exc
         triples.append((i, j, w))
-    n = _inferred_n(max((max(i, j) for i, j, _ in triples), default=0), size)
+    if not triples:
+        raise InvalidEdge(f"{path}: no edges")
+    n = _inferred_n(max(max(i, j) for i, j, _ in triples), size)
     return build_graph(n, triples)
 
 

@@ -147,15 +147,14 @@ _MAX_SCALAR_SIZE stays below both: no workload has a graph of 37 to 198
 edges plus nodes, and the first solve on a structure, which the repeat
 stop may end within a few hundred steps, pays the whole build.
 
-Check to check.  `run` has three kinds of event: a history check every
-check_interval iterations, a repeat check every _REPEAT_CHECK_INTERVAL,
-and max_iters.  One `advance` call of the kernel, a loop over its step,
-steps to the next event and leaves the last state and the one before it,
+Check to check.  One `advance` call of the kernel, a loop over its step,
+steps `run` to its next check (of the history, or of a repeat; see Repeat
+stop) or to max_iters and leaves the last state and the one before it,
 which the period-1 repeat check compares, in a list of two states.  Each
 kernel owns the form of its state: arrays with the flow in the layout's
 slots, or one flat tuple of floats with the flow in edge order.  Every
-layout's step maps a state to the next by `step(*state)`.  `run` asks
-the kernel for the start state, for a comparison of two states' bits
+layout's step maps a state to the next by `step(*state)`.  `run` asks the
+kernel for the start state, for a comparison of two states' bits
 (`same_state`), and for a state as arrays with the flow in edge order
 (`arrays`), which it needs only for a history row and for the result, so
 only the kernels know the slot order.  advance empties the list before it
@@ -165,28 +164,21 @@ through the advance.
 
 Repeat stop.  The step is a deterministic map of the state (x, xprev,
 y), so once a state recurs D steps after an earlier one, every later state
-recurs with period D.  Every _REPEAT_CHECK_INTERVAL iterations `run`
-compares the bits of the new state with two earlier states: the last one
-(D = 1, a fixed point) and one snapshot, re-taken at iterations
-_REPEAT_CHECK_INTERVAL * 2**k (Brent's cycle detection; Brent 1980, "An
-improved Monte Carlo factorization algorithm", BIT 20).  The snapshot is
-held by reference, since the step never writes its inputs.  Once it finds
-period D at iteration r, the state of every iteration from r - D on
-depends only on its phase, the iteration mod D.  `run` then makes no more
-repeat checks and keeps a dict from phase to history row, filled with the
-rows of the checks from r - D to r.  Its loop goes on from event to event,
-but steps the state only to a check whose phase has no row yet ((t -
-phase) % D steps from the phase it holds) and, at the end, to the phase of
-max_iters.  A row from the dict did not stop the run when it was
-computed, so the gap stop comes at the first check, in time order, whose
-row stops it.  The result is exactly that of the full run.  With no
-history checks the state steps less than one period past r; with checks
-it may step further, but never more than the full run would.  Bits are
-compared as bytes (see same_state; the scalar layout packs its tuple as
-doubles), so -0.0 and +0.0 differ and equal NaN payloads match.
-Small problems reach such a state at machine precision long before their
-budget: of the 25 frozen criterion-5 instances, 21 reach a fixed point
-and 4 end in cycles of period 6 or 18.
+recurs with period D.  A run without history checks compares, every
+_REPEAT_CHECK_INTERVAL iterations, the bits of the new state with two
+earlier states: the last one (D = 1, a fixed point) and one snapshot,
+re-taken at iterations _REPEAT_CHECK_INTERVAL * 2**k (Brent's cycle
+detection; Brent 1980, "An improved Monte Carlo factorization algorithm",
+BIT 20).  The snapshot is held by reference, since the step never writes
+its inputs.  Once it finds period D at iteration r, the state of
+max_iters is that of r + (max_iters - r) % D, so `run` steps only that
+far.  A run with history checks steps to every check, so that each row
+comes from the state of its own iteration.  Bits are compared as bytes
+(see same_state; the scalar layout packs its tuple as doubles), so -0.0
+and +0.0 differ and equal NaN payloads match.  Small problems reach such
+a state at machine precision long before their budget: of the 25 frozen
+criterion-5 instances, 21 reach a fixed point and 4 end in cycles of
+period 6 or 18.
 """
 
 from __future__ import annotations
@@ -540,60 +532,43 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     cfg.gap_tolerance; otherwise it stops at max_iters.  Identical inputs
     produce bitwise identical results.
 
-    Once the state's bits repeat those of an earlier state (checked every
-    _REPEAT_CHECK_INTERVAL iterations against the last state and a
-    snapshot), the run is periodic from there on: `run` keeps each phase's
-    history row (iteration mod period), and steps the state only to the
-    phase of a check that has no row yet and, at the end, to that of
-    max_iters.  With check_interval 0 it steps less than one period
-    further, and it never steps more than the full run.  The result is bit
-    for bit that of the full run.
+    Without history checks it stops stepping once the state repeats (see
+    the module docstring's Repeat stop), less than one period before the
+    state of max_iters.  The result is bit for bit that of the full run.
     """
     kernel = _kernel(p)
     m, interval = cfg.max_iters, cfg.check_interval
-    # the states of iterations at - 1 and at; only this list holds them
+    # the states of iterations r - 1 and r; only this list holds them
     # (see advance)
     states = [None, kernel.start()]
     history: list[HistoryRecord] = []
-    snap_r, snap = 0, None
-    # once the state repeats: its period, and the history row of each phase
-    # (iteration mod period) checked since one period before, none of which
-    # stopped the run.  From then on states[1] is the state of at's phase.
-    period, rows = 0, {}
-    r = at = 0
-    while r < m:
-        # advance to the next check: of the history, of a repeat until one
-        # is found, or max_iters
-        to = m if period else min(m, r + _REPEAT_CHECK_INTERVAL - r % _REPEAT_CHECK_INTERVAL)
-        if interval:
-            to = min(to, r + interval - r % interval)
-        r = to
-        check = interval and r % interval == 0
-        row = rows.get(r % period) if period and check else None
-        # once periodic, step only to a check whose phase has no row yet,
-        # and to the phase of max_iters
-        if not period or r == m or check and row is None:
-            steps = (r - at) % period if period else r - at
-            if steps:
-                kernel.advance(states, steps)
-            at = r
-        if check:
-            if row is None:
-                row = _check_row(p, kernel, states[1])
+    r = 0
+    if interval:
+        while r < m:
+            k = min(interval, m - r)
+            kernel.advance(states, k)
+            r += k
+            if k < interval:
+                break
+            row = _check_row(p, kernel, states[1])
             history.append(HistoryRecord(r, *row))
             if cfg.gap_tolerance > 0 and row[1] <= cfg.gap_tolerance:
                 break
+    else:
+        snap_r, snap = 0, None
+        while r < m:
+            k = min(_REPEAT_CHECK_INTERVAL, m - r)
+            kernel.advance(states, k)
+            r += k
+            if r == m:
+                break
+            period = (1 if kernel.same_state(states[1], states[0])
+                      else r - snap_r if snap and kernel.same_state(states[1], snap) else 0)
             if period:
-                rows[r % period] = row
-        if period or r % _REPEAT_CHECK_INTERVAL or r == m:
-            continue
-        period = (1 if kernel.same_state(states[1], states[0])
-                  else r - snap_r if snap and kernel.same_state(states[1], snap) else 0)
-        if period:
-            rows = {h.r % period: h[1:] for h in history if h.r >= r - period}
-            continue
-        q = r // _REPEAT_CHECK_INTERVAL
-        if q & (q - 1) == 0:
-            snap_r, snap = r, states[1]
+                if (m - r) % period:
+                    kernel.advance(states, (m - r) % period)
+                r = m
+            elif (q := r // _REPEAT_CHECK_INTERVAL) & (q - 1) == 0:
+                snap_r, snap = r, states[1]
     x, _, y = kernel.arrays(states[1])
     return SolverResult(x=x, y=y, iters_run=r, history=history)

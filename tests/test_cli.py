@@ -248,6 +248,22 @@ def test_solve_bad_inputs_exit_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("edges, seed_ids, message", [
+    ("", "1\n", "{graph}: no edges"),
+    ("# header\n\n# note\n", "1\n", "{graph}: no edges"),
+    ("1 2 1.0\n2 3 1.0\n", "1\n99999999999999999999\n",
+     "{seeds}:2: node id 99999999999999999999 is not an integer in 1..3"),
+], ids=["graph-empty", "graph-comments-only", "seed-id-past-int64"])
+def test_solve_bad_input_file_names_it(tmp_path, capsys, edges, seed_ids, message):
+    graph, seeds = tmp_path / "edges.txt", tmp_path / "seeds.txt"
+    graph.write_text(edges)
+    seeds.write_text(seed_ids)
+    assert main(["solve", "--graph", str(graph), "--seeds", str(seeds), "--alpha", "0.1",
+                 "--lambda", "0.5", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"nlasso: {message.format(graph=graph, seeds=seeds)}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_chain_experiment_outputs(tmp_path):
     out = tmp_path / "chain"
     assert main(["chain-experiment", "--out", str(out)]) == 0

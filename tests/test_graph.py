@@ -287,6 +287,15 @@ def test_node_set_round_trip(tmp_path):
     path.write_text("# header\n2\n1\n\n2\n2\n")
     with pytest.raises(InvalidNode, match=re.escape(f"{path}:5: duplicate node id 2")):
         read_node_set(path, 10)
+    # an id past int64 is named at its line, as any other id out of range
+    path.write_text("1\n99999999999999999999\n")
+    with pytest.raises(InvalidNode, match=re.escape(f"{path}:2: node id 99999999999999999999 "
+                                                    "is not an integer in 1..3")):
+        read_node_set(path, 3)
+    with pytest.raises(InvalidNode, match=r"^node id 1180591620717411303424 is not an integer "
+                                          r"in 1\.\.1$"):
+        write_node_set(path, [1, 2 ** 70])
+    assert path.read_text() == "1\n99999999999999999999\n"
     write_node_set(path, np.array([7.0, 2.0]))
     assert path.read_text() == "2\n7\n"
     write_node_set(path, [])
@@ -329,10 +338,11 @@ EDGE_FILES = {
     "four-fields": (b"1 2 0.5 7\n",
                     (InvalidEdge, "{path}:1: expected `i j w`, got '1 2 0.5 7'")),
     "not-utf8": (b"1 2 0.5\n2 3 \xff\n", (UnicodeDecodeError, "can't decode byte 0xff")),
-    "empty": (b"", (InvalidNode, "node count must be positive, got 0")),
-    "comments-only": (b"# header\n\n  # note\n", (InvalidNode, "node count must be positive, got 0")),
+    "empty": (b"", (InvalidEdge, "{path}: no edges")),
+    "comments-only": (b"# header\n\n  # note\n", (InvalidEdge, "{path}: no edges")),
     "id-beyond-int64": (b"1 99999999999999999999 0.5\n",
-                        (InvalidNode, "node ids must be numbers, got dtype object")),
+                        (InvalidNode, "node id 99999999999999999999 is not an integer "
+                                      "in 1..9223372036854775807")),
     "id-beyond-file-size": (b"2 9000000000 1.0\n",
                             (InvalidNode, "node id 9000000000 exceeds the file's size of "
                                           "17 bytes, so most nodes up to it would be on no edge")),

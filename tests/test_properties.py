@@ -125,16 +125,17 @@ def test_repeat_stop_matches_stepwise_run(p, iters, interval, tol):
     with pytest.MonkeyPatch.context() as m:
         res, steps = count_steps(m, p, cfg)
     assert_same_result(res, stepwise_run(p, cfg))
-    # once the state repeats, run steps only to the phases it still needs
-    assert steps <= res.iters_run
+    # a run with checks takes every step; one without stops stepping once
+    # the state repeats
+    assert steps == res.iters_run if interval else steps <= res.iters_run
 
 
 @settings(PROPERTY, max_examples=10)
 @given(problems())
 def test_run_matches_stepwise_run_under_fixed_configs(p):
     # `run` advances from check to check: budgets of 1, 17 and 999 and
-    # check intervals of 1, 7, 16 and 33 end advances before, on and
-    # between its repeat checks, every _REPEAT_CHECK_INTERVAL = 16 steps
+    # check intervals of 1, 7, 16 and 33 put max_iters before, on and
+    # between checks
     for iters in (1, 17, 999):
         for interval in (1, 7, 16, 33):
             for tol in (0.0, 1e-8):

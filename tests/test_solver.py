@@ -728,27 +728,19 @@ def test_repeat_stop_step_counts(monkeypatch, chain_problem):
         assert sum(count_steps(monkeypatch, p, cfg)[1]
                    for p in frozen + tiny_batch_problems(seed)) == total, seed
     # instance 0's cycle is found at step 400, as 8 periods (D = 144), and
-    # max_iters lies at phase 600 % 144 = 24 past it: 424 steps.  With a
-    # check every 16 or 48 iterations, the phase of each check after 400 is
-    # that of a check from 256 to 400, whose row run reuses
-    for interval in (0, 16, 48):
-        cfg = SolverConfig(max_iters=1000, check_interval=interval)
-        res, steps = count_steps(monkeypatch, frozen[0], cfg)
-        assert steps == 424, (interval, steps)
-        assert_same_result(res, stepwise_run(frozen[0], cfg))
-    # a check every 100 iterations: the row of each check after the cycle
-    # is found comes from a state within one period of it
-    cfg = SolverConfig(max_iters=1000, check_interval=100)
-    res, steps = count_steps(monkeypatch, frozen[11], cfg)
-    assert steps <= 250
-    assert res.iters_run == 1000 and [h.r for h in res.history] == list(range(100, 1001, 100))
-    assert_same_result(res, stepwise_run(frozen[11], cfg))
-    # the gap of instance 0 first meets 2**-57 at the check at 402, two
-    # steps past the cycle's detection, so run stops there
-    cfg = SolverConfig(max_iters=1000, check_interval=67, gap_tolerance=2.0 ** -57)
+    # max_iters lies at phase 600 % 144 = 24 past it: 424 steps
     res, steps = count_steps(monkeypatch, frozen[0], cfg)
-    assert res.iters_run == 402 and steps <= 410, steps
+    assert steps == 424
     assert_same_result(res, stepwise_run(frozen[0], cfg))
+    # a run with history checks looks for no repeat: it takes every step up
+    # to max_iters or, checked every 67 with a tolerance of 2**-57, up to its
+    # gap stop
+    for p in (frozen[0], frozen[11]):
+        for interval, tol in ((16, 0.0), (48, 0.0), (67, 2.0 ** -57), (100, 0.0)):
+            cfg = SolverConfig(max_iters=1000, check_interval=interval, gap_tolerance=tol)
+            res, steps = count_steps(monkeypatch, p, cfg)
+            assert steps == res.iters_run, (interval, steps)
+            assert_same_result(res, stepwise_run(p, cfg))
 
 
 class ClimbingKernel(_Kernel):
@@ -801,28 +793,6 @@ class CyclingKernel(ClimbingKernel):
     def step(self, x, x_prev, y):
         self.steps += 1
         return (x + 1.0) % self.k, x, x[:1] + 0.0
-
-
-class LeadInKernel(ClimbingKernel):
-    """A step map that enters a cycle of period 16 at its 16th state: x
-    counts from 1 to 15 and then cycles through 16..31, and y is the x of
-    the step before, over 1000.  The states at 15 and 31 share x, not y."""
-
-    def step(self, x, x_prev, y):
-        return (16.0 + (x - 15.0) % 16.0 if x[0] >= 15 else x + 1.0), x, x[:1] / 1000.0
-
-
-def test_repeat_stop_copies_only_rows_of_the_cycle(monkeypatch):
-    # the cycle is found at step 32 as D = 16, from the snapshot at 16.  Of
-    # the checks every 15 iterations, the one at 30 lies in the period just
-    # passed and the one at 15 just before it, outside the cycle; the check
-    # at 255 has the offset of 15 within the period, and the row of 31
-    monkeypatch.setattr(solver, "_kernel", LeadInKernel)
-    p = NLassoProblem(build_graph(2, [(1, 2, 1.0)]), [1], 0.5, 1.0)
-    cfg = SolverConfig(max_iters=300, check_interval=15)
-    res = run(p, cfg)
-    assert len(res.history) == 20
-    assert_same_result(res, stepwise_run(p, cfg))
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 6, 18])

@@ -7,15 +7,16 @@ one solve), `tiny-batch` (50 small solves) and `paper-experiments` (the
 100-node chain and the seed's ten 200-node block models, 11 solves)
 workloads, with each workload's iteration budget.  It loads the other
 checkout's `src/nlasso` as a second package, checks that both give
-bitwise the same x, y and iters_run on every problem, with no checks and
-with a history row every CHECK_INTERVAL iterations (every float of each
-row compared by its bits too), and only then times one round of each
-side's solves, with no checks, after the other, alternating which side
-goes first.  Per workload it prints how many of the solves take each flow
-layout in this checkout (band, gather or scalar; see nlasso/solver.py) and
-how many distinct graph structures the scalar solves hold (each compiles
-its step once), then each side's median, quartiles and the number of
-rounds it won.
+bitwise the same x, y and iters_run on every problem, with no checks,
+with a history row every CHECK_INTERVAL iterations, and with those rows
+and a gap stop at GAP_TOLERANCE (every float of each row compared by its
+bits too), and only then times one round of each side's solves, with no
+checks, after the other, alternating which side goes first.  Per
+workload it prints how many of the solves take each flow layout in this
+checkout (band, gather or scalar; see nlasso/solver.py) and how many
+distinct graph structures the scalar solves hold (each compiles its step
+once), then each side's median, quartiles and the number of rounds it
+won.
 
 Running both sides in one process shares the host's drift between them,
 which makes a small difference visible in fewer rounds than perfbench's
@@ -51,8 +52,11 @@ from nlasso import cli, solver  # noqa: E402
 
 WORKLOADS = ("segment-large", "sbm-large", "tiny-batch", "paper-experiments")
 # iterations between the history rows of the bitwise check, or every
-# iteration under a smaller budget; no gap stop, so every row is compared
+# iteration under a smaller budget; it runs once without a gap stop, so
+# every row of the budget is compared, and once with one at GAP_TOLERANCE,
+# so the early stop is compared too
 CHECK_INTERVAL = 50
+GAP_TOLERANCE = 1e-9
 LAYOUTS = {solver._BandKernel: "band", solver._Kernel: "gather", solver._ScalarKernel: "scalar"}
 
 
@@ -100,12 +104,13 @@ def history_bits(res) -> list:
 
 def assert_same_results(name, sides):
     """Both sides' runs give bitwise the same x, y, iters_run and history,
-    under their configs and with a history row every CHECK_INTERVAL
-    iterations."""
+    under their configs, with a history row every CHECK_INTERVAL
+    iterations, and with those rows and a gap stop at GAP_TOLERANCE."""
     (run_a, probs_a, cfg_a), (run_b, probs_b, cfg_b) = sides
     interval = min(CHECK_INTERVAL, cfg_a.max_iters)
-    for ca, cb in ((cfg_a, cfg_b), (replace(cfg_a, check_interval=interval),
-                                    replace(cfg_b, check_interval=interval))):
+    for checks in ({}, {"check_interval": interval},
+                   {"check_interval": interval, "gap_tolerance": GAP_TOLERANCE}):
+        ca, cb = replace(cfg_a, **checks), replace(cfg_b, **checks)
         for k, (pa, pb) in enumerate(zip(probs_a, probs_b)):
             a, b = run_a(pa, ca), run_b(pb, cb)
             same = (a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
