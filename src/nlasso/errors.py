@@ -8,13 +8,13 @@ class NLassoError(Exception):
 class _InputError(NLassoError, ValueError):
     """Base of the errors that reject an input: each is also a ValueError."""
 
+    # the position, in the input checked, of the entry the error names,
+    # where the check knows one (see graph._at_entry)
+    _index = None
+
 
 class InvalidNode(_InputError):
     """Node id outside the valid range 1..n, or not an integer."""
-
-    # the position, in the ids checked, of the entry the error names, where
-    # the check knows one (see graph._invalid_node)
-    _index = None
 
 
 class InvalidEdge(_InputError):

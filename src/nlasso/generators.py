@@ -9,12 +9,14 @@ order or worker count.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CountTooLarge, InvalidOverride, PgmError
-from .graph import Graph, _atomic_open, _id_set, _node_count, _real, _whole, build_graph
+from .graph import (_INT64_MAX, Graph, _atomic_open, _node_count, _real, _whole, as_node_ids,
+                    build_graph)
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -159,7 +161,7 @@ def sbm_graph(spec: SbmSpec):
 
 def sample_seeds(block, count: int, rng_seed: int = 0) -> np.ndarray:
     """Uniform sample without replacement from one block's distinct node ids."""
-    ids = _id_set(block)
+    ids = as_node_ids(block, _INT64_MAX)
     count = _whole(count, "count", low=1)
     if count > ids.size:
         raise CountTooLarge(f"requested {count} seeds from a block of {ids.size}")
@@ -222,42 +224,29 @@ def grid_from_image(img: GreyImage) -> Graph:
 # PGM files (portable greymap, types P2 and P5, maxval up to 255)
 
 
-def _pgm_tokens(data: bytes):
-    """Yield header tokens, skipping whitespace and # comments."""
-    pos = 0
-    while pos < len(data):
-        c = data[pos:pos + 1]
-        if c in b" \t\r\n":
-            pos += 1
-        elif c == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        else:
-            end = pos
-            while end < len(data) and data[end:end + 1] not in b" \t\r\n#":
-                end += 1
-            yield pos, data[pos:end]
-            pos = end
+# a token (group 1) or a `#` comment to the end of its line, anywhere but in
+# a P5 raster; between matches lies PGM whitespace: blank, TAB, CR and LF
+_PGM_TOKEN = re.compile(rb"#[^\n]*|([^ \t\r\n#]+)")
 
 
 def read_pgm(path) -> GreyImage:
-    """Read an ASCII (P2) or binary (P5) PGM file with maxval <= 255."""
+    """Read an ASCII (P2) or binary (P5) PGM file with maxval <= 255; a P5
+    raster starts one byte after maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = _pgm_tokens(data)
+    # lazy, so a P5 raster is never scanned
+    tokens = (m for m in _PGM_TOKEN.finditer(data) if m[1])
     try:
-        _, magic = next(tokens)
+        magic = next(tokens)[1]
     except StopIteration:
         raise PgmError(f"{path}: empty file") from None
     if magic not in (b"P2", b"P5"):
         raise PgmError(f"{path}: unsupported magic {magic!r}, expected P2 or P5")
     header = []
-    token_end = 0
     try:
         for _ in range(3):
-            pos, tok = next(tokens)
-            header.append(int(tok))
-            token_end = pos + len(tok)
+            tok = next(tokens)
+            header.append(int(tok[1]))
     except StopIteration:
         raise PgmError(f"{path}: truncated header") from None
     except ValueError as exc:
@@ -269,17 +258,15 @@ def read_pgm(path) -> GreyImage:
         raise PgmError(f"{path}: maxval {maxval} outside 1..255")
     count = width * height
     if magic == b"P5":
-        raster = data[token_end + 1:token_end + 1 + count]
+        raster = data[tok.end() + 1:tok.end() + 1 + count]
         if len(raster) < count:
             raise PgmError(f"{path}: raster shorter than {count} bytes")
         px = np.frombuffer(raster, dtype=np.uint8, count=count)
     else:
-        values = []
-        for pos, tok in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError as exc:
-                raise PgmError(f"{path}: bad pixel token: {exc}") from None
+        try:
+            values = [int(tok[1]) for tok in tokens]
+        except ValueError as exc:
+            raise PgmError(f"{path}: bad pixel token: {exc}") from None
         if len(values) < count:
             raise PgmError(f"{path}: expected {count} pixels, found {len(values)}")
         px = np.asarray(values[:count], dtype=np.int64)

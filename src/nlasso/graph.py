@@ -30,6 +30,7 @@ from .errors import (
     InvalidNode,
     InvalidWeight,
     IsolatedNode,
+    _InputError,
 )
 
 
@@ -78,12 +79,11 @@ def _node_count(n) -> int:
     return count
 
 
-def _node_ids(ids, n: int) -> np.ndarray:
-    """Return `ids` as int64; raise InvalidNode naming the first not an integer in 1..n.
+def _node_ids(arr: np.ndarray, n: int) -> np.ndarray:
+    """Return `arr` as int64; raise InvalidNode naming the first not an integer in 1..n.
 
     `n` is a node count that passed _node_count.
     """
-    arr = np.asarray(ids)
     if not _numeric(arr):
         raise InvalidNode(f"node ids must be numbers, got dtype {arr.dtype}")
     ok = (arr >= 1) & (arr <= n)
@@ -94,8 +94,8 @@ def _node_ids(ids, n: int) -> np.ndarray:
         bad = arr[~ok][:1].tolist()[0]
         if isinstance(bad, float) and bad.is_integer():
             bad = int(bad)
-        raise _invalid_node(f"node id {bad} is not an integer in 1..{n}",
-                            np.flatnonzero(~ok)[0])
+        raise _at_entry(InvalidNode(f"node id {bad} is not an integer in 1..{n}"),
+                        np.argwhere(~ok)[0, 0])
     return arr.astype(np.int64)
 
 
@@ -106,11 +106,10 @@ def _numeric(arr: np.ndarray) -> bool:
         isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in arr.flat)
 
 
-def _invalid_node(message: str, index) -> InvalidNode:
-    """InvalidNode(message) naming the entry at flat position `index` of
-    the ids checked, kept as its `_index` for a caller that knows where
-    each entry came from (read_node_set's line numbers)."""
-    exc = InvalidNode(message)
+def _at_entry(exc: _InputError, index) -> _InputError:
+    """`exc` naming the entry at first-axis position `index` of the input
+    checked (an edge's row in build_graph), kept as its `_index` for a
+    reader that knows the line of each entry (see _named_lines)."""
     exc._index = int(index)
     return exc
 
@@ -119,26 +118,20 @@ def as_node_ids(ids, n: int) -> np.ndarray:
     """Validate an iterable of 1-based node ids against a graph of n nodes.
 
     Returns a sorted array of unique int64 ids.  Raises InvalidNode for
-    non-integer, out-of-range or duplicate entries, and for an n that is
-    not a whole number in 1..2**63-1.
+    ids not in one flat list, for non-integer, out-of-range or duplicate
+    entries, and for an n that is not a whole number in 1..2**63-1.
     """
     n = _node_count(n)
-    ids = _node_ids(ids if isinstance(ids, np.ndarray) else list(ids), n)
+    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    if ids.ndim != 1:
+        raise InvalidNode(f"node ids must be a flat list, got shape {ids.shape}")
+    ids = _node_ids(ids, n)
     arr = np.sort(ids)
     if arr.size > 1 and np.any(arr[1:] == arr[:-1]):
         dup = arr[1:][arr[1:] == arr[:-1]][0]
         # named at its second entry, the one that repeats it
-        raise _invalid_node(f"duplicate node id {dup}", np.flatnonzero(ids == dup)[1])
+        raise _at_entry(InvalidNode(f"duplicate node id {dup}"), np.flatnonzero(ids == dup)[1])
     return arr
-
-
-def _id_set(ids) -> np.ndarray:
-    """as_node_ids of `ids` bounded by their largest: sorted distinct int64 ids >= 1."""
-    arr = np.asarray(ids)
-    # bound by the largest id that fits int64: nan, inf and larger floats
-    # then fail the check
-    top = int(arr.max(initial=1, where=arr < 2.0 ** 63)) if _numeric(arr) else 1
-    return as_node_ids(arr, top)
 
 
 class Graph:
@@ -213,7 +206,8 @@ def build_graph(n: int, edge_list) -> Graph:
     InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight
         Each is one test over all edges, run in the order shape, ids,
         self-loops, weights, duplicates; the first offending edge of the
-        first failing test is reported.  Last, InvalidWeight names the
+        first failing test is reported, a duplicate at its later copy,
+        with its row (see _at_entry).  Last, InvalidWeight names the
         first node whose weighted degree overflows to inf.
     """
     n = _node_count(n)
@@ -229,20 +223,22 @@ def build_graph(n: int, edge_list) -> Graph:
     i, j = ij[:, 0], ij[:, 1]
     loops = np.flatnonzero(i == j)
     if loops.size:
-        raise InvalidEdge(f"self-loop at node {i[loops[0]]}")
+        raise _at_entry(InvalidEdge(f"self-loop at node {i[loops[0]]}"), loops[0])
     w = arr[:, 2].astype(np.float64)
     bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
     if bad.size:
         k = bad[0]
-        raise InvalidWeight(f"edge ({i[k]}, {j[k]}) has non-positive or non-finite "
-                            f"weight {w[k]}")
+        raise _at_entry(InvalidWeight(f"edge ({i[k]}, {j[k]}) has non-positive or "
+                                      f"non-finite weight {w[k]}"), k)
     src, dst = np.minimum(i, j) - 1, np.maximum(i, j) - 1
     order = np.lexsort((dst, src))
     src, dst, w = src[order], dst[order], w[order]
     same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
     if np.any(same):
         k = int(np.flatnonzero(same)[0])
-        raise DuplicateEdge(f"edge ({src[k] + 1}, {dst[k] + 1}) listed twice")
+        # lexsort is stable, so order[k + 1] is the later copy's row
+        raise _at_entry(DuplicateEdge(f"edge ({src[k] + 1}, {dst[k] + 1}) listed twice"),
+                        order[k + 1])
     g = Graph(n, src, dst, w)
     over = np.flatnonzero(g.weighted_degree == np.inf)
     if over.size:
@@ -346,6 +342,21 @@ def _text_lines(path):
 
 
 @contextlib.contextmanager
+def _named_lines(path):
+    """Raise an input error of the block again with `path:lineno: ` before
+    its message, the line of the entry it names, or `path: ` if it names
+    none.  Each entry of a node-set or edge-list file is one of its data
+    lines (see _text_lines); they are counted only once an entry failed."""
+    try:
+        yield
+    except _InputError as exc:
+        where = path
+        if exc._index is not None:
+            where = f"{path}:{list(_text_lines(path))[exc._index][0]}"
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def _atomic_open(path, mode="w", **kwargs):
     """Open `path` for writing through a new temp file in its directory.
 
@@ -381,9 +392,10 @@ def read_edge_list(path) -> Graph:
     int64 ids and float64 weights.  Every other file, and every file that
     loadtxt declines (a ValueError, as for `1_0` or an id beyond int64, or
     no data), goes through the line parser: it accepts what int() and
-    float() accept and names the offending `path:lineno`.  Both read UTF-8
-    text with universal newlines and give the same graph for the same
-    triples.
+    float() accept.  Both read UTF-8 text with universal newlines and give
+    the same graph for the same triples.  Every error of an edge names
+    `path:lineno` of its line (a duplicate edge at its later copy), and
+    an overflowing weighted degree names `path`.
     """
     with open(path, "rb") as fh:
         plain = b"#" not in fh.read()
@@ -398,7 +410,8 @@ def read_edge_list(path) -> Graph:
             pass
         else:
             n = _inferred_n(max(rows["i"].max(), rows["j"].max()), size)
-            return build_graph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
+            with _named_lines(path):
+                return build_graph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
     return _read_edge_lines(path, size)
 
 
@@ -417,7 +430,8 @@ def _read_edge_lines(path, size: int) -> Graph:
     if not triples:
         raise InvalidEdge(f"{path}: no edges")
     n = _inferred_n(max(max(i, j) for i, j, _ in triples), size)
-    return build_graph(n, triples)
+    with _named_lines(path):
+        return build_graph(n, triples)
 
 
 def _inferred_n(largest, size: int):
@@ -441,29 +455,25 @@ def read_node_set(path, n: int) -> np.ndarray:
     """Read a node-set file of ids in 1..n: one id per line, `#` comments.
 
     An id that is not an integer in 1..n, or repeats an earlier one, is
-    reported at `path:lineno` of its line."""
-    ids, linenos = [], []
+    reported at `path:lineno` of its line.  n is checked first."""
+    n = _node_count(n)
+    ids = []
     for lineno, line in _text_lines(path):
         try:
             ids.append(int(line))
         except ValueError as exc:
             raise InvalidNode(f"{path}:{lineno}: {exc}") from exc
-        linenos.append(lineno)
-    try:
+    with _named_lines(path):
         return as_node_ids(ids, n)
-    except InvalidNode as exc:
-        if exc._index is None:
-            raise
-        raise InvalidNode(f"{path}:{linenos[exc._index]}: {exc}") from exc
 
 
 def write_node_set(path, ids) -> None:
     """Write node ids one per line, ascending, through a temp file (see _atomic_open).
 
-    The ids pass _id_set, so this writes only what read_node_set reads
-    back: distinct integers >= 1.
+    The ids pass as_node_ids bounded by the largest int64, so this writes
+    only what read_node_set reads back: distinct integers in 1..2**63-1.
     """
-    ids = _id_set(ids)
+    ids = as_node_ids(ids, _INT64_MAX)
     with _atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for i in ids:
             fh.write(f"{i}\n")

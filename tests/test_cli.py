@@ -253,7 +253,15 @@ def test_solve_bad_inputs_exit_2(tmp_path):
     ("# header\n\n# note\n", "1\n", "{graph}: no edges"),
     ("1 2 1.0\n2 3 1.0\n", "1\n99999999999999999999\n",
      "{seeds}:2: node id 99999999999999999999 is not an integer in 1..3"),
-], ids=["graph-empty", "graph-comments-only", "seed-id-past-int64"])
+    ("1 2 0.5\n0 3 1\n", "1\n", "{graph}:2: node id 0 is not an integer in 1..3"),
+    ("1 2 0.5\n\n2 2 1\n", "1\n", "{graph}:3: self-loop at node 2"),
+    ("# c\n1 2 0.5\n\n2 2 1\n", "1\n", "{graph}:4: self-loop at node 2"),
+    ("1 2 0.5\n2 3 1\n2 1 4\n", "1\n", "{graph}:3: edge (1, 2) listed twice"),
+    ("1 2 1e308\n2 3 1e308\n", "1\n", "{graph}: the edge weights at node 2 sum past the "
+                                        "largest double (weighted degree inf)"),
+], ids=["graph-empty", "graph-comments-only", "seed-id-past-int64", "graph-id-zero",
+        "graph-self-loop", "graph-self-loop-after-comment", "graph-duplicate-edge",
+        "graph-weighted-degree-overflow"])
 def test_solve_bad_input_file_names_it(tmp_path, capsys, edges, seed_ids, message):
     graph, seeds = tmp_path / "edges.txt", tmp_path / "seeds.txt"
     graph.write_text(edges)

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlasso import generators as gen
 from nlasso import CountTooLarge, InvalidNode, InvalidOverride, PgmError, build_graph
@@ -319,6 +321,49 @@ def test_pgm_ascii_with_comments(tmp_path):
     img = read_pgm(path)
     assert img.width == 3 and img.height == 2
     assert img.pixels.ravel().tolist() == [0, 10, 20, 30, 40, 50]
+
+
+# PGM whitespace, and `#` comments, which run to the end of their line (a
+# CR before the LF is part of the comment)
+_PGM_SPACE = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\r\n"])
+_PGM_COMMENT = st.builds(lambda text, eol: b"#" + text.replace(b"\n", b"") + eol,
+                         st.binary(max_size=6), st.sampled_from([b"\n", b"\r\n"]))
+_PGM_GAP = st.lists(st.one_of(_PGM_SPACE, _PGM_COMMENT), min_size=1, max_size=3).map(b"".join)
+
+
+@st.composite
+def pgm_files(draw):
+    """(file bytes, width, height, pixels) of a valid P2 or P5 image, with
+    random whitespace and comments between its header tokens and, in P2,
+    between its pixels; a P5 raster starts one whitespace byte after maxval."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.integers(1, 255))
+    pixels = draw(st.lists(st.integers(0, maxval) | st.just(min(maxval, ord("#"))),
+                           min_size=width * height, max_size=width * height))
+    binary = draw(st.booleans())
+    tokens = [b"%d" % v for v in [width, height, maxval] + ([] if binary else pixels)]
+    data = b"P5" if binary else b"P2"
+    for tok in tokens:
+        data += draw(_PGM_GAP) + tok
+    if binary:
+        data += draw(st.sampled_from([b" ", b"\t", b"\r", b"\n"])) + bytes(pixels)
+    else:
+        data += draw(st.just(b"") | _PGM_GAP)
+    return data, width, height, pixels
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(pgm_files())
+@example((b"P2\r\n# c\r\n2 1\r\n255\r\n0 35\r\n", 2, 1, [0, 35]))
+@example((b"P2# c\n2#\n1 7# x\n3#\n4\n", 2, 1, [3, 4]))
+@example((b"P5\n2 2\n255\n# #\n", 2, 2, [35, 32, 35, 10]))
+@example((b"P2 1 1 255 7 # x", 1, 1, [7]))
+def test_pgm_reads_back_through_whitespace_and_comments(tmp_path_factory, case):
+    data, width, height, pixels = case
+    path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+    path.write_bytes(data)
+    img = read_pgm(path)
+    assert (img.width, img.height, img.pixels.ravel().tolist()) == (width, height, pixels)
 
 
 @pytest.mark.parametrize("content", [

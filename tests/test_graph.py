@@ -293,13 +293,17 @@ def test_node_set_round_trip(tmp_path):
                                                     "is not an integer in 1..3")):
         read_node_set(path, 3)
     with pytest.raises(InvalidNode, match=r"^node id 1180591620717411303424 is not an integer "
-                                          r"in 1\.\.1$"):
+                                          r"in 1\.\.9223372036854775807$"):
         write_node_set(path, [1, 2 ** 70])
     assert path.read_text() == "1\n99999999999999999999\n"
     write_node_set(path, np.array([7.0, 2.0]))
     assert path.read_text() == "2\n7\n"
     write_node_set(path, [])
     assert path.read_text() == "" and read_node_set(path, 1).size == 0
+    # an error that names no entry is the caller's n, not the file's
+    path.write_text("1\n")
+    with pytest.raises(InvalidNode, match=r"^node count must be positive, got 0$"):
+        read_node_set(path, 0)
 
 
 @pytest.mark.parametrize("ids", [[2.7, 2, 1], [0, 2], [-1], [3, 1, 3], [np.nan, 1],
@@ -312,20 +316,41 @@ def test_write_node_set_rejects_what_read_node_set_would(tmp_path, ids):
 
 
 # What read_edge_list accepts and rejects.  Files without `#` go through
-# np.loadtxt; whatever it declines falls back to the line parser, which
-# alone produces the `path:lineno` diagnostics.
+# np.loadtxt; whatever it declines falls back to the line parser.  Both
+# name the line of an edge that build_graph rejects.
 EDGE_FILES = {
     "plus-sign": (b"+3 1 0.5\n", (3, [[1, 3]], [0.5])),
     "underscores": (b"1_0 2 2_5\n", (10, [[2, 10]], [25.0])),
     "non-ascii-digit": ("٣ 1 0.5\n".encode(), (3, [[1, 3]], [0.5])),
     "tabs": (b"1\t2\t0.5\n2\t3\t1\n", (3, [[1, 2], [2, 3]], [0.5, 1.0])),
     "crlf": (b"1 2 0.5\r\n2 3 1\r\n", (3, [[1, 2], [2, 3]], [0.5, 1.0])),
-    "weight-underflow": (b"1 2 1e-400\n", (InvalidWeight, "edge (1, 2) has non-positive "
-                                                          "or non-finite weight 0.0")),
-    "weight-inf": (b"1 2 inf\n", (InvalidWeight, "edge (1, 2) has non-positive "
+    "weight-underflow": (b"1 2 1e-400\n", (InvalidWeight, "{path}:1: edge (1, 2) has non-"
+                                                          "positive or non-finite weight 0.0")),
+    "weight-inf": (b"1 2 inf\n", (InvalidWeight, "{path}:1: edge (1, 2) has non-positive "
                                                  "or non-finite weight inf")),
-    "weight-nan": (b"1 2 nan\n", (InvalidWeight, "edge (1, 2) has non-positive "
+    "weight-nan": (b"1 2 nan\n", (InvalidWeight, "{path}:1: edge (1, 2) has non-positive "
                                                  "or non-finite weight nan")),
+    "weight-nan-after-comment": (b"# c\n1 2 0.5\n\n2 3 nan\n",
+                                 (InvalidWeight, "{path}:4: edge (2, 3) has non-positive "
+                                                 "or non-finite weight nan")),
+    "id-zero": (b"1 2 0.5\n0 3 1\n", (InvalidNode, "{path}:2: node id 0 is not an integer "
+                                                   "in 1..3")),
+    "id-zero-after-comment": (b"# c\n1 2 0.5\n0 3 1\n",
+                              (InvalidNode, "{path}:3: node id 0 is not an integer in 1..3")),
+    "self-loop": (b"1 2 0.5\n\n2 2 1\n", (InvalidEdge, "{path}:3: self-loop at node 2")),
+    "self-loop-crlf": (b"1 2 0.5\r\n  \r\n2 2 1\r\n", (InvalidEdge, "{path}:3: self-loop "
+                                                                   "at node 2")),
+    "self-loop-after-comment": (b"# c\n1 2 0.5\n\n2 2 1\n",
+                                (InvalidEdge, "{path}:4: self-loop at node 2")),
+    # named at the later copy, wherever the sort puts the edge
+    "duplicate": (b"1 2 0.5\n2 3 1\n2 1 4\n", (DuplicateEdge, "{path}:3: edge (1, 2) "
+                                                             "listed twice")),
+    "duplicate-after-comment": (b"# c\n3 4 1\n1 2 0.5\n4 3 1\n1 2 1\n",
+                                (DuplicateEdge, "{path}:5: edge (1, 2) listed twice")),
+    # names a node, not a line
+    "weighted-degree-overflow": (b"1 2 1e308\n2 3 1e308\n",
+                                 (InvalidWeight, "{path}: the edge weights at node 2 sum past "
+                                                 "the largest double (weighted degree inf)")),
     "float-id": (b"1 2 0.5\n1.0 3 0.5\n",
                  (InvalidEdge, "{path}:2: invalid literal for int() with base 10: '1.0'")),
     "exponent-id": (b"1 2 0.5\n\n2 1e1 0.5\n",
@@ -341,8 +366,8 @@ EDGE_FILES = {
     "empty": (b"", (InvalidEdge, "{path}: no edges")),
     "comments-only": (b"# header\n\n  # note\n", (InvalidEdge, "{path}: no edges")),
     "id-beyond-int64": (b"1 99999999999999999999 0.5\n",
-                        (InvalidNode, "node id 99999999999999999999 is not an integer "
-                                      "in 1..9223372036854775807")),
+                        (InvalidNode, "{path}:1: node id 99999999999999999999 is not an "
+                                      "integer in 1..9223372036854775807")),
     "id-beyond-file-size": (b"2 9000000000 1.0\n",
                             (InvalidNode, "node id 9000000000 exceeds the file's size of "
                                           "17 bytes, so most nodes up to it would be on no edge")),

@@ -8,6 +8,7 @@ reports with exit code 2.
 
 import ast
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from nlasso import (
     SbmSpec,
     SolverConfig,
     UNNORMALIZED,
+    boundary,
     chain_graph,
     extract_cluster,
     fiedler_value,
@@ -39,6 +41,7 @@ from nlasso import (
     kkt_residuals,
     reach_bound_check,
     sample_seeds,
+    write_node_set,
 )
 from nlasso import cli
 
@@ -180,6 +183,25 @@ def test_cluster_signal_must_be_one_dimensional(signal):
         extract_cluster(signal)
     with pytest.raises(DimensionMismatch, match="1-d"):
         indicator_error(signal, [1])
+
+
+@pytest.mark.parametrize("ids", [[[2, 3], [1, 2]], [[1]], np.ones((2, 0)), np.array(2)],
+                         ids=["2x2", "1x1", "2x0", "0-d"])
+def test_node_ids_must_be_one_flat_list(tmp_path, ids):
+    # the 2x2 list holds node 2 twice, which a duplicate check over its
+    # rows misses
+    g = chain_graph(4)
+    calls = [lambda: NLassoProblem(g, ids, 0.1, 0.5),
+             lambda: extract_cluster(np.ones(4), 0.5, seeds=ids),
+             lambda: boundary(g, ids),
+             lambda: indicator_error(np.ones(4), ids),
+             lambda: write_node_set(tmp_path / "s.txt", ids),
+             lambda: sample_seeds(ids, 1)]
+    message = f"node ids must be a flat list, got shape {np.shape(ids)}"
+    for call in calls:
+        with pytest.raises(InvalidNode, match=re.escape(message)):
+            call()
+    assert not (tmp_path / "s.txt").exists()
 
 
 INPUT_ERRORS = [InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight, DimensionMismatch,

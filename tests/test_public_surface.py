@@ -2,7 +2,7 @@ import dataclasses
 import inspect
 
 import nlasso
-from nlasso import Graph, errors, graph, objectives, solver
+from nlasso import Graph, errors, generators, graph, objectives, solver
 
 PUBLIC = {
     # graph
@@ -43,7 +43,8 @@ SIGNATURES = {
 # the star-augmented dual layout, the single-step solver API and the
 # edge-list writer, which nothing but tests called; the solver's own byte
 # compare and slot-order read-out, folded into its kernels' same_state and
-# arrays
+# arrays; the PGM byte lexer, now one regular expression, and the id-set
+# check in front of as_node_ids
 REMOVED = {
     objectives: ("star_augmented_flow", "dual_objective", "dual_feasibility",
                  "DualFeasibilityReport", "_as_augmented_flow", "laplacian_quadratic"),
@@ -51,7 +52,8 @@ REMOVED = {
     solver: ("step", "init_state", "SolverState", "_same_bits"),
     solver._Kernel: ("edge_flow",),
     Graph: ("out_neighbors", "in_neighbors", "neighbors", "_check_node"),
-    graph: ("write_edge_list",),
+    graph: ("write_edge_list", "_id_set"),
+    generators: ("_pgm_tokens",),
 }
 
 
