@@ -94,7 +94,12 @@ def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
     """
     n = _node_count(n)
     w = np.full(n - 1, _real(default_w, "default_w", -np.inf, np.inf, "a real number"))
-    for idx, weight in overrides:
+    for override in overrides:
+        try:
+            idx, weight = override
+        except (TypeError, ValueError):
+            raise InvalidOverride(f"override {override!r} is not an (edge index, weight) "
+                                  "pair") from None
         try:
             idx = _whole(idx, "edge index")
         except ValueError:

@@ -19,6 +19,7 @@ import contextlib
 import math
 import numbers
 import os
+import reprlib
 import warnings
 
 import numpy as np
@@ -122,7 +123,11 @@ def as_node_ids(ids, n: int) -> np.ndarray:
     entries, and for an n that is not a whole number in 1..2**63-1.
     """
     n = _node_count(n)
-    ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    try:
+        ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    except (TypeError, ValueError):
+        # not iterable, or ragged
+        raise InvalidNode(f"node ids must be a flat list, got {reprlib.repr(ids)}") from None
     if ids.ndim != 1:
         raise InvalidNode(f"node ids must be a flat list, got shape {ids.shape}")
     ids = _node_ids(ids, n)
@@ -213,7 +218,7 @@ def build_graph(n: int, edge_list) -> Graph:
     n = _node_count(n)
     try:
         arr = np.asarray(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list))
-    except ValueError:
+    except (TypeError, ValueError):
         raise InvalidEdge("edges must be (i, j, w) triples of equal length") from None
     if arr.size == 0:
         arr = arr.reshape(0, 3)

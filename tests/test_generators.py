@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,10 @@ def test_chain_override_out_of_range():
     for idx in (2.5, "2", True, float("nan"), float("inf")):
         with pytest.raises(InvalidOverride, match="is not a whole number"):
             chain_graph(5, 1.0, [(idx, 3.0)])
+    for override in ((1, 2, 3), 5):
+        with pytest.raises(InvalidOverride, match=re.escape(
+                f"override {override!r} is not an (edge index, weight) pair")):
+            chain_graph(3, 1.0, [override])
     for n in (2.5, "5", 0):
         with pytest.raises(InvalidNode):
             chain_graph(n)

@@ -93,8 +93,8 @@ def test_build_rejects_out_of_range_ids(n, edge):
         as_node_ids(edge, n)
 
 
-@pytest.mark.parametrize("edges", [[(1, 2)], [(1, 2, 1.0), (2, 3)], (1, 2, 1.0)],
-                         ids=["pair", "ragged", "bare-triple"])
+@pytest.mark.parametrize("edges", [[(1, 2)], [(1, 2, 1.0), (2, 3)], (1, 2, 1.0), 5],
+                         ids=["pair", "ragged", "bare-triple", "scalar"])
 def test_build_rejects_malformed_triples(edges):
     with pytest.raises(InvalidEdge):
         build_graph(3, edges)

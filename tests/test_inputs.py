@@ -185,11 +185,14 @@ def test_cluster_signal_must_be_one_dimensional(signal):
         indicator_error(signal, [1])
 
 
-@pytest.mark.parametrize("ids", [[[2, 3], [1, 2]], [[1]], np.ones((2, 0)), np.array(2)],
-                         ids=["2x2", "1x1", "2x0", "0-d"])
-def test_node_ids_must_be_one_flat_list(tmp_path, ids):
+@pytest.mark.parametrize("ids, got", [([[2, 3], [1, 2]], "shape (2, 2)"), ([[1]], "shape (1, 1)"),
+                                     (np.ones((2, 0)), "shape (2, 0)"), (np.array(2), "shape ()"),
+                                     ([[1, 2], [3]], "[[1, 2], [3]]"), (3, "3")],
+                         ids=["2x2", "1x1", "2x0", "0-d", "ragged", "scalar"])
+def test_node_ids_must_be_one_flat_list(tmp_path, ids, got):
     # the 2x2 list holds node 2 twice, which a duplicate check over its
-    # rows misses
+    # rows misses; the ragged list and the bare int have no shape, so the
+    # message names the input itself
     g = chain_graph(4)
     calls = [lambda: NLassoProblem(g, ids, 0.1, 0.5),
              lambda: extract_cluster(np.ones(4), 0.5, seeds=ids),
@@ -197,7 +200,7 @@ def test_node_ids_must_be_one_flat_list(tmp_path, ids):
              lambda: indicator_error(np.ones(4), ids),
              lambda: write_node_set(tmp_path / "s.txt", ids),
              lambda: sample_seeds(ids, 1)]
-    message = f"node ids must be a flat list, got shape {np.shape(ids)}"
+    message = f"node ids must be a flat list, got {got}"
     for call in calls:
         with pytest.raises(InvalidNode, match=re.escape(message)):
             call()

@@ -19,7 +19,7 @@ from nlasso import (
     sample_seeds,
     sbm_graph,
 )
-from nlasso import solver
+from nlasso import cli, solver
 from nlasso.generators import GreyImage, chain_graph, grid_from_image
 from nlasso.solver import _BandKernel, _Kernel, _kernel, _node_constants, _ScalarKernel
 from oracle import exact_tree_optimum, pair_prox_gradient, random_connected_graph
@@ -566,10 +566,15 @@ def test_band_layout_matches_gather_through_run(monkeypatch):
 def test_layout_selection():
     image = GreyImage(64, 64, (np.arange(64 * 64) * 37) % 256)
     assert layout_of(grid_from_image(image)) is _BandKernel
+    # the 256 x 256 grid of the segment-large benchmark workload
+    image = GreyImage(256, 256, (np.arange(256 * 256) * 37) % 256)
+    assert layout_of(grid_from_image(image)) is _BandKernel
     assert layout_of(chain_graph(2000)) is _BandKernel
     # the 4000-node block model of the sbm-large benchmark workload
     g, _ = sbm_graph(SbmSpec((2000, 2000), 20 / 2000, 1 / 2000, rng_seed=1))
     assert layout_of(g) is _Kernel
+    # a 200-node block model of the paper-experiments benchmark workload
+    assert layout_of(cli.sbm_problem(0)[0].graph) is _Kernel
     assert layout_of(chain_graph(100)) is _Kernel
     # the break-even: bands of at least 1000 slots
     assert layout_of(chain_graph(1001)) is _BandKernel

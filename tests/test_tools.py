@@ -20,24 +20,16 @@ def ab_run(other, *flags):
 
 
 def test_ab_run_against_the_same_checkout():
-    # every workload's problems at 3 iterations: both sides load, agree bit
-    # for bit and are timed
-    proc = ab_run(ROOT, "--iters", "3", "--rounds", "2")
+    # every workload's problems at 3 iterations: both sides load and agree
+    # bit for bit, and nothing is timed
+    proc = ab_run(ROOT, "--iters", "3")
     assert proc.returncode == 0, proc.stderr
     for name in ("segment-large", "sbm-large", "tiny-batch"):
         assert f"{name} (" in proc.stdout
     # the chain and the seed's ten block models
     assert "paper-experiments (11 solves x 3 iterations, bitwise equal)" in proc.stdout
     assert proc.stdout.count("bitwise equal") == 4
-    assert proc.stdout.count("wins") == 8
-    # each workload's solves by layout: the 256 x 256 grid takes bands, the
-    # block models and the 99-edge chain gathers, the tiny graphs scalars;
-    # seed 1's 50 tiny graphs hold 30 graph structures
-    for layouts in ("band 1, gather 0, scalar 0; scalar structures 0",
-                    "band 0, gather 1, scalar 0; scalar structures 0",
-                    "band 0, gather 0, scalar 50; scalar structures 30",
-                    "band 0, gather 11, scalar 0; scalar structures 0"):
-        assert f"  layouts here: {layouts}\n" in proc.stdout
+    assert "wins" not in proc.stdout and "median" not in proc.stdout
 
 
 def test_ab_run_refuses_to_time_different_results(tmp_path):
@@ -51,18 +43,22 @@ def test_ab_run_refuses_to_time_different_results(tmp_path):
         assert text.count(old) == count
         text = text.replace(old, new)
     solver.write_text(text)
-    proc = ab_run(tmp_path, "--iters", "3", "--rounds", "1", "--workload", "tiny-batch")
+    proc = ab_run(tmp_path, "--iters", "3", "--workload", "tiny-batch")
     assert proc.returncode != 0
     assert "differs between the checkouts" in proc.stderr
-    assert "wins" not in proc.stdout
+    assert "bitwise equal" not in proc.stdout
 
 
-@pytest.mark.parametrize("iters", ["0", "-3"])
-def test_ab_run_rejects_iters_below_one(tmp_path, iters):
+@pytest.mark.parametrize("flag, value, message",
+                         [("--iters", "0", "--iters must be >= 1"),
+                          ("--iters", "-3", "--iters must be >= 1"),
+                          ("--seed", "-1", "--seed must be >= 0")],
+                         ids=["0", "-3", "seed--1"])
+def test_ab_run_rejects_iters_below_one(tmp_path, flag, value, message):
     # rejected before the other checkout is loaded: here it has no package
-    proc = ab_run(tmp_path, "--iters", iters)
+    proc = ab_run(tmp_path, flag, value)
     assert proc.returncode == 2
-    assert proc.stderr.endswith("error: --iters must be >= 1\n")
+    assert proc.stderr.endswith(f"error: {message}\n")
     assert proc.stdout == ""
 
 
