@@ -55,7 +55,7 @@ class LaplacianOperator:
         """One operator application, linear in the edge count."""
         g = self.graph
         if self.mode == NORMALIZED:
-            x = gc._as_signal(g, x) / np.sqrt(g.weighted_degree)
+            x = gc._as_vector(x, g.n) / np.sqrt(g.weighted_degree)
         out = gc.divergence(g, g.weights * gc.incidence_apply(g, x))
         if self.mode == NORMALIZED:
             out = out / np.sqrt(g.weighted_degree)
@@ -174,7 +174,7 @@ def fiedler_value(g: Graph, v, mode: str = UNNORMALIZED) -> float:
     Raises ValueError when v is zero or not finite.
     """
     op = laplacian(g, mode)
-    v = gc._as_signal(g, v)
+    v = gc._as_vector(v, g.n)
     top = np.max(np.abs(v))
     if not 0.0 < top < np.inf:
         raise ValueError(f"v must be finite and not zero, got largest magnitude {top}")

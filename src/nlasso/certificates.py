@@ -113,8 +113,8 @@ def kkt_residuals(p: NLassoProblem, x, y_base, eps_sat: float = 1e-6) -> KKTRepo
     """Evaluate the optimality residuals of a primal-dual pair; 0 <= eps_sat < 1."""
     eps_sat = gc._real(eps_sat, "eps_sat", 0.0, math.nextafter(1.0, 0.0), "in [0, 1)")
     g = p.graph
-    x = gc._as_signal(g, x)
-    y = gc._as_base_flow(g, y_base)
+    x = gc._as_vector(x, g.n)
+    y = gc._as_vector(y_base, g.num_edges, "edge flow")
     inflow = -gc.divergence(g, y)
     s = p.seed_mask
     seed_res = float(np.max(np.abs(inflow[s] - (x[s] - 1.0))))
@@ -137,7 +137,7 @@ def boundary_conditions(p: NLassoProblem, c: ClusterResult, x) -> BoundaryCondit
     at the provided iterate x, the signal the cluster was extracted from.
     """
     g = p.graph
-    x = gc._as_signal(g, x)
+    x = gc._as_vector(x, g.n)
     cluster = gc.as_node_ids(c.cluster, g.n)
     if not np.all(np.isin(p.seeds, cluster)):
         missing = p.seeds[~np.isin(p.seeds, cluster)]

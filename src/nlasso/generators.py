@@ -9,14 +9,15 @@ order or worker count.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CountTooLarge, InvalidOverride, PgmError
-from .graph import (_INT64_MAX, Graph, _atomic_open, _node_count, _real, _whole, as_node_ids,
-                    build_graph)
+from .graph import (_INT64_MAX, Graph, _atomic_open, _node_count, _numeric, _real, _whole,
+                    as_node_ids, build_graph)
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -75,7 +76,12 @@ class SbmSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        sizes = tuple(_whole(s, "block size", low=1) for s in self.block_sizes)
+        try:
+            sizes = tuple(self.block_sizes)
+        except TypeError:
+            raise ValueError(f"block_sizes must be a list of block sizes, got "
+                             f"{self.block_sizes!r}") from None
+        sizes = tuple(_whole(s, "block size", low=1) for s in sizes)
         p_in, p_out = (_real(getattr(self, name), name, 0.0, 1.0, "in [0, 1]")
                        for name in ("p_in", "p_out"))
         if p_out > p_in:
@@ -94,6 +100,11 @@ def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
     """
     n = _node_count(n)
     w = np.full(n - 1, _real(default_w, "default_w", -np.inf, np.inf, "a real number"))
+    try:
+        overrides = list(overrides)
+    except TypeError:
+        raise InvalidOverride(f"overrides must be a list of (edge index, weight) pairs, got "
+                              f"{overrides!r}") from None
     for override in overrides:
         try:
             idx, weight = override
@@ -186,6 +197,8 @@ class GreyImage:
         width, height = (_whole(getattr(self, name), name, low=1)
                          for name in ("width", "height"))
         px = np.asarray(self.pixels)
+        if not _numeric(px):
+            raise ValueError(f"pixels must hold real numbers, got dtype {px.dtype}")
         if px.size != width * height:
             raise ValueError(f"pixel count {px.size} != width*height {width * height}")
         ok = (px >= 0) & (px <= 255) & (px == np.floor(px))
@@ -237,7 +250,7 @@ _PGM_TOKEN = re.compile(rb"#[^\n]*|([^ \t\r\n#]+)")
 def read_pgm(path) -> GreyImage:
     """Read an ASCII (P2) or binary (P5) PGM file with maxval <= 255; a P5
     raster starts one byte after maxval."""
-    with open(path, "rb") as fh:
+    with open(os.fspath(path), "rb") as fh:
         data = fh.read()
     # lazy, so a P5 raster is never scanned
     tokens = (m for m in _PGM_TOKEN.finditer(data) if m[1])

@@ -10,7 +10,9 @@ the indexing of every flow vector in the package.
 `build_graph` takes (i, j, w) triples or an (m, 3) array, and every node
 id anywhere in the package passes one check: finite, integral, in 1..n.
 Every numeric parameter passes _real or _whole: a real number, not a bool,
-in its range, stored as a Python float or int.
+in its range, stored as a Python float or int.  Every array passes
+_numeric: int, float or big-int entries.  _as_vector applies it before it
+makes a signal, flow, vector or weight column float64.
 """
 
 from __future__ import annotations
@@ -208,6 +210,8 @@ def build_graph(n: int, edge_list) -> Graph:
 
     Raises
     ------
+    ValueError
+        If the weights are not numbers within the float range (see _as_vector).
     InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight
         Each is one test over all edges, run in the order shape, ids,
         self-loops, weights, duplicates; the first offending edge of the
@@ -229,7 +233,8 @@ def build_graph(n: int, edge_list) -> Graph:
     loops = np.flatnonzero(i == j)
     if loops.size:
         raise _at_entry(InvalidEdge(f"self-loop at node {i[loops[0]]}"), loops[0])
-    w = arr[:, 2].astype(np.float64)
+    # a contiguous copy, as the checks below read it twice
+    w = _as_vector(arr[:, 2].copy(), what="weight column")
     bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
     if bad.size:
         k = bad[0]
@@ -252,31 +257,26 @@ def build_graph(n: int, edge_list) -> Graph:
     return g
 
 
-def _as_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-d node signal, got shape {x.shape}")
+def _as_vector(x, size: int | None = None, what: str = "node signal") -> np.ndarray:
+    """Return `x` as float64 of shape (size,), or 1-d for no size; raise ValueError
+    naming `what` unless it holds numbers (see _numeric) within the float range."""
+    x = np.asarray(x)
+    if not _numeric(x):
+        raise ValueError(f"{what} must hold real numbers, got dtype {x.dtype}")
+    try:
+        x = x.astype(np.float64, copy=False)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer past the float range") from None
+    if size is None and x.ndim != 1:
+        raise DimensionMismatch(f"expected a 1-d {what}, got shape {x.shape}")
+    if size is not None and x.shape != (size,):
+        raise DimensionMismatch(f"expected {what} of length {size}, got shape {x.shape}")
     return x
-
-
-def _as_signal(g: Graph, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (g.n,):
-        raise DimensionMismatch(f"expected node signal of length {g.n}, got shape {x.shape}")
-    return x
-
-
-def _as_base_flow(g: Graph, y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.num_edges,):
-        raise DimensionMismatch(
-            f"expected edge flow of length {g.num_edges}, got shape {y.shape}")
-    return y
 
 
 def incidence_apply(g: Graph, x) -> np.ndarray:
     """Signed edge differences: value x_i - x_j for each stored edge (i, j)."""
-    x = _as_signal(g, x)
+    x = _as_vector(x, g.n)
     return x[g.src] - x[g.dst]
 
 
@@ -287,7 +287,7 @@ def divergence(g: Graph, y) -> np.ndarray:
     in ascending neighbour order (edges are stored sorted), so the result is
     reproducible bit for bit.
     """
-    y = _as_base_flow(g, y)
+    y = _as_vector(y, g.num_edges, "edge flow")
     return (np.bincount(g.src, weights=y, minlength=g.n)
             - np.bincount(g.dst, weights=y, minlength=g.n))
 
@@ -339,7 +339,7 @@ def is_connected(g: Graph) -> bool:
 
 def _text_lines(path):
     """Yield (lineno, stripped line) for each line that is neither blank nor a comment."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(os.fspath(path), "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line and not line.startswith("#"):
@@ -402,12 +402,12 @@ def read_edge_list(path) -> Graph:
     `path:lineno` of its line (a duplicate edge at its later copy), and
     an overflowing weighted degree names `path`.
     """
-    with open(path, "rb") as fh:
+    with open(os.fspath(path), "rb") as fh:
         plain = b"#" not in fh.read()
         size = fh.tell()
     if plain:
         try:
-            with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            with open(os.fspath(path), encoding="utf-8") as fh, warnings.catch_warnings():
                 # loadtxt warns, and returns nothing, on a file with no data
                 warnings.simplefilter("error")
                 rows = np.loadtxt(fh, dtype=_EDGE_ROW, ndmin=1)

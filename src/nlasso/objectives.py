@@ -93,7 +93,7 @@ def total_variation(g: Graph, x) -> float:
 
 def primal_objective(p: NLassoProblem, x) -> float:
     """Seed and non-seed quadratic fidelity plus lam * TV."""
-    x = gc._as_signal(p.graph, x)
+    x = gc._as_vector(x, p.graph.n)
     s = p.seed_mask
     fit = 0.5 * float(np.sum((x[s] - 1.0) ** 2)) \
         + 0.5 * p.alpha * float(np.sum(x[~s] ** 2))
@@ -106,7 +106,7 @@ def conjugate_f(p: NLassoProblem, z) -> float:
     Closed form: sum_{i in seeds} (z_i^2 / 2 + z_i) + sum_{i not in seeds}
     z_i^2 / (2 alpha).
     """
-    z = gc._as_signal(p.graph, z)
+    z = gc._as_vector(z, p.graph.n)
     s = p.seed_mask
     return float(np.sum(0.5 * z[s] ** 2 + z[s])) \
         + float(np.sum(z[~s] ** 2)) / (2.0 * p.alpha)
@@ -114,7 +114,7 @@ def conjugate_f(p: NLassoProblem, z) -> float:
 
 def conjugate_g_feasible(p: NLassoProblem, y_base) -> bool:
     """True iff |y_e| <= lam W_e on every base edge (closed constraint)."""
-    y = gc._as_base_flow(p.graph, y_base)
+    y = gc._as_vector(y_base, p.graph.num_edges, "edge flow")
     return bool(np.all(np.abs(y) <= p.capacities))
 
 
@@ -130,7 +130,7 @@ def duality_gap(p: NLassoProblem, x, y_base) -> float:
     DualInfeasible
         If some |y_e| exceeds lam W_e (the gap is +inf by convention) or is NaN.
     """
-    y = gc._as_base_flow(p.graph, y_base)
+    y = gc._as_vector(y_base, p.graph.num_edges, "edge flow")
     if not conjugate_g_feasible(p, y):
         g, e = p.graph, int(np.argmax(np.isnan(y)))
         if np.isnan(y[e]):

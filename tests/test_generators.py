@@ -45,6 +45,11 @@ def test_chain_override_out_of_range():
         with pytest.raises(InvalidOverride, match=re.escape(
                 f"override {override!r} is not an (edge index, weight) pair")):
             chain_graph(3, 1.0, [override])
+    # overrides that are not a list of pairs at all
+    for overrides in (5, None):
+        with pytest.raises(InvalidOverride, match=re.escape(
+                f"overrides must be a list of (edge index, weight) pairs, got {overrides!r}")):
+            chain_graph(3, 1.0, overrides)
     for n in (2.5, "5", 0):
         with pytest.raises(InvalidNode):
             chain_graph(n)
@@ -57,6 +62,9 @@ def test_sbm_spec_validation():
         SbmSpec((0, 5), 0.5, 0.1)
     for sizes in [(2.5, 3.9), (3, float("nan")), (float("inf"), 3)]:
         with pytest.raises(ValueError, match="block size must be a whole number"):
+            SbmSpec(sizes, 0.5, 0.1)
+    for sizes in (5, None):
+        with pytest.raises(ValueError, match="block_sizes must be a list of block sizes"):
             SbmSpec(sizes, 0.5, 0.1)
     assert SbmSpec((2.0, np.float64(3.0)), 0.5, 0.1).block_sizes == (2, 3)
     with pytest.raises(ValueError):
@@ -307,6 +315,11 @@ def test_grey_image_validation():
     for bad in (np.nan, np.inf, -np.inf, 2.5, -1, 255.5):
         with pytest.raises(ValueError, match="is not an integer in 0..255"):
             GreyImage(2, 1, [0, bad])
+    # bools, strings, Nones and complex numbers are not grey values: numpy
+    # compares a bool with numbers as 0/1, and the others with a TypeError
+    for bad in ([True, False], ["0", "1"], [None, 0], [1j, 0]):
+        with pytest.raises(ValueError, match="pixels must hold real numbers"):
+            GreyImage(2, 1, bad)
     assert GreyImage(2, 1, [0.0, 255.0]).pixels.tolist() == [[0, 255]]
 
 

@@ -56,6 +56,17 @@ def test_build_rejects_nonpositive_weight(w):
         build_graph(2, [(1, 2, w)])
 
 
+@pytest.mark.parametrize("w, message", [
+    (None, "must hold real numbers, got dtype object"),
+    ({}, "must hold real numbers, got dtype object"),
+    (10 ** 400, "holds an integer past the float range"),
+], ids=["none", "dict", "int-past-float"])
+def test_build_rejects_weights_that_are_not_numbers(w, message):
+    # the ids are ints, so numpy keeps the triple as objects
+    with pytest.raises(ValueError, match=f"weight column {message}"):
+        build_graph(2, [(1, 2, w)])
+
+
 @pytest.mark.parametrize("edges, node", [
     # two edges at node 2, whose sum overflows where the two bincounts add
     ([(1, 2, 1e308), (2, 3, 1e308)], 2),

@@ -1,47 +1,82 @@
-"""One rule for every numeric parameter, and one base for the input errors.
+"""One rule per kind of argument, and one base for the input errors.
 
 Every numeric public parameter is a real number, not a bool, in its range,
 and is stored as a Python float or int; a bad value raises a ValueError
-that names the parameter.  The input errors are ValueErrors, which the CLI
-reports with exit code 2.
+that names the parameter.  Every array holds numbers; a signal, flow or
+vector of anything else raises a ValueError that names it.  A path goes
+through os.fspath, as open does, and a library object is duck typed: a
+wrong one raises the TypeError or AttributeError of its first use.  The
+input errors are ValueErrors, which the CLI reports with exit code 2.
 """
 
 import ast
 import math
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nlasso
 from nlasso import (
+    NORMALIZED,
+    BoundaryConditionReport,
+    ClusterResult,
     CountTooLarge,
     DimensionMismatch,
     Disconnected,
     DuplicateEdge,
     GreyImage,
+    HistoryRecord,
+    IndicatorError,
     InvalidEdge,
     InvalidNode,
     InvalidOverride,
     InvalidWeight,
+    KKTReport,
+    LaplacianOperator,
     NLassoError,
     NLassoProblem,
     PgmError,
     SbmSpec,
     SolverConfig,
+    SolverResult,
     UNNORMALIZED,
     boundary,
+    boundary_conditions,
+    build_graph,
     chain_graph,
+    conjugate_f,
+    conjugate_g_feasible,
+    divergence,
+    duality_gap,
     extract_cluster,
     fiedler_value,
     fiedler_vector,
+    grid_from_image,
+    incidence_apply,
     indicator_error,
+    is_connected,
+    isolated_nodes,
     kkt_residuals,
+    laplacian,
+    primal_objective,
     reach_bound_check,
+    read_edge_list,
+    read_node_set,
+    read_pgm,
+    run,
     sample_seeds,
+    sbm_graph,
+    total_variation,
     write_node_set,
+    write_pgm,
 )
 from nlasso import cli
 
@@ -185,6 +220,30 @@ def test_cluster_signal_must_be_one_dimensional(signal):
         indicator_error(signal, [1])
 
 
+# a vector argument given values that are not real numbers, of which a
+# float64 conversion would make numbers: the real part of a complex, nan for
+# None, 0/1 for bools and the number a string spells
+NOT_REAL = {
+    "complex signal": (lambda: indicator_error(np.array([1 + 2j, 0, 0]), [1]), "node signal"),
+    # its real part, 0.1, is within the capacity 0.5
+    "complex flow": (lambda: kkt_residuals(_PROBLEM, np.ones(3), np.array([0.1 + 5j, 0.0])),
+                     "edge flow"),
+    "None in signal": (lambda: primal_objective(_PROBLEM, [1, None, 0]), "node signal"),
+    "bool signal": (lambda: extract_cluster(np.array([True, False, True])), "node signal"),
+    "str signal": (lambda: total_variation(_CHAIN, ["1", "0", "0"]), "node signal"),
+    "dict flow": (lambda: divergence(_CHAIN, {}), "edge flow"),
+    "int past the float range": (lambda: fiedler_value(_CHAIN, [10 ** 400, 0, 0]),
+                                 "node signal holds an integer past the float range"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_REAL)
+def test_vector_of_anything_but_real_numbers_raises_value_error_naming_it(case):
+    call, what = NOT_REAL[case]
+    with pytest.raises(ValueError, match=what):
+        call()
+
+
 @pytest.mark.parametrize("ids, got", [([[2, 3], [1, 2]], "shape (2, 2)"), ([[1]], "shape (1, 1)"),
                                      (np.ones((2, 0)), "shape (2, 0)"), (np.array(2), "shape ()"),
                                      ([[1, 2], [3]], "[[1, 2], [3]]"), (3, "3")],
@@ -230,6 +289,129 @@ def test_runtime_errors_still_exit_3(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(cli, "chain_problem", fail)
     assert cli.main(["chain-experiment", "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "nlasso: graph has more than one connected component\n"
+
+
+_IMAGE = GreyImage(2, 1, [0, 255])
+_FILES = {"edges.txt": "1 2 1.0\n2 3 1.0\n", "nodes.txt": "1\n",
+          "image.pgm": "P2 2 1 255 0 255\n",
+          # the one string among the malformed values below, as a path
+          "1": "1 2 1.0\n"}
+
+
+def _write_files():
+    """Write _FILES to the working directory, over any change a call made."""
+    for name, text in _FILES.items():
+        Path(name).write_text(text, encoding="utf-8")
+
+
+# every public callable but Graph (made by build_graph alone), called with
+# valid arguments, and the rule for each argument: V for a value (a number,
+# an array, node ids or a mode), O for a library object, P for a path
+# (relative to a directory that holds _FILES)
+PUBLIC_CALLS = {
+    "boundary": (boundary, "OV", (_CHAIN, [1])),
+    "build_graph": (build_graph, "VV", (3, [(1, 2, 1.0), (2, 3, 1.0)])),
+    "divergence": (divergence, "OV", (_CHAIN, np.zeros(2))),
+    "incidence_apply": (incidence_apply, "OV", (_CHAIN, np.zeros(3))),
+    "is_connected": (is_connected, "O", (_CHAIN,)),
+    "isolated_nodes": (isolated_nodes, "O", (_CHAIN,)),
+    "read_edge_list": (read_edge_list, "P", ("edges.txt",)),
+    "read_node_set": (read_node_set, "PV", ("nodes.txt", 3)),
+    "write_node_set": (write_node_set, "PV", ("out.txt", [1])),
+    "NLassoProblem": (NLassoProblem, "OVVV", (_CHAIN, [1], 0.25, 0.5)),
+    "conjugate_f": (conjugate_f, "OV", (_PROBLEM, np.zeros(3))),
+    "conjugate_g_feasible": (conjugate_g_feasible, "OV", (_PROBLEM, np.zeros(2))),
+    "duality_gap": (duality_gap, "OVV", (_PROBLEM, np.ones(3), np.zeros(2))),
+    "primal_objective": (primal_objective, "OV", (_PROBLEM, np.ones(3))),
+    "total_variation": (total_variation, "OV", (_CHAIN, np.ones(3))),
+    "SolverConfig": (SolverConfig, "VVV", (10, 5, 0.0)),
+    "run": (run, "OO", (_PROBLEM, SolverConfig(10, 5))),
+    "HistoryRecord": (HistoryRecord, "VVVV", (5, 1.0, 0.0, 0.0)),
+    "SolverResult": (SolverResult, "VVV", (np.ones(3), np.zeros(2), 10)),
+    "ClusterResult": (ClusterResult, "VVV", (np.array([1]), 0.5, True)),
+    "KKTReport": (KKTReport, "VVVVV", (0.0, 0.0, True, 0.0, 1e-6)),
+    "BoundaryConditionReport": (BoundaryConditionReport, "VVVVVV",
+                                (1.0, 0.5, 1.0, 1.0, True, True)),
+    "boundary_conditions": (boundary_conditions, "OOV", (_PROBLEM, _CLUSTER, np.ones(3))),
+    "extract_cluster": (extract_cluster, "VVV", (np.ones(3), 0.5, [1])),
+    "kkt_residuals": (kkt_residuals, "OVVV", (_PROBLEM, np.ones(3), np.zeros(2), 1e-6)),
+    "reach_bound_check": (reach_bound_check, "OOV", (_PROBLEM, _CLUSTER, 1)),
+    "LaplacianOperator": (LaplacianOperator, "OV", (_CHAIN, NORMALIZED)),
+    "LaplacianOperator.apply": (LaplacianOperator(_CHAIN, NORMALIZED).apply, "V", (np.ones(3),)),
+    "laplacian": (laplacian, "OV", (_CHAIN, UNNORMALIZED)),
+    "fiedler_value": (fiedler_value, "OVV", (_CHAIN, [1.0, 0.0, -1.0], UNNORMALIZED)),
+    "fiedler_vector": (fiedler_vector, "OVV", (_CHAIN, UNNORMALIZED, 1e-8)),
+    "indicator_error": (indicator_error, "VV", (np.ones(3), [1])),
+    "IndicatorError": (IndicatorError, "VV", (0.0, 0.0)),
+    "GreyImage": (GreyImage, "VVV", (2, 1, [0, 255])),
+    "SbmSpec": (SbmSpec, "VVVV", ((3, 3), 0.5, 0.1, 0)),
+    "chain_graph": (chain_graph, "VVV", (3, 1.0, [(1, 2.0)])),
+    "grid_from_image": (grid_from_image, "O", (_IMAGE,)),
+    "read_pgm": (read_pgm, "P", ("image.pgm",)),
+    "sample_seeds": (sample_seeds, "VVV", ([1, 2, 3], 2, 0)),
+    "sbm_graph": (sbm_graph, "O", (SbmSpec((3, 3), 0.5, 0.1),)),
+    "write_pgm": (write_pgm, "PO", ("out.pgm", _IMAGE)),
+}
+
+MALFORMED = [None, True, 1 + 0j, "1", {}, object(), math.nan, math.inf, -1, 0, 2 ** 70,
+             10 ** 400, [[1], [2, 3]], [None], np.array([1 + 1j])]
+
+
+def test_public_calls_are_every_public_callable_with_valid_arguments(tmp_path, monkeypatch):
+    # else a call could raise its ValueError whatever the malformed value
+    monkeypatch.chdir(tmp_path)
+    _write_files()
+    names = {n for n in nlasso.__all__ if callable(obj := getattr(nlasso, n))
+             and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    assert names - {"Graph"} == set(PUBLIC_CALLS) - {"LaplacianOperator.apply"}
+    for name, (call, rules, args) in PUBLIC_CALLS.items():
+        assert len(rules) == len(args), name
+        call(*args)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_argument_returns_or_raises_value_error(tmp_path, monkeypatch, data):
+    # only the object and path rules let a TypeError or AttributeError out
+    monkeypatch.chdir(tmp_path)
+    _write_files()
+    name = data.draw(st.sampled_from(sorted(PUBLIC_CALLS)), label="callable")
+    call, rules, args = PUBLIC_CALLS[name]
+    k = data.draw(st.integers(0, len(args) - 1), label="position")
+    args = list(args)
+    args[k] = data.draw(st.sampled_from(MALFORMED), label="value")
+    try:
+        call(*args)
+    except ValueError:
+        pass
+    except (TypeError, AttributeError):
+        if rules[k] == "V":
+            raise
+
+
+def test_reader_given_a_descriptor_raises_type_error_and_leaves_it_open(tmp_path):
+    # in a child process: a reader that took the int for a descriptor would
+    # close a file the test process holds
+    path = tmp_path / "edges.txt"
+    path.write_text("1 2 1.0\n", encoding="utf-8")
+    script = textwrap.dedent("""
+        import os, sys
+        sys.path.insert(0, sys.argv[2])
+        from nlasso import read_edge_list, read_node_set, read_pgm
+        fd = os.open(sys.argv[1], os.O_RDONLY)
+        for read in (read_edge_list, lambda path: read_node_set(path, 3), read_pgm):
+            try:
+                read(fd)
+            except TypeError:
+                os.fstat(fd)
+            else:
+                sys.exit("a reader took an int for a path")
+    """)
+    src = Path(nlasso.__file__).parent.parent
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_only_graph_imports_numbers():
