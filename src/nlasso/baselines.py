@@ -190,8 +190,5 @@ class IndicatorError(NamedTuple):
 def indicator_error(x, cluster) -> IndicatorError:
     """Norms of x minus the 0/1 indicator of the cluster; x is 1-d."""
     x = gc._as_vector(x)
-    ids = gc.as_node_ids(cluster, x.size)
-    ind = np.zeros(x.size)
-    ind[ids - 1] = 1.0
-    err = x - ind
+    err = x - gc._node_mask(cluster, x.size)
     return IndicatorError(l2=float(np.linalg.norm(err)), linf=float(np.max(np.abs(err))))

@@ -101,12 +101,12 @@ def extract_cluster(x, threshold: float = 0.5, seeds=None) -> ClusterResult:
     """
     threshold = gc._real(threshold, "threshold")
     x = gc._as_vector(x)
-    ids = np.flatnonzero(x > threshold) + 1
+    above = x > threshold
     contains = None
     if seeds is not None:
-        seeds = gc.as_node_ids(seeds, x.size)
-        contains = bool(np.all(np.isin(seeds, ids)))
-    return ClusterResult(cluster=ids, threshold=threshold, contains_seeds=contains)
+        contains = bool(above[gc.as_node_ids(seeds, x.size) - 1].all())
+    return ClusterResult(cluster=np.flatnonzero(above) + 1, threshold=threshold,
+                         contains_seeds=contains)
 
 
 def kkt_residuals(p: NLassoProblem, x, y_base, eps_sat: float = 1e-6) -> KKTReport:
@@ -138,13 +138,10 @@ def boundary_conditions(p: NLassoProblem, c: ClusterResult, x) -> BoundaryCondit
     """
     g = p.graph
     x = gc._as_vector(x, g.n)
-    cluster = gc.as_node_ids(c.cluster, g.n)
-    if not np.all(np.isin(p.seeds, cluster)):
-        missing = p.seeds[~np.isin(p.seeds, cluster)]
-        raise SeedsOutsideCluster(f"seed nodes {missing.tolist()} not in cluster")
-    in_c = np.zeros(g.n, dtype=bool)
-    in_c[cluster - 1] = True
-    bw = _boundary_weight(g, cluster)
+    in_c = gc._node_mask(c.cluster, g.n)
+    if not (seeds_in := in_c[p.seeds - 1]).all():
+        raise SeedsOutsideCluster(f"seed nodes {p.seeds[~seeds_in].tolist()} not in cluster")
+    bw = _boundary_weight(g, in_c)
     lhs = p.lam * bw
     inner = in_c & ~p.seed_mask
     rhs_injecting = p.seeds.size - 0.5 * p.alpha * float(np.sum(x[inner]))
@@ -168,9 +165,10 @@ def reach_bound_check(p: NLassoProblem, c: ClusterResult, max_outside: int) -> b
     max_outside = gc._whole(max_outside, "max_outside", low=0)
     if max_outside > gc._MAX:  # the bound multiplies it by a float
         raise ValueError(f"max_outside must be at most {gc._MAX:g}")
-    bw = _boundary_weight(p.graph, c.cluster)
+    bw = _boundary_weight(p.graph, gc._node_mask(c.cluster, p.graph.n))
     return bool(p.lam * bw <= max_outside * p.alpha / 2.0)
 
 
-def _boundary_weight(g, cluster) -> float:
-    return float(np.sum(g.weights[gc.boundary(g, cluster)]))
+def _boundary_weight(g, mask) -> float:
+    """Total weight of the edges whose endpoints `mask` puts on different sides."""
+    return float(np.sum(g.weights[mask[g.src] != mask[g.dst]]))

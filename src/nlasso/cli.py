@@ -201,10 +201,8 @@ def _cmd_sbm_experiment(args) -> int:
     g = problem.graph
     out = Path(args.out)
     result, cluster = _solve(problem, EXPERIMENT_ITERS, 0.5, out)
-    in_cluster = np.zeros(g.n, dtype=bool)
-    in_cluster[cluster.cluster - 1] = True
-    in_block = np.zeros(g.n, dtype=bool)
-    in_block[blocks[0] - 1] = True
+    in_cluster = gc._node_mask(cluster.cluster, g.n)
+    in_block = gc._node_mask(blocks[0], g.n)
     _write_lines(out / "signal.csv", _signal_csv_lines(result.x))
     gc.write_node_set(out / "cluster.txt", cluster.cluster)
     _write_lines(out / "accuracy.txt", cert._key_value_lines({
@@ -222,10 +220,8 @@ def _cmd_segment(args) -> int:
     problem = obj.NLassoProblem(g, seeds, args.alpha, args.lam)
     out = Path(args.out)
     result, cluster = _solve(problem, args.iters, args.threshold, out)
-    mask = np.zeros(g.n, dtype=np.uint8)
-    mask[cluster.cluster - 1] = 255
-    gen.write_pgm(out / "mask.pgm",
-                  gen.GreyImage(img.width, img.height, mask))
+    mask = 255 * gc._node_mask(cluster.cluster, g.n)
+    gen.write_pgm(out / "mask.pgm", gen.GreyImage(img.width, img.height, mask))
     _write_lines(out / "signal.csv", _signal_csv_lines(result.x))
     return 0
 

@@ -197,8 +197,7 @@ class GreyImage:
         width, height = (_whole(getattr(self, name), name, low=1)
                          for name in ("width", "height"))
         px = np.asarray(self.pixels)
-        if not _numeric(px):
-            raise ValueError(f"pixels must hold real numbers, got dtype {px.dtype}")
+        _numeric(px, "pixels", self.pixels)
         if px.size != width * height:
             raise ValueError(f"pixel count {px.size} != width*height {width * height}")
         ok = (px >= 0) & (px <= 255) & (px == np.floor(px))

@@ -8,11 +8,15 @@ the lexicographic order of the stored (i, j) pairs.  That edge order fixes
 the indexing of every flow vector in the package.
 
 `build_graph` takes (i, j, w) triples or an (m, 3) array, and every node
-id anywhere in the package passes one check: finite, integral, in 1..n.
-Every numeric parameter passes _real or _whole: a real number, not a bool,
-in its range, stored as a Python float or int.  Every array passes
-_numeric: int, float or big-int entries.  _as_vector applies it before it
-makes a signal, flow, vector or weight column float64.
+id anywhere in the package passes one check, as_node_ids: finite,
+integral, in 1..n.  _node_mask turns ids that pass it into the boolean
+indicator over nodes 1..n, the one membership array that boundaries, seed
+containment and cluster certificates are read from.  Every numeric
+parameter passes _real or _whole: a real number, not a bool, in its range,
+stored as a Python float or int.  Every array passes _numeric: int, float
+or big-int entries, and no bool, not even one inside a list of numbers.
+_as_vector applies it before it makes a signal, flow, vector or weight
+column float64.
 """
 
 from __future__ import annotations
@@ -82,13 +86,13 @@ def _node_count(n) -> int:
     return count
 
 
-def _node_ids(arr: np.ndarray, n: int) -> np.ndarray:
+def _node_ids(arr: np.ndarray, n: int, given=None) -> np.ndarray:
     """Return `arr` as int64; raise InvalidNode naming the first not an integer in 1..n.
 
-    `n` is a node count that passed _node_count.
+    `n` is a node count that passed _node_count, and `given` what `arr` was
+    made from (see _numeric).
     """
-    if not _numeric(arr):
-        raise InvalidNode(f"node ids must be numbers, got dtype {arr.dtype}")
+    _numeric(arr, "node ids", given, InvalidNode)
     ok = (arr >= 1) & (arr <= n)
     if arr.dtype.kind == "f":
         # the comparison rounds n up to 2**63, which int64 cannot hold
@@ -102,11 +106,25 @@ def _node_ids(arr: np.ndarray, n: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _numeric(arr: np.ndarray) -> bool:
-    """True for an array of numbers: of an integer or float dtype, or of
-    ints alone, as np.asarray keeps a list that holds an int past int64."""
-    return arr.dtype.kind in "iuf" or arr.dtype == object and all(
-        isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in arr.flat)
+def _numeric(arr: np.ndarray, what: str, given=None, error=ValueError) -> None:
+    """Raise `error` saying `what` must hold real numbers unless `arr` is an
+    array of numbers: of an integer or float dtype, or of ints alone, as
+    np.asarray keeps a list that holds an int past int64.
+
+    A bool is no number.  np.asarray makes one in a list of numbers a number
+    too, so a list or tuple `given`, the input `arr` was made from, that
+    holds a bool (Python's or numpy's) fails as an array of dtype bool.
+    """
+    dtype = arr.dtype
+    if dtype.kind in "iuf":
+        if not isinstance(given, (list, tuple)) or not any(
+                isinstance(v, (bool, np.bool_)) for v in np.asarray(given, dtype=object).flat):
+            return
+        dtype = np.dtype(bool)
+    elif dtype == object and all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in arr.flat):
+        return
+    raise error(f"{what} must hold real numbers, got dtype {dtype}")
 
 
 def _at_entry(exc: _InputError, index) -> _InputError:
@@ -126,19 +144,28 @@ def as_node_ids(ids, n: int) -> np.ndarray:
     """
     n = _node_count(n)
     try:
-        ids = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+        given = ids if isinstance(ids, np.ndarray) else list(ids)
+        ids = np.asarray(given)
     except (TypeError, ValueError):
         # not iterable, or ragged
         raise InvalidNode(f"node ids must be a flat list, got {reprlib.repr(ids)}") from None
     if ids.ndim != 1:
         raise InvalidNode(f"node ids must be a flat list, got shape {ids.shape}")
-    ids = _node_ids(ids, n)
+    ids = _node_ids(ids, n, given)
     arr = np.sort(ids)
     if arr.size > 1 and np.any(arr[1:] == arr[:-1]):
         dup = arr[1:][arr[1:] == arr[:-1]][0]
         # named at its second entry, the one that repeats it
         raise _at_entry(InvalidNode(f"duplicate node id {dup}"), np.flatnonzero(ids == dup)[1])
     return arr
+
+
+def _node_mask(ids, n: int) -> np.ndarray:
+    """The boolean indicator over nodes 1..n of `ids`, which pass as_node_ids."""
+    ids = as_node_ids(ids, n)
+    mask = np.zeros(n, dtype=bool)
+    mask[ids - 1] = True
+    return mask
 
 
 class Graph:
@@ -213,21 +240,27 @@ def build_graph(n: int, edge_list) -> Graph:
     ValueError
         If the weights are not numbers within the float range (see _as_vector).
     InvalidNode, InvalidEdge, DuplicateEdge, InvalidWeight
-        Each is one test over all edges, run in the order shape, ids,
-        self-loops, weights, duplicates; the first offending edge of the
+        Each is one test over all edges, run in the order shape, numbers
+        (InvalidEdge, unless numpy keeps the list as objects: then the ids
+        and the weights are checked apart), ids, self-loops, weights,
+        duplicates; the first offending edge of the
         first failing test is reported, a duplicate at its later copy,
         with its row (see _at_entry).  Last, InvalidWeight names the
         first node whose weighted degree overflows to inf.
     """
     n = _node_count(n)
     try:
-        arr = np.asarray(edge_list if isinstance(edge_list, np.ndarray) else list(edge_list))
+        given = edge_list if isinstance(edge_list, np.ndarray) else list(edge_list)
+        arr = np.asarray(given)
     except (TypeError, ValueError):
         raise InvalidEdge("edges must be (i, j, w) triples of equal length") from None
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise InvalidEdge(f"edges must be (i, j, w) triples, got shape {arr.shape}")
+    if arr.dtype != object:
+        # a list of ids and weights alike; objects are checked per column below
+        _numeric(arr, "edges", given, InvalidEdge)
     ij = _node_ids(arr[:, :2], n)
     i, j = ij[:, 0], ij[:, 1]
     loops = np.flatnonzero(i == j)
@@ -260,9 +293,8 @@ def build_graph(n: int, edge_list) -> Graph:
 def _as_vector(x, size: int | None = None, what: str = "node signal") -> np.ndarray:
     """Return `x` as float64 of shape (size,), or 1-d for no size; raise ValueError
     naming `what` unless it holds numbers (see _numeric) within the float range."""
-    x = np.asarray(x)
-    if not _numeric(x):
-        raise ValueError(f"{what} must hold real numbers, got dtype {x.dtype}")
+    given, x = x, np.asarray(x)
+    _numeric(x, what, given)
     try:
         x = x.astype(np.float64, copy=False)
     except OverflowError:
@@ -298,9 +330,7 @@ def boundary(g: Graph, cluster) -> np.ndarray:
     Both orientations count: (i, j) is a boundary edge whenever membership
     differs across it, regardless of which endpoint is inside.
     """
-    ids = as_node_ids(cluster, g.n)
-    mask = np.zeros(g.n, dtype=bool)
-    mask[ids - 1] = True
+    mask = _node_mask(cluster, g.n)
     return np.flatnonzero(mask[g.src] != mask[g.dst])
 
 
@@ -393,31 +423,27 @@ def read_edge_list(path) -> Graph:
     The node count is the largest id seen, which may not exceed the file's
     size in bytes (see _inferred_n).
 
-    A file without any `#` is parsed in C by one np.loadtxt call, with
-    int64 ids and float64 weights.  Every other file, and every file that
-    loadtxt declines (a ValueError, as for `1_0` or an id beyond int64, or
-    no data), goes through the line parser: it accepts what int() and
-    float() accept.  Both read UTF-8 text with universal newlines and give
-    the same graph for the same triples.  Every error of an edge names
+    One np.loadtxt call parses the file in C, with int64 ids and float64
+    weights.  Every file that it declines (a ValueError, as for any `#`,
+    for `1_0` or an id beyond int64, or no data) goes through the line
+    parser: it accepts what int() and float() accept.  Both read UTF-8
+    text with universal newlines and give the same graph for the same
+    triples.  Every error of an edge names
     `path:lineno` of its line (a duplicate edge at its later copy), and
     an overflowing weighted degree names `path`.
     """
-    with open(os.fspath(path), "rb") as fh:
-        plain = b"#" not in fh.read()
-        size = fh.tell()
-    if plain:
+    with open(os.fspath(path), encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
         try:
-            with open(os.fspath(path), encoding="utf-8") as fh, warnings.catch_warnings():
+            with warnings.catch_warnings():
                 # loadtxt warns, and returns nothing, on a file with no data
                 warnings.simplefilter("error")
-                rows = np.loadtxt(fh, dtype=_EDGE_ROW, ndmin=1)
+                rows = np.loadtxt(fh, dtype=_EDGE_ROW, ndmin=1, comments=None)
         except (ValueError, Warning):
-            pass
-        else:
-            n = _inferred_n(max(rows["i"].max(), rows["j"].max()), size)
-            with _named_lines(path):
-                return build_graph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
-    return _read_edge_lines(path, size)
+            return _read_edge_lines(path, size)
+    n = _inferred_n(max(rows["i"].max(), rows["j"].max()), size)
+    with _named_lines(path):
+        return build_graph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
 
 
 def _read_edge_lines(path, size: int) -> Graph:

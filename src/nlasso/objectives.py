@@ -55,8 +55,8 @@ class NLassoProblem:
     seed_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        seeds = gc.as_node_ids(self.seeds, self.graph.n)
-        if seeds.size == 0:
+        mask = gc._node_mask(self.seeds, self.graph.n)
+        if not mask.any():
             raise ValueError("seed set must be non-empty")
         for name in ("alpha", "lam"):
             object.__setattr__(self, name, gc._real(getattr(self, name), name, *gc._POSITIVE))
@@ -72,8 +72,7 @@ class NLassoProblem:
             raise ValueError(f"weights too large for a meaningful duality gap: lam {self.lam} "
                              f"times weighted degree {g.weighted_degree[i]} at node {i + 1} "
                              f"exceeds 2**52")
-        mask = np.zeros(self.graph.n, dtype=bool)
-        mask[seeds - 1] = True
+        seeds = np.flatnonzero(mask) + 1
         mask.flags.writeable = False
         seeds.flags.writeable = False
         object.__setattr__(self, "seeds", seeds)

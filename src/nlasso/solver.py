@@ -206,7 +206,9 @@ class SolverConfig:
     row's duality gap is at most gap_tolerance; check_interval 0 checks
     nothing and gap_tolerance 0 never stops early.  The iteration count and
     the interval are whole numbers, stored as int; gap_tolerance is a
-    finite, non-negative real number (not a bool), stored as float.
+    finite, non-negative real number (not a bool), stored as float.  A
+    positive gap_tolerance needs a positive check_interval, as only a check
+    computes the gap.
     """
 
     max_iters: int = 1000
@@ -218,6 +220,9 @@ class SolverConfig:
             object.__setattr__(self, name, _whole(getattr(self, name), name, low))
         object.__setattr__(self, "gap_tolerance", _real(
             self.gap_tolerance, "gap_tolerance", 0.0, _MAX, "finite and non-negative"))
+        if self.gap_tolerance > 0.0 and self.check_interval == 0:
+            raise ValueError(f"gap_tolerance {self.gap_tolerance} needs a check_interval "
+                             "above 0: only a check computes the gap")
 
 
 class HistoryRecord(NamedTuple):

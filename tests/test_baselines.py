@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlasso import Disconnected, IsolatedNode, NoConvergence, baselines, build_graph
+from nlasso import Disconnected, InvalidNode, IsolatedNode, NoConvergence, baselines, build_graph
 from nlasso.baselines import (
     NORMALIZED,
     UNNORMALIZED,
@@ -209,3 +209,6 @@ def test_indicator_error_values():
     err = indicator_error(np.zeros(10), [1, 2, 3, 4])
     assert err.l2 == 2.0
     assert err.linf == 1.0
+    # the cluster ids are checked against the signal's length
+    with pytest.raises(InvalidNode, match=r"node id 11 is not an integer in 1\.\.10"):
+        indicator_error(np.zeros(10), [1, 11])

@@ -150,8 +150,10 @@ def test_reach_bound_empty_boundary():
     g = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
     p = NLassoProblem(g, [2], 0.5, 0.4)
     c = extract_cluster(np.array([0.9, 0.9, 0.9]), 0.5, seeds=p.seeds)
-    for bound in (1, 5, 1000):
+    for bound in (0, 1, 5, 1000):
         assert reach_bound_check(p, c, bound)
+    # an empty cluster has no boundary either
+    assert reach_bound_check(p, extract_cluster(np.zeros(3)), 0)
 
 
 def test_delivered_clusters_satisfy_conditions(rng):

@@ -317,7 +317,7 @@ def test_grey_image_validation():
             GreyImage(2, 1, [0, bad])
     # bools, strings, Nones and complex numbers are not grey values: numpy
     # compares a bool with numbers as 0/1, and the others with a TypeError
-    for bad in ([True, False], ["0", "1"], [None, 0], [1j, 0]):
+    for bad in ([True, False], [True, 0], ["0", "1"], [None, 0], [1j, 0]):
         with pytest.raises(ValueError, match="pixels must hold real numbers"):
             GreyImage(2, 1, bad)
     assert GreyImage(2, 1, [0.0, 255.0]).pixels.tolist() == [[0, 255]]

@@ -56,14 +56,19 @@ def test_build_rejects_nonpositive_weight(w):
         build_graph(2, [(1, 2, w)])
 
 
-@pytest.mark.parametrize("w, message", [
-    (None, "must hold real numbers, got dtype object"),
-    ({}, "must hold real numbers, got dtype object"),
-    (10 ** 400, "holds an integer past the float range"),
-], ids=["none", "dict", "int-past-float"])
-def test_build_rejects_weights_that_are_not_numbers(w, message):
-    # the ids are ints, so numpy keeps the triple as objects
-    with pytest.raises(ValueError, match=f"weight column {message}"):
+@pytest.mark.parametrize("w, error, message", [
+    # the ids are ints, so numpy keeps these triples as objects, checked per column
+    (None, ValueError, "weight column must hold real numbers, got dtype object"),
+    ({}, ValueError, "weight column must hold real numbers, got dtype object"),
+    (10 ** 400, ValueError, "weight column holds an integer past the float range"),
+    # numpy gives these triples the weight's dtype, so the edge list as a whole fails
+    (1j, InvalidEdge, "edges must hold real numbers, got dtype complex128"),
+    ("x", InvalidEdge, "edges must hold real numbers, got dtype <U21"),
+    # numpy makes the bool a number, but it is none
+    (True, InvalidEdge, "edges must hold real numbers, got dtype bool"),
+], ids=["none", "dict", "int-past-float", "complex", "str", "bool"])
+def test_build_rejects_weights_that_are_not_numbers(w, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         build_graph(2, [(1, 2, w)])
 
 

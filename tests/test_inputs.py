@@ -93,7 +93,7 @@ _TINY = math.ulp(0.0)
 PARAMETERS = {
     "max_iters": (lambda v: SolverConfig(max_iters=v), 0),
     "check_interval": (lambda v: SolverConfig(check_interval=v), -1),
-    "gap_tolerance": (lambda v: SolverConfig(gap_tolerance=v), -_TINY),
+    "gap_tolerance": (lambda v: SolverConfig(check_interval=1, gap_tolerance=v), -_TINY),
     "alpha": (lambda v: NLassoProblem(_CHAIN, [1], v, 0.5), 0.0),
     "lam": (lambda v: NLassoProblem(_CHAIN, [1], 0.25, v), 0.0),
     "tol": (lambda v: fiedler_vector(_CHAIN, UNNORMALIZED, tol=v), 0.0),
@@ -182,8 +182,9 @@ def test_numpy_scalars_are_stored_as_python_numbers():
         3.0, 2.0]
 
 
-@pytest.mark.parametrize("block", [[1.5, 2.7, 3.2], [1, 1, 1], [-1, 0, 2], ["1", "2"]],
-                         ids=["fractional", "duplicate", "non-positive", "strings"])
+@pytest.mark.parametrize("block", [[1.5, 2.7, 3.2], [1, 1, 1], [-1, 0, 2], ["1", "2"],
+                                   [True, 2, 3]],
+                         ids=["fractional", "duplicate", "non-positive", "strings", "bool"])
 def test_sample_seeds_rejects_bad_block_ids(block):
     with pytest.raises(InvalidNode):
         sample_seeds(block, 2)
@@ -231,6 +232,11 @@ NOT_REAL = {
     "None in signal": (lambda: primal_objective(_PROBLEM, [1, None, 0]), "node signal"),
     "bool signal": (lambda: extract_cluster(np.array([True, False, True])), "node signal"),
     "str signal": (lambda: total_variation(_CHAIN, ["1", "0", "0"]), "node signal"),
+    # numpy makes a bool among numbers a number: 1 here, and 1.0 below
+    "bool in signal list": (lambda: primal_objective(_PROBLEM, [True, 0, 0]),
+                            "node signal must hold real numbers, got dtype bool"),
+    "numpy bool in flow tuple": (lambda: divergence(_CHAIN, (0.5, np.True_)),
+                                 "edge flow must hold real numbers, got dtype bool"),
     "dict flow": (lambda: divergence(_CHAIN, {}), "edge flow"),
     "int past the float range": (lambda: fiedler_value(_CHAIN, [10 ** 400, 0, 0]),
                                  "node signal holds an integer past the float range"),

@@ -40,13 +40,17 @@ def test_config_validation():
                 {"gap_tolerance": np.array(1e-3)}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # a tolerance without checks would never be compared with a gap
+    for interval in ({}, {"check_interval": 0}):
+        with pytest.raises(ValueError, match="gap_tolerance 0.001 needs a check_interval"):
+            SolverConfig(max_iters=50, gap_tolerance=1e-3, **interval)
     cfg = SolverConfig()
     assert (cfg.max_iters, cfg.check_interval, cfg.gap_tolerance) == (1000, 0, 0.0)
     cfg = SolverConfig(max_iters=20.0, check_interval=np.int64(5), gap_tolerance=1e-3)
     assert (cfg.max_iters, cfg.check_interval) == (20, 5)
     assert all(type(v) is int for v in (cfg.max_iters, cfg.check_interval))
     for tol in (0, 1, np.float32(0.5), np.int64(2)):
-        cfg = SolverConfig(gap_tolerance=tol)
+        cfg = SolverConfig(check_interval=1, gap_tolerance=tol)
         assert type(cfg.gap_tolerance) is float and cfg.gap_tolerance == tol
 
 
