@@ -59,7 +59,6 @@ from .graph import (
     divergence,
     incidence_apply,
     is_connected,
-    isolated_nodes,
     read_edge_list,
     read_node_set,
     write_node_set,

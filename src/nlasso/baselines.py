@@ -191,4 +191,5 @@ def indicator_error(x, cluster) -> IndicatorError:
     """Norms of x minus the 0/1 indicator of the cluster; x is 1-d."""
     x = gc._as_vector(x)
     err = x - gc._node_mask(cluster, x.size)
-    return IndicatorError(l2=float(np.linalg.norm(err)), linf=float(np.max(np.abs(err))))
+    return IndicatorError(l2=float(np.linalg.norm(err)),
+                          linf=float(np.max(np.abs(err), initial=0.0)))

@@ -21,7 +21,7 @@ lam * boundary_weight <= U alpha / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,15 +49,8 @@ def _key_value_lines(values: dict) -> list[str]:
     return [f"{key} = {_format_value(value)}" for key, value in values.items()]
 
 
-class _Report:
-    """Base of the reports: `as_lines` writes one line per field, in field order."""
-
-    def as_lines(self) -> list[str]:
-        return _key_value_lines(asdict(self))
-
-
 @dataclass(frozen=True)
-class KKTReport(_Report):
+class KKTReport:
     """Residuals of the four optimality conditions.
 
     seed_demand_residual and nonseed_demand_residual are max norms of the
@@ -80,7 +73,7 @@ class KKTReport(_Report):
 
 
 @dataclass(frozen=True)
-class BoundaryConditionReport(_Report):
+class BoundaryConditionReport:
     """Necessary-condition slacks for a delivered cluster."""
 
     boundary_weight: float

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -76,24 +77,23 @@ def _signal_csv_lines(x, limit: int | None = None):
 
 
 def _certificate_lines(problem, result, cluster, reach_bound=None):
-    lines = cert._key_value_lines({
+    values = {
         "alpha": problem.alpha,
         "lambda": problem.lam,
         "iterations": result.iters_run,
         "threshold": cluster.threshold,
         "cluster_size": cluster.cluster.size,
         "duality_gap": obj.duality_gap(problem, result.x, result.y),
-    })
-    lines += cert.kkt_residuals(problem, result.x, result.y).as_lines()
+        **asdict(cert.kkt_residuals(problem, result.x, result.y)),
+    }
     if not cluster.contains_seeds:
-        return lines + cert._key_value_lines({"seeds_in_cluster": False})
-    lines += cert.boundary_conditions(problem, cluster, result.x).as_lines()
-    if reach_bound is not None:
-        lines += cert._key_value_lines({
-            "reach_bound_max_outside": reach_bound,
-            "reach_bound_holds": cert.reach_bound_check(problem, cluster, reach_bound),
-        })
-    return lines
+        values["seeds_in_cluster"] = False
+    else:
+        values |= asdict(cert.boundary_conditions(problem, cluster, result.x))
+        if reach_bound is not None:
+            values["reach_bound_max_outside"] = reach_bound
+            values["reach_bound_holds"] = cert.reach_bound_check(problem, cluster, reach_bound)
+    return cert._key_value_lines(values)
 
 
 def _parse_manifest(path: Path) -> dict:

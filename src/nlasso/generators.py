@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CountTooLarge, InvalidOverride, PgmError
-from .graph import (_INT64_MAX, Graph, _atomic_open, _node_count, _numeric, _real, _whole,
-                    as_node_ids, build_graph)
+from .graph import (_INT64_MAX, Graph, _as_array, _atomic_open, _node_count, _numeric, _real,
+                    _whole, as_node_ids, build_graph)
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -196,7 +196,7 @@ class GreyImage:
     def __post_init__(self):
         width, height = (_whole(getattr(self, name), name, low=1)
                          for name in ("width", "height"))
-        px = np.asarray(self.pixels)
+        px = _as_array(self.pixels, "pixels")
         _numeric(px, "pixels", self.pixels)
         if px.size != width * height:
             raise ValueError(f"pixel count {px.size} != width*height {width * height}")

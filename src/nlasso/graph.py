@@ -9,9 +9,9 @@ the indexing of every flow vector in the package.
 
 `build_graph` takes (i, j, w) triples or an (m, 3) array, and every node
 id anywhere in the package passes one check, as_node_ids: finite,
-integral, in 1..n.  _node_mask turns ids that pass it into the boolean
-indicator over nodes 1..n, the one membership array that boundaries, seed
-containment and cluster certificates are read from.  Every numeric
+integral, in 1..n, for any n >= 0.  _node_mask turns ids that pass it
+into the boolean indicator over nodes 1..n, the one membership array
+that boundaries, seed containment and cluster certificates are read from.  Every numeric
 parameter passes _real or _whole: a real number, not a bool, in its range,
 stored as a Python float or int.  Every array passes _numeric: int, float
 or big-int entries, and no bool, not even one inside a list of numbers.
@@ -73,14 +73,16 @@ def _real(value, what: str, lo: float = -_MAX, hi: float = _MAX, rule: str = "fi
     raise ValueError(f"{what} must be {rule}, got {value!r}")
 
 
-def _node_count(n) -> int:
-    """Return `n` as an int; raise InvalidNode unless it is a whole number in 1..2**63-1."""
+def _node_count(n, low: int = 1) -> int:
+    """Return `n` as an int; raise InvalidNode unless it is a whole number in
+    low..2**63-1, where `low` is 1 for a graph and 0 for a signal's nodes."""
     try:
         count = _whole(n, "node count")
     except ValueError:
         raise InvalidNode(f"node count must be a whole number, got {n!r}") from None
-    if count < 1:
-        raise InvalidNode(f"node count must be positive, got {count}")
+    if count < low:
+        rule = "positive" if low else "non-negative"
+        raise InvalidNode(f"node count must be {rule}, got {count}")
     if count > _INT64_MAX:
         raise InvalidNode(f"node count {count} exceeds int64")
     return count
@@ -140,9 +142,10 @@ def as_node_ids(ids, n: int) -> np.ndarray:
 
     Returns a sorted array of unique int64 ids.  Raises InvalidNode for
     ids not in one flat list, for non-integer, out-of-range or duplicate
-    entries, and for an n that is not a whole number in 1..2**63-1.
+    entries, and for an n that is not a whole number in 0..2**63-1: a
+    signal with no nodes holds no ids.
     """
-    n = _node_count(n)
+    n = _node_count(n, low=0)
     try:
         given = ids if isinstance(ids, np.ndarray) else list(ids)
         ids = np.asarray(given)
@@ -290,10 +293,19 @@ def build_graph(n: int, edge_list) -> Graph:
     return g
 
 
+def _as_array(x, what: str) -> np.ndarray:
+    """np.asarray(x); raise ValueError naming `what` if x is ragged, which
+    numpy rejects in words that name no argument."""
+    try:
+        return np.asarray(x)
+    except ValueError:
+        raise ValueError(f"{what} must not be ragged, got {reprlib.repr(x)}") from None
+
+
 def _as_vector(x, size: int | None = None, what: str = "node signal") -> np.ndarray:
     """Return `x` as float64 of shape (size,), or 1-d for no size; raise ValueError
     naming `what` unless it holds numbers (see _numeric) within the float range."""
-    given, x = x, np.asarray(x)
+    given, x = x, _as_array(x, what)
     _numeric(x, what, given)
     try:
         x = x.astype(np.float64, copy=False)
@@ -334,15 +346,10 @@ def boundary(g: Graph, cluster) -> np.ndarray:
     return np.flatnonzero(mask[g.src] != mask[g.dst])
 
 
-def isolated_nodes(g: Graph) -> np.ndarray:
-    """1-based ids of nodes with no incident edge."""
-    return np.flatnonzero(g.degree == 0) + 1
-
-
 def _reject_isolated(g: Graph, reason: str) -> None:
     """Raise IsolatedNode naming g's first node of degree 0, and `reason`."""
-    if (bad := isolated_nodes(g)).size:
-        raise IsolatedNode(f"node {int(bad[0])} has degree 0; {reason}")
+    if (bad := np.flatnonzero(g.degree == 0)).size:
+        raise IsolatedNode(f"node {int(bad[0]) + 1} has degree 0; {reason}")
 
 
 def is_connected(g: Graph) -> bool:
@@ -441,8 +448,8 @@ def read_edge_list(path) -> Graph:
                 rows = np.loadtxt(fh, dtype=_EDGE_ROW, ndmin=1, comments=None)
         except (ValueError, Warning):
             return _read_edge_lines(path, size)
-    n = _inferred_n(max(rows["i"].max(), rows["j"].max()), size)
     with _named_lines(path):
+        n = _inferred_n(np.maximum(rows["i"], rows["j"]), size)
         return build_graph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
 
 
@@ -460,25 +467,28 @@ def _read_edge_lines(path, size: int) -> Graph:
         triples.append((i, j, w))
     if not triples:
         raise InvalidEdge(f"{path}: no edges")
-    n = _inferred_n(max(max(i, j) for i, j, _ in triples), size)
     with _named_lines(path):
+        n = _inferred_n(np.array([max(i, j) for i, j, _ in triples]), size)
         return build_graph(n, triples)
 
 
-def _inferred_n(largest, size: int):
-    """The node count of an edge-list file of `size` bytes.
+def _inferred_n(row_max: np.ndarray, size: int):
+    """The node count of an edge-list file of `size` bytes, given the larger
+    id of each edge (object dtype if one is beyond int64).
 
-    It is the largest id.  An id above `size` is rejected here, before
-    anything of length n is allocated, so the node arrays stay within a
-    small multiple of the file the reader already holds, whatever one
-    stray id says.  Every edge line takes at least 6 bytes, so a graph
-    with no isolated node always passes.  An id beyond int64 is left to
-    build_graph, which rejects it as not a number; the count is then
-    2**63-1.
+    It is the largest id.  An id above `size` is rejected here, at the
+    first edge that holds it (see _at_entry), before anything of length n
+    is allocated, so the node arrays stay within a small multiple of the
+    file the reader already holds, whatever one stray id says.  Every
+    edge line takes at least 6 bytes, so a graph with no isolated node
+    always passes.  An id beyond int64 is left to build_graph, which
+    rejects it as not a number; the count is then 2**63-1.
     """
+    largest = row_max.max()
     if size < largest <= _INT64_MAX:
-        raise InvalidNode(f"node id {largest} exceeds the file's size of {size} bytes, "
-                          f"so most nodes up to it would be on no edge")
+        raise _at_entry(InvalidNode(f"node id {largest} exceeds the file's size of {size} "
+                                    "bytes, so most nodes up to it would be on no edge"),
+                        np.argmax(row_max))
     return min(largest, _INT64_MAX)
 
 

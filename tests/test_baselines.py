@@ -212,3 +212,6 @@ def test_indicator_error_values():
     # the cluster ids are checked against the signal's length
     with pytest.raises(InvalidNode, match=r"node id 11 is not an integer in 1\.\.10"):
         indicator_error(np.zeros(10), [1, 11])
+    # an empty signal with an empty cluster has no error
+    err = indicator_error([], [])
+    assert err == (0.0, 0.0) and type(err.linf) is float

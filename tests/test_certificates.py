@@ -1,9 +1,11 @@
 import itertools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from nlasso import (
+    InvalidNode,
     KKTReport,
     NLassoProblem,
     SeedsOutsideCluster,
@@ -15,6 +17,7 @@ from nlasso import (
     reach_bound_check,
     run,
 )
+from nlasso.certificates import _key_value_lines
 from oracle import exact_tree_optimum, random_tree
 
 
@@ -35,6 +38,10 @@ def test_extract_reports_seed_containment():
     assert extract_cluster(x, seeds=[1, 3]).contains_seeds is True
     assert extract_cluster(x, seeds=[2]).contains_seeds is False
     assert extract_cluster(x).contains_seeds is None
+    # an empty signal holds no node, so a seed is out of range, not the count
+    assert extract_cluster([], seeds=[]).contains_seeds is True
+    with pytest.raises(InvalidNode, match=r"^node id 1 is not an integer in 1\.\.0$"):
+        extract_cluster([], 0.5, seeds=[1])
 
 
 def test_extract_monotone_in_threshold(rng):
@@ -94,7 +101,7 @@ def test_kkt_max_residual_reports_nan():
 
 def test_kkt_report_serialization(chain_problem):
     report = kkt_residuals(chain_problem, np.zeros(100), np.zeros(99))
-    lines = report.as_lines()
+    lines = _key_value_lines(asdict(report))
     assert "seed_demand_residual = 1.0" in lines
     assert "capacity_ok = true" in lines
 

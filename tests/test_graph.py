@@ -10,17 +10,17 @@ from nlasso import (
     InvalidEdge,
     InvalidNode,
     InvalidWeight,
+    IsolatedNode,
     boundary,
     build_graph,
     divergence,
     incidence_apply,
     is_connected,
-    isolated_nodes,
     read_edge_list,
     read_node_set,
     write_node_set,
 )
-from nlasso.graph import as_node_ids
+from nlasso.graph import _reject_isolated, as_node_ids
 from oracle import random_connected_graph
 
 
@@ -228,7 +228,8 @@ def test_boundary_rejects_bad_ids(house_graph):
 
 def test_isolated_and_connected():
     g = build_graph(4, [(1, 2, 1.0), (2, 3, 1.0)])
-    assert isolated_nodes(g).tolist() == [4]
+    with pytest.raises(IsolatedNode, match="^node 4 has degree 0; no neighbour$"):
+        _reject_isolated(g, "no neighbour")
     assert not is_connected(g)
     assert is_connected(build_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]))
     assert is_connected(build_graph(1, []))
@@ -384,9 +385,15 @@ EDGE_FILES = {
     "id-beyond-int64": (b"1 99999999999999999999 0.5\n",
                         (InvalidNode, "{path}:1: node id 99999999999999999999 is not an "
                                       "integer in 1..9223372036854775807")),
+    # named at the first line that holds the largest id
     "id-beyond-file-size": (b"2 9000000000 1.0\n",
-                            (InvalidNode, "node id 9000000000 exceeds the file's size of "
-                                          "17 bytes, so most nodes up to it would be on no edge")),
+                            (InvalidNode, "{path}:1: node id 9000000000 exceeds the file's size "
+                                          "of 17 bytes, so most nodes up to it would be on no "
+                                          "edge")),
+    "id-beyond-file-size-after-comment": (
+        b"# header\n1 2 1.0\n\n9000000000 3 1.0\n2 9000000000 1.0\n",
+        (InvalidNode, "{path}:4: node id 9000000000 exceeds the file's size of 52 bytes, "
+                      "so most nodes up to it would be on no edge")),
 }
 
 

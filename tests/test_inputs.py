@@ -63,7 +63,6 @@ from nlasso import (
     incidence_apply,
     indicator_error,
     is_connected,
-    isolated_nodes,
     kkt_residuals,
     laplacian,
     primal_objective,
@@ -240,6 +239,13 @@ NOT_REAL = {
     "dict flow": (lambda: divergence(_CHAIN, {}), "edge flow"),
     "int past the float range": (lambda: fiedler_value(_CHAIN, [10 ** 400, 0, 0]),
                                  "node signal holds an integer past the float range"),
+    # numpy's own message for a ragged list names no argument
+    "ragged signal": (lambda: primal_objective(_PROBLEM, [[1, 2], [3]]),
+                      re.escape("node signal must not be ragged, got [[1, 2], [3]]")),
+    "ragged flow": (lambda: kkt_residuals(_PROBLEM, np.ones(3), [[0.1], [0.2, 0.3]]),
+                    re.escape("edge flow must not be ragged, got [[0.1], [0.2, 0.3]]")),
+    "ragged pixels": (lambda: GreyImage(2, 1, [[1], [2, 3]]),
+                      re.escape("pixels must not be ragged, got [[1], [2, 3]]")),
 }
 
 
@@ -320,7 +326,6 @@ PUBLIC_CALLS = {
     "divergence": (divergence, "OV", (_CHAIN, np.zeros(2))),
     "incidence_apply": (incidence_apply, "OV", (_CHAIN, np.zeros(3))),
     "is_connected": (is_connected, "O", (_CHAIN,)),
-    "isolated_nodes": (isolated_nodes, "O", (_CHAIN,)),
     "read_edge_list": (read_edge_list, "P", ("edges.txt",)),
     "read_node_set": (read_node_set, "PV", ("nodes.txt", 3)),
     "write_node_set": (write_node_set, "PV", ("out.txt", [1])),

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from nlasso import (
     total_variation,
 )
 from nlasso.baselines import laplacian
+from nlasso.certificates import _key_value_lines
 from oracle import exact_tree_optimum, random_connected_graph, random_tree
 
 
@@ -61,7 +63,8 @@ def test_problem_stores_parameters_as_floats():
             assert type(value) is float and value == expected
         # the whole chain is the cluster: lhs is lam times a boundary weight of 0
         x = np.ones(g.n)
-        lines = boundary_conditions(p, extract_cluster(x, 0.5, seeds=p.seeds), x).as_lines()
+        report = boundary_conditions(p, extract_cluster(x, 0.5, seeds=p.seeds), x)
+        lines = _key_value_lines(asdict(report))
         assert lines[:2] == ["boundary_weight = 0.0", "lhs = 0.0"]
     assert NLassoProblem(g, [1], 1, 2).alpha == 1.0
 

@@ -1,13 +1,16 @@
 import dataclasses
+import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import nlasso
-from nlasso import Graph, errors, generators, graph, objectives, solver
+from nlasso import Graph, certificates, errors, generators, graph, objectives, solver
 
 PUBLIC = {
     # graph
     "Graph", "boundary", "build_graph", "divergence", "incidence_apply",
-    "is_connected", "isolated_nodes", "read_edge_list", "read_node_set",
+    "is_connected", "read_edge_list", "read_node_set",
     "write_node_set",
     # objectives
     "NLassoProblem", "conjugate_f", "conjugate_g_feasible", "duality_gap",
@@ -44,7 +47,8 @@ SIGNATURES = {
 # edge-list writer, which nothing but tests called; the solver's own byte
 # compare and slot-order read-out, folded into its kernels' same_state and
 # arrays; the PGM byte lexer, now one regular expression, and the id-set
-# check in front of as_node_ids
+# check in front of as_node_ids; isolated_nodes, which only the isolated-node
+# check called, and the reports' line writer, which only certificates.txt used
 REMOVED = {
     objectives: ("star_augmented_flow", "dual_objective", "dual_feasibility",
                  "DualFeasibilityReport", "_as_augmented_flow", "laplacian_quadratic"),
@@ -52,7 +56,9 @@ REMOVED = {
     solver: ("step", "init_state", "SolverState", "_same_bits"),
     solver._Kernel: ("edge_flow",),
     Graph: ("out_neighbors", "in_neighbors", "neighbors", "_check_node"),
-    graph: ("write_edge_list", "_id_set"),
+    graph: ("write_edge_list", "_id_set", "isolated_nodes"),
+    certificates: ("_Report",),
+    certificates.KKTReport: ("as_lines",),
     generators: ("_pgm_tokens",),
 }
 
@@ -75,3 +81,26 @@ def test_trimmed_signatures_are_pinned():
         assert str(inspect.signature(func)) == signature, func.__name__
     names = [f.name for f in dataclasses.fields(nlasso.SolverConfig)]
     assert names == ["max_iters", "check_interval", "gap_tolerance"]
+
+
+def _benchmark_tracer():
+    """perfbench/tracer.py, loaded from its file without installing it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_names_the_benchmark_traces_exist():
+    # the lookups of Tracer.install: a traced run raises LookupError for a
+    # name the package lost, so a rename shows here and not only there
+    tracer = _benchmark_tracer()
+    missing = [f"{layer}.{name}" for layer, names in tracer.TRACED.items() for name in names
+               if not callable(getattr(importlib.import_module(f"nlasso.{layer}"), name, None))]
+    for layer, cls_name, meth in tracer.TRACED_METHODS:
+        cls = getattr(importlib.import_module(f"nlasso.{layer}"), cls_name, None)
+        if cls is None or meth not in vars(cls):
+            missing.append(f"{layer}.{cls_name}.{meth}")
+    assert tracer.TRACED and tracer.TRACED_METHODS
+    assert missing == []
