@@ -54,7 +54,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    boundary,
     build_graph,
     divergence,
     incidence_apply,

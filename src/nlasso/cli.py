@@ -96,6 +96,14 @@ def _certificate_lines(problem, result, cluster, reach_bound=None):
     return cert._key_value_lines(values)
 
 
+def _positive(value, what):
+    return gc._real(value, what, *gc._POSITIVE)
+
+
+def _iterations(value, what):
+    return gc._whole(value, what, 1)
+
+
 def _parse_manifest(path: Path) -> dict:
     """Each key of a `key = value` manifest, mapped to (line number, value)."""
     values = {}
@@ -120,11 +128,12 @@ def _solve_settings(args) -> dict:
             raise ValueError(f"{Path(args.manifest)}:{lineno}: unknown key `{key}`")
 
     def pick(flag, key, convert, default=None, check=None):
-        """The flag if given, else the manifest's value converted and, when
-        `check` is given, passed through the rule the solver applies to it,
-        under the manifest's key; else the default."""
+        """The flag if given, else the manifest's value converted, else the
+        default.  When `check` is given, a flag or manifest value passes the
+        rule the solver applies to it, under the flag's name or the
+        manifest's key."""
         if flag is not None:
-            return flag
+            return check(flag, f"--{key}") if check else flag
         if key not in manifest:
             return default
         lineno, value = manifest[key]
@@ -138,15 +147,12 @@ def _solve_settings(args) -> dict:
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
 
-    def positive(value, key):
-        return gc._real(value, key, *gc._POSITIVE)
-
     settings = {
         "graph": pick(args.graph, "graph", str),
         "seeds": pick(args.seeds, "seeds", str),
-        "alpha": pick(args.alpha, "alpha", float, check=positive),
-        "lam": pick(args.lam, "lambda", float, check=positive),
-        "iters": pick(args.iters, "iters", int, 1000, check=lambda v, key: gc._whole(v, key, 1)),
+        "alpha": pick(args.alpha, "alpha", float, check=_positive),
+        "lam": pick(args.lam, "lambda", float, check=_positive),
+        "iters": pick(args.iters, "iters", int, 1000, check=_iterations),
         "threshold": pick(args.threshold, "threshold", float, 0.5, check=gc._real),
         "out": pick(args.out, "out", str),
     }
@@ -163,7 +169,6 @@ def _solve(problem, iters: int, threshold: float, out: Path):
     leaves no output directory behind.  Returns (SolverResult, ClusterResult).
     """
     cfg = slv.SolverConfig(max_iters=iters)
-    gc._real(threshold, "threshold")
     out.mkdir(parents=True, exist_ok=True)
     result = slv.run(problem, cfg)
     return result, cert.extract_cluster(result.x, threshold, seeds=problem.seeds)
@@ -214,12 +219,15 @@ def _cmd_sbm_experiment(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    alpha, lam = _positive(args.alpha, "--alpha"), _positive(args.lam, "--lambda")
+    iters = _iterations(args.iters, "--iters")
+    threshold = gc._real(args.threshold, "--threshold")
     img = gen.read_pgm(args.image)
     g = gen.grid_from_image(img)
     seeds = gc.read_node_set(args.seeds, g.n)
-    problem = obj.NLassoProblem(g, seeds, args.alpha, args.lam)
+    problem = obj.NLassoProblem(g, seeds, alpha, lam)
     out = Path(args.out)
-    result, cluster = _solve(problem, args.iters, args.threshold, out)
+    result, cluster = _solve(problem, iters, threshold, out)
     mask = 255 * gc._node_mask(cluster.cluster, g.n)
     gen.write_pgm(out / "mask.pgm", gen.GreyImage(img.width, img.height, mask))
     _write_lines(out / "signal.csv", _signal_csv_lines(result.x))

@@ -11,7 +11,7 @@ the indexing of every flow vector in the package.
 id anywhere in the package passes one check, as_node_ids: finite,
 integral, in 1..n, for any n >= 0.  _node_mask turns ids that pass it
 into the boolean indicator over nodes 1..n, the one membership array
-that boundaries, seed containment and cluster certificates are read from.  Every numeric
+that seed containment and cluster certificates are read from.  Every numeric
 parameter passes _real or _whole: a real number, not a bool, in its range,
 stored as a Python float or int.  Every array passes _numeric: int, float
 or big-int entries, and no bool, not even one inside a list of numbers.
@@ -336,16 +336,6 @@ def divergence(g: Graph, y) -> np.ndarray:
             - np.bincount(g.dst, weights=y, minlength=g.n))
 
 
-def boundary(g: Graph, cluster) -> np.ndarray:
-    """Edge positions with exactly one endpoint in `cluster`.
-
-    Both orientations count: (i, j) is a boundary edge whenever membership
-    differs across it, regardless of which endpoint is inside.
-    """
-    mask = _node_mask(cluster, g.n)
-    return np.flatnonzero(mask[g.src] != mask[g.dst])
-
-
 def _reject_isolated(g: Graph, reason: str) -> None:
     """Raise IsolatedNode naming g's first node of degree 0, and `reason`."""
     if (bad := np.flatnonzero(g.degree == 0)).size:
@@ -482,14 +472,15 @@ def _inferred_n(row_max: np.ndarray, size: int):
     file the reader already holds, whatever one stray id says.  Every
     edge line takes at least 6 bytes, so a graph with no isolated node
     always passes.  An id beyond int64 is left to build_graph, which
-    rejects it as not a number; the count is then 2**63-1.
+    rejects it as not a number; the count is then 2**63-1.  Where no id
+    is positive the count is 1, so build_graph names the first bad id.
     """
     largest = row_max.max()
     if size < largest <= _INT64_MAX:
         raise _at_entry(InvalidNode(f"node id {largest} exceeds the file's size of {size} "
                                     "bytes, so most nodes up to it would be on no edge"),
                         np.argmax(row_max))
-    return min(largest, _INT64_MAX)
+    return max(1, min(largest, _INT64_MAX))
 
 
 def read_node_set(path, n: int) -> np.ndarray:

@@ -41,8 +41,8 @@ class NLassoProblem:
         the signal decays to zero away from the seeds.  alpha and lam must
         be real numbers other than bool, and are stored as Python floats.
     lam : float
-        Total-variation penalty; must be positive and finite, and so must
-        every capacity lam * W_e.  lam times the largest weighted degree
+        Total-variation penalty; must be positive and finite.  lam times
+        the largest weighted degree bounds every capacity lam * W_e and
         must be at most 2**52: beyond that, a change of one ulp in an x_i
         near 1 moves lam * TV(x) by more than 1, the scale of the fidelity
         term, and the duality gap says nothing about the solution.
@@ -61,12 +61,6 @@ class NLassoProblem:
         for name in ("alpha", "lam"):
             object.__setattr__(self, name, gc._real(getattr(self, name), name, *gc._POSITIVE))
         g = self.graph
-        with np.errstate(over="ignore"):
-            over = np.flatnonzero(~np.isfinite(self.lam * g.weights))
-        if over.size:
-            e = over[0]
-            raise ValueError(f"capacity lam * W_e overflows at edge ({g.src[e] + 1}, "
-                             f"{g.dst[e] + 1}): lam {self.lam} times weight {g.weights[e]}")
         i = int(np.argmax(g.weighted_degree))
         if self.lam * (float(g.weighted_degree[i]) * 2.0 ** -52) > 1.0:
             raise ValueError(f"weights too large for a meaningful duality gap: lam {self.lam} "

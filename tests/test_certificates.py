@@ -17,8 +17,9 @@ from nlasso import (
     reach_bound_check,
     run,
 )
-from nlasso.certificates import _key_value_lines
-from oracle import exact_tree_optimum, random_tree
+from nlasso.certificates import _boundary_weight, _key_value_lines
+from nlasso.graph import _node_mask
+from oracle import exact_tree_optimum, random_connected_graph, random_tree
 
 
 def test_extract_empty_for_zero_signal():
@@ -104,6 +105,30 @@ def test_kkt_report_serialization(chain_problem):
     lines = _key_value_lines(asdict(report))
     assert "seed_demand_residual = 1.0" in lines
     assert "capacity_ok = true" in lines
+
+
+def test_boundary_weight_whole_graph_empty(house_graph):
+    assert _boundary_weight(house_graph, _node_mask([1, 2, 3, 4, 5], 5)) == 0.0
+
+
+def test_boundary_weight_chain_cluster(weighted_chain):
+    # the one cut edge is {4, 5}, of weight 1
+    assert _boundary_weight(weighted_chain, _node_mask([1, 2, 3, 4], 100)) == 1.0
+
+
+def test_boundary_weight_four_cycle_counts_both_orientations():
+    # cluster {2, 3} is cut at (1, 2), stored into it, and at (3, 4), stored
+    # out of it: only both weights, 2 + 8, make 10 of 1, 2, 4 and 8
+    g = build_graph(4, [(1, 2, 2.0), (2, 3, 1.0), (3, 4, 8.0), (1, 4, 4.0)])
+    assert _boundary_weight(g, _node_mask([2, 3], 4)) == 10.0
+    assert _boundary_weight(g, _node_mask([1, 4], 4)) == 10.0
+
+
+def test_boundary_weight_complement_symmetry(rng):
+    for _ in range(10):
+        g = random_connected_graph(int(rng.integers(3, 9)), rng)
+        mask = rng.random(g.n) < 0.5
+        assert _boundary_weight(g, mask) == _boundary_weight(g, ~mask)
 
 
 def test_boundary_conditions_chain_run(chain_problem):

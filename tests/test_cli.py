@@ -206,6 +206,27 @@ def test_solve_manifest_bad_value_names_path_and_line(tmp_path, tiny_instance, c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "segment"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lambda", "0", "--lambda must be positive and finite, got 0.0"),
+    ("--iters", "0", "--iters must be a whole number >= 1, got 0"),
+    ("--alpha", "nan", "--alpha must be positive and finite, got nan"),
+    ("--threshold", "inf", "--threshold must be finite, got inf"),
+], ids=["lambda", "iters", "alpha", "threshold"])
+def test_bad_flag_value_names_the_flag(tmp_path, tiny_instance, capsys, command, flag, value,
+                                       message):
+    graph, seeds = tiny_instance
+    image = tmp_path / "image.pgm"
+    write_pgm(image, GreyImage(3, 1, [0, 128, 255]))
+    inputs = {"solve": ["--graph", str(graph)], "segment": [str(image)]}[command]
+    # argparse keeps the last value of a repeated flag
+    argv = [command, *inputs, "--seeds", str(seeds), "--alpha", "0.1", "--lambda", "0.5",
+            flag, value, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"nlasso: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_manifest_duplicate_key_exits_2(tmp_path, tiny_instance, capsys):
     # a second `graph` line would otherwise replace the first
     graph, seeds = tiny_instance

@@ -11,7 +11,6 @@ from nlasso import (
     InvalidNode,
     InvalidWeight,
     IsolatedNode,
-    boundary,
     build_graph,
     divergence,
     incidence_apply,
@@ -189,41 +188,17 @@ def test_incidence_divergence_adjoint(rng):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-def test_boundary_whole_graph_empty(house_graph):
-    assert boundary(house_graph, [1, 2, 3, 4, 5]).size == 0
-
-
-def test_boundary_chain_cluster(weighted_chain):
-    edges = boundary(weighted_chain, [1, 2, 3, 4])
-    assert edges.tolist() == [3]
-    assert weighted_chain.weights[edges].sum() == 1.0
-
-
-def test_boundary_four_cycle_counts_both_orientations():
-    g = build_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)])
-    edges = boundary(g, [1, 2])
-    assert g.edges[edges].tolist() == [[1, 4], [2, 3]]
-
-
-def test_boundary_complement_symmetry(rng):
-    for _ in range(10):
-        g = random_connected_graph(int(rng.integers(3, 9)), rng)
-        ids = np.flatnonzero(rng.random(g.n) < 0.5) + 1
-        comp = np.setdiff1d(np.arange(1, g.n + 1), ids)
-        assert boundary(g, ids).tolist() == boundary(g, comp).tolist()
-
-
-def test_boundary_rejects_bad_ids(house_graph):
+def test_as_node_ids_rejects_bad_ids():
     with pytest.raises(InvalidNode):
-        boundary(house_graph, [0])
+        as_node_ids([0], 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidNode, match="node id inf "):
-            boundary(house_graph, [float("inf")])
+            as_node_ids([float("inf")], 5)
         for bad in (np.array([1.0, np.inf]), [2.5], [1, 1], ["1"], [6], [np.nan]):
             with pytest.raises(InvalidNode):
-                boundary(house_graph, bad)
-    assert boundary(house_graph, [2.0]).tolist() == boundary(house_graph, [2]).tolist()
+                as_node_ids(bad, 5)
+    assert as_node_ids([2.0], 5).tolist() == as_node_ids([2], 5).tolist() == [2]
 
 
 def test_isolated_and_connected():
@@ -354,6 +329,12 @@ EDGE_FILES = {
                                                    "in 1..3")),
     "id-zero-after-comment": (b"# c\n1 2 0.5\n0 3 1\n",
                               (InvalidNode, "{path}:3: node id 0 is not an integer in 1..3")),
+    # no id is positive: the count is 1, and the first bad id is named at its line
+    "ids-all-non-positive": (b"0 -1 1.0\n", (InvalidNode, "{path}:1: node id 0 is not an "
+                                                          "integer in 1..1")),
+    "ids-all-zero-after-comment": (b"# c\n0 0 1.0\n",
+                                   (InvalidNode, "{path}:2: node id 0 is not an integer "
+                                                 "in 1..1")),
     "self-loop": (b"1 2 0.5\n\n2 2 1\n", (InvalidEdge, "{path}:3: self-loop at node 2")),
     "self-loop-crlf": (b"1 2 0.5\r\n  \r\n2 2 1\r\n", (InvalidEdge, "{path}:3: self-loop "
                                                                    "at node 2")),

@@ -48,7 +48,6 @@ from nlasso import (
     SolverConfig,
     SolverResult,
     UNNORMALIZED,
-    boundary,
     boundary_conditions,
     build_graph,
     chain_graph,
@@ -267,7 +266,6 @@ def test_node_ids_must_be_one_flat_list(tmp_path, ids, got):
     g = chain_graph(4)
     calls = [lambda: NLassoProblem(g, ids, 0.1, 0.5),
              lambda: extract_cluster(np.ones(4), 0.5, seeds=ids),
-             lambda: boundary(g, ids),
              lambda: indicator_error(np.ones(4), ids),
              lambda: write_node_set(tmp_path / "s.txt", ids),
              lambda: sample_seeds(ids, 1)]
@@ -321,7 +319,6 @@ def _write_files():
 # an array, node ids or a mode), O for a library object, P for a path
 # (relative to a directory that holds _FILES)
 PUBLIC_CALLS = {
-    "boundary": (boundary, "OV", (_CHAIN, [1])),
     "build_graph": (build_graph, "VV", (3, [(1, 2, 1.0), (2, 3, 1.0)])),
     "divergence": (divergence, "OV", (_CHAIN, np.zeros(2))),
     "incidence_apply": (incidence_apply, "OV", (_CHAIN, np.zeros(3))),

@@ -8,6 +8,7 @@ from scipy.optimize import minimize_scalar
 from nlasso import (
     DimensionMismatch,
     DualInfeasible,
+    InvalidWeight,
     NLassoProblem,
     SolverConfig,
     boundary_conditions,
@@ -81,16 +82,39 @@ def test_problem_rejects_non_real_parameters(alpha, lam):
 
 def test_problem_rejects_overflowing_capacity():
     # lam and every weight are finite, but lam * W_e is not: a capacity of
-    # inf would leave the flow unbounded and the gap meaningless
+    # inf would leave the flow unbounded and the gap meaningless.  W_e is
+    # at most the weighted degree at its ends, so the weight scale check
+    # (test_problem_rejects_weights_too_large_for_the_gap) rejects it
     g = build_graph(3, [(1, 2, 1.0), (2, 3, 1e308)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning on the way
-        with pytest.raises(ValueError, match=r"overflows at edge \(2, 3\)"):
-            NLassoProblem(g, [1], 0.1, 10.0)
-        # a capacity of 1e308 passes the overflow check, and the weight
-        # scale check rejects it (test_problem_rejects_weights_too_large_for_the_gap)
-        with pytest.raises(ValueError, match="too large for a meaningful duality gap"):
-            NLassoProblem(g, [1], 0.1, 1.0)
+        for lam in (10.0, 1.0):
+            with pytest.raises(ValueError, match="too large for a meaningful duality gap"):
+                NLassoProblem(g, [1], 0.1, lam)
+
+
+def test_weight_scale_check_rejects_every_overflowing_capacity(rng):
+    # chains of 2 to 5 nodes, weights and lam log-uniform over the positive
+    # doubles, subnormals included
+    lo, hi = np.log(1e-320), np.log(1.7e308)
+    overflowing = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2000):
+            n = int(rng.integers(2, 6))
+            weights = np.exp(rng.uniform(lo, hi, n - 1))
+            lam = float(np.exp(rng.uniform(lo, hi)))
+            try:
+                g = build_graph(n, [(k, k + 1, w) for k, w in enumerate(weights, start=1)])
+            except InvalidWeight:
+                continue  # a weighted degree of inf
+            with np.errstate(over="ignore"):
+                if np.all(np.isfinite(lam * g.weights)):
+                    continue
+            overflowing += 1
+            with pytest.raises(ValueError, match="too large for a meaningful duality gap"):
+                NLassoProblem(g, [1], 0.5, lam)
+    assert overflowing > 100
 
 
 def test_problem_rejects_weights_too_large_for_the_gap():

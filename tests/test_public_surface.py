@@ -9,9 +9,8 @@ from nlasso import Graph, certificates, errors, generators, graph, objectives, s
 
 PUBLIC = {
     # graph
-    "Graph", "boundary", "build_graph", "divergence", "incidence_apply",
-    "is_connected", "read_edge_list", "read_node_set",
-    "write_node_set",
+    "Graph", "build_graph", "divergence", "incidence_apply", "is_connected",
+    "read_edge_list", "read_node_set", "write_node_set",
     # objectives
     "NLassoProblem", "conjugate_f", "conjugate_g_feasible", "duality_gap",
     "primal_objective", "total_variation",
@@ -48,7 +47,8 @@ SIGNATURES = {
 # compare and slot-order read-out, folded into its kernels' same_state and
 # arrays; the PGM byte lexer, now one regular expression, and the id-set
 # check in front of as_node_ids; isolated_nodes, which only the isolated-node
-# check called, and the reports' line writer, which only certificates.txt used
+# check called, and the reports' line writer, which only certificates.txt used;
+# boundary, whose cut the certificates compute from their membership mask
 REMOVED = {
     objectives: ("star_augmented_flow", "dual_objective", "dual_feasibility",
                  "DualFeasibilityReport", "_as_augmented_flow", "laplacian_quadratic"),
@@ -56,7 +56,7 @@ REMOVED = {
     solver: ("step", "init_state", "SolverState", "_same_bits"),
     solver._Kernel: ("edge_flow",),
     Graph: ("out_neighbors", "in_neighbors", "neighbors", "_check_node"),
-    graph: ("write_edge_list", "_id_set", "isolated_nodes"),
+    graph: ("write_edge_list", "_id_set", "isolated_nodes", "boundary"),
     certificates: ("_Report",),
     certificates.KKTReport: ("as_lines",),
     generators: ("_pgm_tokens",),

@@ -1,3 +1,4 @@
+import importlib
 import shutil
 import subprocess
 import sys
@@ -6,12 +7,23 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
+from frozen_oracle import INSTANCES
 from nlasso import cli
 from test_properties import PROPERTY, problems
 from test_solver import frozen_problems
 
 ROOT = Path(__file__).resolve().parent.parent
 AB_RUN = ROOT / "tools" / "ab_run.py"
+
+
+def tool(name):
+    """tools/<name>.py as a module, imported with sys.path left as it was."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path[:] = saved
 
 
 def ab_run(other, *flags):
@@ -65,24 +77,10 @@ def test_ab_run_rejects_iters_below_one(tmp_path, flag, value, message):
 def test_convergence_counts_segment_gaps():
     # the segment-large seed-1 problem's gaps at 700 and 2000 iterations,
     # pinned as upper bounds as test_solver pins the iteration counts
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        import convergence_counts
-    finally:
-        sys.path.remove(str(ROOT / "tools"))
-    gaps = convergence_counts.segment_gaps()
+    gaps = tool("convergence_counts").segment_gaps()
     assert list(gaps) == [700, 2000]
     assert 0.0 <= gaps[2000] < gaps[700] <= 20.774, gaps
     assert gaps[2000] <= 0.8225, gaps
-
-
-def convergence_counts_tool():
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        import convergence_counts
-    finally:
-        sys.path.remove(str(ROOT / "tools"))
-    return convergence_counts
 
 
 RATE_KS = (10, 100, 1000)
@@ -92,9 +90,9 @@ def test_ergodic_gap_within_the_rate_bound():
     # the paper's optimal-rate claim as Chambolle & Pock's ergodic bound:
     # k times the gap of the averaged iterates stays below B, with margins
     # of 4.8 and more on these problems
-    tool = convergence_counts_tool()
+    counts = tool("convergence_counts")
     problems = [cli.chain_problem(), cli.sbm_problem(0)[0]] + frozen_problems()
-    rates = [tool.ergodic_gap_bound(p, RATE_KS) for p in problems]
+    rates = [counts.ergodic_gap_bound(p, RATE_KS) for p in problems]
     for rate in rates:
         assert list(rate) == list(RATE_KS)
         for k, (k_gap, bound) in rate.items():
@@ -107,5 +105,15 @@ def test_ergodic_gap_within_the_rate_bound():
 @PROPERTY
 @given(problems(max_n=12))
 def test_ergodic_gap_within_the_rate_bound_on_random_graphs(p):
-    for k, (k_gap, bound) in convergence_counts_tool().ergodic_gap_bound(p, RATE_KS).items():
+    for k, (k_gap, bound) in tool("convergence_counts").ergodic_gap_bound(p, RATE_KS).items():
         assert k_gap <= bound, (k, k_gap, bound)
+
+
+def test_fixture_generator_reproduces_the_frozen_instances():
+    # the graphs, seeds and penalties alone, with no oracle run: they drift
+    # if oracle.random_connected_graph or its draws from the rng change
+    keys = ("n", "edges", "seed", "alpha", "lam")
+    made = tool("gen_oracle_fixtures").make_instances()
+    assert len(made) == len(INSTANCES) == 25
+    for k, (new, frozen) in enumerate(zip(made, INSTANCES)):
+        assert {key: new[key] for key in keys} == {key: frozen[key] for key in keys}, k
