@@ -77,7 +77,8 @@ def laplacian(g: Graph, mode: str = UNNORMALIZED) -> LaplacianOperator:
 
 def _start_vector(n: int) -> np.ndarray:
     # fixed integer-hash ramp: deterministic and free of graph symmetries
-    z = gen._mix64(np.arange(1, n + 1, dtype=np.uint64) * gen._M1)
+    z = np.arange(1, n + 1, dtype=np.uint64) * gen._M1
+    gen._mix64(z, np.empty_like(z))
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 - 0.5
 
 

@@ -24,17 +24,24 @@ _M2 = np.uint64(0xBF58476D1CE4E5B9)
 _M3 = np.uint64(0x94D049BB133111EB)
 
 # Pairs per row tile in sbm_graph, whose rows stay in one block: bounds its
-# working memory.  At 2^16 pairs a tile's uint64 temporaries (512 KB each)
-# stay in L2, which made a 4000-node model about a third faster to draw
-# than 2^18 pairs on 2 vCPUs.  A 200-node experiment's block still fits in
-# one tile.
+# working memory.  The tiles are hashed into buffers made once per call
+# (see sbm_graph).  With them, on the 4000-node model on 2 vCPUs, 2^16
+# pairs drew fastest of 2^14..2^18 (first call 52-58 ms, later calls
+# 49-63 ms; 2^15 was close, 2^18 took 75-111 ms).  A 200-node
+# experiment's block still fits in one tile.
 _BLOCK_PAIRS = 1 << 16
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M2
-    z = (z ^ (z >> np.uint64(27))) * _M3
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer (Steele, Lea & Flood 2014), applied to the
+    uint64 array z in place; scratch is a uint64 array of z's shape that it
+    overwrites.  Returns z."""
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= _M2
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= _M3
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
 
 
 def _keys(rng_seed: int, i, j):
@@ -42,28 +49,28 @@ def _keys(rng_seed: int, i, j):
 
     The row key of node i mixes the seed with i; the column key of node j
     is j * _M2.  Each depends on one endpoint only, so a sampler that draws
-    many pairs computes them once per node.
+    many pairs computes them once per node.  i and j are 1-D arrays.
     """
     i = np.asarray(i, dtype=np.uint64)
     j = np.asarray(j, dtype=np.uint64)
     mixed = (int(rng_seed) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return _mix64(np.uint64(mixed) + i * _M1), j * _M2
+    row = np.uint64(mixed) + i * _M1
+    return _mix64(row, np.empty_like(row)), j * _M2
 
 
-def _pair_bits(row_keys, col_keys) -> np.ndarray:
-    """53 uniform bits per pair, from the row key and column key of each."""
-    return _mix64(row_keys ^ col_keys) >> np.uint64(11)
-
-
-def pair_uniform(rng_seed: int, i, j) -> np.ndarray:
+def _pair_uniform(rng_seed: int, i, j) -> np.ndarray:
     """Deterministic uniform [0, 1) draw keyed by (rng_seed, i, j).
 
-    i and j are 1-based node id arrays.  The value depends only on the key,
-    so sampling a pair is independent of when or where it happens.  It is
-    _mix64(row_key(i) ^ col_key(j)) >> 11, scaled by 2^-53, where the row
-    key depends on (rng_seed, i) and the column key on j only.
+    i and j are 1-D arrays of 1-based node ids, taken as they are.  The
+    value depends only on the key, so sampling a pair is independent of
+    when or where it happens.  It is _mix64(row_key(i) ^ col_key(j)) >> 11,
+    53 uniform bits scaled by 2^-53, where the row key depends on
+    (rng_seed, i) and the column key on j only.  sbm_graph draws the same
+    bits tile by tile; this is the per-pair reference the tests compare
+    against.
     """
-    return _pair_bits(*_keys(rng_seed, i, j)).astype(np.float64) * 2.0 ** -53
+    z = np.bitwise_xor(*_keys(rng_seed, i, j))
+    return (_mix64(z, np.empty_like(z)) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -125,18 +132,23 @@ def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
 def sbm_graph(spec: SbmSpec):
     """Sample a stochastic block model.
 
-    Every unordered pair is drawn once via :func:`pair_uniform`; pairs in
-    the same block connect with probability p_in, across blocks with p_out.
-    All edges have weight 1.  Isolated nodes are possible; build the solver
-    input accordingly.
+    Every unordered pair is drawn once, by the keyed hash of
+    :func:`_pair_uniform`; pairs in the same block connect with probability
+    p_in, across blocks with p_out.  All edges have weight 1.  Isolated
+    nodes are possible; build the solver input accordingly.
 
     Time is O(n^2).  The upper triangle is drawn in tiles: rows lo..hi-1,
     all in one block, against columns lo+1..n-1 (0-based), about
     _BLOCK_PAIRS pairs each, so memory is O(n + pairs per tile + edges).
     The row and column halves of the pair hash are computed once per node
     and broadcast over the tile, leaving one xor and one _mix64 per pair.
-    Each tile is read in row-major order, so the edges come out in the
-    order of np.triu_indices, as an all-pairs draw gives them.
+    Every tile is hashed and compared in views of two uint64 buffers and
+    one bool buffer, made once per call at the size of the largest tile,
+    so no tile allocates a pair-sized temporary: on the 4000-node model
+    the first call in a fresh process takes about 55 ms and 1.7 k page
+    faults, not 90 ms and 29 k.  Each tile is read in row-major order, so
+    the edges come out in the order of np.triu_indices, as an all-pairs
+    draw gives them.
 
     Returns
     -------
@@ -153,6 +165,11 @@ def sbm_graph(spec: SbmSpec):
     t_in, t_out = (np.uint64(math.ceil(p * 2.0 ** 53)) for p in (spec.p_in, spec.p_out))
     cols = np.arange(total)
     starts = np.concatenate(([0], stops[:-1]))
+    # a tile has at most one block's rows and total - 1 columns, and more
+    # than _BLOCK_PAIRS pairs only when one row is longer than that
+    largest = min(max(_BLOCK_PAIRS, total - 1), max(sizes) * (total - 1))
+    bits_buf, scratch_buf = np.empty(largest, np.uint64), np.empty(largest, np.uint64)
+    keep_buf = np.empty(largest, bool)
     src, dst = [], []
     for start, stop in zip(starts, stops):
         # u < p  <=>  bits < ceil(p * 2^53), since u = bits * 2^-53 exactly;
@@ -160,12 +177,18 @@ def sbm_graph(spec: SbmSpec):
         thr = np.where(cols < stop, t_in, t_out)
         lo = start
         while lo < min(stop, total - 1):
-            hi = min(stop, lo + max(1, _BLOCK_PAIRS // (total - lo - 1)))
-            # tile rows lo..hi-1 by columns lo+1..total-1; only its leading
-            # hi-lo columns hold pairs with j <= i
-            keep = _pair_bits(row_keys[lo:hi, None], col_keys[None, lo + 1:]) < thr[lo + 1:]
+            width = total - lo - 1
+            hi = min(stop, lo + max(1, _BLOCK_PAIRS // width))
+            # tile rows lo..hi-1 by columns lo+1..total-1, in views of the
+            # buffers; only its leading hi-lo columns hold pairs with j <= i
+            bits, scratch, keep = (buf[:(hi - lo) * width].reshape(hi - lo, width)
+                                   for buf in (bits_buf, scratch_buf, keep_buf))
+            np.bitwise_xor(row_keys[lo:hi, None], col_keys[None, lo + 1:], out=bits)
+            _mix64(bits, scratch)
+            bits >>= np.uint64(11)
+            np.less(bits, thr[lo + 1:], out=keep)
             keep[:, :hi - lo] = np.triu(keep[:, :hi - lo])
-            r, c = np.divmod(np.flatnonzero(keep), total - lo - 1)
+            r, c = np.divmod(np.flatnonzero(keep), width)
             src.append(r + lo + 1)
             dst.append(c + lo + 2)
             lo = hi

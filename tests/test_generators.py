@@ -1,3 +1,4 @@
+import hashlib
 import re
 import tracemalloc
 
@@ -13,7 +14,6 @@ from nlasso.generators import (
     SbmSpec,
     chain_graph,
     grid_from_image,
-    pair_uniform,
     read_pgm,
     sample_seeds,
     sbm_graph,
@@ -107,7 +107,7 @@ def test_sbm_matches_pairwise_loop():
     edges = []
     for j in range(total, 0, -1):          # deliberately reversed order
         for i in range(j - 1, 0, -1):
-            u = float(pair_uniform(23, np.array([i]), np.array([j]))[0])
+            u = float(gen._pair_uniform(23, np.array([i]), np.array([j]))[0])
             same = (i <= 6) == (j <= 6)
             if u < (0.4 if same else 0.1):
                 edges.append((i, j))
@@ -120,7 +120,7 @@ def all_pairs_sbm(spec):
     total = sum(sizes)
     block_of = np.repeat(np.arange(len(sizes)), sizes)
     iu, ju = np.triu_indices(total, k=1)
-    u = pair_uniform(spec.rng_seed, iu + 1, ju + 1)
+    u = gen._pair_uniform(spec.rng_seed, iu + 1, ju + 1)
     keep = u < np.where(block_of[iu] == block_of[ju], spec.p_in, spec.p_out)
     return iu[keep], ju[keep]
 
@@ -169,6 +169,24 @@ def test_sbm_row_blocks_match_all_pairs(monkeypatch, block_pairs):
         stops = np.cumsum(spec.block_sizes)
         assert [b.tolist() for b in blocks] == [
             list(range(hi - size + 1, hi + 1)) for hi, size in zip(stops, spec.block_sizes)]
+
+
+def test_mix64_is_splitmix64():
+    # SplitMix64 (Steele, Lea & Flood 2014) from seed 0 adds _M1 to its
+    # state and returns the finalizer of the state: its first three outputs
+    z = np.arange(1, 4, dtype=np.uint64) * gen._M1
+    scratch = np.full(3, 12345, dtype=np.uint64)
+    assert gen._mix64(z, scratch) is z
+    assert z.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def test_sbm_large_model_is_pinned():
+    # the benchmark's 4000-node model: its edge count and the digest of its
+    # edge ends, as drawn before the tiles shared buffers
+    g, _ = sbm_graph(SbmSpec((2000, 2000), 20 / 2000, 1 / 2000, rng_seed=1))
+    assert g.num_edges == 41767
+    assert hashlib.sha256(g.src.tobytes() + g.dst.tobytes()).hexdigest() == (
+        "b91d42a2b9144cee1e81306aa5897b164e7b3b6b8feb7228a51064a87d3f2bb3")
 
 
 def test_sbm_memory_bounded_by_row_block():

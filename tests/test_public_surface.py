@@ -59,7 +59,7 @@ REMOVED = {
     graph: ("write_edge_list", "_id_set", "isolated_nodes", "boundary"),
     certificates: ("_Report",),
     certificates.KKTReport: ("as_lines",),
-    generators: ("_pgm_tokens",),
+    generators: ("_pgm_tokens", "pair_uniform", "_pair_bits"),
 }
 
 

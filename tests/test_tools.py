@@ -61,6 +61,24 @@ def test_ab_run_refuses_to_time_different_results(tmp_path):
     assert "bitwise equal" not in proc.stdout
 
 
+@pytest.mark.parametrize("workload, problem", [("sbm-large", 0), ("paper-experiments", 1)])
+def test_ab_run_reports_a_changed_graph_constructor(tmp_path, workload, problem):
+    # one shift of the pair hash's mix changed: each checkout draws its own
+    # block models, so the first one differs and no solve runs; the
+    # paper-experiments chain (problem 0) still agrees
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    generators = tmp_path / "src" / "nlasso" / "generators.py"
+    text = generators.read_text()
+    old = "np.right_shift(z, np.uint64(27), out=scratch)"
+    assert text.count(old) == 1
+    generators.write_text(text.replace(old, old.replace("27", "26")))
+    proc = ab_run(tmp_path, "--iters", "3", "--workload", workload)
+    assert proc.returncode != 0
+    assert proc.stderr == (f"{workload}: the graph of problem {problem} differs "
+                           "between the checkouts\n")
+    assert "bitwise equal" not in proc.stdout
+
+
 @pytest.mark.parametrize("flag, value, message",
                          [("--iters", "0", "--iters must be >= 1"),
                           ("--iters", "-3", "--iters must be >= 1"),

@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Check that `nlasso.run` in this checkout gives the bits of another checkout's.
+"""Check that this checkout builds and solves the bits of another checkout's.
 
 For one workload seed it builds the problems of perfbench's `segment-large`
 (the 256 x 256 image, one solve), `sbm-large` (the 4000-node block model,
 one solve), `tiny-batch` (50 small solves) and `paper-experiments` (the
 100-node chain and the seed's ten 200-node block models, 11 solves)
 workloads, with each workload's iteration budget.  It loads the other
-checkout's `src/nlasso` as a second package and checks that both give
-bitwise the same x, y and iters_run on every problem, with no checks,
-with a history row every CHECK_INTERVAL iterations, and with those rows
-and a gap stop at GAP_TOLERANCE (every float of each row compared by its
-bits too).  It prints one line per workload that agrees and exits
-non-zero at the first problem that differs.  It times nothing:
-perfbench's fresh-process runs are the one measure of speed.
+checkout's `src/nlasso` as a second package, and each package builds the
+graphs with its own constructors: `sbm_graph` for `sbm-large`,
+`cli.chain_problem` and `cli.sbm_problem` for `paper-experiments`,
+`grid_from_image` on the same PGM file for `segment-large`, and
+`build_graph` on the same edge lists for `tiny-batch`.  It exits non-zero
+at the first graph whose src, dst or weights bytes differ.  Then it checks
+that both `nlasso.run`s give bitwise the same x, y and iters_run on every
+problem, with no checks, with a history row every CHECK_INTERVAL
+iterations, and with those rows and a gap stop at GAP_TOLERANCE (every
+float of each row compared by its bits too).  It prints one line per
+workload that agrees and exits non-zero at the first problem that
+differs.  It times nothing: perfbench's fresh-process runs are the one
+measure of speed.
 
 Usage: python tools/ab_run.py OTHER_CHECKOUT [--seed N] [--iters N]
                               [--workload NAME ...]
@@ -39,7 +45,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import nlasso  # noqa: E402
 import workloads  # noqa: E402
-from nlasso import cli  # noqa: E402
 
 WORKLOADS = ("segment-large", "sbm-large", "tiny-batch", "paper-experiments")
 # iterations between the history rows of the bitwise check, or every
@@ -63,28 +68,35 @@ def load_nlasso(checkout: Path, name: str):
     return module
 
 
-def problems(name: str, seed: int, workdir: Path) -> tuple[list, int]:
-    """One workload's problems, built with this checkout, and its budget."""
-    w = workloads.WORKLOADS[name](seed, workdir)
-    w.setup()
+def problems(pkg, name: str, w) -> list:
+    """The problems of workload w, after its setup, built by package pkg
+    with its own constructors from the inputs w made."""
     if name == "tiny-batch":
-        return [p for p, _ in w.cases], w.ITERS
+        return [port(pkg, p) for p, _ in w.cases]
     if name == "paper-experiments":
-        return [cli.chain_problem()] + [cli.sbm_problem(s)[0] for s in w.rng_seeds], w.ITERS
+        cli = importlib.import_module(f"{pkg.__name__}.cli")
+        return [cli.chain_problem()] + [cli.sbm_problem(s)[0] for s in w.rng_seeds]
     if name == "segment-large":
-        g = nlasso.grid_from_image(nlasso.read_pgm(w.image))
-        seeds = nlasso.read_node_set(w.seeds, g.n)
+        g, seeds = pkg.grid_from_image(pkg.read_pgm(w.image)), w.seeds
     else:
-        g = w.graph
-        seeds = nlasso.read_node_set(workdir / "seeds.txt", g.n)
-    return [nlasso.NLassoProblem(g, seeds, w.ALPHA, w.LAM)], w.ITERS
+        spec = pkg.SbmSpec((w.BLOCK, w.BLOCK), w.P_IN, w.P_OUT, rng_seed=w.seed)
+        g, seeds = pkg.sbm_graph(spec)[0], w.workdir / "seeds.txt"
+    return [pkg.NLassoProblem(g, pkg.read_node_set(seeds, g.n), w.ALPHA, w.LAM)]
 
 
 def port(module, p):
-    """The problem p rebuilt with another nlasso package."""
+    """The problem p rebuilt from its edge list with package module."""
     g = p.graph
     edges = np.column_stack((g.src + 1, g.dst + 1, g.weights))
     return module.NLassoProblem(module.build_graph(g.n, edges), p.seeds, p.alpha, p.lam)
+
+
+def assert_same_graphs(name, probs_a, probs_b):
+    """Both sides' problems have bitwise the same src, dst and weights."""
+    for k, (pa, pb) in enumerate(zip(probs_a, probs_b)):
+        if any(getattr(pa.graph, f).tobytes() != getattr(pb.graph, f).tobytes()
+               for f in ("src", "dst", "weights")):
+            raise SystemExit(f"{name}: the graph of problem {k} differs between the checkouts")
 
 
 def history_bits(res) -> list:
@@ -124,13 +136,15 @@ def main(argv=None) -> int:
     print(f"this:  {ROOT}\nother: {args.other.resolve()}\nseed {args.seed}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.workload:
-            probs, iters = problems(name, args.seed, Path(tmp) / name)
-            iters = args.iters or iters
-            sides = [(nlasso.run, probs, nlasso.SolverConfig(max_iters=iters)),
-                     (other.run, [port(other, p) for p in probs],
-                      other.SolverConfig(max_iters=iters))]
+            w = workloads.WORKLOADS[name](args.seed, Path(tmp) / name)
+            w.setup()
+            probs = [problems(pkg, name, w) for pkg in (nlasso, other)]
+            assert_same_graphs(name, *probs)
+            iters = args.iters or w.ITERS
+            sides = [(pkg.run, pkg_probs, pkg.SolverConfig(max_iters=iters))
+                     for pkg, pkg_probs in zip((nlasso, other), probs)]
             assert_same_results(name, sides)
-            print(f"{name} ({len(probs)} solves x {iters} iterations, bitwise equal)")
+            print(f"{name} ({len(probs[0])} solves x {iters} iterations, bitwise equal)")
     return 0
 
 
