@@ -2,31 +2,24 @@
 
 Two routes to the optimum that share no code with the package solver:
 
-* exact_tree_optimum enumerates, for tree graphs, every per-edge state
-  (flow saturated up, saturated down, or endpoints tied), solves the
-  resulting linear balance equations, and keeps the unique configuration
-  consistent with all optimality requirements.  Exact to rounding.
+* exact_optimum splits the nodes at level after level by minimum cuts,
+  each found by a plain-Python maximum flow, and returns the optimal
+  signal and flow on any graph.  Exact to rounding.
 
 * subgradient_minimize runs long subgradient descent on the primal
   objective with diminishing step sizes (a 1/k warm phase, then a slow
   geometric decay) and averages a late window of iterates.  Accuracy on
-  the benchmark instances is a few 1e-5 in the max norm.
+  the benchmark instances is a few 1e-5 in the max norm; it made the
+  values in tests/frozen_oracle.py.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 
 import numpy as np
 
 from nlasso import NLassoProblem, build_graph
-
-
-def random_tree(n, rng):
-    """Uniform-attachment tree with weights in [0.5, 2]."""
-    return build_graph(
-        n, [(int(rng.integers(1, j)), j, float(rng.uniform(0.5, 2.0)))
-            for j in range(2, n + 1)])
 
 
 def random_connected_graph(n, rng, extra_p=0.3):
@@ -40,79 +33,101 @@ def random_connected_graph(n, rng, extra_p=0.3):
         n, [(i, j, float(rng.uniform(0.5, 2.0))) for i, j in sorted(edges)])
 
 
-def exact_tree_optimum(p: NLassoProblem):
-    """Closed-form optimum (x, y) of a tree instance by state enumeration.
+def _max_flow(n, s, t, arcs):
+    """Dinic's maximum flow from s to t on the nodes 0..n-1.
 
-    Each edge is either saturated with the signal strictly decreasing in
-    the flow direction, or its endpoints are tied.  Tied edges merge nodes
-    into groups whose common value solves a scalar balance equation; tree
-    structure then determines the remaining flows uniquely.  Returns the
-    first (hence the unique) fully consistent configuration.
+    Each arc (u, v, c_uv, c_vu) joins u and v with capacity c_uv from u to
+    v and c_vu back.  A residual of at most 1e-12 times the largest
+    capacity counts as none.  Returns the net flow from u to v on each arc
+    and, per node, whether s still reaches it: the source side of the
+    smallest minimum cut.
     """
-    g, alpha, lam = p.graph, p.alpha, p.lam
-    n, m = g.n, g.num_edges
-    if m != n - 1:
-        raise ValueError("exact enumeration supports trees only")
-    cap = lam * g.weights
-    seed_mask = p.seed_mask
-    for states in itertools.product((-1, 0, 1), repeat=m):
-        states = np.asarray(states)
-        parent = list(range(n))
+    head = [[] for _ in range(n)]
+    to, res = [], []
+    for u, v, c_uv, c_vu in arcs:
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to += (v, u)
+        res += (c_uv, c_vu)
+    tol = 1e-12 * max(res, default=0.0)
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
+    def levels():
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for a in head[u]:
+                if res[a] > tol and level[to[a]] < 0:
+                    level[to[a]] = level[u] + 1
+                    queue.append(to[a])
+        return level
 
-        for e in np.flatnonzero(states == 0):
-            ra, rb = find(g.src[e]), find(g.dst[e])
-            if ra != rb:
-                parent[rb] = ra
-        comp = np.array([find(i) for i in range(n)])
-        x = np.zeros(n)
-        for root in np.unique(comp):
-            members = comp == root
-            sat_out = 0.0
-            for e in np.flatnonzero(states != 0):
-                a, b = g.src[e], g.dst[e]
-                flow = states[e] * cap[e]
-                if members[a] and not members[b]:
-                    sat_out += flow
-                elif members[b] and not members[a]:
-                    sat_out -= flow
-            n_seed = int(np.sum(seed_mask & members))
-            n_rest = int(np.sum(~seed_mask & members))
-            x[members] = (n_seed - sat_out) / (n_seed + alpha * n_rest)
-        ok = True
-        for e in np.flatnonzero(states != 0):
-            if not (x[g.src[e]] - x[g.dst[e]]) * states[e] > 1e-15:
-                ok = False
-                break
-        if not ok:
+    def push(u, f):
+        if u == t:
+            return f
+        while nxt[u] < len(head[u]):
+            a = head[u][nxt[u]]
+            if res[a] > tol and level[to[a]] == level[u] + 1:
+                pushed = push(to[a], min(f, res[a]))
+                if pushed:
+                    res[a] -= pushed
+                    res[a ^ 1] += pushed
+                    return pushed
+            nxt[u] += 1
+        return 0.0
+
+    while (level := levels())[t] >= 0:
+        nxt = [0] * n
+        while push(s, math.inf):
+            pass
+    return [arc[2] - r for arc, r in zip(arcs, res[::2])], [k >= 0 for k in level]
+
+
+def exact_optimum(p: NLassoProblem):
+    """The optimum (x, y) by divide and conquer over threshold cuts.
+
+    Each level set {x > t} of the optimum is the smallest minimiser of
+    sum_{i in A} w_i (t - a_i) + lam W(boundary of A), with w_i = 1 and a_i = 1
+    at seeds and w_i = alpha and a_i = 0 elsewhere (Hochbaum 2001;
+    Chambolle & Darbon 2009).  A node set S, with every node outside it
+    fixed above or below it, has the weighted mean level
+    z = (sum_S w_i a_i + lam W(S, above) - lam W(S, below)) / sum_S w_i, and
+    the smallest minimum cut at z splits S into {x > z} and the rest.  The
+    edges between the two parts carry their capacity downward, and both
+    parts recurse.  A set that does not split takes x = z, and the maximum
+    flow of its last cut, which meets every node's demand, is y on its
+    inner edges.  Exact to rounding.
+    """
+    g = p.graph
+    w = np.where(p.seed_mask, 1.0, p.alpha)
+    wa = p.seed_mask * 1.0
+    cap = p.capacities
+    x, y = np.empty(g.n), np.zeros(g.num_edges)
+    todo = [np.arange(g.n)]
+    while todo:
+        nodes = todo.pop()
+        k = nodes.size
+        # lam W(S, above) - lam W(S, below) per node: the inflow of the cut edges
+        pull = (np.bincount(g.dst, y, g.n) - np.bincount(g.src, y, g.n))[nodes]
+        z = (wa[nodes].sum() + pull.sum()) / w[nodes].sum()
+        local = np.full(g.n, -1)
+        local[nodes] = np.arange(k)
+        inner = np.flatnonzero((local[g.src] >= 0) & (local[g.dst] >= 0))
+        arcs = [(k, i, -c, 0.0) if c < 0 else (i, k + 1, c, 0.0)
+                for i, c in enumerate(w[nodes] * z - wa[nodes] - pull)]
+        arcs += [(local[g.src[e]], local[g.dst[e]], cap[e], cap[e]) for e in inner]
+        flow, reach = _max_flow(k + 2, k, k + 1, arcs)
+        above = np.array(reach[:k])
+        if above.all() or not above.any():  # all above is rounding
+            x[nodes] = z
+            y[inner] = flow[k:]
             continue
-        grad = np.where(seed_mask, x - 1.0, alpha * x)
-        demand = -grad
-        y = np.zeros(m)
-        y[states != 0] = states[states != 0] * cap[states != 0]
-        rest = demand - (np.bincount(g.src, weights=y, minlength=n)
-                         - np.bincount(g.dst, weights=y, minlength=n))
-        free = np.flatnonzero(states == 0)
-        if free.size:
-            inc = np.zeros((n, free.size))
-            for k, e in enumerate(free):
-                inc[g.src[e], k] = 1.0
-                inc[g.dst[e], k] = -1.0
-            y_free = np.linalg.lstsq(inc, rest, rcond=None)[0]
-            if np.linalg.norm(inc @ y_free - rest) > 1e-9:
-                continue
-            if np.any(np.abs(y_free) > cap[free] * (1 + 1e-12)):
-                continue
-            y[free] = y_free
-        elif np.linalg.norm(rest) > 1e-9:
-            continue
-        return x, y
-    raise RuntimeError("no consistent configuration found")
+        high = np.zeros(g.n, bool)
+        high[nodes[above]] = True
+        cut = inner[high[g.src[inner]] != high[g.dst[inner]]]
+        y[cut] = np.where(high[g.src[cut]], cap[cut], -cap[cut])
+        todo += [nodes[above], nodes[~above]]
+    return x, np.clip(y, -cap, cap)
 
 
 def subgradient_minimize(p: NLassoProblem, steps: int = 10 ** 6) -> np.ndarray:
@@ -149,26 +164,3 @@ def subgradient_minimize(p: NLassoProblem, steps: int = 10 ** 6) -> np.ndarray:
             acc += x
             count += 1
     return acc / count
-
-
-def pair_prox_gradient(w: float, seed_first: bool, alpha: float, lam: float,
-                       steps: int = 10 ** 5) -> np.ndarray:
-    """Proximal gradient oracle for the 2-node instance.
-
-    Forward step on the quadratic fidelity, exact backward step on
-    lam * w * |x1 - x2| via shrinkage of the difference.
-    """
-    x = np.zeros(2)
-    t = 0.5
-    thresh = t * lam * w
-    for _ in range(steps):
-        if seed_first:
-            grad = np.array([x[0] - 1.0, alpha * x[1]])
-        else:
-            grad = np.array([alpha * x[0], x[1] - 1.0])
-        v = x - t * grad
-        diff = v[0] - v[1]
-        shrunk = np.sign(diff) * max(0.0, abs(diff) - 2.0 * thresh)
-        mean = 0.5 * (v[0] + v[1])
-        x = np.array([mean + 0.5 * shrunk, mean - 0.5 * shrunk])
-    return x

@@ -17,9 +17,10 @@ from nlasso import (
     reach_bound_check,
     run,
 )
+from nlasso import cli
 from nlasso.certificates import _boundary_weight, _key_value_lines
 from nlasso.graph import _node_mask
-from oracle import exact_tree_optimum, random_connected_graph, random_tree
+from oracle import exact_optimum, random_connected_graph
 
 
 def test_extract_empty_for_zero_signal():
@@ -74,9 +75,9 @@ def test_kkt_at_tree_optima(rng):
     # residuals of an exactly optimal pair vanish to rounding
     for _ in range(8):
         n = int(rng.integers(2, 7))
-        g = random_tree(n, rng)
+        g = random_connected_graph(n, rng, extra_p=0.0)
         p = NLassoProblem(g, [int(rng.integers(1, n + 1))], 0.25, 0.2)
-        x_star, y_star = exact_tree_optimum(p)
+        x_star, y_star = exact_optimum(p)
         report = kkt_residuals(p, x_star, y_star, eps_sat=1e-6)
         assert report.seed_demand_residual <= 1e-8
         assert report.nonseed_demand_residual <= 1e-8
@@ -163,6 +164,45 @@ def test_boundary_conditions_absorbing_fails_when_outside_is_zero():
     assert not report.holds_absorbing
 
 
+def test_boundary_conditions_absorbing_holds_at_equality():
+    # at the optimum the absorbing condition is an equality: on this tree a
+    # converged run puts lhs 1.4e-17 above rhs_absorbing, one rounding of
+    # its sums
+    g = build_graph(4, [(1, 2, 1.3118402833211513), (1, 3, 0.9153368060680562),
+                        (2, 4, 0.7409780131626903)])
+    p = NLassoProblem(g, [4], 0.5402651562704848, 0.07561549398596976)
+    res = run(p, SolverConfig(max_iters=20_000))
+    report = boundary_conditions(p, extract_cluster(res.x, 0.5, seeds=p.seeds), res.x)
+    assert 0.0 < report.lhs - report.rhs_absorbing <= 1e-16
+    assert report.holds_absorbing
+
+
+def test_exact_optimum_saturates_the_cluster_boundary(rng):
+    # the paper's flow picture at (x*, y*): every boundary edge of
+    # C = {x* > 1/2} carries its full capacity lam W_e out of C, and both
+    # boundary conditions hold at x*
+    problems = [cli.chain_problem()] + [cli.sbm_problem(seed)[0] for seed in range(3)]
+    for _ in range(20):
+        n = int(rng.integers(3, 30))
+        problems.append(NLassoProblem(random_connected_graph(n, rng),
+                                      [int(rng.integers(1, n + 1))], 0.05, 0.1))
+    checked = 0
+    for p in problems:
+        g = p.graph
+        x_star, y_star = exact_optimum(p)
+        c = extract_cluster(x_star, 0.5, seeds=p.seeds)
+        if not c.contains_seeds:
+            continue
+        in_c = _node_mask(c.cluster, g.n)
+        outward = np.where(in_c[g.src], 1.0, -1.0)
+        cut = in_c[g.src] != in_c[g.dst]
+        assert np.array_equal(outward[cut] * y_star[cut], p.capacities[cut])
+        report = boundary_conditions(p, c, x_star)
+        assert report.holds_injecting and report.holds_absorbing
+        checked += 1
+    assert checked == 17  # the chain, the block models and 13 random graphs
+
+
 def test_boundary_conditions_requires_seed_containment(chain_problem):
     x = np.zeros(100)
     x[9] = 1.0
@@ -191,8 +231,6 @@ def test_reach_bound_empty_boundary():
 def test_delivered_clusters_satisfy_conditions(rng):
     # long-enough runs around the benchmark parameter range produce
     # clusters whose necessary conditions both hold
-    from oracle import random_connected_graph
-
     for n, alpha, lam in [(30, 0.01, 0.1), (60, 0.005, 0.2), (100, 0.02, 0.05)]:
         g = random_connected_graph(n, rng, extra_p=2.0 / n)
         p = NLassoProblem(g, [int(rng.integers(1, n + 1))], alpha, lam)
@@ -209,8 +247,6 @@ def test_absorbing_condition_implies_whole_graph_reach_bound(rng):
     # when the absorbing condition holds and every outside value is at most
     # 1/2, the reach bound with every node allowed outside follows; checked
     # jointly on delivered iterates rather than assumed
-    from oracle import random_connected_graph
-
     checked = 0
     for trial in range(6):
         n = int(rng.integers(10, 40))

@@ -25,7 +25,7 @@ from nlasso import (
 )
 from nlasso.baselines import laplacian
 from nlasso.certificates import _key_value_lines
-from oracle import exact_tree_optimum, random_connected_graph, random_tree
+from oracle import exact_optimum, random_connected_graph
 
 
 def two_node_problem(w=2.0, alpha=0.5, lam=0.1):
@@ -337,14 +337,14 @@ def test_duality_gap_at_zero(chain_problem):
 def test_duality_gap_at_tree_optimum(rng):
     problems = [two_node_problem()]
     for _ in range(5):
-        g = random_tree(3, rng)
+        g = random_connected_graph(3, rng, extra_p=0.0)
         problems.append(NLassoProblem(g, [int(rng.integers(1, 4))], 0.4, 0.15))
     for p in problems:
-        x_star, y_star = exact_tree_optimum(p)
+        x_star, y_star = exact_optimum(p)
         assert duality_gap(p, x_star, y_star) <= 1e-8
     # strong duality on the single edge: the dual value meets the primal
     p = problems[0]
-    x_star, y_star = exact_tree_optimum(p)
+    x_star, y_star = exact_optimum(p)
     assert dual_value(p, y_star) == pytest.approx(primal_objective(p, x_star), abs=1e-10)
 
 

@@ -16,10 +16,14 @@ from nlasso import (
     boundary_conditions,
     build_graph,
     conjugate_g_feasible,
+    duality_gap,
     extract_cluster,
+    kkt_residuals,
+    primal_objective,
     run,
 )
 from nlasso.solver import _BandKernel, _Kernel, _ScalarKernel
+from oracle import exact_optimum
 from test_solver import (
     assert_same_result,
     count_steps,
@@ -48,6 +52,17 @@ def problems(draw, max_n=8):
     alpha = draw(st.floats(1e-3, 10.0))
     lam = draw(st.floats(1e-3, 10.0))
     return NLassoProblem(g, seeds, alpha, lam)
+
+
+@PROPERTY
+@given(problems())
+def test_exact_optimum_meets_the_optimality_conditions(p):
+    # the reference pair meets every demand within capacity, is constant
+    # across each unsaturated edge and closes the duality gap, to rounding
+    x, y = exact_optimum(p)
+    report = kkt_residuals(p, x, y, eps_sat=1e-9)
+    assert report.capacity_ok and report.max_residual <= 1e-12, report
+    assert abs(duality_gap(p, x, y)) <= 1e-12 * (1.0 + primal_objective(p, x))
 
 
 @PROPERTY
@@ -154,10 +169,11 @@ def test_run_matches_stepwise_run_under_fixed_configs(p):
                        [1, 2, 3, 4, 5], 4.5, 10.0))
 def test_delivered_clusters_satisfy_certificates(p):
     # all drawn seeds, run to a duality gap of 1e-10; the absorbing
-    # condition is an equality at the optimum, so it holds to within rounding
+    # condition is an equality at the optimum, which boundary_conditions
+    # compares within rounding
     res = run(p, SolverConfig(max_iters=20_000, check_interval=100, gap_tolerance=1e-10))
     c = extract_cluster(res.x, 0.5, seeds=p.seeds)
     assume(res.history[-1].gap <= 1e-10 and c.contains_seeds)
     report = boundary_conditions(p, c, res.x)
     assert report.holds_injecting
-    assert report.lhs <= report.rhs_absorbing * (1.0 + 1e-12)
+    assert report.holds_absorbing

@@ -22,7 +22,7 @@ from nlasso import (
 from nlasso import cli, solver
 from nlasso.generators import GreyImage, chain_graph, grid_from_image
 from nlasso.solver import _BandKernel, _Kernel, _kernel, _node_constants, _ScalarKernel
-from oracle import exact_tree_optimum, pair_prox_gradient, random_connected_graph
+from oracle import exact_optimum, random_connected_graph
 
 
 def test_config_validation():
@@ -102,12 +102,17 @@ def test_step_capacity_invariant(rng):
 
 
 def test_step_fixed_point_at_optimum(rng):
-    g = build_graph(2, [(1, 2, 1.7)])
-    p = NLassoProblem(g, [2], 0.3, 0.2)
-    x_star, y_star = exact_tree_optimum(p)
-    x, _, y = kernel_of(_Kernel, p).step(x_star.copy(), x_star.copy(), y_star.copy())
-    assert np.max(np.abs(x - x_star)) <= 1e-12
-    assert np.max(np.abs(y - y_star)) <= 1e-12
+    # one edge, then seeded random connected graphs
+    problems = [NLassoProblem(build_graph(2, [(1, 2, 1.7)]), [2], 0.3, 0.2)]
+    for _ in range(10):
+        g = random_connected_graph(int(rng.integers(2, 12)), rng)
+        problems.append(NLassoProblem(g, [int(rng.integers(1, g.n + 1))], 0.1, 0.15))
+    for p in problems:
+        x_star, y_star = exact_optimum(p)
+        k = kernel_of(_Kernel, p)
+        x, _, y = k.arrays(k.step(*kernel_state(k, x_star.copy(), x_star.copy(), y_star)))
+        assert np.max(np.abs(x - x_star)) <= 1e-12
+        assert np.max(np.abs(y - y_star)) <= 1e-12
 
 
 def test_run_chain_cluster(chain_problem):
@@ -122,8 +127,35 @@ def test_run_matches_pair_oracle():
     g = build_graph(2, [(1, 2, w)])
     p = NLassoProblem(g, [1], alpha, lam)
     res = run(p, SolverConfig(max_iters=10 ** 5))
-    x_star = pair_prox_gradient(w, seed_first=True, alpha=alpha, lam=lam)
-    assert np.max(np.abs(res.x - x_star)) <= 1e-6
+    assert np.max(np.abs(res.x - exact_optimum(p)[0])) <= 1e-9
+
+
+def test_run_matches_exact_optimum(rng):
+    # the 25 frozen instances and seeded random connected graphs at 10^5
+    # iterations; each run stops stepping once its state repeats
+    problems = frozen_problems()
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        g = random_connected_graph(n, rng)
+        problems.append(NLassoProblem(g, [int(rng.integers(1, n + 1))],
+                                      rng.uniform(0.01, 1.0), rng.uniform(0.01, 0.5)))
+    for p in problems:
+        res = run(p, SolverConfig(max_iters=10 ** 5))
+        assert np.max(np.abs(res.x - exact_optimum(p)[0])) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["chain", "sbm0", "sbm1", "sbm2"])
+def test_paper_problems_reach_the_exact_optimum(seed):
+    # the chain and the first three block models: the CLI's 1000 iterations
+    # deliver the exact cluster {x* > 1/2} (the chain's nodes 1-4, the first
+    # block), and 2 * 10^4 reach x* to within 3.4e-11
+    p = cli.chain_problem() if seed is None else cli.sbm_problem(seed)[0]
+    x_star = exact_optimum(p)[0]
+    exact = extract_cluster(x_star).cluster.tolist()
+    assert exact == list(range(1, 5 if seed is None else 101))
+    assert extract_cluster(run(p, SolverConfig(max_iters=1000)).x).cluster.tolist() == exact
+    res = run(p, SolverConfig(max_iters=2 * 10 ** 4))
+    assert np.max(np.abs(res.x - x_star)) <= 1e-9
 
 
 def test_run_deterministic(chain_problem):

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from frozen_oracle import INSTANCES
 from nlasso import cli
+from oracle import exact_optimum
 from test_properties import PROPERTY, problems
 from test_solver import frozen_problems
 
@@ -135,3 +137,25 @@ def test_fixture_generator_reproduces_the_frozen_instances():
     assert len(made) == len(INSTANCES) == 25
     for k, (new, frozen) in enumerate(zip(made, INSTANCES)):
         assert {key: new[key] for key in keys} == {key: frozen[key] for key in keys}, k
+
+
+def test_frozen_optima_lie_within_the_guard_of_the_exact_optimum():
+    # the subgradient oracle's values as frozen, against the threshold-cut
+    # optimum on all 25 instances: the worst is 3.9e-5
+    worst = max(float(np.max(np.abs(np.asarray(inst["x_star"]) - exact_optimum(p)[0])))
+                for inst, p in zip(INSTANCES, frozen_problems()))
+    assert worst <= tool("gen_oracle_fixtures").GUARD, worst
+
+
+# the first check from which the iterate's cluster is exact through 1000
+# iterations, as printed by tools/convergence_counts.py: the chain, then
+# block models 0-2, pinned as upper bounds
+ITERS_TO_EXACT_CLUSTER = [820, 770, 820, 850]
+
+
+def test_iterations_to_exact_cluster_do_not_grow():
+    counts = tool("convergence_counts")
+    problems = [cli.chain_problem()] + [cli.sbm_problem(seed)[0] for seed in range(3)]
+    for p, bound in zip(problems, ITERS_TO_EXACT_CLUSTER):
+        since = counts.iterations_to_exact_cluster(p)
+        assert since is not None and since <= bound, (bound, since)

@@ -13,7 +13,9 @@ measures convergence without any timing.  Instances:
 Next to the chain's and each block model's count it prints the paper's
 rate claim at k = 1000 iterations: k G, with G the duality gap of the
 averages of the first k iterates, and the bound B that k G may not exceed
-(see `ergodic_gap_bound`).
+(see `ergodic_gap_bound`), and the first check (every 10 iterations) from
+which the iterate's cluster {x > 1/2} is the exact one, {x* > 1/2} of
+tests/oracle.py's `exact_optimum`, through iteration 1000.
 
 Last it prints the duality gap of perfbench's `segment-large` problem (the
 seed-1 256 x 256 image, built by importing perfbench/workloads.py, which
@@ -22,7 +24,8 @@ grid iterations would take minutes, and the gap does not reach 1e-6 within
 6000.
 
 tests/test_solver.py pins the chain's and the frozen set's counts as upper
-bounds, and tests/test_tools.py checks k G <= B with `ergodic_gap_bound`.
+bounds, and tests/test_tools.py checks k G <= B with `ergodic_gap_bound`
+and pins the exact-cluster checks of the chain and block models 0-2.
 
 Usage: python tools/convergence_counts.py
 """
@@ -44,6 +47,7 @@ from frozen_oracle import INSTANCES  # noqa: E402
 from nlasso import (NLassoProblem, SolverConfig, build_graph, divergence,  # noqa: E402
                     duality_gap, read_node_set, run)
 from nlasso import cli, generators as gen, solver  # noqa: E402
+from oracle import exact_optimum  # noqa: E402
 import workloads  # noqa: E402
 
 GAP = 1e-6
@@ -97,6 +101,22 @@ def ergodic_gap_bound(p: NLassoProblem, ks) -> dict[int, tuple[float, float]]:
     return out
 
 
+def iterations_to_exact_cluster(p: NLassoProblem) -> int | None:
+    """The first check from which {x > 1/2} equals {x* > 1/2} through
+    iteration RATE_ITERS, or None if it differs there.  The iterates are
+    those of the kernel `run` builds for p."""
+    exact = exact_optimum(p)[0] > 0.5
+    kernel = solver._kernel(p)
+    state = kernel.start()
+    since = None
+    for k in range(CHECK_INTERVAL, RATE_ITERS + 1, CHECK_INTERVAL):
+        for _ in range(CHECK_INTERVAL):
+            state = kernel.step(*state)
+        same = np.array_equal(kernel.arrays(state)[0] > 0.5, exact)
+        since = (since or k) if same else None
+    return since
+
+
 def instances():
     yield "chain", cli.chain_problem()
     for seed in range(10):
@@ -124,6 +144,7 @@ def main() -> int:
         if not name.startswith("frozen"):
             k_gap, bound = ergodic_gap_bound(p, [RATE_ITERS])[RATE_ITERS]
             line += f"  k G {k_gap:.3g} <= B {bound:.3g} at k = {RATE_ITERS}"
+            line += f"  exact cluster from {iterations_to_exact_cluster(p)}"
         print(line, flush=True)
     gaps = ", ".join(f"{gap:.3g} at {k}" for k, gap in segment_gaps().items())
     print(f"segment-large[{SEGMENT_SEED}] gap {gaps}", flush=True)

@@ -8,10 +8,9 @@ each, and writes the instances together with the oracle optima as a
 literal Python module, so the acceptance tests never depend on RNG stream
 stability.
 
-Every oracle value is cross-checked here before being frozen: against the
-exact enumeration optimum on instances that happen to be trees, and
-against cvxpy on all instances when cvxpy is importable.  The script
-aborts if any check exceeds the guard tolerances.
+Every oracle value is checked here against the exact optimum of
+tests/oracle.py before being frozen; the script aborts if any value is
+further from it than GUARD.
 
 Usage: python tools/gen_oracle_fixtures.py [--check]
     --check   re-derive everything and compare with the committed file
@@ -32,13 +31,12 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from nlasso import NLassoProblem, build_graph  # noqa: E402
-from oracle import exact_tree_optimum, random_connected_graph, subgradient_minimize  # noqa: E402
+from oracle import exact_optimum, random_connected_graph, subgradient_minimize  # noqa: E402
 
 N_INSTANCES = 25
 RNG_SEED = 20240
 ORACLE_STEPS = 10 ** 6
-TREE_GUARD = 8e-5
-CVX_GUARD = 8e-5
+GUARD = 8e-5
 
 ALPHAS = (0.01, 0.1, 1.0)
 LAMBDAS = (0.05, 0.5)
@@ -64,23 +62,6 @@ def make_instances():
     return instances
 
 
-def cvx_optimum(p):
-    try:
-        import cvxpy as cp
-    except ImportError:
-        return None
-    g = p.graph
-    x = cp.Variable(g.n)
-    s = np.flatnonzero(p.seed_mask)
-    ns = np.flatnonzero(~p.seed_mask)
-    fit = 0.5 * cp.sum_squares(x[s] - 1)
-    if ns.size:
-        fit = fit + 0.5 * p.alpha * cp.sum_squares(x[ns])
-    tv = cp.sum(cp.multiply(g.weights, cp.abs(x[g.src] - x[g.dst])))
-    cp.Problem(cp.Minimize(fit + p.lam * tv)).solve(solver=cp.CLARABEL)
-    return np.asarray(x.value)
-
-
 def derive(instances):
     rows = []
     for k, inst in enumerate(instances):
@@ -89,22 +70,11 @@ def derive(instances):
         t0 = time.time()
         x_oracle = subgradient_minimize(p, ORACLE_STEPS)
         elapsed = time.time() - t0
-        checks = []
-        if g.num_edges == g.n - 1:
-            x_exact, _ = exact_tree_optimum(p)
-            err = float(np.max(np.abs(x_oracle - x_exact)))
-            checks.append(("tree", err, TREE_GUARD))
-        x_cvx = cvx_optimum(p)
-        if x_cvx is not None:
-            err = float(np.max(np.abs(x_oracle - x_cvx)))
-            checks.append(("cvx", err, CVX_GUARD))
-        for name, err, guard in checks:
-            if err > guard:
-                raise SystemExit(
-                    f"instance {k}: oracle vs {name} error {err:.2e} exceeds {guard:.0e}")
-        tag = " ".join(f"{name}={err:.1e}" for name, err, _ in checks) or "no reference"
+        err = float(np.max(np.abs(x_oracle - exact_optimum(p)[0])))
+        if err > GUARD:
+            raise SystemExit(f"instance {k}: oracle vs exact error {err:.2e} exceeds {GUARD:.0e}")
         print(f"[{k:2d}] n={inst['n']} m={g.num_edges} alpha={inst['alpha']:<4} "
-              f"lam={inst['lam']:<4} {elapsed:5.1f}s  {tag}")
+              f"lam={inst['lam']:<4} {elapsed:5.1f}s  exact={err:.1e}")
         rows.append(x_oracle)
     return rows
 
