@@ -2,9 +2,10 @@
 
 A primal-dual pair (x, y) is optimal exactly when the flow meets every
 node's demand (x_i - 1 at seeds, alpha x_i elsewhere, both as net inflow),
-respects the capacities lam W_e, and x is constant across every edge whose
-flow is strictly below capacity.  kkt_residuals measures how far a pair is
-from those conditions.
+respects the capacities lam W_e, x is constant across every edge whose
+flow is strictly below capacity, and every flow at capacity runs from the
+edge's higher end to its lower, y_e (x_i - x_j) >= 0.  kkt_residuals
+measures how far a pair is from those conditions.
 
 For a cluster C containing the seeds S, two necessary conditions relate
 the penalty to the boundary weight.  At the optimum every edge leaving C
@@ -56,7 +57,9 @@ class KKTReport:
     seed_demand_residual and nonseed_demand_residual are max norms of the
     flow-demand equations; capacity_ok reports the closed capacity
     constraint; nonsaturated_jump is the largest |x_i - x_j| over edges with
-    |y_e| < lam W_e (1 - eps_sat), where the signal must be constant.
+    |y_e| < lam W_e (1 - eps_sat), where the signal must be constant, and
+    the largest jump against the flow, max(0, -sign(y_e) (x_i - x_j)), over
+    the other edges, whose flow must run from the higher end to the lower.
     max_residual is the largest of the three residuals, or NaN if any is.
     """
 
@@ -116,10 +119,11 @@ def kkt_residuals(p: NLassoProblem, x, y_base, eps_sat: float = 1e-6) -> KKTRepo
     cap = p.capacities
     capacity_ok = conjugate_g_feasible(p, y)
     loose = np.abs(y) < cap * (1.0 - eps_sat)
-    if loose.any():
-        jump = float(np.max(np.abs(x[g.src[loose]] - x[g.dst[loose]])))
-    else:
-        jump = 0.0
+    dx = x[g.src] - x[g.dst]
+    # x is constant across a loose edge, and no other flow runs against the
+    # signal: y_e (x_i - x_j) >= 0
+    jump = np.where(loose, np.abs(dx), np.maximum(-np.sign(y) * dx, 0.0))
+    jump = float(np.max(jump, initial=0.0))
     return KKTReport(seed_res, nonseed_res, capacity_ok, jump, eps_sat)
 
 

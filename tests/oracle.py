@@ -15,8 +15,6 @@ Two routes to the optimum that share no code with the package solver:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from nlasso import NLassoProblem, build_graph
@@ -62,23 +60,32 @@ def _max_flow(n, s, t, arcs):
                     queue.append(to[a])
         return level
 
-    def push(u, f):
-        if u == t:
-            return f
-        while nxt[u] < len(head[u]):
-            a = head[u][nxt[u]]
-            if res[a] > tol and level[to[a]] == level[u] + 1:
-                pushed = push(to[a], min(f, res[a]))
-                if pushed:
-                    res[a] -= pushed
-                    res[a ^ 1] += pushed
-                    return pushed
-            nxt[u] += 1
-        return 0.0
+    def push():
+        """Push flow along one path of the level graph, found with a stack
+        of arcs; returns False once s reaches t no more."""
+        path, u = [], s
+        while u != t:
+            while nxt[u] < len(head[u]):
+                a = head[u][nxt[u]]
+                if res[a] > tol and level[to[a]] == level[u] + 1:
+                    path.append(a)
+                    u = to[a]
+                    break
+                nxt[u] += 1
+            else:  # a dead end: retreat along the arc into u and pass it
+                if not path:
+                    return False
+                u = to[path.pop() ^ 1]
+                nxt[u] += 1
+        f = min(res[a] for a in path)
+        for a in path:
+            res[a] -= f
+            res[a ^ 1] += f
+        return True
 
     while (level := levels())[t] >= 0:
         nxt = [0] * n
-        while push(s, math.inf):
+        while push():
             pass
     return [arc[2] - r for arc, r in zip(arcs, res[::2])], [k >= 0 for k in level]
 

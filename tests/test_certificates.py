@@ -12,6 +12,7 @@ from nlasso import (
     SolverConfig,
     boundary_conditions,
     build_graph,
+    duality_gap,
     extract_cluster,
     kkt_residuals,
     reach_bound_check,
@@ -69,6 +70,21 @@ def test_kkt_capacity_flag(chain_problem):
     y[0] = 2.0 * chain_problem.capacities[0]
     report = kkt_residuals(chain_problem, np.zeros(100), y)
     assert not report.capacity_ok
+
+
+def test_kkt_flags_a_saturated_flow_against_the_signal():
+    # the flow meets both demands at capacity, but runs from node 2 up to
+    # node 1, which lies 1.75 higher: not optimal, with a duality gap of 0.875
+    p = NLassoProblem(build_graph(2, [(1, 2, 1.0)]), [1], 0.5, 0.25)
+    x, y = np.array([1.25, -0.5]), np.array([-0.25])
+    assert duality_gap(p, x, y) == 0.875
+    report = kkt_residuals(p, x, y)
+    assert report.seed_demand_residual == report.nonseed_demand_residual == 0.0
+    assert report.capacity_ok
+    assert report.nonsaturated_jump == report.max_residual == 1.75
+    # the same flow running down from node 1 leaves that jump nothing to report
+    report = kkt_residuals(p, [1.25, -0.5], [0.25])
+    assert report.nonsaturated_jump == 0.0
 
 
 def test_kkt_at_tree_optima(rng):

@@ -22,7 +22,7 @@ from nlasso import (
 from nlasso import cli, solver
 from nlasso.generators import GreyImage, chain_graph, grid_from_image
 from nlasso.solver import _BandKernel, _Kernel, _kernel, _node_constants, _ScalarKernel
-from oracle import exact_optimum, random_connected_graph
+from oracle import _max_flow, exact_optimum, random_connected_graph
 
 
 def test_config_validation():
@@ -144,18 +144,36 @@ def test_run_matches_exact_optimum(rng):
         assert np.max(np.abs(res.x - exact_optimum(p)[0])) <= 1e-9
 
 
-@pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["chain", "sbm0", "sbm1", "sbm2"])
-def test_paper_problems_reach_the_exact_optimum(seed):
-    # the chain and the first three block models: the CLI's 1000 iterations
-    # deliver the exact cluster {x* > 1/2} (the chain's nodes 1-4, the first
-    # block), and 2 * 10^4 reach x* to within 3.4e-11
-    p = cli.chain_problem() if seed is None else cli.sbm_problem(seed)[0]
+# each problem and its exact cluster {x* > 1/2}: the chain's nodes 1-4, the
+# first block of the first three block models, and the 63 seeds of the
+# 40 x 40 noisy disc, on which run takes the band layout
+EXACT_CLUSTERS = {
+    "chain": lambda: (cli.chain_problem(), list(range(1, 5))),
+    "sbm0": lambda: (cli.sbm_problem(0)[0], list(range(1, 101))),
+    "sbm1": lambda: (cli.sbm_problem(1)[0], list(range(1, 101))),
+    "sbm2": lambda: (cli.sbm_problem(2)[0], list(range(1, 101))),
+    "disc": lambda: ((p := noisy_disc_problem(40)), p.seeds.tolist()),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACT_CLUSTERS))
+def test_paper_problems_reach_the_exact_optimum(case):
+    # the CLI's 1000 iterations deliver the exact cluster, and 2 * 10^4
+    # reach x* to within 3.4e-11
+    p, exact = EXACT_CLUSTERS[case]()
     x_star = exact_optimum(p)[0]
-    exact = extract_cluster(x_star).cluster.tolist()
-    assert exact == list(range(1, 5 if seed is None else 101))
+    assert extract_cluster(x_star).cluster.tolist() == exact
     assert extract_cluster(run(p, SolverConfig(max_iters=1000)).x).cluster.tolist() == exact
     res = run(p, SolverConfig(max_iters=2 * 10 ** 4))
     assert np.max(np.abs(res.x - x_star)) <= 1e-9
+
+
+def test_max_flow_follows_a_long_path():
+    # the oracle finds each augmenting path with a stack of arcs, not by
+    # recursion, so a path past Python's limit of 1000 frames takes its flow
+    flow, reach = _max_flow(2001, 0, 2000, [(i, i + 1, 1.0, 0.0) for i in range(2000)])
+    assert flow == [1.0] * 2000
+    assert reach == [True] + [False] * 2000
 
 
 def test_run_deterministic(chain_problem):
@@ -217,52 +235,26 @@ def test_long_run_kkt_consistency(rng):
     assert report.nonsaturated_jump <= 1e-4
 
 
-def clip_step(k, x, x_prev, y):
-    """`_Kernel.step` with the projection written as np.clip: the reference
-    that the max-then-min clamp must match bit for bit."""
-    xt = 2.0 * x - x_prev
-    y = y + 0.5 * (xt[k.src] - xt[k.dst])
-    np.clip(y, k.neg_cap, k.cap, out=y)
-    div = (np.bincount(k.src, weights=y, minlength=k.n)
-           - np.bincount(k.dst, weights=y, minlength=k.n))
-    v = x - k.gamma * div
-    return (v + k.shift) * k.scale, x, y
-
-
 def same_bits(a, b):
     return all(u.dtype == v.dtype and u.tobytes() == v.tobytes() for u, v in zip(a, b))
 
 
-def saturated_grid_problem():
-    """30 x 30 noisy two-region grid; lam is small enough that hundreds of
-    edges carry a flow of exactly their capacity."""
+def noisy_disc_problem(size):
+    """A size x size grid, grey 170 inside the disc of radius 0.3 size
+    around its centre and 80 outside, plus seeded noise in -15..15, with
+    every 7th inside pixel a seed.  lam is small enough that, at size 30,
+    hundreds of edges carry a flow of exactly their capacity."""
     rng = np.random.default_rng(5)
-    rows, cols = np.mgrid[0:30, 0:30]
-    inside = (rows - 15) ** 2 + (cols - 15) ** 2 <= 81
-    grey = np.where(inside, 170, 80) + rng.integers(-15, 16, size=(30, 30))
-    g = grid_from_image(GreyImage(30, 30, grey.ravel()))
+    rows, cols = np.mgrid[0:size, 0:size]
+    inside = (rows - size // 2) ** 2 + (cols - size // 2) ** 2 <= (3 * size // 10) ** 2
+    grey = np.where(inside, 170, 80) + rng.integers(-15, 16, size=(size, size))
+    g = grid_from_image(GreyImage(size, size, grey.ravel()))
     return NLassoProblem(g, np.flatnonzero(inside.ravel())[::7] + 1, 0.01, 1e-3)
 
 
 def frozen_problems():
     return [NLassoProblem(build_graph(inst["n"], inst["edges"]), [inst["seed"]],
                           inst["alpha"], inst["lam"]) for inst in FROZEN]
-
-
-def test_projection_matches_clip_along_runs():
-    problems = frozen_problems()
-    g, blocks = sbm_graph(SbmSpec((200, 200), 0.1, 0.01, rng_seed=0))
-    problems.append(NLassoProblem(g, sample_seeds(blocks[0], 20, rng_seed=0), 1 / 40, 1 / 200))
-    problems.append(saturated_grid_problem())
-    for p in problems:
-        k = kernel_of(_Kernel, p)
-        ours = ref = (np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges))
-        for _ in range(300):
-            ours, ref = k.step(*ours), clip_step(k, *ref)
-            assert same_bits(ours, ref)
-    # the grid, run last, ends with hundreds of flows exactly at capacity
-    at_cap = int(np.sum(np.abs(ours[2]) == k.cap))
-    assert at_cap >= 300, at_cap
 
 
 def matching_problem():
@@ -288,10 +280,7 @@ def test_projection_matches_clip_at_the_bound():
     k = kernel_of(_Kernel, p)
     cap = p.capacities
     assert cap[9] == cap[10] == 0.0  # 0.25 * 5e-324 underflows
-    state = kernel_state(k, *state)
-    ours, ref = k.step(*state), clip_step(k, *state)
-    assert same_bits(ours, ref)
-    y = k.arrays(ours)[2]
+    y = k.arrays(k.step(*kernel_state(k, *state)))[2]
     assert y.tolist() == [cap[0], -cap[1], 0.0, 0.0, cap[4], -cap[5], cap[6], -cap[7],
                           0.0, 0.0, 0.0]
     assert np.signbit(y[[2, 8]]).all()  # -0.0 inside the bounds stays -0.0
@@ -308,37 +297,6 @@ def underflow_problem():
     return NLassoProblem(g, [3], 0.5, 0.25)
 
 
-def test_scalar_clamp_follows_numpy_ties():
-    p = underflow_problem()
-    assert p.capacities[2] == 0.0
-    gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
-    gather, scalar = gk.start(), sk.start()
-    ties = 0
-    for _ in range(50):
-        x, x_prev, y = sk.arrays(scalar)
-        xt = 2.0 * x - x_prev
-        ties += (xt[1] - xt[2]) * 0.5 + y[2] < 0.0
-        gather, scalar = gk.step(*gather), sk.step(*scalar)
-        assert same_bits(gk.arrays(gather), sk.arrays(scalar))
-        y = sk.arrays(scalar)[2]
-        assert y[2] == 0.0 and not np.signbit(y[2])
-    assert ties >= 40, ties
-    # a NaN flow stays NaN through the clamp, as in np.maximum and np.minimum
-    gather = (np.ones(3), np.ones(3), np.array([np.nan, 0.0, 0.0]))
-    scalar = in_layout(sk, gather)
-    for _ in range(3):
-        gather, scalar = gk.step(*gather), sk.step(*scalar)
-        assert same_bits(gk.arrays(gather), sk.arrays(scalar))
-    assert np.isnan(sk.arrays(scalar)[0]).all()
-    # the matching's flows at and beyond the bounds, +-inf included
-    p, state = matching_problem()
-    gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
-    gather, scalar = kernel_state(gk, *state), kernel_state(sk, *state)
-    for _ in range(5):
-        gather, scalar = gk.step(*gather), sk.step(*scalar)
-        assert same_bits(gk.arrays(gather), sk.arrays(scalar))
-
-
 def kernel_of(cls, p):
     """p's kernel in the layout of class cls, from the arrays `_kernel`
     passes its layout's class."""
@@ -350,11 +308,8 @@ def layout_of(g):
     return type(_kernel(NLassoProblem(g, [1], 0.1, 0.1)))
 
 
-def run_in_layout(monkeypatch, kernel, p, cfg):
-    """`run` with its kernel forced to the class `kernel`."""
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_kernel", lambda q: kernel_of(kernel, q))
-        return run(p, cfg)
+LAYOUTS = {"gather": _Kernel, "band": _BandKernel, "scalar": _ScalarKernel}
+by_layout = pytest.mark.parametrize("layout", list(LAYOUTS.values()), ids=list(LAYOUTS))
 
 
 def assert_same_result(a, b):
@@ -365,31 +320,15 @@ def assert_same_result(a, b):
         == [tuple(map(float.hex, map(float, h))) for h in b.history]
 
 
-def assert_layouts_agree(monkeypatch, p, cfg, other=_BandKernel):
-    """The gather kernel and `other` give the same x, y, history and
-    iteration count, bit for bit; returns the result of `other`."""
-    a = run_in_layout(monkeypatch, _Kernel, p, cfg)
-    b = run_in_layout(monkeypatch, other, p, cfg)
-    assert_same_result(a, b)
-    return b
-
-
 def kernel_state(k, x, x_prev, y):
     """A step state with its flow in edge order, in kernel k's own form: the
-    flow moved into a numpy layout's slots, or the scalar kernel's flat
-    tuple."""
+    flow moved into a numpy layout's slots, or the scalar kernel's one flat
+    tuple of floats, x then x_prev then y."""
     if isinstance(k, _ScalarKernel):
-        return in_layout(k, (x, x_prev, y))
+        return tuple(np.concatenate((x, x_prev, y)).tolist())
     yk = np.zeros(k.cap.size)
     yk[k.slots] = y
     return x, x_prev, yk
-
-
-def in_layout(k, state):
-    """A state of arrays in kernel k's own form: the scalar kernel steps one
-    flat tuple of floats, x then x_prev then y, and `arrays` cuts it back
-    into arrays."""
-    return tuple(np.concatenate(state).tolist()) if isinstance(k, _ScalarKernel) else state
 
 
 def holds_previous_x(k, new, old):
@@ -401,84 +340,120 @@ def holds_previous_x(k, new, old):
     return new[1] is old[0]
 
 
-def reference_step(p, k, x, x_prev, y):
-    """The step in edge order with one fresh array per expression, as first
-    written: the reference that both kernels must match bit for bit.  It
-    takes the per-node constants gamma, shift and scale from kernel k."""
+def reference_step(p, x, x_prev, y):
+    """The step in edge order as the module docstring of `nlasso.solver`
+    writes it, one fresh array per expression and the projection as
+    np.clip: the reference that every layout's step must match bit for bit."""
     g = p.graph
+    gamma, shift, scale = _node_constants(p)
     xt = 2.0 * x - x_prev
-    y = y + 0.5 * (xt[g.src] - xt[g.dst])
-    np.maximum(y, -p.capacities, out=y)
-    np.minimum(y, p.capacities, out=y)
+    y = np.clip(y + 0.5 * (xt[g.src] - xt[g.dst]), -p.capacities, p.capacities)
     div = (np.bincount(g.src, weights=y, minlength=g.n)
            - np.bincount(g.dst, weights=y, minlength=g.n))
-    v = x - k.gamma * div
-    return (v + k.shift) * k.scale, x, y
+    return (x - gamma * div + shift) * scale, x, y
 
 
-def signed_zero_chain_state(n):
-    """x = -0.0 at the even 0-based nodes of an n-node chain, x_prev = +0.0
-    and y = -0.0: the first step keeps the flow of each edge (2i, 2i + 1) at
-    -0.0, the only flow out of node 2i and into node 2i + 1."""
-    return np.tile([-0.0, 0.0], n // 2), np.zeros(n), np.full(n - 1, -0.0)
+def ones_start(p):
+    """`run`'s start in edge order: x = x_prev = 1 and zero flow."""
+    n = p.graph.n
+    return np.ones(n), np.ones(n), np.zeros(p.graph.num_edges)
 
 
-def test_kernels_match_reference_step():
-    # both layouts, step by step, from the all-ones start and from two
-    # hand-built states: a chain whose flows out of its even nodes and into
-    # its odd ones are -0.0, and matching_problem.  The saturated grid has
-    # hundreds of flows at capacity and, at each row end, an empty slot of
-    # capacity 0.  The band layout's out- and in-sums must have np.bincount's
-    # bits too, -0.0 against +0.0 included, which the step's outputs do not
-    # show: the prox adds a shift of +0.0 or more, which maps both zeros alike
-    chain = NLassoProblem(chain_graph(1000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2)
-    cases = [(p, (np.ones(p.graph.n), np.ones(p.graph.n), np.zeros(p.graph.num_edges)))
-             for p in frozen_problems() + [saturated_grid_problem(), chain]]
-    cases += [(chain, signed_zero_chain_state(1000)), matching_problem()]
-    for p, state in cases:
-        g = p.graph
-        gk, bk, sk = (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel))
-        ref = state
-        gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
-        scalar = kernel_state(sk, *state)
-        for _ in range(300):
-            ref, gather, band, scalar = (reference_step(p, gk, *ref), gk.step(*gather),
-                                         bk.step(*band), sk.step(*scalar))
-            assert same_bits(gk.arrays(gather), ref)
-            assert same_bits(bk.arrays(band), ref)
-            assert same_bits(sk.arrays(scalar), ref)
-            y = ref[2]
-            assert same_bits((bk._node_sums(band[2], bk.out_bands),
-                              bk._node_sums(band[2], bk.in_bands)),
-                             (np.bincount(g.src, weights=y, minlength=g.n),
-                              np.bincount(g.dst, weights=y, minlength=g.n)))
+def chain_starts():
+    """A 1000-node chain from the start, and from a state whose flows out of
+    its even 0-based nodes and into its odd ones are -0.0: the first step
+    keeps each edge (2i, 2i + 1)'s flow, the only one out of node 2i and
+    into node 2i + 1, at -0.0."""
+    p = NLassoProblem(chain_graph(1000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2)
+    return [(p, ones_start(p)),
+            (p, (np.tile([-0.0, 0.0], 500), np.zeros(1000), np.full(999, -0.0)))]
+
+
+def out_of_edge_order_starts():
+    """K5 and the frozen instances whose gather slots are not in edge order,
+    each from a random state."""
+    k5 = build_graph(5, [(i, j, 1.0 + i / j) for i in range(1, 6) for j in range(i + 1, 6)])
+    problems = [p for p in [NLassoProblem(k5, [2], 0.1, 0.3)] + frozen_problems()
+                if (kernel_of(_Kernel, p).slots != np.arange(p.graph.num_edges)).any()]
+    assert len(problems) == 5  # K5 and frozen instances 6, 11, 16 and 20
+    rng = np.random.default_rng(13)
+    return [(p, (rng.normal(size=p.graph.n), rng.normal(size=p.graph.n),
+                 rng.normal(size=p.graph.num_edges) * p.capacities)) for p in problems]
+
+
+def sbm_starts():
+    """The 400-node block model from the start."""
+    g, blocks = sbm_graph(SbmSpec((200, 200), 0.1, 0.01, rng_seed=0))
+    p = NLassoProblem(g, sample_seeds(blocks[0], 20, rng_seed=0), 1 / 40, 1 / 200)
+    return [(p, ones_start(p))]
+
+
+# case -> its (problem, start state in edge order) pairs
+STEP_CASES = {
+    "frozen": lambda: [(p, ones_start(p)) for p in frozen_problems()],
+    "grid": lambda: [(p, ones_start(p)) for p in [noisy_disc_problem(30)]],
+    "chain": chain_starts,
+    "matching": lambda: [matching_problem()],
+    "underflow": lambda: [(p, ones_start(p)) for p in [underflow_problem()]],
+    "nan": lambda: [(underflow_problem(),
+                     (np.ones(3), np.ones(3), np.array([np.nan, 0.0, 0.0])))],
+    "edge-order": out_of_edge_order_starts,
+    "sbm": sbm_starts,
+}
+
+
+def saturates(p, k, path):
+    # the grid ends with hundreds of flows exactly at capacity
+    assert np.sum(np.abs(path[-1][2]) == p.capacities) >= 300
+
+
+def one_band_half_empty(p, k, path):
     # the matching is one band with every other slot empty
-    assert bk.cap.size == 2 * p.graph.num_edges - 1
+    if isinstance(k, _BandKernel):
+        assert k.cap.size == 2 * p.graph.num_edges - 1
 
 
-def test_band_layout_matches_gather_stepwise():
-    # the saturated grid has hundreds of flows at capacity and, at each row
-    # end, an empty slot of capacity 0
-    for p in frozen_problems() + [saturated_grid_problem()]:
-        gk, bk = kernel_of(_Kernel, p), kernel_of(_BandKernel, p)
-        n = p.graph.n
-        gather = (np.ones(n), np.ones(n), np.zeros(gk.cap.size))
-        band = (np.ones(n), np.ones(n), np.zeros(bk.cap.size))
+def ties_give_plus_zero(p, k, path):
+    # at all but the first few steps the clamp meets -0.0 against +0.0 on
+    # edge (2, 3) and gives the bound +0.0, np.maximum's and np.minimum's
+    # second operand
+    ties = sum(((2.0 * x - x_prev)[1] - (2.0 * x - x_prev)[2]) * 0.5 + y[2] < 0.0
+               for x, x_prev, y in path[:-1])
+    assert ties >= 290, ties
+    assert all(y[2] == 0.0 and not np.signbit(y[2]) for _, _, y in path[1:])
+
+
+def stays_nan(p, k, path):
+    # a NaN flow stays NaN through the clamp, as in np.maximum and np.minimum
+    assert np.isnan(path[-1][0]).all()
+
+
+PATH_CHECKS = {"grid": saturates, "matching": one_band_half_empty,
+               "underflow": ties_give_plus_zero, "nan": stays_nan}
+
+
+@by_layout
+@pytest.mark.parametrize("case", list(STEP_CASES))
+def test_kernels_match_reference_step(case, layout):
+    # 300 steps from each start.  The band layout's out- and in-sums must
+    # have np.bincount's bits too, -0.0 against +0.0 included, which the
+    # step's outputs do not show: the prox adds a shift of +0.0 or more,
+    # which maps both zeros alike
+    for p, start in STEP_CASES[case]():
+        g, k, path = p.graph, kernel_of(layout, p), [start]
+        state = kernel_state(k, *start)
         for _ in range(300):
-            gather, band = gk.step(*gather), bk.step(*band)
-            assert same_bits(gk.arrays(gather), bk.arrays(band))
-
-
-def test_band_layout_matches_gather_at_the_bound():
-    # matching_problem: one band with every other slot empty, zero
-    # capacities, +-inf flows, -0.0
-    p, state = matching_problem()
-    gk, bk = kernel_of(_Kernel, p), kernel_of(_BandKernel, p)
-    gather, band = kernel_state(gk, *state), kernel_state(bk, *state)
-    for _ in range(5):
-        gather, band = gk.step(*gather), bk.step(*band)
-        assert same_bits(gk.arrays(gather), bk.arrays(band))
-    assert bk.cap.size == 2 * p.graph.num_edges - 1
+            path.append(reference_step(p, *path[-1]))
+            state = k.step(*state)
+            assert same_bits(k.arrays(state), path[-1])
+            if layout is _BandKernel:
+                y = path[-1][2]
+                assert same_bits((k._node_sums(state[2], k.out_bands),
+                                  k._node_sums(state[2], k.in_bands)),
+                                 (np.bincount(g.src, weights=y, minlength=g.n),
+                                  np.bincount(g.dst, weights=y, minlength=g.n)))
+        if case in PATH_CHECKS:
+            PATH_CHECKS[case](p, k, path)
 
 
 def test_gather_slots_keep_each_node_sum_order():
@@ -509,47 +484,21 @@ def test_gather_slots_keep_each_node_sum_order():
                          [np.bincount(edge_ends, weights=y, minlength=g.n)])
 
 
-def test_scalar_flow_stays_in_edge_order():
-    # on graphs whose gather slots are not in edge order, the scalar
-    # kernel's raw flow, the state's last m floats, is the edge-order flow
-    # that `arrays` reads out, and it matches the gather kernel at every
-    # step from a random state
-    k5 = build_graph(5, [(i, j, 1.0 + i / j) for i in range(1, 6) for j in range(i + 1, 6)])
-    problems = [NLassoProblem(k5, [2], 0.1, 0.3)] + frozen_problems()
-    rng = np.random.default_rng(13)
-    checked = 0
-    for p in problems:
-        gk, sk = kernel_of(_Kernel, p), kernel_of(_ScalarKernel, p)
-        n, m = p.graph.n, p.graph.num_edges
-        if not (gk.slots != np.arange(m)).any():
-            continue
-        state = (rng.normal(size=n), rng.normal(size=n), rng.normal(size=m) * p.capacities)
-        gather, scalar = kernel_state(gk, *state), in_layout(sk, state)
-        for _ in range(300):
-            gather, scalar = gk.step(*gather), sk.step(*scalar)
-            assert same_bits([np.array(scalar[2 * n:])], [sk.arrays(scalar)[2]])
-            assert same_bits(gk.arrays(gather), sk.arrays(scalar))
-        checked += 1
-    assert checked == 5  # K5 and frozen instances 6, 11, 16 and 20
-
-
 def test_step_leaves_inputs_and_returns_fresh_arrays():
     # `run` holds earlier states by reference for its repeat stop; the
     # scalar kernel's state is one tuple of floats, which nothing writes to,
     # and its `arrays` are fresh
     rng = np.random.default_rng(3)
-    for p in (frozen_problems()[0], saturated_grid_problem()):
-        for k in (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel)):
-            n = p.graph.n
-            scalar = isinstance(k, _ScalarKernel)
-            state = in_layout(k, (rng.normal(size=n), rng.normal(size=n),
-                                  rng.normal(size=k.m if scalar else k.cap.size)))
+    for p in (frozen_problems()[0], noisy_disc_problem(30)):
+        for k in (kernel_of(cls, p) for cls in LAYOUTS.values()):
+            n, m = p.graph.n, p.graph.num_edges
+            state = kernel_state(k, rng.normal(size=n), rng.normal(size=n), rng.normal(size=m))
             before = [a.tobytes() for a in k.arrays(state)]
             after = k.step(*state)
             assert [a.tobytes() for a in k.arrays(state)] == before
             assert holds_previous_x(k, after, state)
-            if scalar:
-                assert type(after) is tuple and len(after) == len(state) == 2 * n + k.m
+            if isinstance(k, _ScalarKernel):
+                assert type(after) is tuple and len(after) == len(state) == 2 * n + m
                 after, state = k.arrays(after), k.arrays(state)
             x, _, y = after
             for a, b in [(x, y)] + [(new, old) for new in (x, y) for old in state]:
@@ -564,7 +513,7 @@ def test_advance_matches_step_calls():
     matching, start = matching_problem()
     cases = [(p, None) for p in frozen_problems()[:3] + [underflow_problem()]]
     for p, edge_start in cases + [(matching, start)]:
-        for k in (kernel_of(cls, p) for cls in (_Kernel, _BandKernel, _ScalarKernel)):
+        for k in (kernel_of(cls, p) for cls in LAYOUTS.values()):
             first = kernel_state(k, *edge_start) if edge_start else k.start()
             before = [a.tobytes() for a in k.arrays(first)]
             for steps in (1, 2, 5, 16):
@@ -579,26 +528,6 @@ def test_advance_matches_step_calls():
             assert [a.tobytes() for a in k.arrays(first)] == before
 
 
-def test_band_layout_matches_gather_through_run(monkeypatch):
-    for p in frozen_problems():
-        assert_layouts_agree(monkeypatch, p, SolverConfig(max_iters=400, check_interval=50,
-                                                          gap_tolerance=1e-6))
-    # the saturated grid, and a chain and a grid on which run takes the
-    # band layout by itself
-    above = [NLassoProblem(chain_graph(2000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2),
-             NLassoProblem(grid_from_image(GreyImage(40, 40, np.arange(1600) % 7 * 10)),
-                           [1, 2, 41], 0.05, 0.5)]
-    assert all(layout_of(p.graph) is _BandKernel for p in above)
-    cfg = SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-3)
-    stops = []
-    for p in [saturated_grid_problem()] + above:
-        res = assert_layouts_agree(monkeypatch, p, cfg)
-        assert res.history
-        stops.append(res.iters_run)
-    # the gap stop ends some runs early
-    assert min(stops) < 3000
-
-
 def test_layout_selection():
     image = GreyImage(64, 64, (np.arange(64 * 64) * 37) % 256)
     assert layout_of(grid_from_image(image)) is _BandKernel
@@ -606,6 +535,7 @@ def test_layout_selection():
     image = GreyImage(256, 256, (np.arange(256 * 256) * 37) % 256)
     assert layout_of(grid_from_image(image)) is _BandKernel
     assert layout_of(chain_graph(2000)) is _BandKernel
+    assert layout_of(noisy_disc_problem(40).graph) is _BandKernel
     # the 4000-node block model of the sbm-large benchmark workload
     g, _ = sbm_graph(SbmSpec((2000, 2000), 20 / 2000, 1 / 2000, rng_seed=1))
     assert layout_of(g) is _Kernel
@@ -642,30 +572,6 @@ def tiny_batch_problems(seed, count=25):
     return problems
 
 
-def test_scalar_layout_matches_gather_through_run(monkeypatch):
-    # the 25 frozen instances, seeded random problems of tiny-batch's shape
-    # and the period-two problem, on all of which run takes the scalar
-    # kernel by itself: its state stays one flat tuple of floats from the
-    # start to the result, and becomes arrays at each history row
-    problems = frozen_problems() + tiny_batch_problems(1) + tiny_batch_problems(2)
-    problems.append(period_two_problem())
-    assert all(layout_of(p.graph) is _ScalarKernel for p in problems)
-    configs = [SolverConfig(max_iters=1000),
-               SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
-               SolverConfig(max_iters=999, check_interval=33),
-               SolverConfig(max_iters=1000, check_interval=7, gap_tolerance=1e-12)]
-    stops = repeats = 0
-    for p in problems:
-        for cfg in configs:
-            res, steps = count_steps(monkeypatch, p, cfg)
-            assert_same_result(res, run_in_layout(monkeypatch, _Kernel, p, cfg))
-            stops += res.iters_run < cfg.max_iters
-            repeats += steps < res.iters_run
-    # the gap stop ends some runs early, and the repeat stop skips steps of
-    # others
-    assert stops >= 10 and repeats >= 10, (stops, repeats)
-
-
 def test_scalar_steps_compiled_once_per_structure():
     # tiny-batch seed 1's 50 problems hold 30 graph structures: 30 compiles,
     # and the other 20 kernels reuse a compiled step
@@ -688,11 +594,11 @@ def test_scalar_steps_compiled_once_per_structure():
     assert star.step.__code__ is not path.step.__code__
 
 
-def stepwise_run(p, cfg):
-    """`run` without its repeat stop: all max_iters steps of the kernel
-    that `run` picks, a history row at each multiple of check_interval, and
-    the gap stop."""
-    kernel = solver._kernel(p)
+def stepwise_run(p, cfg, layout=None):
+    """`run` without its repeat stop: all max_iters steps of p's kernel in
+    the class `layout`, or in the layout `run` picks, a history row at each
+    multiple of check_interval, and the gap stop."""
+    kernel = kernel_of(layout, p) if layout else solver._kernel(p)
     state = kernel.start()
     history = []
     for r in range(1, cfg.max_iters + 1):
@@ -708,11 +614,11 @@ def stepwise_run(p, cfg):
     return SolverResult(x=x, y=y, iters_run=r, history=history)
 
 
-def count_steps(monkeypatch, p, cfg):
-    """`run(p, cfg)` and the number of steps it took, of whichever kernel
-    `run` picks for p."""
+def count_steps(monkeypatch, p, cfg, layout=None):
+    """`run(p, cfg)` and the number of steps it took, with its kernel in the
+    class `layout`, or in the layout `run` picks for p."""
     calls = []
-    kernel = solver._kernel(p)
+    kernel = kernel_of(layout, p) if layout else solver._kernel(p)
     step = kernel.step
 
     def counted(*state):
@@ -733,20 +639,62 @@ def period_two_problem():
     return NLassoProblem(g, [1], 1.0, 0.5)
 
 
-def test_repeat_stop_matches_stepwise_run():
-    # frozen instances 0, 11, 12 and 13 end in cycles of period 18, 6, 6 and
-    # 6; intervals of 7, 33 and 1 put checks at many offsets of the period
-    configs = [SolverConfig(max_iters=1000),
-               SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
-               SolverConfig(max_iters=3000, check_interval=100),
-               SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-10),
-               SolverConfig(max_iters=1000, check_interval=7),
-               SolverConfig(max_iters=999, check_interval=33),
-               SolverConfig(max_iters=2000, check_interval=1, gap_tolerance=1e-14),
-               SolverConfig(max_iters=1000, check_interval=16, gap_tolerance=1e-12)]
-    for p in frozen_problems() + [period_two_problem()]:
-        for cfg in configs:
-            assert_same_result(run(p, cfg), stepwise_run(p, cfg))
+# frozen instances 0, 11, 12 and 13 end in cycles of period 18, 6, 6 and 6;
+# intervals of 7, 33, 16 and 1 put checks at many offsets of the period.
+# `run` advances from check to check: budgets of 1, 17 and about 1000 put
+# max_iters before, on and between checks, with and without a gap stop
+SMALL_CONFIGS = [SolverConfig(max_iters=1000),
+                 SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
+                 SolverConfig(max_iters=999, check_interval=33),
+                 SolverConfig(max_iters=1000, check_interval=7, gap_tolerance=1e-12),
+                 SolverConfig(max_iters=3000, check_interval=100),
+                 SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-10),
+                 SolverConfig(max_iters=1000, check_interval=7),
+                 SolverConfig(max_iters=2000, check_interval=1, gap_tolerance=1e-14),
+                 SolverConfig(max_iters=1000, check_interval=16, gap_tolerance=1e-12),
+                 *(SolverConfig(max_iters=iters, check_interval=interval, gap_tolerance=tol)
+                   for iters in (1, 17) for interval in (1, 7, 16, 33) for tol in (0.0, 1e-8))]
+
+
+def run_cases(layout):
+    """The (problem, config) pairs on which `run` in `layout` is checked.
+
+    The scalar layout stays on small problems: the frozen instances and
+    the period-two problem under SMALL_CONFIGS, and seeded problems of
+    tiny-batch's shape under its first four.  The numpy layouts run the
+    frozen instances unchecked and checked, the period-two problem under
+    the first four (budgets on and between checks), then the saturated
+    grid, and a chain and a grid on which `run` takes the band layout by
+    itself."""
+    frozen = frozen_problems()
+    if layout is _ScalarKernel:
+        tiny = tiny_batch_problems(1) + tiny_batch_problems(2)
+        return ([(p, cfg) for p in frozen + [period_two_problem()] for cfg in SMALL_CONFIGS]
+                + [(p, cfg) for p in tiny for cfg in SMALL_CONFIGS[:4]])
+    large = [noisy_disc_problem(30),
+             NLassoProblem(chain_graph(2000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2),
+             NLassoProblem(grid_from_image(GreyImage(40, 40, np.arange(1600) % 7 * 10)),
+                           [1, 2, 41], 0.05, 0.5)]
+    return ([(p, cfg) for p in frozen for cfg in (SolverConfig(max_iters=400), SMALL_CONFIGS[1])]
+            + [(period_two_problem(), cfg) for cfg in SMALL_CONFIGS[:4]]
+            + [(p, SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-3))
+               for p in large])
+
+
+@by_layout
+def test_run_matches_stepwise_run(monkeypatch, layout):
+    # `run` forced into the layout gives the bits of stepwise_run on that
+    # layout's kernel; the gap stop ends some runs early, a large one among
+    # them in the numpy layouts, and the repeat stop skips steps of others
+    gap_stops, repeat_stops, large_stops = 0, 0, 0
+    for p, cfg in run_cases(layout):
+        res, steps = count_steps(monkeypatch, p, cfg, layout)
+        assert_same_result(res, stepwise_run(p, cfg, layout))
+        gap_stops += res.iters_run < cfg.max_iters
+        repeat_stops += steps < res.iters_run
+        large_stops += res.iters_run < cfg.max_iters and p.graph.n >= 900
+    assert gap_stops >= 10 and repeat_stops >= 10, (gap_stops, repeat_stops)
+    assert large_stops or layout is _ScalarKernel
 
 
 def test_repeat_stop_step_counts(monkeypatch, chain_problem):
