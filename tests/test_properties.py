@@ -95,6 +95,21 @@ def test_relabelling_permutes_the_signal(p, rnd):
     assert np.max(np.abs(xq[label - 1] - x)) <= 1e-9
 
 
+def assert_steps_follow_reference(p, kernels, steps=100):
+    """Each kernel of p steps from its start with the bits of reference_step."""
+    ref, states = ones_start(p), [k.start() for k in kernels]
+    for _ in range(steps):
+        ref = reference_step(p, *ref)
+        states = [k.step(*state) for k, state in zip(kernels, states)]
+        assert all(same_bits(k.arrays(state), ref) for k, state in zip(kernels, states))
+
+
+@PROPERTY
+@given(problems())
+def test_band_layout_matches_gather(p):
+    assert_steps_follow_reference(p, [kernel_of(_Kernel, p), kernel_of(_BandKernel, p)])
+
+
 @PROPERTY
 @given(problems())
 @example(underflow_problem())  # a capacity of 0, where the clamp meets -0.0 against +0.0
@@ -103,7 +118,7 @@ def test_relabelling_permutes_the_signal(p, rnd):
 @example(NLassoProblem(build_graph(2, [(1, 2, 0.7)]), [2], 0.3, 1.1))
 @example(NLassoProblem(build_graph(8, [(i, j, (i + 2 * j) / 7) for i in range(1, 9)
                                        for j in range(i + 1, 9)]), [1, 6], 0.05, 0.4))
-def test_layouts_match_reference_step(p):
+def test_scalar_layout_matches_gather(p):
     sk = kernel_of(_ScalarKernel, p)
     # the generated step holds no float of the problem as a literal
     assert {repr(c) for c in sk.step.__code__.co_consts} <= {"None", "0.0", "0.5", "2.0"}
@@ -113,13 +128,8 @@ def test_layouts_match_reference_step(p):
     q = NLassoProblem(p.graph, others, p.alpha * 3.0, p.lam / 3.0)
     sq = kernel_of(_ScalarKernel, q)
     assert sq.step.__code__ is sk.step.__code__ and sq.step is not sk.step
-    for problem, kernels in ((p, [kernel_of(_Kernel, p), kernel_of(_BandKernel, p), sk]),
-                             (q, [sq])):
-        ref, states = ones_start(problem), [k.start() for k in kernels]
-        for _ in range(100):
-            ref = reference_step(problem, *ref)
-            states = [k.step(*state) for k, state in zip(kernels, states)]
-            assert all(same_bits(k.arrays(state), ref) for k, state in zip(kernels, states))
+    assert_steps_follow_reference(p, [kernel_of(_Kernel, p), sk])
+    assert_steps_follow_reference(q, [kernel_of(_Kernel, q), sq])
 
 
 @PROPERTY
@@ -134,6 +144,19 @@ def test_repeat_stop_matches_stepwise_run(p, iters, interval, tol):
     # a run with checks takes every step; one without stops stepping once
     # the state repeats
     assert steps == res.iters_run if interval else steps <= res.iters_run
+
+
+@settings(PROPERTY, max_examples=10)
+@given(problems())
+def test_run_matches_stepwise_run_under_fixed_configs(p):
+    # `run` advances from check to check: budgets of 1, 17 and 999 and
+    # check intervals of 1, 7, 16 and 33 put max_iters before, on and
+    # between checks
+    for iters in (1, 17, 999):
+        for interval in (1, 7, 16, 33):
+            for tol in (0.0, 1e-8):
+                cfg = SolverConfig(max_iters=iters, check_interval=interval, gap_tolerance=tol)
+                assert_same_result(run(p, cfg), stepwise_run(p, cfg))
 
 
 # about two in five drawn problems deliver a cluster without every seed

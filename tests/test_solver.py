@@ -640,9 +640,7 @@ def period_two_problem():
 
 
 # frozen instances 0, 11, 12 and 13 end in cycles of period 18, 6, 6 and 6;
-# intervals of 7, 33, 16 and 1 put checks at many offsets of the period.
-# `run` advances from check to check: budgets of 1, 17 and about 1000 put
-# max_iters before, on and between checks, with and without a gap stop
+# intervals of 7, 33, 16 and 1 put checks at many offsets of the period
 SMALL_CONFIGS = [SolverConfig(max_iters=1000),
                  SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
                  SolverConfig(max_iters=999, check_interval=33),
@@ -651,50 +649,75 @@ SMALL_CONFIGS = [SolverConfig(max_iters=1000),
                  SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-10),
                  SolverConfig(max_iters=1000, check_interval=7),
                  SolverConfig(max_iters=2000, check_interval=1, gap_tolerance=1e-14),
-                 SolverConfig(max_iters=1000, check_interval=16, gap_tolerance=1e-12),
-                 *(SolverConfig(max_iters=iters, check_interval=interval, gap_tolerance=tol)
-                   for iters in (1, 17) for interval in (1, 7, 16, 33) for tol in (0.0, 1e-8))]
+                 SolverConfig(max_iters=1000, check_interval=16, gap_tolerance=1e-12)]
 
 
-def run_cases(layout):
-    """The (problem, config) pairs on which `run` in `layout` is checked.
+def test_repeat_stop_matches_stepwise_run(monkeypatch):
+    # `run` in the layout it takes by itself, the scalar one on each of
+    # these problems, against all its steps; the repeat stop skips steps of
+    # some runs
+    repeat_stops = 0
+    for p in frozen_problems() + [period_two_problem()]:
+        assert layout_of(p.graph) is _ScalarKernel
+        for cfg in SMALL_CONFIGS:
+            res, steps = count_steps(monkeypatch, p, cfg)
+            assert_same_result(res, stepwise_run(p, cfg))
+            repeat_stops += steps < res.iters_run
+    assert repeat_stops >= 10, repeat_stops
 
-    The scalar layout stays on small problems: the frozen instances and
-    the period-two problem under SMALL_CONFIGS, and seeded problems of
-    tiny-batch's shape under its first four.  The numpy layouts run the
-    frozen instances unchecked and checked, the period-two problem under
-    the first four (budgets on and between checks), then the saturated
-    grid, and a chain and a grid on which `run` takes the band layout by
-    itself."""
-    frozen = frozen_problems()
-    if layout is _ScalarKernel:
-        tiny = tiny_batch_problems(1) + tiny_batch_problems(2)
-        return ([(p, cfg) for p in frozen + [period_two_problem()] for cfg in SMALL_CONFIGS]
-                + [(p, cfg) for p in tiny for cfg in SMALL_CONFIGS[:4]])
+
+def test_scalar_layout_matches_gather_through_run(monkeypatch):
+    # the 25 frozen instances, seeded random problems of tiny-batch's shape
+    # and the period-two problem, on all of which run takes the scalar
+    # kernel by itself: its state stays one flat tuple of floats from the
+    # start to the result, and becomes arrays at each history row, with the
+    # bits of the gather kernel's stepwise run
+    problems = frozen_problems() + tiny_batch_problems(1) + tiny_batch_problems(2)
+    problems.append(period_two_problem())
+    assert all(layout_of(p.graph) is _ScalarKernel for p in problems)
+    gap_stops = repeat_stops = 0
+    for p in problems:
+        for cfg in SMALL_CONFIGS[:4]:
+            res, steps = count_steps(monkeypatch, p, cfg)
+            assert_same_result(res, stepwise_run(p, cfg, _Kernel))
+            gap_stops += res.iters_run < cfg.max_iters
+            repeat_stops += steps < res.iters_run
+    # the gap stop ends some runs early, and the repeat stop skips steps of
+    # others
+    assert gap_stops >= 10 and repeat_stops >= 10, (gap_stops, repeat_stops)
+
+
+def run_cases():
+    """The (problem, config) pairs on which `run` in a numpy layout is
+    checked: the frozen instances unchecked and checked, the period-two
+    problem under the first four SMALL_CONFIGS (budgets on and between
+    checks), then the saturated grid, and a chain and a grid on which `run`
+    takes the band layout by itself."""
     large = [noisy_disc_problem(30),
              NLassoProblem(chain_graph(2000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2),
              NLassoProblem(grid_from_image(GreyImage(40, 40, np.arange(1600) % 7 * 10)),
                            [1, 2, 41], 0.05, 0.5)]
-    return ([(p, cfg) for p in frozen for cfg in (SolverConfig(max_iters=400), SMALL_CONFIGS[1])]
+    return ([(p, cfg) for p in frozen_problems()
+             for cfg in (SolverConfig(max_iters=400), SMALL_CONFIGS[1])]
             + [(period_two_problem(), cfg) for cfg in SMALL_CONFIGS[:4]]
             + [(p, SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-3))
                for p in large])
 
 
-@by_layout
+@pytest.mark.parametrize("layout", [_Kernel, _BandKernel], ids=["gather", "band"])
 def test_run_matches_stepwise_run(monkeypatch, layout):
     # `run` forced into the layout gives the bits of stepwise_run on that
     # layout's kernel; the gap stop ends some runs early, a large one among
-    # them in the numpy layouts, and the repeat stop skips steps of others
+    # them, and the repeat stop skips steps of others
     gap_stops, repeat_stops, large_stops = 0, 0, 0
-    for p, cfg in run_cases(layout):
+    for p, cfg in run_cases():
         res, steps = count_steps(monkeypatch, p, cfg, layout)
         assert_same_result(res, stepwise_run(p, cfg, layout))
         gap_stops += res.iters_run < cfg.max_iters
         repeat_stops += steps < res.iters_run
         large_stops += res.iters_run < cfg.max_iters and p.graph.n >= 900
     assert gap_stops >= 10 and repeat_stops >= 10, (gap_stops, repeat_stops)
-    assert large_stops or layout is _ScalarKernel
+    assert large_stops
 
 
 def test_repeat_stop_step_counts(monkeypatch, chain_problem):
