@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CountTooLarge, InvalidOverride, PgmError
 from .graph import (_INT64_MAX, Graph, _as_array, _atomic_open, _node_count, _numeric, _real,
-                    _whole, as_node_ids, build_graph)
+                    _whole, _build_graph, as_node_ids)
 
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
@@ -103,7 +103,8 @@ def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
 
     `overrides` lists (edge index, weight) pairs with 1-based indices in
     1..n-1 replacing the default weight; other indices raise InvalidOverride.
-    Weights are real numbers; build_graph rejects one not positive and finite.
+    Weights are real numbers; build_graph's checks reject one not positive
+    and finite, naming its edge.
     """
     n = _node_count(n)
     w = np.full(n - 1, _real(default_w, "default_w", -np.inf, np.inf, "a real number"))
@@ -126,7 +127,7 @@ def chain_graph(n: int, default_w: float = 1.0, overrides=()) -> Graph:
             raise InvalidOverride(f"edge index {idx} outside 1..{n - 1}")
         w[idx - 1] = _real(weight, "override weight", -np.inf, np.inf, "a real number")
     k = np.arange(1, n)
-    return build_graph(n, np.column_stack((k, k + 1, w)))
+    return _build_graph(n, k, k + 1, w)
 
 
 def sbm_graph(spec: SbmSpec):
@@ -193,7 +194,7 @@ def sbm_graph(spec: SbmSpec):
             dst.append(c + lo + 2)
             lo = hi
     src, dst = np.concatenate(src), np.concatenate(dst)
-    g = build_graph(total, np.column_stack((src, dst, np.ones(src.size))))
+    g = _build_graph(total, src, dst, np.ones(src.size))
     blocks = [np.arange(lo + 1, hi + 1, dtype=np.int64) for lo, hi in zip(starts, stops)]
     return g, blocks
 
@@ -243,21 +244,37 @@ def grid_from_image(img: GreyImage) -> Graph:
     rows first.  Only horizontal and vertical neighbours are joined.  Grey
     values are 0..255, so every weight is at least exp(-255^2 / 400),
     about 2.5e-71, and none underflows to 0.
+
+    The edges are made in storage order: node p's edge to its right
+    neighbour p + 1, then to the one below, p + width, for p = 1..n (a
+    slot per node and direction, dropped where there is no neighbour), so
+    the graph keeps them as given and sorts nothing.
     """
     w, h = img.width, img.height
     if w * h < 2:
         raise ValueError("image must have at least 2 pixels")
     grey = img.pixels.astype(np.float64)
-    ids = np.arange(w * h, dtype=np.int64).reshape(h, w) + 1
-    d2 = np.concatenate((((grey[:, :-1] - grey[:, 1:]) ** 2).ravel(),
-                         ((grey[:-1, :] - grey[1:, :]) ** 2).ravel()))
-    weights = np.exp(-d2 * (1.0 / 20.0 ** 2))
-    edges = np.column_stack((
-        np.concatenate((ids[:, :-1].ravel(), ids[:-1, :].ravel())),
-        np.concatenate((ids[:, 1:].ravel(), ids[1:, :].ravel())),
-        weights,
-    ))
-    return build_graph(w * h, edges)
+    diff = np.zeros((h, w, 2))
+    np.subtract(grey[:, :-1], grey[:, 1:], out=diff[:, :-1, 0])
+    np.subtract(grey[:-1, :], grey[1:, :], out=diff[:-1, :, 1])
+    keep = np.ones((h, w, 2), dtype=bool)
+    keep[:, -1, 0] = keep[-1, :, 1] = False
+    slot = np.flatnonzero(keep)
+    # exp(-d^2 * (1/400)), in place: d * d is d ** 2, and d^2 * -(1/400)
+    # is -(d^2) * (1/400), bit for bit
+    weights = diff.ravel()[slot]
+    weights *= weights
+    weights *= -(1.0 / 20.0 ** 2)
+    np.exp(weights, out=weights)
+    # slot 2p + k joins node p + 1 to node p + 2 + k (w - 1): its right
+    # neighbour for k = 0, the one below for k = 1
+    node = slot >> 1
+    node += 1
+    other = slot & 1
+    other *= w - 1
+    other += node
+    other += 1
+    return _build_graph(w * h, node, other, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,16 @@ position k of a node signal belongs to node k+1, and edge positions follow
 the lexicographic order of the stored (i, j) pairs.  That edge order fixes
 the indexing of every flow vector in the package.
 
-`build_graph` takes (i, j, w) triples or an (m, 3) array, and every node
-id anywhere in the package passes one check, as_node_ids: finite,
-integral, in 1..n, for any n >= 0.  _node_mask turns ids that pass it
-into the boolean indicator over nodes 1..n, the one membership array
-that seed containment and cluster certificates are read from.  Every numeric
+`build_graph` takes (i, j, w) triples or an (m, 3) array.  Its ids, of
+any dtype, pass _node_ids, as_node_ids's check, and as int64 go to
+_build_graph, which runs every other check.  The generators and
+read_edge_list call _build_graph directly, with int64 ids and float64
+weights; edges that arrive in storage order are kept as given, and only
+others are sorted.  Every other node id in the package passes
+as_node_ids: finite, integral, in 1..n, for any n >= 0.  _node_mask
+turns ids that pass it into the boolean indicator over nodes 1..n, the
+one membership array that seed containment and cluster certificates are
+read from.  Every numeric
 parameter passes _real or _whole: a real number, not a bool, in its range,
 stored as a Python float or int.  Every array passes _numeric: int, float
 or big-int entries, and no bool, not even one inside a list of numbers.
@@ -229,7 +234,8 @@ def build_graph(n: int, edge_list) -> Graph:
     """Build a Graph from (i, j, w) triples or an (m, 3) array of them.
 
     Edges are canonicalized to (min(i, j), max(i, j)) and stored sorted
-    lexicographically, so the result does not depend on the input order.
+    lexicographically, so the result does not depend on the input order;
+    edges that arrive in that order are kept as given, unsorted.
 
     Parameters
     ----------
@@ -250,6 +256,10 @@ def build_graph(n: int, edge_list) -> Graph:
         first failing test is reported, a duplicate at its later copy,
         with its row (see _at_entry).  Last, InvalidWeight names the
         first node whose weighted degree overflows to inf.
+
+    The ids are checked in their own dtype (see _node_ids), then again as
+    int64 with every later check in _build_graph, which the generators
+    and read_edge_list call directly.
     """
     n = _node_count(n)
     try:
@@ -265,26 +275,52 @@ def build_graph(n: int, edge_list) -> Graph:
         # a list of ids and weights alike; objects are checked per column below
         _numeric(arr, "edges", given, InvalidEdge)
     ij = _node_ids(arr[:, :2], n)
-    i, j = ij[:, 0], ij[:, 1]
-    loops = np.flatnonzero(i == j)
+    # a copy, as the graph keeps the weights of edges already in storage order
+    return _build_graph(n, ij[:, 0], ij[:, 1], arr[:, 2].copy())
+
+
+def _build_graph(n: int, i: np.ndarray, j: np.ndarray, w) -> Graph:
+    """The Graph on nodes 1..n of the edges (i[k], j[k]) with weights w[k].
+
+    `n` passed _node_count, `i` and `j` are int64 arrays of 1-based ids,
+    and `w` is float64, or a column _as_vector makes float64 (build_graph's,
+    converted here so that its errors keep their order).  It runs
+    build_graph's checks from ids on, in its order, with its messages and
+    rows.  When the canonical (src, dst) pairs are already strictly
+    increasing, the edges are kept as given, weights included, so the
+    caller hands over a `w` that nothing else holds: the one comparison
+    pass proves there is no duplicate, and a stable sort of them would be
+    the identity.  Other input goes through np.lexsort and a duplicate scan.
+    """
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    bad = np.flatnonzero((lo < 1) | (hi > n))
+    if bad.size:
+        k = bad[0]
+        node = i[k] if not 1 <= i[k] <= n else j[k]
+        raise _at_entry(InvalidNode(f"node id {node} is not an integer in 1..{n}"), k)
+    loops = np.flatnonzero(lo == hi)
     if loops.size:
         raise _at_entry(InvalidEdge(f"self-loop at node {i[loops[0]]}"), loops[0])
-    # a contiguous copy, as the checks below read it twice
-    w = _as_vector(arr[:, 2].copy(), what="weight column")
+    w = _as_vector(w, what="weight column")
     bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
     if bad.size:
         k = bad[0]
         raise _at_entry(InvalidWeight(f"edge ({i[k]}, {j[k]}) has non-positive or "
                                       f"non-finite weight {w[k]}"), k)
-    src, dst = np.minimum(i, j) - 1, np.maximum(i, j) - 1
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
-    same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-    if np.any(same):
-        k = int(np.flatnonzero(same)[0])
-        # lexsort is stable, so order[k + 1] is the later copy's row
-        raise _at_entry(DuplicateEdge(f"edge ({src[k] + 1}, {dst[k] + 1}) listed twice"),
-                        order[k + 1])
+    # 0-based, in place: lo and hi are this call's own arrays
+    src, dst = lo, hi
+    src -= 1
+    dst -= 1
+    ds, dd = np.diff(src), np.diff(dst)
+    if not np.all((ds > 0) | ((ds == 0) & (dd > 0))):
+        order = np.lexsort((dst, src))
+        src, dst, w = src[order], dst[order], w[order]
+        same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+        if np.any(same):
+            k = int(np.flatnonzero(same)[0])
+            # lexsort is stable, so order[k + 1] is the later copy's row
+            raise _at_entry(DuplicateEdge(f"edge ({src[k] + 1}, {dst[k] + 1}) listed twice"),
+                            order[k + 1])
     g = Graph(n, src, dst, w)
     over = np.flatnonzero(g.weighted_degree == np.inf)
     if over.size:
@@ -421,7 +457,8 @@ def read_edge_list(path) -> Graph:
     size in bytes (see _inferred_n).
 
     One np.loadtxt call parses the file in C, with int64 ids and float64
-    weights.  Every file that it declines (a ValueError, as for any `#`,
+    weights, which go to build_graph's checks as they are (see
+    _build_graph).  Every file that it declines (a ValueError, as for any `#`,
     for `1_0` or an id beyond int64, or no data) goes through the line
     parser: it accepts what int() and float() accept.  Both read UTF-8
     text with universal newlines and give the same graph for the same
@@ -440,7 +477,7 @@ def read_edge_list(path) -> Graph:
             return _read_edge_lines(path, size)
     with _named_lines(path):
         n = _inferred_n(np.maximum(rows["i"], rows["j"]), size)
-        return build_graph(n, np.column_stack((rows["i"], rows["j"], rows["w"])))
+        return _build_graph(n, rows["i"], rows["j"], rows["w"].copy())
 
 
 def _read_edge_lines(path, size: int) -> Graph:
@@ -473,7 +510,7 @@ def _inferred_n(row_max: np.ndarray, size: int):
     edge line takes at least 6 bytes, so a graph with no isolated node
     always passes.  An id beyond int64 is left to build_graph, which
     rejects it as not a number; the count is then 2**63-1.  Where no id
-    is positive the count is 1, so build_graph names the first bad id.
+    is positive the count is 1, so the id check names the first bad id.
     """
     largest = row_max.max()
     if size < largest <= _INT64_MAX:

@@ -1,6 +1,8 @@
 import hashlib
+import importlib.util
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,23 @@ def test_chain_benchmark_weights():
     assert g.n == 100 and g.num_edges == 99
     assert g.weights[3] == 1.0
     assert np.all(np.delete(g.weights, 3) == 1.25)
+
+
+def same_bytes(g, ref):
+    """g and ref have the same n and the same dtype and bytes in every array."""
+    return g.n == ref.n and all(
+        getattr(g, f).dtype == getattr(ref, f).dtype
+        and getattr(g, f).tobytes() == getattr(ref, f).tobytes()
+        for f in ("src", "dst", "weights", "degree", "weighted_degree"))
+
+
+@pytest.mark.parametrize("n, default_w, overrides", [
+    (100, 5.0 / 4.0, [(4, 1.0)]), (2, 1.0, []),
+    (7, 2.0, [(6, 3.0), (1, 0.5), (3, 1e-300), (1, 0.25)])])
+def test_chain_matches_build_graph(n, default_w, overrides):
+    w = dict(overrides)
+    triples = [(k, k + 1, w.get(k, default_w)) for k in range(1, n)]
+    assert same_bytes(chain_graph(n, default_w, overrides), build_graph(n, triples))
 
 
 def test_chain_two_nodes():
@@ -189,6 +208,16 @@ def test_sbm_large_model_is_pinned():
         "b91d42a2b9144cee1e81306aa5897b164e7b3b6b8feb7228a51064a87d3f2bb3")
 
 
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+def test_sbm_matches_build_graph(rng_seed):
+    # the 200-node models of the block-model experiment, against the
+    # all-pairs draw as an (m, 3) float table
+    spec = SbmSpec((100, 100), 1 / 5, 1 / 100, rng_seed=rng_seed)
+    iu, ju = all_pairs_sbm(spec)
+    ref = build_graph(200, np.column_stack((iu + 1, ju + 1, np.ones(iu.size))))
+    assert same_bytes(sbm_graph(spec)[0], ref)
+
+
 def test_sbm_memory_bounded_by_row_block():
     # 3000 nodes, 4.5M pairs: drawing them all at once takes ~300 MB
     tracemalloc.start()
@@ -295,7 +324,13 @@ def test_grid_three_by_three():
     assert np.all(g.weights > 0.0) and np.all(g.weights <= 1.0)
 
 
-@pytest.mark.parametrize("width, height", [(7, 5), (1, 6), (6, 1)])
+# every 1 x k, k x 1 and 2 x 2 shape has a slot with no neighbour to
+# drop in each direction; the random shapes (each side 1..31) add others
+GRID_SHAPES = [(7, 5), (1, 6), (6, 1), (2, 2), (1, 2), (2, 1)] + [
+    tuple(map(int, shape)) for shape in np.random.default_rng(5).integers(1, 32, size=(6, 2))]
+
+
+@pytest.mark.parametrize("width, height", GRID_SHAPES)
 def test_grid_matches_triple_list(width, height):
     rng = np.random.default_rng(width * 10 + height)
     img = GreyImage(width, height, rng.integers(0, 256, size=width * height))
@@ -309,8 +344,29 @@ def test_grid_matches_triple_list(width, height):
                     weight = np.exp(-(diff ** 2) * (1.0 / 20.0 ** 2))
                     triples.append((img.node_id(r, c), img.node_id(r2, c2), weight))
     g = grid_from_image(img)
-    assert g == build_graph(width * height, triples)
+    assert same_bytes(g, build_graph(width * height, triples))
     assert g.num_edges == 2 * width * height - width - height
+
+
+def test_grid_matches_build_graph_on_the_benchmark_image(tmp_path):
+    # perfbench's segment-large image at seed 1, against the (m, 3) float
+    # table of every horizontal edge, then every vertical one
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bench = workloads.SegmentLarge(1, tmp_path)
+    bench.setup()
+    img = read_pgm(bench.image)
+    w, h = img.width, img.height
+    grey = img.pixels.astype(np.float64)
+    ids = np.arange(w * h).reshape(h, w) + 1
+    d2 = np.concatenate((((grey[:, :-1] - grey[:, 1:]) ** 2).ravel(),
+                         ((grey[:-1, :] - grey[1:, :]) ** 2).ravel()))
+    table = np.column_stack((np.concatenate((ids[:, :-1].ravel(), ids[:-1, :].ravel())),
+                             np.concatenate((ids[:, 1:].ravel(), ids[1:, :].ravel())),
+                             np.exp(-d2 * (1.0 / 20.0 ** 2))))
+    assert same_bytes(grid_from_image(img), build_graph(w * h, table))
 
 
 def test_grid_node_layout():

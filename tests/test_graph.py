@@ -402,3 +402,81 @@ def test_edge_list_with_and_without_header_agree(tmp_path, rng):
     write_edges(plain, g)
     commented.write_text("# i j w\n" + plain.read_text())
     assert read_edge_list(plain) == read_edge_list(commented) == g
+
+
+def first_error(n, triples):
+    """The (type, message, row) that build_graph's rules give for int ids and
+    float weights: the first of the id, self-loop, weight and duplicate
+    tests to fail, at its first row, a duplicate as its least repeated edge
+    at the second copy."""
+    for k, (i, j, _) in enumerate(triples):
+        for node in (i, j):
+            if not 1 <= node <= n:
+                return InvalidNode, f"node id {node} is not an integer in 1..{n}", k
+    for k, (i, j, _) in enumerate(triples):
+        if i == j:
+            return InvalidEdge, f"self-loop at node {i}", k
+    for k, (i, j, w) in enumerate(triples):
+        if not 0.0 < w < np.inf:
+            return InvalidWeight, f"edge ({i}, {j}) has non-positive or non-finite weight {w}", k
+    first, repeats = {}, []
+    for k, (i, j, _) in enumerate(triples):
+        pair = (min(i, j), max(i, j))
+        if pair in first:
+            repeats.append((pair, k))
+        first.setdefault(pair, k)
+    pair, k = min(repeats)
+    return DuplicateEdge, f"edge {pair} listed twice", k
+
+
+# each fault, made at row 5 of an edge list in storage order
+EDGE_FAULTS = {
+    "duplicate": lambda t: t[:6] + [(t[5][1], t[5][0], 2.0)] + t[6:],
+    "self-loop": lambda t: t[:5] + [(t[5][0], t[5][0], 1.0)] + t[6:],
+    "zero-weight": lambda t: t[:5] + [(t[5][0], t[5][1], 0.0)] + t[6:],
+    "negative-weight": lambda t: t[:5] + [(t[5][0], t[5][1], -1.0)] + t[6:],
+    "nan-weight": lambda t: t[:5] + [(t[5][0], t[5][1], float("nan"))] + t[6:],
+    "id-zero": lambda t: t[:5] + [(t[5][0], 0, 1.0)] + t[6:],
+    "id-negative": lambda t: t[:5] + [(-3, t[5][1], 1.0)] + t[6:],
+}
+
+
+@pytest.mark.parametrize("fault", EDGE_FAULTS)
+def test_presorted_and_shuffled_edges_fail_alike(tmp_path, rng, fault):
+    # the edges kept in storage order and the sorted ones raise the same
+    # error at the same edge, in build_graph and in both read_edge_list
+    # parsers (np.loadtxt for the plain file, the line parser for the one
+    # with a comment)
+    g = random_connected_graph(12, rng)
+    base = [(int(i), int(j), float(w)) for i, j, w in zip(g.src + 1, g.dst + 1, g.weights)]
+    faulty = EDGE_FAULTS[fault](base)
+    for perm in [np.arange(len(faulty))] + [rng.permutation(len(faulty)) for _ in range(5)]:
+        triples = [faulty[k] for k in perm]
+        error, message, row = first_error(12, triples)
+        with pytest.raises(error) as info:
+            build_graph(12, triples)
+        assert (str(info.value), info.value._index) == (message, row)
+        with pytest.raises(error) as info:
+            build_graph(12, np.array(triples))
+        assert (str(info.value), info.value._index) == (message, row)
+        lines = "".join(f"{i} {j} {w!r}\n" for i, j, w in triples)
+        for header, first_line in (("", 1), ("# i j w\n", 2)):
+            path = tmp_path / "g.txt"
+            path.write_text(header + lines)
+            with pytest.raises(error) as info:
+                read_edge_list(path)
+            assert str(info.value) == f"{path}:{row + first_line}: {message}"
+
+
+def test_presorted_and_shuffled_edges_give_one_graph(tmp_path, rng):
+    g = random_connected_graph(12, rng)
+    base = [(int(i), int(j), float(w)) for i, j, w in zip(g.src + 1, g.dst + 1, g.weights)]
+    fields = ("src", "dst", "weights", "degree", "weighted_degree")
+    for perm in [np.arange(len(base))] + [rng.permutation(len(base)) for _ in range(5)]:
+        # each copy with some edges written the other way round
+        triples = [(j, i, w) if k % 3 == 0 else (i, j, w)
+                   for k, (i, j, w) in enumerate(base[p] for p in perm)]
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{i} {j} {w!r}\n" for i, j, w in triples))
+        for built in (build_graph(12, triples), read_edge_list(path)):
+            assert all(getattr(built, f).tobytes() == getattr(g, f).tobytes() for f in fields)

@@ -81,6 +81,21 @@ def test_ab_run_reports_a_changed_graph_constructor(tmp_path, workload, problem)
     assert "bitwise equal" not in proc.stdout
 
 
+def test_ab_run_reports_a_changed_edge_list_reader(tmp_path):
+    # the weights np.loadtxt parses moved up one ulp: both checkouts draw
+    # the same block model, but read back different graphs from its file
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    graph = tmp_path / "src" / "nlasso" / "graph.py"
+    text = graph.read_text()
+    old = 'rows["w"].copy()'
+    assert text.count(old) == 1
+    graph.write_text(text.replace(old, 'np.nextafter(rows["w"], np.inf)'))
+    proc = ab_run(tmp_path, "--iters", "3", "--workload", "sbm-large")
+    assert proc.returncode != 0
+    assert proc.stderr == "sbm-large: the graph of the edge file differs between the checkouts\n"
+    assert "bitwise equal" not in proc.stdout
+
+
 @pytest.mark.parametrize("flag, value, message",
                          [("--iters", "0", "--iters must be >= 1"),
                           ("--iters", "-3", "--iters must be >= 1"),

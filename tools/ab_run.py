@@ -10,7 +10,9 @@ checkout's `src/nlasso` as a second package, and each package builds the
 graphs with its own constructors: `sbm_graph` for `sbm-large`,
 `cli.chain_problem` and `cli.sbm_problem` for `paper-experiments`,
 `grid_from_image` on the same PGM file for `segment-large`, and
-`build_graph` on the same edge lists for `tiny-batch`.  It exits non-zero
+`build_graph` on the same edge lists for `tiny-batch`.  For `sbm-large`
+each package also reads back, with `read_edge_list`, the edge file that
+the workload wrote and its timed `nlasso solve` reads.  It exits non-zero
 at the first graph whose src, dst or weights bytes differ.  Then it checks
 that both `nlasso.run`s give bitwise the same x, y and iters_run on every
 problem, with no checks, with a history row every CHECK_INTERVAL
@@ -84,6 +86,16 @@ def problems(pkg, name: str, w) -> list:
     return [pkg.NLassoProblem(g, pkg.read_node_set(seeds, g.n), w.ALPHA, w.LAM)]
 
 
+def graphs(pkg, name: str, w, probs) -> dict:
+    """The graphs of package pkg's problems probs of workload w, and for
+    `sbm-large` the graph pkg reads back from the edge file w wrote, which
+    its `nlasso solve` reads."""
+    out = {f"problem {k}": p.graph for k, p in enumerate(probs)}
+    if name == "sbm-large":
+        out["the edge file"] = pkg.read_edge_list(w.workdir / "graph.txt")
+    return out
+
+
 def port(module, p):
     """The problem p rebuilt from its edge list with package module."""
     g = p.graph
@@ -91,12 +103,13 @@ def port(module, p):
     return module.NLassoProblem(module.build_graph(g.n, edges), p.seeds, p.alpha, p.lam)
 
 
-def assert_same_graphs(name, probs_a, probs_b):
-    """Both sides' problems have bitwise the same src, dst and weights."""
-    for k, (pa, pb) in enumerate(zip(probs_a, probs_b)):
-        if any(getattr(pa.graph, f).tobytes() != getattr(pb.graph, f).tobytes()
+def assert_same_graphs(name, graphs_a, graphs_b):
+    """Both sides' graphs of each name have bitwise the same src, dst and weights."""
+    for key, ga in graphs_a.items():
+        gb = graphs_b[key]
+        if any(getattr(ga, f).tobytes() != getattr(gb, f).tobytes()
                for f in ("src", "dst", "weights")):
-            raise SystemExit(f"{name}: the graph of problem {k} differs between the checkouts")
+            raise SystemExit(f"{name}: the graph of {key} differs between the checkouts")
 
 
 def history_bits(res) -> list:
@@ -139,7 +152,8 @@ def main(argv=None) -> int:
             w = workloads.WORKLOADS[name](args.seed, Path(tmp) / name)
             w.setup()
             probs = [problems(pkg, name, w) for pkg in (nlasso, other)]
-            assert_same_graphs(name, *probs)
+            assert_same_graphs(name, *(graphs(pkg, name, w, pkg_probs)
+                                       for pkg, pkg_probs in zip((nlasso, other), probs)))
             iters = args.iters or w.ITERS
             sides = [(pkg.run, pkg_probs, pkg.SolverConfig(max_iters=iters))
                      for pkg, pkg_probs in zip((nlasso, other), probs)]
