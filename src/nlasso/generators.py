@@ -244,37 +244,19 @@ def grid_from_image(img: GreyImage) -> Graph:
     rows first.  Only horizontal and vertical neighbours are joined.  Grey
     values are 0..255, so every weight is at least exp(-255^2 / 400),
     about 2.5e-71, and none underflows to 0.
-
-    The edges are made in storage order: node p's edge to its right
-    neighbour p + 1, then to the one below, p + width, for p = 1..n (a
-    slot per node and direction, dropped where there is no neighbour), so
-    the graph keeps them as given and sorts nothing.
     """
     w, h = img.width, img.height
     if w * h < 2:
         raise ValueError("image must have at least 2 pixels")
     grey = img.pixels.astype(np.float64)
-    diff = np.zeros((h, w, 2))
-    np.subtract(grey[:, :-1], grey[:, 1:], out=diff[:, :-1, 0])
-    np.subtract(grey[:-1, :], grey[1:, :], out=diff[:-1, :, 1])
-    keep = np.ones((h, w, 2), dtype=bool)
-    keep[:, -1, 0] = keep[-1, :, 1] = False
-    slot = np.flatnonzero(keep)
-    # exp(-d^2 * (1/400)), in place: d * d is d ** 2, and d^2 * -(1/400)
-    # is -(d^2) * (1/400), bit for bit
-    weights = diff.ravel()[slot]
-    weights *= weights
-    weights *= -(1.0 / 20.0 ** 2)
-    np.exp(weights, out=weights)
-    # slot 2p + k joins node p + 1 to node p + 2 + k (w - 1): its right
-    # neighbour for k = 0, the one below for k = 1
-    node = slot >> 1
-    node += 1
-    other = slot & 1
-    other *= w - 1
-    other += node
-    other += 1
-    return _build_graph(w * h, node, other, weights)
+    ids = np.arange(w * h, dtype=np.int64).reshape(h, w) + 1
+    d2 = np.concatenate((((grey[:, :-1] - grey[:, 1:]) ** 2).ravel(),
+                         ((grey[:-1, :] - grey[1:, :]) ** 2).ravel()))
+    weights = np.exp(-d2 * (1.0 / 20.0 ** 2))
+    return _build_graph(w * h,
+                        np.concatenate((ids[:, :-1].ravel(), ids[:-1, :].ravel())),
+                        np.concatenate((ids[:, 1:].ravel(), ids[1:, :].ravel())),
+                        weights)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,15 @@ the indexing of every flow vector in the package.
 any dtype, pass _node_ids, as_node_ids's check, and as int64 go to
 _build_graph, which runs every other check.  The generators and
 read_edge_list call _build_graph directly, with int64 ids and float64
-weights; edges that arrive in storage order are kept as given, and only
-others are sorted.  Every other node id in the package passes
-as_node_ids: finite, integral, in 1..n, for any n >= 0.  _node_mask
-turns ids that pass it into the boolean indicator over nodes 1..n, the
-one membership array that seed containment and cluster certificates are
-read from.  Every numeric
-parameter passes _real or _whole: a real number, not a bool, in its range,
-stored as a Python float or int.  Every array passes _numeric: int, float
-or big-int entries, and no bool, not even one inside a list of numbers.
-_as_vector applies it before it makes a signal, flow, vector or weight
-column float64.
+weights.  Every other node id in the package passes as_node_ids:
+finite, integral, in 1..n, for any n >= 0.  _node_mask turns ids that
+pass it into the boolean indicator over nodes 1..n, the one membership
+array that seed containment and cluster certificates are read from.
+Every numeric parameter passes _real or _whole: a real number, not a
+bool, in its range, stored as a Python float or int.  Every array passes
+_numeric: int, float or big-int entries, and no bool, not even one
+inside a list of numbers.  _as_vector applies it before it makes a
+signal, flow, vector or weight column float64.
 """
 
 from __future__ import annotations
@@ -234,8 +232,7 @@ def build_graph(n: int, edge_list) -> Graph:
     """Build a Graph from (i, j, w) triples or an (m, 3) array of them.
 
     Edges are canonicalized to (min(i, j), max(i, j)) and stored sorted
-    lexicographically, so the result does not depend on the input order;
-    edges that arrive in that order are kept as given, unsorted.
+    lexicographically, so the result does not depend on the input order.
 
     Parameters
     ----------
@@ -275,7 +272,7 @@ def build_graph(n: int, edge_list) -> Graph:
         # a list of ids and weights alike; objects are checked per column below
         _numeric(arr, "edges", given, InvalidEdge)
     ij = _node_ids(arr[:, :2], n)
-    # a copy, as the graph keeps the weights of edges already in storage order
+    # a contiguous copy, as the checks read it twice
     return _build_graph(n, ij[:, 0], ij[:, 1], arr[:, 2].copy())
 
 
@@ -286,11 +283,7 @@ def _build_graph(n: int, i: np.ndarray, j: np.ndarray, w) -> Graph:
     and `w` is float64, or a column _as_vector makes float64 (build_graph's,
     converted here so that its errors keep their order).  It runs
     build_graph's checks from ids on, in its order, with its messages and
-    rows.  When the canonical (src, dst) pairs are already strictly
-    increasing, the edges are kept as given, weights included, so the
-    caller hands over a `w` that nothing else holds: the one comparison
-    pass proves there is no duplicate, and a stable sort of them would be
-    the identity.  Other input goes through np.lexsort and a duplicate scan.
+    rows.
     """
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     bad = np.flatnonzero((lo < 1) | (hi > n))
@@ -308,19 +301,16 @@ def _build_graph(n: int, i: np.ndarray, j: np.ndarray, w) -> Graph:
         raise _at_entry(InvalidWeight(f"edge ({i[k]}, {j[k]}) has non-positive or "
                                       f"non-finite weight {w[k]}"), k)
     # 0-based, in place: lo and hi are this call's own arrays
-    src, dst = lo, hi
-    src -= 1
-    dst -= 1
-    ds, dd = np.diff(src), np.diff(dst)
-    if not np.all((ds > 0) | ((ds == 0) & (dd > 0))):
-        order = np.lexsort((dst, src))
-        src, dst, w = src[order], dst[order], w[order]
-        same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if np.any(same):
-            k = int(np.flatnonzero(same)[0])
-            # lexsort is stable, so order[k + 1] is the later copy's row
-            raise _at_entry(DuplicateEdge(f"edge ({src[k] + 1}, {dst[k] + 1}) listed twice"),
-                            order[k + 1])
+    lo -= 1
+    hi -= 1
+    order = np.lexsort((hi, lo))
+    src, dst, w = lo[order], hi[order], w[order]
+    same = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if np.any(same):
+        k = int(np.flatnonzero(same)[0])
+        # lexsort is stable, so order[k + 1] is the later copy's row
+        raise _at_entry(DuplicateEdge(f"edge ({src[k] + 1}, {dst[k] + 1}) listed twice"),
+                        order[k + 1])
     g = Graph(n, src, dst, w)
     over = np.flatnonzero(g.weighted_degree == np.inf)
     if over.size:
@@ -477,7 +467,7 @@ def read_edge_list(path) -> Graph:
             return _read_edge_lines(path, size)
     with _named_lines(path):
         n = _inferred_n(np.maximum(rows["i"], rows["j"]), size)
-        return _build_graph(n, rows["i"], rows["j"], rows["w"].copy())
+        return _build_graph(n, rows["i"], rows["j"], rows["w"])
 
 
 def _read_edge_lines(path, size: int) -> Graph:

@@ -324,8 +324,8 @@ def test_grid_three_by_three():
     assert np.all(g.weights > 0.0) and np.all(g.weights <= 1.0)
 
 
-# every 1 x k, k x 1 and 2 x 2 shape has a slot with no neighbour to
-# drop in each direction; the random shapes (each side 1..31) add others
+# 1 x k and k x 1 images have edges in one direction only, 2 x 2 has two
+# in each; the random shapes (each side 1..31) add others
 GRID_SHAPES = [(7, 5), (1, 6), (6, 1), (2, 2), (1, 2), (2, 1)] + [
     tuple(map(int, shape)) for shape in np.random.default_rng(5).integers(1, 32, size=(6, 2))]
 

@@ -443,7 +443,7 @@ EDGE_FAULTS = {
 
 @pytest.mark.parametrize("fault", EDGE_FAULTS)
 def test_presorted_and_shuffled_edges_fail_alike(tmp_path, rng, fault):
-    # the edges kept in storage order and the sorted ones raise the same
+    # edges in storage order and shuffled copies of them raise the same
     # error at the same edge, in build_graph and in both read_edge_list
     # parsers (np.loadtxt for the plain file, the line parser for the one
     # with a comment)

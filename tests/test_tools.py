@@ -87,9 +87,9 @@ def test_ab_run_reports_a_changed_edge_list_reader(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src")
     graph = tmp_path / "src" / "nlasso" / "graph.py"
     text = graph.read_text()
-    old = 'rows["w"].copy()'
+    old = 'rows["w"])'
     assert text.count(old) == 1
-    graph.write_text(text.replace(old, 'np.nextafter(rows["w"], np.inf)'))
+    graph.write_text(text.replace(old, 'np.nextafter(rows["w"], np.inf))'))
     proc = ab_run(tmp_path, "--iters", "3", "--workload", "sbm-large")
     assert proc.returncode != 0
     assert proc.stderr == "sbm-large: the graph of the edge file differs between the checkouts\n"
