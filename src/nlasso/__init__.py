@@ -71,7 +71,6 @@ from .objectives import (
     total_variation,
 )
 from .solver import (
-    HistoryRecord,
     SolverConfig,
     SolverResult,
     run,

@@ -147,89 +147,59 @@ _MAX_SCALAR_SIZE stays below both: no workload has a graph of 37 to 198
 edges plus nodes, and the first solve on a structure, which the repeat
 stop may end within a few hundred steps, pays the whole build.
 
-Check to check.  One `advance` call of the kernel, a loop over its step,
-steps `run` to its next check (of the history, or of a repeat; see Repeat
-stop) or to max_iters and leaves the last state and the one before it,
-which the period-1 repeat check compares, in a list of two states.  Each
-kernel owns the form of its state: arrays with the flow in the layout's
-slots, or one flat tuple of floats with the flow in edge order.  Every
-layout's step maps a state to the next by `step(*state)`.  `run` asks the
-kernel for the start state, for a comparison of two states' bits
-(`same_state`), and for a state as arrays with the flow in edge order
-(`arrays`), which it needs only for a history row and for the result, so
-only the kernels know the slot order.  advance empties the list before it
-steps, so that nothing holds a state the run has stepped past: a caller
-that held each advance's first state would keep two more arrays alive
-through the advance.
+Stepping.  One `advance` call of the kernel, a loop over its step, steps
+`run` to its next repeat check (see Repeat stop) or to max_iters and
+leaves the last state and the one before it, which the period-1 repeat
+check compares, in a list of two states.  Each kernel owns the form of its
+state: arrays with the flow in the layout's slots, or one flat tuple of
+floats with the flow in edge order.  Every layout's step maps a state to
+the next by `step(*state)`.  `run` asks the kernel for the start state,
+for a comparison of two states' bits (`same_state`), and for the last
+state as arrays with the flow in edge order (`arrays`), so only the
+kernels know the slot order.  advance empties the list before it steps,
+so that nothing holds a state the run has stepped past: a caller that
+held each advance's first state would keep two more arrays alive through
+the advance.
 
 Repeat stop.  The step is a deterministic map of the state (x, xprev,
 y), so once a state recurs D steps after an earlier one, every later state
-recurs with period D.  A run without history checks compares, every
-_REPEAT_CHECK_INTERVAL iterations, the bits of the new state with two
-earlier states: the last one (D = 1, a fixed point) and one snapshot,
-re-taken at iterations _REPEAT_CHECK_INTERVAL * 2**k (Brent's cycle
-detection; Brent 1980, "An improved Monte Carlo factorization algorithm",
-BIT 20).  The snapshot is held by reference, since the step never writes
-its inputs.  Once it finds period D at iteration r, the state of
-max_iters is that of r + (max_iters - r) % D, so `run` steps only that
-far.  A run with history checks steps to every check, so that each row
-comes from the state of its own iteration.  Bits are compared as bytes
-(see same_state; the scalar layout packs its tuple as doubles), so -0.0
-and +0.0 differ and equal NaN payloads match.  Small problems reach such
-a state at machine precision long before their budget: of the 25 frozen
-criterion-5 instances, 21 reach a fixed point and 4 end in cycles of
-period 6 or 18.
+recurs with period D.  `run` compares, every _REPEAT_CHECK_INTERVAL
+iterations, the bits of the new state with two earlier states: the last
+one (D = 1, a fixed point) and one snapshot, re-taken at iterations
+_REPEAT_CHECK_INTERVAL * 2**k (Brent's cycle detection; Brent 1980, "An
+improved Monte Carlo factorization algorithm", BIT 20).  The snapshot is
+held by reference, since the step never writes its inputs.  Once it finds
+period D at iteration r, the state of max_iters is that of
+r + (max_iters - r) % D, so `run` steps only that far.  Bits are compared
+as bytes (see same_state; the scalar layout packs its tuple as doubles),
+so -0.0 and +0.0 differ and equal NaN payloads match.  Small problems
+reach such a state at machine precision long before their budget: of the
+25 frozen criterion-5 instances, 21 reach a fixed point and 4 end in
+cycles of period 6 or 18.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import certificates as cert
 from . import graph as gc
-from . import objectives as obj
-from .graph import _MAX, _real, _whole
+from .graph import _whole
 from .objectives import NLassoProblem
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, check schedule and optional gap-based stopping.
-
-    max_iters is the fixed iteration count.  Every check_interval
-    iterations `run` records a history row, and it stops there once the
-    row's duality gap is at most gap_tolerance; check_interval 0 checks
-    nothing and gap_tolerance 0 never stops early.  The iteration count and
-    the interval are whole numbers, stored as int; gap_tolerance is a
-    finite, non-negative real number (not a bool), stored as float.  A
-    positive gap_tolerance needs a positive check_interval, as only a check
-    computes the gap.
-    """
+    """The iteration budget: `run` returns the state of iteration max_iters,
+    a whole number of at least 1, stored as int."""
 
     max_iters: int = 1000
-    check_interval: int = 0
-    gap_tolerance: float = 0.0
 
     def __post_init__(self):
-        for name, low in (("max_iters", 1), ("check_interval", 0)):
-            object.__setattr__(self, name, _whole(getattr(self, name), name, low))
-        object.__setattr__(self, "gap_tolerance", _real(
-            self.gap_tolerance, "gap_tolerance", 0.0, _MAX, "finite and non-negative"))
-        if self.gap_tolerance > 0.0 and self.check_interval == 0:
-            raise ValueError(f"gap_tolerance {self.gap_tolerance} needs a check_interval "
-                             "above 0: only a check computes the gap")
-
-
-class HistoryRecord(NamedTuple):
-    r: int
-    primal: float
-    gap: float
-    max_kkt: float
+        object.__setattr__(self, "max_iters", _whole(self.max_iters, "max_iters", 1))
 
 
 @dataclass
@@ -237,7 +207,6 @@ class SolverResult:
     x: np.ndarray
     y: np.ndarray
     iters_run: int
-    history: list[HistoryRecord] = field(default_factory=list)
 
 
 class _Kernel:
@@ -331,13 +300,12 @@ class _ScalarKernel(_Kernel):
 
     The state is one flat tuple of 2n + m floats, (x_0 .. x_{n-1},
     xprev_0 .. xprev_{n-1}, y_0 .. y_{m-1}) with y in edge order, from
-    start to the result; `run` converts it to arrays only for a history row
-    and for its result.  `step` is the function `_scalar_step` writes,
-    compiled once per structure (`_step_code`) and made anew for each
-    kernel from that code, held by the instance, so it takes the state
-    alone.  Its constants are bound by name in its globals: the capacities
-    c<e>, their negations nc<e> and each node's g<i>, s<i> and k<i>
-    (gamma, shift and scale).
+    start to the result; `run` converts it to arrays only for its result.
+    `step` is the function `_scalar_step` writes, compiled once per
+    structure (`_step_code`) and made anew for each kernel from that code,
+    held by the instance, so it takes the state alone.  Its constants are
+    bound by name in its globals: the capacities c<e>, their negations
+    nc<e> and each node's g<i>, s<i> and k<i> (gamma, shift and scale).
     """
 
     def __init__(self, src, dst, cap, gamma, shift, scale):
@@ -514,66 +482,39 @@ class _BandKernel(_Kernel):
         return s
 
 
-def _check_row(p: NLassoProblem, kernel: _Kernel, state) -> tuple[float, float, float]:
-    """The primal value, duality gap and largest KKT residual of a state."""
-    x, _, y = kernel.arrays(state)
-    return (obj.primal_objective(p, x), obj.duality_gap(p, x, y),
-            cert.kkt_residuals(p, x, y).max_residual)
-
-
 def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
-    """Iterate from the all-ones state under the given config.
+    """The state of iteration cfg.max_iters, from x = x_prev = 1 and zero flow.
 
-    The start is x = x_prev = 1 with zero flow.  Starting from the
-    indicator of the whole node set lets the fidelity leak drain the signal
-    outside the seeds' neighbourhood, so finite iterates approach the limit
-    from above; the zero flow is dual feasible.  Raises IsolatedNode when
-    some node has degree 0, since the primal step size 1/d_i is undefined
-    there.
+    Starting from the indicator of the whole node set lets the fidelity
+    leak drain the signal outside the seeds' neighbourhood, so finite
+    iterates approach the limit from above; the zero flow is dual feasible.
+    Raises IsolatedNode when some node has degree 0, since the primal step
+    size 1/d_i is undefined there.
 
-    Every cfg.check_interval iterations it appends a HistoryRecord of the
-    primal value, duality gap and largest KKT residual, and stops there
-    when cfg.gap_tolerance is positive and that gap is at most
-    cfg.gap_tolerance; otherwise it stops at max_iters.  Identical inputs
+    It stops stepping once the state repeats (see the module docstring's
+    Repeat stop), less than one period before the state of max_iters.  The
+    result is bit for bit that of the full run, and identical inputs
     produce bitwise identical results.
-
-    Without history checks it stops stepping once the state repeats (see
-    the module docstring's Repeat stop), less than one period before the
-    state of max_iters.  The result is bit for bit that of the full run.
     """
     kernel = _kernel(p)
-    m, interval = cfg.max_iters, cfg.check_interval
+    m = cfg.max_iters
     # the states of iterations r - 1 and r; only this list holds them
     # (see advance)
     states = [None, kernel.start()]
-    history: list[HistoryRecord] = []
-    r = 0
-    if interval:
-        while r < m:
-            k = min(interval, m - r)
-            kernel.advance(states, k)
-            r += k
-            if k < interval:
-                break
-            row = _check_row(p, kernel, states[1])
-            history.append(HistoryRecord(r, *row))
-            if cfg.gap_tolerance > 0 and row[1] <= cfg.gap_tolerance:
-                break
-    else:
-        snap_r, snap = 0, None
-        while r < m:
-            k = min(_REPEAT_CHECK_INTERVAL, m - r)
-            kernel.advance(states, k)
-            r += k
-            if r == m:
-                break
-            period = (1 if kernel.same_state(states[1], states[0])
-                      else r - snap_r if snap and kernel.same_state(states[1], snap) else 0)
-            if period:
-                if (m - r) % period:
-                    kernel.advance(states, (m - r) % period)
-                r = m
-            elif (q := r // _REPEAT_CHECK_INTERVAL) & (q - 1) == 0:
-                snap_r, snap = r, states[1]
+    r, snap_r, snap = 0, 0, None
+    while r < m:
+        k = min(_REPEAT_CHECK_INTERVAL, m - r)
+        kernel.advance(states, k)
+        r += k
+        if r == m:
+            break
+        period = (1 if kernel.same_state(states[1], states[0])
+                  else r - snap_r if snap and kernel.same_state(states[1], snap) else 0)
+        if period:
+            if (m - r) % period:
+                kernel.advance(states, (m - r) % period)
+            r = m
+        elif (q := r // _REPEAT_CHECK_INTERVAL) & (q - 1) == 0:
+            snap_r, snap = r, states[1]
     x, _, y = kernel.arrays(states[1])
-    return SolverResult(x=x, y=y, iters_run=r, history=history)
+    return SolverResult(x=x, y=y, iters_run=r)

@@ -33,7 +33,6 @@ from nlasso import (
     Disconnected,
     DuplicateEdge,
     GreyImage,
-    HistoryRecord,
     IndicatorError,
     InvalidEdge,
     InvalidNode,
@@ -90,8 +89,6 @@ _TINY = math.ulp(0.0)
 # number is in range)
 PARAMETERS = {
     "max_iters": (lambda v: SolverConfig(max_iters=v), 0),
-    "check_interval": (lambda v: SolverConfig(check_interval=v), -1),
-    "gap_tolerance": (lambda v: SolverConfig(check_interval=1, gap_tolerance=v), -_TINY),
     "alpha": (lambda v: NLassoProblem(_CHAIN, [1], v, 0.5), 0.0),
     "lam": (lambda v: NLassoProblem(_CHAIN, [1], 0.25, v), 0.0),
     "tol": (lambda v: fiedler_vector(_CHAIN, UNNORMALIZED, tol=v), 0.0),
@@ -153,10 +150,7 @@ def test_chain_weights_out_of_range_stay_invalid_weight():
 
 
 def test_numpy_scalars_are_stored_as_python_numbers():
-    cfg = SolverConfig(max_iters=np.int64(5), check_interval=np.int64(2),
-                       gap_tolerance=np.float32(0.5))
-    assert [type(v) for v in (cfg.max_iters, cfg.check_interval, cfg.gap_tolerance)] == [
-        int, int, float]
+    assert type(SolverConfig(max_iters=np.int64(5)).max_iters) is int
     p = NLassoProblem(_CHAIN, [1], np.float32(0.25), np.int64(1))
     assert type(p.alpha) is float and type(p.lam) is float
     spec = SbmSpec((np.int64(3), np.float64(4.0)), np.float32(0.5), np.float32(0.25),
@@ -332,9 +326,8 @@ PUBLIC_CALLS = {
     "duality_gap": (duality_gap, "OVV", (_PROBLEM, np.ones(3), np.zeros(2))),
     "primal_objective": (primal_objective, "OV", (_PROBLEM, np.ones(3))),
     "total_variation": (total_variation, "OV", (_CHAIN, np.ones(3))),
-    "SolverConfig": (SolverConfig, "VVV", (10, 5, 0.0)),
-    "run": (run, "OO", (_PROBLEM, SolverConfig(10, 5))),
-    "HistoryRecord": (HistoryRecord, "VVVV", (5, 1.0, 0.0, 0.0)),
+    "SolverConfig": (SolverConfig, "V", (10,)),
+    "run": (run, "OO", (_PROBLEM, SolverConfig(10))),
     "SolverResult": (SolverResult, "VVV", (np.ones(3), np.zeros(2), 10)),
     "ClusterResult": (ClusterResult, "VVV", (np.array([1]), 0.5, True)),
     "KKTReport": (KKTReport, "VVVVV", (0.0, 0.0, True, 0.0, 1e-6)),

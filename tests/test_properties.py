@@ -25,6 +25,7 @@ from nlasso import (
 from nlasso.solver import _BandKernel, _Kernel, _ScalarKernel
 from oracle import exact_optimum
 from test_solver import (
+    SMALL_CONFIGS,
     assert_same_result,
     count_steps,
     kernel_of,
@@ -33,6 +34,7 @@ from test_solver import (
     reference_step,
     same_bits,
     stepwise_run,
+    tool,
     underflow_problem,
 )
 
@@ -71,9 +73,9 @@ def test_exact_optimum_meets_the_optimality_conditions(p):
 @PROPERTY
 @given(problems())
 def test_weak_duality_along_the_run(p):
-    res = run(p, SolverConfig(max_iters=200, check_interval=5))
-    assert len(res.history) == 40
-    assert all(h.gap >= -1e-12 for h in res.history)
+    gaps = [duality_gap(p, x, y) for _, x, y in tool("convergence_counts").iterates(p, 5, 200)]
+    assert len(gaps) == 40
+    assert all(gap >= -1e-12 for gap in gaps)
 
 
 @PROPERTY
@@ -133,30 +135,24 @@ def test_scalar_layout_matches_gather(p):
 
 
 @PROPERTY
-@given(problems(), st.integers(1, 1500), st.integers(0, 120),
-       st.sampled_from([0.0, 1e-6, 1e-10]))
-@example(period_two_problem(), 999, 7, 0.0)
-def test_repeat_stop_matches_stepwise_run(p, iters, interval, tol):
-    cfg = SolverConfig(max_iters=iters, check_interval=interval, gap_tolerance=tol)
+@given(problems(), st.integers(1, 1500))
+@example(period_two_problem(), 999)
+def test_repeat_stop_matches_stepwise_run(p, iters):
+    cfg = SolverConfig(max_iters=iters)
     with pytest.MonkeyPatch.context() as m:
         res, steps = count_steps(m, p, cfg)
     assert_same_result(res, stepwise_run(p, cfg))
-    # a run with checks takes every step; one without stops stepping once
-    # the state repeats
-    assert steps == res.iters_run if interval else steps <= res.iters_run
+    # it stops stepping once the state repeats
+    assert steps <= res.iters_run
 
 
 @settings(PROPERTY, max_examples=10)
 @given(problems())
 def test_run_matches_stepwise_run_under_fixed_configs(p):
-    # `run` advances from check to check: budgets of 1, 17 and 999 and
-    # check intervals of 1, 7, 16 and 33 put max_iters before, on and
-    # between checks
-    for iters in (1, 17, 999):
-        for interval in (1, 7, 16, 33):
-            for tol in (0.0, 1e-8):
-                cfg = SolverConfig(max_iters=iters, check_interval=interval, gap_tolerance=tol)
-                assert_same_result(run(p, cfg), stepwise_run(p, cfg))
+    # `run` advances from repeat check to repeat check: the budgets put
+    # max_iters before, on and between checks
+    for cfg in SMALL_CONFIGS:
+        assert_same_result(run(p, cfg), stepwise_run(p, cfg))
 
 
 # about two in five drawn problems deliver a cluster without every seed
@@ -169,12 +165,12 @@ def test_run_matches_stepwise_run_under_fixed_configs(p):
                                        (1, 6, 1.0), (3, 6, 1.0), (5, 6, 1.0)]),
                        [1, 2, 3, 4, 5], 4.5, 10.0))
 def test_delivered_clusters_satisfy_certificates(p):
-    # all drawn seeds, run to a duality gap of 1e-10; the absorbing
-    # condition is an equality at the optimum, which boundary_conditions
-    # compares within rounding
-    res = run(p, SolverConfig(max_iters=20_000, check_interval=100, gap_tolerance=1e-10))
+    # all drawn seeds, run for 20 000 iterations and kept where the duality
+    # gap is at most 1e-10; the absorbing condition is an equality at the
+    # optimum, which boundary_conditions compares within rounding
+    res = run(p, SolverConfig(max_iters=20_000))
     c = extract_cluster(res.x, 0.5, seeds=p.seeds)
-    assume(res.history[-1].gap <= 1e-10 and c.contains_seeds)
+    assume(duality_gap(p, res.x, res.y) <= 1e-10 and c.contains_seeds)
     report = boundary_conditions(p, c, res.x)
     assert report.holds_injecting
     assert report.holds_absorbing

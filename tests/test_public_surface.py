@@ -15,7 +15,7 @@ PUBLIC = {
     "NLassoProblem", "conjugate_f", "conjugate_g_feasible", "duality_gap",
     "primal_objective", "total_variation",
     # solver
-    "HistoryRecord", "SolverConfig", "SolverResult", "run",
+    "SolverConfig", "SolverResult", "run",
     # certificates
     "BoundaryConditionReport", "ClusterResult", "KKTReport",
     "boundary_conditions", "extract_cluster", "kkt_residuals",
@@ -48,12 +48,15 @@ SIGNATURES = {
 # arrays; the PGM byte lexer, now one regular expression, and the id-set
 # check in front of as_node_ids; isolated_nodes, which only the isolated-node
 # check called, and the reports' line writer, which only certificates.txt used;
-# boundary, whose cut the certificates compute from their membership mask
+# boundary, whose cut the certificates compute from their membership mask;
+# the checked run's history rows and their builder, which nothing but tests
+# and tools read
 REMOVED = {
     objectives: ("star_augmented_flow", "dual_objective", "dual_feasibility",
                  "DualFeasibilityReport", "_as_augmented_flow", "laplacian_quadratic"),
     errors: ("NotAugmented",),
-    solver: ("step", "init_state", "SolverState", "_same_bits"),
+    solver: ("step", "init_state", "SolverState", "_same_bits", "HistoryRecord",
+             "_check_row"),
     solver._Kernel: ("edge_flow",),
     Graph: ("out_neighbors", "in_neighbors", "neighbors", "_check_node"),
     graph: ("write_edge_list", "_id_set", "isolated_nodes", "boundary"),
@@ -80,7 +83,7 @@ def test_trimmed_signatures_are_pinned():
     for func, signature in SIGNATURES.items():
         assert str(inspect.signature(func)) == signature, func.__name__
     names = [f.name for f in dataclasses.fields(nlasso.SolverConfig)]
-    assert names == ["max_iters", "check_interval", "gap_tolerance"]
+    assert names == ["max_iters"]
 
 
 def _benchmark_tracer():

@@ -1,9 +1,12 @@
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from frozen_oracle import INSTANCES as FROZEN
 from nlasso import (
-    HistoryRecord,
     IsolatedNode,
     NLassoProblem,
     SbmSpec,
@@ -14,7 +17,6 @@ from nlasso import (
     duality_gap,
     extract_cluster,
     kkt_residuals,
-    primal_objective,
     run,
     sample_seeds,
     sbm_graph,
@@ -25,33 +27,29 @@ from nlasso.solver import _BandKernel, _Kernel, _kernel, _node_constants, _Scala
 from oracle import _max_flow, exact_optimum, random_connected_graph
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def tool(name):
+    """tools/<name>.py as a module, imported with sys.path left as it was."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path[:] = saved
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=10, gap_tolerance=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=10, check_interval=-1)
     for bad in ({"max_iters": 2.5}, {"max_iters": float("nan")},
-                {"max_iters": float("inf")}, {"max_iters": True}, {"max_iters": "5"},
-                {"check_interval": 0.5}, {"check_interval": True},
-                {"gap_tolerance": float("nan")}, {"gap_tolerance": float("inf")},
-                {"gap_tolerance": True}, {"gap_tolerance": "1e-3"}, {"gap_tolerance": None},
-                {"gap_tolerance": np.array(1e-3)}):
+                {"max_iters": float("inf")}, {"max_iters": True}, {"max_iters": "5"}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
-    # a tolerance without checks would never be compared with a gap
-    for interval in ({}, {"check_interval": 0}):
-        with pytest.raises(ValueError, match="gap_tolerance 0.001 needs a check_interval"):
-            SolverConfig(max_iters=50, gap_tolerance=1e-3, **interval)
-    cfg = SolverConfig()
-    assert (cfg.max_iters, cfg.check_interval, cfg.gap_tolerance) == (1000, 0, 0.0)
-    cfg = SolverConfig(max_iters=20.0, check_interval=np.int64(5), gap_tolerance=1e-3)
-    assert (cfg.max_iters, cfg.check_interval) == (20, 5)
-    assert all(type(v) is int for v in (cfg.max_iters, cfg.check_interval))
-    for tol in (0, 1, np.float32(0.5), np.int64(2)):
-        cfg = SolverConfig(check_interval=1, gap_tolerance=tol)
-        assert type(cfg.gap_tolerance) is float and cfg.gap_tolerance == tol
+    assert SolverConfig().max_iters == 1000
+    cfg = SolverConfig(max_iters=20.0)
+    assert type(cfg.max_iters) is int and cfg.max_iters == 20
 
 
 def test_init_state_all_ones(chain_problem):
@@ -177,32 +175,11 @@ def test_max_flow_follows_a_long_path():
 
 
 def test_run_deterministic(chain_problem):
-    cfg = SolverConfig(max_iters=300, check_interval=50)
+    cfg = SolverConfig(max_iters=300)
     a = run(chain_problem, cfg)
     b = run(chain_problem, cfg)
     assert a.x.tobytes() == b.x.tobytes()
     assert a.y.tobytes() == b.y.tobytes()
-    assert a.history == b.history
-
-
-def test_run_history_recording(chain_problem):
-    res = run(chain_problem, SolverConfig(max_iters=250, check_interval=100))
-    assert [h.r for h in res.history] == [100, 200]
-    assert all(np.isfinite([h.primal, h.gap, h.max_kkt]).all() for h in res.history)
-    rs = [h.r for h in res.history]
-    assert rs == sorted(rs) and len(set(rs)) == len(rs)
-
-
-def test_run_gap_stop(house_graph):
-    p = NLassoProblem(house_graph, [1], 0.5, 0.1)
-    cfg = SolverConfig(max_iters=10 ** 5, check_interval=100, gap_tolerance=1e-6)
-    res = run(p, cfg)
-    assert res.iters_run < 10 ** 5
-    assert res.iters_run % 100 == 0
-    assert duality_gap(p, res.x, res.y) <= 1e-6
-    # one row per check, and the run stops at the first row within tolerance
-    assert [h.r for h in res.history] == list(range(100, res.iters_run + 1, 100))
-    assert [h.gap <= 1e-6 for h in res.history] == [False] * (len(res.history) - 1) + [True]
 
 
 def test_run_capacity_invariant_along_path(chain_problem):
@@ -218,8 +195,9 @@ def test_convergence_on_random_graphs(rng):
         g = random_connected_graph(n, rng)
         seeds = [int(rng.integers(1, n + 1))]
         p = NLassoProblem(g, seeds, 0.05, 0.1)
-        res = run(p, SolverConfig(max_iters=10 ** 5, check_interval=100))
-        gaps = [h.gap for h in res.history if h.r >= 1000]
+        gaps = [duality_gap(p, x, y)
+                for k, x, y in tool("convergence_counts").iterates(p, 100, 10 ** 5)
+                if k >= 1000]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-4 * len(seeds)
 
@@ -313,11 +291,9 @@ by_layout = pytest.mark.parametrize("layout", list(LAYOUTS.values()), ids=list(L
 
 
 def assert_same_result(a, b):
-    """Two SolverResults have the same x, y, history and iteration count, bit for bit."""
+    """Two SolverResults have the same x, y and iteration count, bit for bit."""
     assert same_bits((a.x, a.y), (b.x, b.y))
     assert a.iters_run == b.iters_run
-    assert [tuple(map(float.hex, map(float, h))) for h in a.history] \
-        == [tuple(map(float.hex, map(float, h))) for h in b.history]
 
 
 def kernel_state(k, x, x_prev, y):
@@ -582,7 +558,7 @@ def test_scalar_steps_compiled_once_per_structure():
     info = solver._step_code.cache_info()
     assert (info.misses, info.hits) == (30, 20)
     # a cold cache and a warm one give the same result
-    cfg = SolverConfig(max_iters=1000, check_interval=50)
+    cfg = SolverConfig(max_iters=1000)
     for p in problems:
         solver._step_code.cache_clear()
         cold = run(p, cfg)
@@ -596,22 +572,13 @@ def test_scalar_steps_compiled_once_per_structure():
 
 def stepwise_run(p, cfg, layout=None):
     """`run` without its repeat stop: all max_iters steps of p's kernel in
-    the class `layout`, or in the layout `run` picks, a history row at each
-    multiple of check_interval, and the gap stop."""
+    the class `layout`, or in the layout `run` picks."""
     kernel = kernel_of(layout, p) if layout else solver._kernel(p)
     state = kernel.start()
-    history = []
-    for r in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         state = kernel.step(*state)
-        if cfg.check_interval and r % cfg.check_interval == 0:
-            x, _, y = kernel.arrays(state)
-            gap = duality_gap(p, x, y)
-            history.append(HistoryRecord(r, primal_objective(p, x), gap,
-                                         kkt_residuals(p, x, y).max_residual))
-            if cfg.gap_tolerance > 0 and gap <= cfg.gap_tolerance:
-                break
     x, _, y = kernel.arrays(state)
-    return SolverResult(x=x, y=y, iters_run=r, history=history)
+    return SolverResult(x=x, y=y, iters_run=cfg.max_iters)
 
 
 def count_steps(monkeypatch, p, cfg, layout=None):
@@ -640,16 +607,9 @@ def period_two_problem():
 
 
 # frozen instances 0, 11, 12 and 13 end in cycles of period 18, 6, 6 and 6;
-# intervals of 7, 33, 16 and 1 put checks at many offsets of the period
-SMALL_CONFIGS = [SolverConfig(max_iters=1000),
-                 SolverConfig(max_iters=400, check_interval=50, gap_tolerance=1e-6),
-                 SolverConfig(max_iters=999, check_interval=33),
-                 SolverConfig(max_iters=1000, check_interval=7, gap_tolerance=1e-12),
-                 SolverConfig(max_iters=3000, check_interval=100),
-                 SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-10),
-                 SolverConfig(max_iters=1000, check_interval=7),
-                 SolverConfig(max_iters=2000, check_interval=1, gap_tolerance=1e-14),
-                 SolverConfig(max_iters=1000, check_interval=16, gap_tolerance=1e-12)]
+# budgets before the first repeat check, on a check and between checks put
+# max_iters at many offsets of the period
+SMALL_CONFIGS = [SolverConfig(max_iters=k) for k in (1, 17, 400, 999, 1000, 2000, 3000)]
 
 
 def test_repeat_stop_matches_stepwise_run(monkeypatch):
@@ -670,54 +630,46 @@ def test_scalar_layout_matches_gather_through_run(monkeypatch):
     # the 25 frozen instances, seeded random problems of tiny-batch's shape
     # and the period-two problem, on all of which run takes the scalar
     # kernel by itself: its state stays one flat tuple of floats from the
-    # start to the result, and becomes arrays at each history row, with the
-    # bits of the gather kernel's stepwise run
+    # start to the result, with the bits of the gather kernel's stepwise
+    # run
     problems = frozen_problems() + tiny_batch_problems(1) + tiny_batch_problems(2)
     problems.append(period_two_problem())
     assert all(layout_of(p.graph) is _ScalarKernel for p in problems)
-    gap_stops = repeat_stops = 0
+    repeat_stops = 0
     for p in problems:
         for cfg in SMALL_CONFIGS[:4]:
             res, steps = count_steps(monkeypatch, p, cfg)
             assert_same_result(res, stepwise_run(p, cfg, _Kernel))
-            gap_stops += res.iters_run < cfg.max_iters
             repeat_stops += steps < res.iters_run
-    # the gap stop ends some runs early, and the repeat stop skips steps of
-    # others
-    assert gap_stops >= 10 and repeat_stops >= 10, (gap_stops, repeat_stops)
+    # the repeat stop skips steps of some runs
+    assert repeat_stops >= 10, repeat_stops
 
 
 def run_cases():
     """The (problem, config) pairs on which `run` in a numpy layout is
-    checked: the frozen instances unchecked and checked, the period-two
-    problem under the first four SMALL_CONFIGS (budgets on and between
-    checks), then the saturated grid, and a chain and a grid on which `run`
-    takes the band layout by itself."""
+    checked: the frozen instances under budgets on and between repeat
+    checks, the period-two problem under the first four SMALL_CONFIGS, then
+    the saturated grid, and a chain and a grid on which `run` takes the
+    band layout by itself."""
     large = [noisy_disc_problem(30),
              NLassoProblem(chain_graph(2000, 1.25, [(4, 1.0)]), [1], 1 / 200, 0.2),
              NLassoProblem(grid_from_image(GreyImage(40, 40, np.arange(1600) % 7 * 10)),
                            [1, 2, 41], 0.05, 0.5)]
-    return ([(p, cfg) for p in frozen_problems()
-             for cfg in (SolverConfig(max_iters=400), SMALL_CONFIGS[1])]
+    return ([(p, cfg) for p in frozen_problems() for cfg in SMALL_CONFIGS[2:4]]
             + [(period_two_problem(), cfg) for cfg in SMALL_CONFIGS[:4]]
-            + [(p, SolverConfig(max_iters=3000, check_interval=100, gap_tolerance=1e-3))
-               for p in large])
+            + [(p, SMALL_CONFIGS[-1]) for p in large])
 
 
 @pytest.mark.parametrize("layout", [_Kernel, _BandKernel], ids=["gather", "band"])
 def test_run_matches_stepwise_run(monkeypatch, layout):
     # `run` forced into the layout gives the bits of stepwise_run on that
-    # layout's kernel; the gap stop ends some runs early, a large one among
-    # them, and the repeat stop skips steps of others
-    gap_stops, repeat_stops, large_stops = 0, 0, 0
+    # layout's kernel; the repeat stop skips steps of some runs
+    repeat_stops = 0
     for p, cfg in run_cases():
         res, steps = count_steps(monkeypatch, p, cfg, layout)
         assert_same_result(res, stepwise_run(p, cfg, layout))
-        gap_stops += res.iters_run < cfg.max_iters
         repeat_stops += steps < res.iters_run
-        large_stops += res.iters_run < cfg.max_iters and p.graph.n >= 900
-    assert gap_stops >= 10 and repeat_stops >= 10, (gap_stops, repeat_stops)
-    assert large_stops
+    assert repeat_stops >= 10, repeat_stops
 
 
 def test_repeat_stop_step_counts(monkeypatch, chain_problem):
@@ -744,15 +696,6 @@ def test_repeat_stop_step_counts(monkeypatch, chain_problem):
     res, steps = count_steps(monkeypatch, frozen[0], cfg)
     assert steps == 424
     assert_same_result(res, stepwise_run(frozen[0], cfg))
-    # a run with history checks looks for no repeat: it takes every step up
-    # to max_iters or, checked every 67 with a tolerance of 2**-57, up to its
-    # gap stop
-    for p in (frozen[0], frozen[11]):
-        for interval, tol in ((16, 0.0), (48, 0.0), (67, 2.0 ** -57), (100, 0.0)):
-            cfg = SolverConfig(max_iters=1000, check_interval=interval, gap_tolerance=tol)
-            res, steps = count_steps(monkeypatch, p, cfg)
-            assert steps == res.iters_run, (interval, steps)
-            assert_same_result(res, stepwise_run(p, cfg))
 
 
 class ClimbingKernel(_Kernel):
@@ -846,16 +789,3 @@ def test_same_bits_tells_signed_zeros_apart():
                 assert expected == (u is v)
                 assert k.same_state(tuple(s[0] + s[1] + s[2]),
                                     tuple(t[0] + t[1] + t[2])) == expected
-
-
-# iterations until the gap is at most 1e-6, checked every 10, as printed by
-# tools/convergence_counts.py: the criterion-1 chain, then the 25 frozen
-# instances in order
-ITERS_TO_GAP_1E6 = [4510, 50, 50, 130, 70, 10, 20, 70, 50, 120, 60, 10, 50, 60, 130, 150,
-                    40, 30, 30, 10, 30, 190, 20, 10, 20, 10]
-
-
-def test_iterations_to_certified_gap_do_not_grow(chain_problem):
-    for p, bound in zip([chain_problem] + frozen_problems(), ITERS_TO_GAP_1E6):
-        res = run(p, SolverConfig(max_iters=bound, check_interval=10, gap_tolerance=1e-6))
-        assert res.history[-1].gap <= 1e-6, (bound, res.history[-1])

@@ -1,8 +1,6 @@
-import importlib
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,20 +10,9 @@ from frozen_oracle import INSTANCES
 from nlasso import cli
 from oracle import exact_optimum
 from test_properties import PROPERTY, problems
-from test_solver import frozen_problems
+from test_solver import ROOT, frozen_problems, tool
 
-ROOT = Path(__file__).resolve().parent.parent
 AB_RUN = ROOT / "tools" / "ab_run.py"
-
-
-def tool(name):
-    """tools/<name>.py as a module, imported with sys.path left as it was."""
-    saved = list(sys.path)
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path[:] = saved
 
 
 def ab_run(other, *flags):
@@ -174,3 +161,17 @@ def test_iterations_to_exact_cluster_do_not_grow():
     for p, bound in zip(problems, ITERS_TO_EXACT_CLUSTER):
         since = counts.iterations_to_exact_cluster(p)
         assert since is not None and since <= bound, (bound, since)
+
+
+# iterations until the gap is at most 1e-6, checked every 10, as printed by
+# tools/convergence_counts.py: the criterion-1 chain, then the 25 frozen
+# instances in order, pinned as upper bounds
+ITERS_TO_GAP_1E6 = [4510, 50, 50, 130, 70, 10, 20, 70, 50, 120, 60, 10, 50, 60, 130, 150,
+                    40, 30, 30, 10, 30, 190, 20, 10, 20, 10]
+
+
+def test_iterations_to_certified_gap_do_not_grow():
+    counts = tool("convergence_counts")
+    for p, bound in zip([cli.chain_problem()] + frozen_problems(), ITERS_TO_GAP_1E6):
+        count = counts.iterations_to_gap(p)
+        assert count is not None and count <= bound, (bound, count)

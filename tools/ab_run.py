@@ -15,11 +15,8 @@ each package also reads back, with `read_edge_list`, the edge file that
 the workload wrote and its timed `nlasso solve` reads.  It exits non-zero
 at the first graph whose src, dst or weights bytes differ.  Then it checks
 that both `nlasso.run`s give bitwise the same x, y and iters_run on every
-problem, with no checks, with a history row every CHECK_INTERVAL
-iterations, and with those rows and a gap stop at GAP_TOLERANCE (every
-float of each row compared by its bits too).  It prints one line per
-workload that agrees and exits non-zero at the first problem that
-differs.  It times nothing: perfbench's fresh-process runs are the one
+problem.  It prints one line per workload that agrees and exits non-zero
+at the first problem that differs.  It times nothing: perfbench's fresh-process runs are the one
 measure of speed.
 
 Usage: python tools/ab_run.py OTHER_CHECKOUT [--seed N] [--iters N]
@@ -36,7 +33,6 @@ import argparse
 import importlib.util
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +45,6 @@ import nlasso  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("segment-large", "sbm-large", "tiny-batch", "paper-experiments")
-# iterations between the history rows of the bitwise check, or every
-# iteration under a smaller budget; it runs once without a gap stop, so
-# every row of the budget is compared, and once with one at GAP_TOLERANCE,
-# so the early stop is compared too
-CHECK_INTERVAL = 50
-GAP_TOLERANCE = 1e-9
 
 
 def load_nlasso(checkout: Path, name: str):
@@ -112,26 +102,15 @@ def assert_same_graphs(name, graphs_a, graphs_b):
             raise SystemExit(f"{name}: the graph of {key} differs between the checkouts")
 
 
-def history_bits(res) -> list:
-    """Each history row of a SolverResult with its floats as hex strings."""
-    return [(h.r, *(float(v).hex() for v in h[1:])) for h in res.history]
-
-
 def assert_same_results(name, sides):
-    """Both sides' runs give bitwise the same x, y, iters_run and history,
-    under their configs, with a history row every CHECK_INTERVAL
-    iterations, and with those rows and a gap stop at GAP_TOLERANCE."""
+    """Both sides' runs give bitwise the same x, y and iters_run under their
+    configs."""
     (run_a, probs_a, cfg_a), (run_b, probs_b, cfg_b) = sides
-    interval = min(CHECK_INTERVAL, cfg_a.max_iters)
-    for checks in ({}, {"check_interval": interval},
-                   {"check_interval": interval, "gap_tolerance": GAP_TOLERANCE}):
-        ca, cb = replace(cfg_a, **checks), replace(cfg_b, **checks)
-        for k, (pa, pb) in enumerate(zip(probs_a, probs_b)):
-            a, b = run_a(pa, ca), run_b(pb, cb)
-            same = (a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
-                    and a.iters_run == b.iters_run and history_bits(a) == history_bits(b))
-            if not same:
-                raise SystemExit(f"{name}: problem {k} differs between the checkouts")
+    for k, (pa, pb) in enumerate(zip(probs_a, probs_b)):
+        a, b = run_a(pa, cfg_a), run_b(pb, cfg_b)
+        if not (a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+                and a.iters_run == b.iters_run):
+            raise SystemExit(f"{name}: problem {k} differs between the checkouts")
 
 
 def main(argv=None) -> int:

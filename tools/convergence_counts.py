@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Print how many iterations `run` needs to certify a duality gap of 1e-6.
+"""Print how many iterations the solver needs to certify a duality gap of 1e-6.
 
-The count is the first multiple of 10 at which the gap is at most 1e-6
-(SolverConfig check_interval 10, gap_tolerance 1e-6), or `>100000` when
-10^5 iterations do not get there.  It is a deterministic number, so it
-measures convergence without any timing.  Instances:
+The count is the first multiple of 10 at which the gap of the iterate is
+at most 1e-6, or `>100000` when 10^5 iterations do not get there.  It is
+a deterministic number, so it measures convergence without any timing.
+Every count, gap and bound here comes from the iterates of the kernel
+`run` builds for the problem, in its layout (see `iterates`).  Instances:
 
 * the criterion-1 chain (100 nodes, `nlasso chain-experiment`);
 * the ten criterion-4 block models (`nlasso sbm-experiment`, rng seeds 0-9);
@@ -23,15 +24,16 @@ it only reads) at 700 iterations, the workload's budget, and at 2000: 10^5
 grid iterations would take minutes, and the gap does not reach 1e-6 within
 6000.
 
-tests/test_solver.py pins the chain's and the frozen set's counts as upper
-bounds, and tests/test_tools.py checks k G <= B with `ergodic_gap_bound`
-and pins the exact-cluster checks of the chain and block models 0-2.
+tests/test_tools.py pins the chain's and the frozen set's counts and the
+exact-cluster checks of the chain and block models 0-2 as upper bounds,
+and checks k G <= B with `ergodic_gap_bound`.
 
 Usage: python tools/convergence_counts.py
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -44,8 +46,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from frozen_oracle import INSTANCES  # noqa: E402
-from nlasso import (NLassoProblem, SolverConfig, build_graph, divergence,  # noqa: E402
-                    duality_gap, read_node_set, run)
+from nlasso import (NLassoProblem, build_graph, divergence, duality_gap,  # noqa: E402
+                    read_node_set)
 from nlasso import cli, generators as gen, solver  # noqa: E402
 from oracle import exact_optimum  # noqa: E402
 import workloads  # noqa: E402
@@ -58,10 +60,27 @@ SEGMENT_ITERS = (700, 2000)
 RATE_ITERS = 1000
 
 
-def iterations_to_gap(p: NLassoProblem) -> str:
-    res = run(p, SolverConfig(max_iters=CAP, check_interval=CHECK_INTERVAL,
-                              gap_tolerance=GAP))
-    return str(res.iters_run) if res.history[-1].gap <= GAP else f">{CAP}"
+def iterates(p: NLassoProblem, every: int, last: int):
+    """(k, x, y) at each multiple k of `every` up to `last`: the iterate of
+    the kernel `run` builds for p, in its layout, stepped from its start
+    and read out through `arrays`, with the flow y in edge order."""
+    kernel = solver._kernel(p)
+    state = kernel.start()
+    for k in range(every, last + 1, every):
+        for _ in range(every):
+            state = kernel.step(*state)
+        x, _, y = kernel.arrays(state)
+        yield k, x, y
+
+
+def iterations_to_gap(p: NLassoProblem) -> int | None:
+    """The first check (every CHECK_INTERVAL iterations) at which the
+    duality gap is at most GAP, or None if CAP iterations do not get
+    there."""
+    for k, x, y in iterates(p, CHECK_INTERVAL, CAP):
+        if duality_gap(p, x, y) <= GAP:
+            return k
+    return None
 
 
 def ergodic_gap_bound(p: NLassoProblem, ks) -> dict[int, tuple[float, float]]:
@@ -77,18 +96,12 @@ def ergodic_gap_bound(p: NLassoProblem, ks) -> dict[int, tuple[float, float]]:
     at ybar (1 + z at seeds and z / alpha elsewhere, with z = -div(ybar))
     and yhat = lam W_e sign(xbar_i - xbar_j) maximises it at xbar, so
     B = sum_i d_i (xhat_i - 1)^2 + 2 sum_e yhat_e^2: the theorem's
-    (1/2)||.||^2 in T^-1 and Sigma^-1, doubled for its cross term.  The
-    iterates are those of the kernel `run` builds for p, in its layout,
-    read out through `arrays` with the flow in edge order.
+    (1/2)||.||^2 in T^-1 and Sigma^-1, doubled for its cross term.
     """
-    kernel = solver._kernel(p)
     g = p.graph
-    state = kernel.start()
     x_sum, y_sum = np.zeros(g.n), np.zeros(g.num_edges)
     out = {}
-    for k in range(1, max(ks) + 1):
-        state = kernel.step(*state)
-        x, _, y = kernel.arrays(state)
+    for k, x, y in iterates(p, 1, max(ks)):
         x_sum += x
         y_sum += y
         if k in ks:
@@ -103,16 +116,11 @@ def ergodic_gap_bound(p: NLassoProblem, ks) -> dict[int, tuple[float, float]]:
 
 def iterations_to_exact_cluster(p: NLassoProblem) -> int | None:
     """The first check from which {x > 1/2} equals {x* > 1/2} through
-    iteration RATE_ITERS, or None if it differs there.  The iterates are
-    those of the kernel `run` builds for p."""
+    iteration RATE_ITERS, or None if it differs there."""
     exact = exact_optimum(p)[0] > 0.5
-    kernel = solver._kernel(p)
-    state = kernel.start()
     since = None
-    for k in range(CHECK_INTERVAL, RATE_ITERS + 1, CHECK_INTERVAL):
-        for _ in range(CHECK_INTERVAL):
-            state = kernel.step(*state)
-        same = np.array_equal(kernel.arrays(state)[0] > 0.5, exact)
+    for k, x, _ in iterates(p, CHECK_INTERVAL, RATE_ITERS):
+        same = np.array_equal(x > 0.5, exact)
         since = (since or k) if same else None
     return since
 
@@ -133,14 +141,14 @@ def segment_gaps() -> dict[int, float]:
         w.setup()
         g = gen.grid_from_image(gen.read_pgm(w.image))
         p = NLassoProblem(g, read_node_set(w.seeds, g.n), w.ALPHA, w.LAM)
-    res = run(p, SolverConfig(max_iters=max(SEGMENT_ITERS), check_interval=100))
-    gaps = {h.r: h.gap for h in res.history}
-    return {k: gaps[k] for k in SEGMENT_ITERS}
+    return {k: duality_gap(p, x, y)
+            for k, x, y in iterates(p, math.gcd(*SEGMENT_ITERS), max(SEGMENT_ITERS))
+            if k in SEGMENT_ITERS}
 
 
 def main() -> int:
     for name, p in instances():
-        line = f"{name:<12} {iterations_to_gap(p)}"
+        line = f"{name:<12} {iterations_to_gap(p) or f'>{CAP}'}"
         if not name.startswith("frozen"):
             k_gap, bound = ergodic_gap_bound(p, [RATE_ITERS])[RATE_ITERS]
             line += f"  k G {k_gap:.3g} <= B {bound:.3g} at k = {RATE_ITERS}"
