@@ -118,14 +118,17 @@ def _parse_manifest(path: Path) -> dict:
     return values
 
 
-def _solve_settings(args) -> dict:
+def _settings(args, manifest_path=None, required=()) -> dict:
+    """The settings of `solve`, or of `segment` with no manifest: each the
+    flag if given, else the manifest's value, else the default.  Raises
+    ValueError for a setting in `required` that none of them gives."""
     manifest = {}
-    if args.manifest is not None:
-        manifest = _parse_manifest(Path(args.manifest))
+    if manifest_path is not None:
+        manifest = _parse_manifest(Path(manifest_path))
     known = {"graph", "seeds", "alpha", "lambda", "iters", "threshold", "out"}
     for key, (lineno, _) in manifest.items():
         if key not in known:
-            raise ValueError(f"{Path(args.manifest)}:{lineno}: unknown key `{key}`")
+            raise ValueError(f"{Path(manifest_path)}:{lineno}: unknown key `{key}`")
 
     def pick(flag, key, convert, default=None, check=None):
         """The flag if given, else the manifest's value converted, else the
@@ -137,7 +140,7 @@ def _solve_settings(args) -> dict:
         if key not in manifest:
             return default
         lineno, value = manifest[key]
-        where = f"{Path(args.manifest)}:{lineno}"
+        where = f"{Path(manifest_path)}:{lineno}"
         try:
             value = convert(value)
         except ValueError as exc:
@@ -148,7 +151,7 @@ def _solve_settings(args) -> dict:
             raise ValueError(f"{where}: {exc}") from exc
 
     settings = {
-        "graph": pick(args.graph, "graph", str),
+        "graph": pick(getattr(args, "graph", None), "graph", str),
         "seeds": pick(args.seeds, "seeds", str),
         "alpha": pick(args.alpha, "alpha", float, check=_positive),
         "lam": pick(args.lam, "lambda", float, check=_positive),
@@ -156,7 +159,7 @@ def _solve_settings(args) -> dict:
         "threshold": pick(args.threshold, "threshold", float, 0.5, check=gc._real),
         "out": pick(args.out, "out", str),
     }
-    for key in ("graph", "seeds", "alpha", "lam", "out"):
+    for key in required:
         if settings[key] is None:
             raise ValueError(f"missing required setting `{key.replace('lam', 'lambda')}`")
     return settings
@@ -175,7 +178,7 @@ def _solve(problem, iters: int, threshold: float, out: Path):
 
 
 def _cmd_solve(args) -> int:
-    settings = _solve_settings(args)
+    settings = _settings(args, args.manifest, ("graph", "seeds", "alpha", "lam", "out"))
     g = gc.read_edge_list(settings["graph"])
     seeds = gc.read_node_set(settings["seeds"], g.n)
     problem = obj.NLassoProblem(g, seeds, settings["alpha"], settings["lam"])
@@ -219,15 +222,13 @@ def _cmd_sbm_experiment(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    alpha, lam = _positive(args.alpha, "--alpha"), _positive(args.lam, "--lambda")
-    iters = _iterations(args.iters, "--iters")
-    threshold = gc._real(args.threshold, "--threshold")
+    settings = _settings(args)
     img = gen.read_pgm(args.image)
     g = gen.grid_from_image(img)
-    seeds = gc.read_node_set(args.seeds, g.n)
-    problem = obj.NLassoProblem(g, seeds, alpha, lam)
-    out = Path(args.out)
-    result, cluster = _solve(problem, iters, threshold, out)
+    seeds = gc.read_node_set(settings["seeds"], g.n)
+    problem = obj.NLassoProblem(g, seeds, settings["alpha"], settings["lam"])
+    out = Path(settings["out"])
+    result, cluster = _solve(problem, settings["iters"], settings["threshold"], out)
     mask = 255 * gc._node_mask(cluster.cluster, g.n)
     gen.write_pgm(out / "mask.pgm", gen.GreyImage(img.width, img.height, mask))
     _write_lines(out / "signal.csv", _signal_csv_lines(result.x))
@@ -283,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--seeds", type=str, required=True,
                        help="seed file: one pixel node id per line")
     add_common(p_seg)
-    p_seg.set_defaults(func=_cmd_segment, alpha=1.0 / 200.0, lam=0.2, iters=1000,
-                       threshold=0.5)
+    p_seg.set_defaults(func=_cmd_segment, alpha=1.0 / 200.0, lam=0.2)
 
     return parser
 

@@ -112,9 +112,9 @@ at all on graphs this small, and writing and compiling the scalar step
 costs about 0.06 ms per edge plus node, where a gather kernel is built in
 under 0.01 ms.  Only the first kernel on a graph structure pays that
 build; a later one, for any problem on the same structure, only binds its
-constants to the cached code.  Measured on 2 vCPUs through `advance` as
-`run` calls it, in runs of 16 steps (scalar over gather: per step, the two
-alternating in blocks of 512 steps, the 2nd to the 23rd of 24 runs over
+constants to the cached code.  Measured on 2 vCPUs in runs of 16 steps,
+as `run` steps them (scalar over gather: per step, the two alternating
+in blocks of 512 steps, the 2nd to the 23rd of 24 runs over
 four passes; and with each kernel's uncached build plus 1000 median
 steps, the four passes' extremes), on chains, random connected graphs of
 about 0.6 m + 1 nodes and complete graphs, the two break even near 80
@@ -147,19 +147,19 @@ _MAX_SCALAR_SIZE stays below both: no workload has a graph of 37 to 198
 edges plus nodes, and the first solve on a structure, which the repeat
 stop may end within a few hundred steps, pays the whole build.
 
-Stepping.  One `advance` call of the kernel, a loop over its step, steps
-`run` to its next repeat check (see Repeat stop) or to max_iters and
-leaves the last state and the one before it, which the period-1 repeat
-check compares, in a list of two states.  Each kernel owns the form of its
-state: arrays with the flow in the layout's slots, or one flat tuple of
-floats with the flow in edge order.  Every layout's step maps a state to
-the next by `step(*state)`.  `run` asks the kernel for the start state,
-for a comparison of two states' bits (`same_state`), and for the last
-state as arrays with the flow in edge order (`arrays`), so only the
-kernels know the slot order.  advance empties the list before it steps,
-so that nothing holds a state the run has stepped past: a caller that
-held each advance's first state would keep two more arrays alive through
-the advance.
+Stepping.  `run` steps every layout itself, in one loop.  Each kernel
+owns the form of its state: arrays with the flow in the layout's slots, or
+one flat tuple of floats with the flow in edge order.  Every layout gives
+`run` the same four things: the start state (`start`), the step, which
+maps a state to the next by `step(*state)`, a comparison of two states'
+bits (`same_state`), and the last state as arrays with the flow in edge
+order (`arrays`), so only the kernels know the slot order.  `run` steps in
+blocks that end at its next repeat check (see Repeat stop) or at
+max_iters.  It keeps the last state and, from a block's last step on, the
+state before it, which the period-1 repeat check compares.  It drops that
+earlier state before each block and before the steps that follow a
+repeat, so that nothing holds a state the run has stepped past: keeping
+it through a block would keep one more state alive through each step.
 
 Repeat stop.  The step is a deterministic map of the state (x, xprev,
 y), so once a state recurs D steps after an earlier one, every later state
@@ -204,6 +204,10 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
+    """The state `run` returns: the signal x in node order, the flow y in
+    edge order, and iters_run, always cfg.max_iters, since the repeat stop
+    returns the state of that iteration."""
+
     x: np.ndarray
     y: np.ndarray
     iters_run: int
@@ -217,10 +221,9 @@ class _Kernel:
     and `slots` holds the slot of each edge; a slot that holds no edge has
     capacity 0.  This class stores the flow in the gather layout: one slot
     per edge, sorted by (src + dst, src), with src and dst in slot order.
-    The band layout replaces stages 2 and 4 (_differences and _divergence);
-    the scalar layout replaces the state's form (start, step, same_state
-    and arrays).  `arrays` reads the state of every layout out in edge
-    order.
+    The band layout replaces stages 2 and 4 (_differences and _divergence).
+    `run` uses four methods of each layout: start, step, same_state, and
+    arrays, which reads the state out in edge order.
     """
 
     def __init__(self, src, dst, cap, gamma, shift, scale):
@@ -279,24 +282,11 @@ class _Kernel:
         bytes: -0.0 and +0.0 differ, and NaNs of one payload match."""
         return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
 
-    def advance(self, states: list, k: int) -> None:
-        """Step k >= 1 times from states[1], in a list of two states that
-        ends as [the state before the last, the last].
 
-        It empties the list first and holds only the state it steps from,
-        so that a state the run has stepped past is freed before the next
-        step allocates."""
-        step = self.step
-        state = states[1]
-        states[:] = None, None
-        for _ in range(k - 1):
-            state = step(*state)
-        states[:] = state, step(*state)
-
-
-class _ScalarKernel(_Kernel):
+class _ScalarKernel:
     """The step as one straight-line Python function written for the
-    graph, for graphs of a few edges.
+    graph, for graphs of a few edges.  It shares no code with `_Kernel` and
+    gives `run` the same four methods: start, step, same_state and arrays.
 
     The state is one flat tuple of 2n + m floats, (x_0 .. x_{n-1},
     xprev_0 .. xprev_{n-1}, y_0 .. y_{m-1}) with y in edge order, from
@@ -403,7 +393,7 @@ def _node_constants(p: NLassoProblem) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return gamma, shift, scale
 
 
-def _kernel(p: NLassoProblem) -> _Kernel:
+def _kernel(p: NLassoProblem) -> _Kernel | _ScalarKernel:
     """The kernel `run` iterates p with, in the layout the module docstring
     gives for p's graph.  Raises IsolatedNode for a node of degree 0."""
     g = p.graph
@@ -497,24 +487,30 @@ def run(p: NLassoProblem, cfg: SolverConfig) -> SolverResult:
     produce bitwise identical results.
     """
     kernel = _kernel(p)
+    step = kernel.step
     m = cfg.max_iters
-    # the states of iterations r - 1 and r; only this list holds them
-    # (see advance)
-    states = [None, kernel.start()]
+    # last is the state of iteration r, and prev, once a block is stepped,
+    # that of r - 1; prev is dropped before each block and before the tail,
+    # so no state the run has stepped past outlives the next step
+    last = kernel.start()
     r, snap_r, snap = 0, 0, None
     while r < m:
         k = min(_REPEAT_CHECK_INTERVAL, m - r)
-        kernel.advance(states, k)
+        prev = None
+        for _ in range(k - 1):
+            last = step(*last)
+        prev, last = last, step(*last)
         r += k
         if r == m:
             break
-        period = (1 if kernel.same_state(states[1], states[0])
-                  else r - snap_r if snap and kernel.same_state(states[1], snap) else 0)
+        period = (1 if kernel.same_state(last, prev)
+                  else r - snap_r if snap and kernel.same_state(last, snap) else 0)
         if period:
-            if (m - r) % period:
-                kernel.advance(states, (m - r) % period)
+            prev = None
+            for _ in range((m - r) % period):
+                last = step(*last)
             r = m
         elif (q := r // _REPEAT_CHECK_INTERVAL) & (q - 1) == 0:
-            snap_r, snap = r, states[1]
-    x, _, y = kernel.arrays(states[1])
+            snap_r, snap = r, last
+    x, _, y = kernel.arrays(last)
     return SolverResult(x=x, y=y, iters_run=r)

@@ -393,6 +393,25 @@ def two_region_image(path, size=64):
     write_pgm(path, GreyImage(size, size, grey.ravel()))
 
 
+
+def test_segment_defaults_match_their_flags(tmp_path):
+    # segment's defaults are alpha 1/200, lambda 0.2, 1000 iterations and
+    # threshold 0.5: the same files as those values given as flags
+    image = tmp_path / "disc.pgm"
+    two_region_image(image, size=24)
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("300\n")
+    argv = ["segment", str(image), "--seeds", str(seeds)]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--alpha", "0.005", "--lambda", "0.2", "--iters", "1000",
+                        "--threshold", "0.5", "--out", str(tmp_path / "b")]) == 0
+    for name in ("mask.pgm", "signal.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # 999 iterations give another signal, so the default budget shows
+    assert main(argv + ["--iters", "999", "--out", str(tmp_path / "c")]) == 0
+    signals = [(tmp_path / out / "signal.csv").read_bytes() for out in ("a", "c")]
+    assert signals[0] != signals[1]
+
 # sha256 of every output file, recorded from a build before the solver had
 # more than one flow layout: a change of layout must not change a byte.  The
 # 64 x 64 grid takes the band layout (its mask is exactly the disc), the

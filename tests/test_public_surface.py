@@ -57,7 +57,7 @@ REMOVED = {
     errors: ("NotAugmented",),
     solver: ("step", "init_state", "SolverState", "_same_bits", "HistoryRecord",
              "_check_row"),
-    solver._Kernel: ("edge_flow",),
+    solver._Kernel: ("edge_flow", "advance"),
     Graph: ("out_neighbors", "in_neighbors", "neighbors", "_check_node"),
     graph: ("write_edge_list", "_id_set", "isolated_nodes", "boundary"),
     certificates: ("_Report",),

@@ -1,5 +1,6 @@
 import importlib
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -481,29 +482,6 @@ def test_step_leaves_inputs_and_returns_fresh_arrays():
                 assert a is not b and not np.shares_memory(a, b)
 
 
-def test_advance_matches_step_calls():
-    # each layout's advance over k steps ends on the last two states of k
-    # step calls, bit for bit, and leaves the state it starts from as it
-    # was: `run` keeps its repeat-stop snapshot by reference.  The starts
-    # include a capacity of 0 and the matching's -0.0 and +-inf flows
-    matching, start = matching_problem()
-    cases = [(p, None) for p in frozen_problems()[:3] + [underflow_problem()]]
-    for p, edge_start in cases + [(matching, start)]:
-        for k in (kernel_of(cls, p) for cls in LAYOUTS.values()):
-            first = kernel_state(k, *edge_start) if edge_start else k.start()
-            before = [a.tobytes() for a in k.arrays(first)]
-            for steps in (1, 2, 5, 16):
-                prev, state = None, first
-                for _ in range(steps):
-                    prev, state = state, k.step(*state)
-                states = [None, first]
-                k.advance(states, steps)
-                assert same_bits(k.arrays(states[0]), k.arrays(prev))
-                assert same_bits(k.arrays(states[1]), k.arrays(state))
-                assert holds_previous_x(k, states[1], states[0])
-            assert [a.tobytes() for a in k.arrays(first)] == before
-
-
 def test_layout_selection():
     image = GreyImage(64, 64, (np.arange(64 * 64) * 37) % 256)
     assert layout_of(grid_from_image(image)) is _BandKernel
@@ -698,11 +676,33 @@ def test_repeat_stop_step_counts(monkeypatch, chain_problem):
     assert_same_result(res, stepwise_run(frozen[0], cfg))
 
 
+def test_run_frees_each_state_it_steps_past():
+    # run's peak traced memory over 300 iterations of a 20 000-node chain
+    # (the band layout), in units of one state's 8 (2n + m) bytes: 5.01
+    # with the last state, the one before it at each check, the snapshot
+    # and one step's temporaries.  Keeping the state before the last through
+    # the next block reads 5.67, keeping it through every step of a block
+    # 5.34, and keeping every block's last state 23.7
+    g = chain_graph(20_000)
+    p = NLassoProblem(g, [1], 0.01, 0.1)
+    assert layout_of(g) is _BandKernel
+    run(p, SolverConfig(max_iters=20))  # the first run's one-off allocations
+    tracemalloc.start()
+    try:
+        res = run(p, SolverConfig(max_iters=300))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state_bytes = 8 * (2 * g.n + g.num_edges)
+    assert res.iters_run == 300
+    assert peak <= 5.3 * state_bytes, peak / state_bytes
+
+
 class ClimbingKernel(_Kernel):
     """A step map on which x alone is not enough to detect a fixed point:
     x climbs by 1 to 16, and y counts the steps that start with x == x_prev.
-    It keeps the default start, advance, state comparison and read-out,
-    with its one flow slot holding edge 0."""
+    It keeps the default start, state comparison and read-out, with its
+    one flow slot holding edge 0."""
 
     cap = np.zeros(1)
     slots = np.array([0])

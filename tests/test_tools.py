@@ -27,8 +27,9 @@ def test_ab_run_against_the_same_checkout():
     assert proc.returncode == 0, proc.stderr
     for name in ("segment-large", "sbm-large", "tiny-batch"):
         assert f"{name} (" in proc.stdout
-    # the chain and the seed's ten block models
-    assert "paper-experiments (11 solves x 3 iterations, bitwise equal)" in proc.stdout
+    # the chain and the seed's ten block models, 3 steps each
+    assert ("paper-experiments (11 solves x 3 iterations, bitwise equal, 33 steps each)"
+            in proc.stdout)
     assert proc.stdout.count("bitwise equal") == 4
     assert "wins" not in proc.stdout and "median" not in proc.stdout
 
@@ -48,6 +49,21 @@ def test_ab_run_refuses_to_time_different_results(tmp_path):
     assert proc.returncode != 0
     assert "differs between the checkouts" in proc.stderr
     assert "bitwise equal" not in proc.stdout
+
+
+def test_ab_run_reports_different_step_counts(tmp_path):
+    # repeat checks every 32 iterations instead of 16: the repeat stop keeps
+    # every result's bits but takes a different number of steps
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    solver = tmp_path / "src" / "nlasso" / "solver.py"
+    text = solver.read_text()
+    old = "_REPEAT_CHECK_INTERVAL = 16\n"
+    assert text.count(old) == 1
+    solver.write_text(text.replace(old, "_REPEAT_CHECK_INTERVAL = 32\n"))
+    proc = ab_run(tmp_path, "--workload", "tiny-batch")
+    assert proc.returncode != 0
+    assert "steps here and" in proc.stderr and "in the other checkout" in proc.stderr
+    assert "differs" not in proc.stderr and "bitwise equal" not in proc.stdout
 
 
 @pytest.mark.parametrize("workload, problem", [("sbm-large", 0), ("paper-experiments", 1)])

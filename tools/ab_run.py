@@ -14,10 +14,13 @@ graphs with its own constructors: `sbm_graph` for `sbm-large`,
 each package also reads back, with `read_edge_list`, the edge file that
 the workload wrote and its timed `nlasso solve` reads.  It exits non-zero
 at the first graph whose src, dst or weights bytes differ.  Then it checks
-that both `nlasso.run`s give bitwise the same x, y and iters_run on every
-problem.  It prints one line per workload that agrees and exits non-zero
-at the first problem that differs.  It times nothing: perfbench's fresh-process runs are the one
-measure of speed.
+that both `nlasso.run`s give bitwise the same x and y on every problem, in
+the same number of steps: each package's `solver._kernel` is wrapped so
+that the kernels it builds count their step calls (`iters_run` is always
+the budget, whatever the repeat stop skips).  It prints one line per
+workload that agrees, with its steps, and exits non-zero at the first
+problem that differs.  It times nothing: perfbench's fresh-process runs
+are the one measure of speed.
 
 Usage: python tools/ab_run.py OTHER_CHECKOUT [--seed N] [--iters N]
                               [--workload NAME ...]
@@ -102,15 +105,46 @@ def assert_same_graphs(name, graphs_a, graphs_b):
             raise SystemExit(f"{name}: the graph of {key} differs between the checkouts")
 
 
-def assert_same_results(name, sides):
-    """Both sides' runs give bitwise the same x, y and iters_run under their
-    configs."""
+def counted_run(pkg):
+    """pkg.run as a function of (p, cfg) that returns the result and the
+    steps it took.  It wraps pkg's `solver._kernel`, so that each kernel
+    built from then on counts its step calls."""
+    solver = importlib.import_module(f"{pkg.__name__}.solver")
+    build, steps = solver._kernel, [0]
+
+    def kernel(p):
+        k = build(p)
+        step = k.step
+
+        def counted(*state):
+            steps[0] += 1
+            return step(*state)
+
+        k.step = counted
+        return k
+
+    def run(p, cfg):
+        steps[0] = 0
+        return pkg.run(p, cfg), steps[0]
+
+    solver._kernel = kernel
+    return run
+
+
+def assert_same_results(name, sides) -> int:
+    """Both sides' counted runs give bitwise the same x and y, in the same
+    number of steps, under their configs.  Returns the steps of all runs."""
     (run_a, probs_a, cfg_a), (run_b, probs_b, cfg_b) = sides
+    total = 0
     for k, (pa, pb) in enumerate(zip(probs_a, probs_b)):
-        a, b = run_a(pa, cfg_a), run_b(pb, cfg_b)
-        if not (a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
-                and a.iters_run == b.iters_run):
+        (a, steps_a), (b, steps_b) = run_a(pa, cfg_a), run_b(pb, cfg_b)
+        if a.x.tobytes() != b.x.tobytes() or a.y.tobytes() != b.y.tobytes():
             raise SystemExit(f"{name}: problem {k} differs between the checkouts")
+        if steps_a != steps_b:
+            raise SystemExit(f"{name}: problem {k} takes {steps_a} steps here and "
+                             f"{steps_b} in the other checkout")
+        total += steps_a
+    return total
 
 
 def main(argv=None) -> int:
@@ -125,6 +159,7 @@ def main(argv=None) -> int:
     if args.iters is not None and args.iters < 1:
         ap.error("--iters must be >= 1")
     other = load_nlasso(args.other.resolve(), "nlasso_other")
+    runs = [counted_run(pkg) for pkg in (nlasso, other)]
     print(f"this:  {ROOT}\nother: {args.other.resolve()}\nseed {args.seed}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.workload:
@@ -134,10 +169,11 @@ def main(argv=None) -> int:
             assert_same_graphs(name, *(graphs(pkg, name, w, pkg_probs)
                                        for pkg, pkg_probs in zip((nlasso, other), probs)))
             iters = args.iters or w.ITERS
-            sides = [(pkg.run, pkg_probs, pkg.SolverConfig(max_iters=iters))
-                     for pkg, pkg_probs in zip((nlasso, other), probs)]
-            assert_same_results(name, sides)
-            print(f"{name} ({len(probs[0])} solves x {iters} iterations, bitwise equal)")
+            sides = [(run, pkg_probs, pkg.SolverConfig(max_iters=iters))
+                     for run, pkg, pkg_probs in zip(runs, (nlasso, other), probs)]
+            steps = assert_same_results(name, sides)
+            print(f"{name} ({len(probs[0])} solves x {iters} iterations, bitwise equal, "
+                  f"{steps} steps each)")
     return 0
 
 
